@@ -52,6 +52,11 @@ METRICS = [
         ("wire", "reduction_naive_vs_incremental"),
         "wire bytes reduction",
     ),
+    (
+        "BENCH_actors.json",
+        ("actors", "bfs_reduction_vs_scratch"),
+        "actor BFS sources vs from-scratch",
+    ),
 ]
 
 

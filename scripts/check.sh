@@ -8,11 +8,12 @@
 #
 # Step 3 runs the traversal, dynamic-maintenance, routing-serving,
 # parallel-serving, query-serving, observability, lint-gate,
-# fault-recovery and wire-bytes micro-benchmarks and leaves their JSON
-# artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
+# fault-recovery, wire-bytes and actor-tier micro-benchmarks and leaves
+# their JSON artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
 # ./BENCH_routing.json, ./BENCH_parallel.json, ./BENCH_queries.json,
-# ./BENCH_obs.json, ./BENCH_lint.json, ./BENCH_faults.json and
-# ./BENCH_wire.json (copied from benchmarks/results/) so successive PRs
+# ./BENCH_obs.json, ./BENCH_lint.json, ./BENCH_faults.json,
+# ./BENCH_wire.json and ./BENCH_actors.json (copied from
+# benchmarks/results/) so successive PRs
 # accumulate a perf trajectory.
 # The parallel, query and obs benches degrade gracefully on single-core
 # runners: they record the measurement and a "degraded" marker instead
@@ -95,12 +96,12 @@ if [ "${SKIP_BENCH:-0}" = "1" ]; then
     exit 0
 fi
 
-echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,lint,faults,wire}.json) =="
+echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,lint,faults,wire,actors}.json) =="
 python -m pytest -q benchmarks/test_bench_traversal.py benchmarks/test_bench_dynamic.py \
     benchmarks/test_bench_routing.py benchmarks/test_bench_parallel.py \
     benchmarks/test_bench_queries.py benchmarks/test_bench_obs.py \
     benchmarks/test_bench_lint.py benchmarks/test_bench_faults.py \
-    benchmarks/test_bench_wire.py \
+    benchmarks/test_bench_wire.py benchmarks/test_bench_actors.py \
     -p no:cacheprovider --benchmark-disable
 cp benchmarks/results/BENCH_traversal.json BENCH_traversal.json
 cp benchmarks/results/BENCH_dynamic.json BENCH_dynamic.json
@@ -111,7 +112,8 @@ cp benchmarks/results/BENCH_obs.json BENCH_obs.json
 cp benchmarks/results/BENCH_lint.json BENCH_lint.json
 cp benchmarks/results/BENCH_faults.json BENCH_faults.json
 cp benchmarks/results/BENCH_wire.json BENCH_wire.json
-echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_lint.json ./BENCH_faults.json ./BENCH_wire.json"
+cp benchmarks/results/BENCH_actors.json BENCH_actors.json
+echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_lint.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
 echo "-- observability smoke: traffic soak writes --metrics/--trace artifacts"
 PYTHONPATH=src python -m repro traffic --n 150 --events 20 --queries 15 \
     --workload uniform --compare-bfs 0 \
@@ -136,6 +138,7 @@ o = json.load(open("BENCH_obs.json"))
 lint = json.load(open("BENCH_lint.json"))
 flt = json.load(open("BENCH_faults.json"))
 wire = json.load(open("BENCH_wire.json"))
+actors = json.load(open("BENCH_actors.json"))
 print(
     f"batched_bfs speedup vs set backend: "
     f"{t['speedup_batched_vs_sets']}x (required {t['required_speedup']}x)"
@@ -213,6 +216,13 @@ print(
     f"wire bytes: incremental LSA {w['incremental_bytes']} B vs naive "
     f"full-flooding {w['naive_bytes']} B — "
     f"{w['reduction_naive_vs_incremental']}x reduction (bar {w['bar']}x)"
+)
+ac = actors["actors"]
+print(
+    f"actor tier: {ac['ms_per_tick_actors']} ms/tick vs serial "
+    f"{ac['ms_per_tick_serial']} ms/tick ({ac['actor_vs_serial']}x); BFS sources "
+    f"{ac['bfs_sources_per_tick']}/tick vs {ac['scratch_sources_per_tick']} from "
+    f"scratch ({ac['bfs_reduction_vs_scratch']}x fewer)"
 )
 PYEOF
 

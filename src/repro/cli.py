@@ -859,6 +859,8 @@ def _cmd_distserve(args) -> int:
                     wire.bytes,
                     wire.links,
                     sum(a.recomputes for a in system.actors),
+                    sum(a.full_recomputes for a in system.actors),
+                    sum(a.rows_recomputed for a in system.actors),
                     converged,
                     f"{len(pairs)}/{len(pairs)}" if routes_ok else "MISMATCH",
                 ]
@@ -876,6 +878,8 @@ def _cmd_distserve(args) -> int:
                 "bytes",
                 "links",
                 "recomputes",
+                "full",
+                "rows BFS'd",
                 "converged",
                 "routes match",
             ],

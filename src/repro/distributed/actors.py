@@ -8,14 +8,22 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   RoutingService` (the ground truth) and republishes its per-tick
   :class:`~repro.dynamic.serving.ServeDelta` as sequence-numbered
   :class:`~repro.distributed.wire.LsaUpdate` floods — net maintainer
-  deltas on the wire, never full topology (the
-  :class:`~repro.distributed.wire.FullTopology` path exists as the
-  cold-start bootstrap and the benchmark's naive baseline);
-* **shard actors** (``owner(u) = u % shards``) each replicate (G, H)
-  from the LSA stream but own only their shard's distance rows and
-  next-hop tables, recomputed at quiescence with the *same* primitives
-  the serial service uses (``batched_bfs`` + ``project_table_row``) — so
-  a converged actor's rows are bit-for-bit the service's rows, which the
+  deltas on the wire.  A :class:`~repro.distributed.wire.FullTopology`
+  goes out only for the cold-start bootstrap, a ``resync`` delta
+  (compaction), a resend of seqs already trimmed from the driver's
+  bounded log, and the benchmark's naive baseline;
+* **shard actors** (``owner(u) = u % shards``) each keep one persistent
+  (G, H) replica, patched in place by every applied LSA, and hold only
+  the distance rows their tables read — owned sources and their
+  G-neighbors — plus the owned next-hop tables.  At quiescence the rows
+  are *repaired from the net delta* accumulated since the last repair
+  (link-state style: LSDB update → partial SPF → next-hop table): the
+  certified :func:`~repro.dynamic.serving.dirty_rows` test the serial
+  service runs, restricted to the held rows, picks the rows to re-BFS,
+  rows that became held get a fresh BFS, and only damaged owned tables
+  are re-projected.  Same inputs, same kernels (``batched_bfs`` +
+  ``project_table_row``), same certified dirty set — so a converged
+  actor's rows are bit-for-bit the service's rows, which the
   convergence property suite asserts;
 * actors sit on a **ring overlay**: updates enter at ``seq % shards``
   and flood both directions with TTL + loop-window headers, HELLO
@@ -24,7 +32,10 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   anti-entropy: a beacon ahead of the local database triggers a
   :class:`~repro.distributed.wire.ResendRequest` to the driver, which
   retransmits from its log — the mechanism that makes convergence hold
-  under ``lsa.drop``/``lsa.delay`` fault plans);
+  under ``lsa.drop``/``lsa.delay`` fault plans).  The log is bounded:
+  seqs every live actor has applied are trimmed, bar a short window for
+  laggards, and a request for a trimmed seq is answered with a
+  ``FullTopology``;
 * ``route()`` runs :func:`~repro.routing.greedy_routing.route_served`'s
   exact decision loop *across* actors: each next-hop lookup happens at
   the owner of the current node, the hop's potential is appended by the
@@ -47,7 +58,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..dynamic.serving import RoutingService, ServeDelta
+from .. import obs
+from ..dynamic.serving import RoutingService, ServeDelta, dirty_rows
 from ..errors import ParameterError, ProtocolError
 from ..graph import Graph, batched_bfs
 from ..routing.greedy_routing import RouteResult
@@ -64,74 +76,242 @@ from .wire import (
     RouteReply,
 )
 
-__all__ = ["ActorSystem", "ShardActor"]
+__all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor"]
+
+#: Newest seqs the driver's resend log keeps beyond what every live actor
+#: has applied: a laggard within the window catches up from deltas, one
+#: further behind is sent a :class:`FullTopology`.
+LOG_WINDOW = 8
+
+
+def _neighbor_spans(csr, rows: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
+    """``(neighbor ids, index into rows)`` of every edge out of *rows*."""
+    indptr, indices = csr.numpy_arrays()
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return indices[offsets], np.repeat(np.arange(rows.size), lens)
 
 
 class ShardActor:
-    """One table shard: a (G, H) replica plus the rows it owns."""
+    """One table shard: a persistent (G, H) replica plus the rows it holds.
+
+    ``g``/``h`` are the replica, patched in place by every applied LSA.
+    ``dist`` holds valid ``d_H`` rows exactly where ``held`` is set (the
+    owned sources and their G-neighbors, as of the last repair);
+    ``tables`` holds the owned next-hop rows.  Both are n×n views of
+    buffers that only a compaction or id-space growth past their capacity
+    reallocates.  Between repairs the actor accumulates the net ΔH (a
+    flap cancels) and the G-star endpoints of every applied update, which
+    is all :meth:`recompute` needs.
+    """
 
     def __init__(self, ident: int, system: "ActorSystem") -> None:
         self.ident = ident
         self.system = system
         self.db = LsaDb()
-        self.g_edges: "set[tuple[int, int]]" = set()
-        self.h_edges: "set[tuple[int, int]]" = set()
-        self.num_nodes = 0
-        self.dist = np.empty((0, 0), dtype=np.int32)
-        self.tables = np.empty((0, 0), dtype=np.int32)
-        self._topo_version = 0
-        self._computed_version = -1
+        self.g = Graph(0)
+        self.h = Graph(0)
+        self._dist_buf = np.empty((0, 0), dtype=np.int32)
+        self._tables_buf = np.empty((0, 0), dtype=np.int32)
+        self.dist = self._dist_buf  # n×n views of the buffers
+        self.tables = self._tables_buf
+        self.held = np.zeros(0, dtype=bool)
+        self._h_delta: "dict[tuple[int, int], bool]" = {}  # edge -> added (net)
+        self._star: "set[int]" = set()  # endpoints of G edges changed
+        self._stale = False  # an update was applied since the last repair
+        self._full = True  # the next repair must start from scratch
         self.last_heard: "dict[int, int]" = {}  # ring peer -> last beacon round
         self.suspects: "set[int]" = set()
         self.recomputes = 0
+        self.full_recomputes = 0
+        self.rows_recomputed = 0
+        self.tables_reprojected = 0
+
+    @property
+    def num_nodes(self) -> int:
+        return self.g.num_nodes
 
     # -- replica maintenance ------------------------------------------- #
 
     def _apply_update(self, update) -> None:
         if isinstance(update, FullTopology):
-            self.num_nodes = update.num_nodes
-            self.g_edges = set(update.g_edges)
-            self.h_edges = set(update.h_edges)
+            # The whole state, possibly renumbered (compaction): reload.
+            self.g = Graph(update.num_nodes, update.g_edges)
+            self.h = Graph(update.num_nodes, update.h_edges)
+            self._full = True
         else:
-            self.num_nodes = max(self.num_nodes, update.num_nodes)
-            for node in update.nodes_joined:
-                self.num_nodes = max(self.num_nodes, node + 1)
-            self.g_edges.difference_update(update.g_removed)
-            self.g_edges.update(update.g_added)
-            self.h_edges.difference_update(update.h_removed)
-            self.h_edges.update(update.h_added)
-        self._topo_version += 1
+            g, h = self.g, self.h
+            n = max(update.num_nodes, *(node + 1 for node in update.nodes_joined), 0)
+            for graph in (g, h):
+                if n > graph.num_nodes:
+                    graph.add_nodes(n - graph.num_nodes)
+            for x, y in update.g_removed:
+                if g.remove_edge(x, y):
+                    self._star.update((x, y))
+            for x, y in update.g_added:
+                if g.add_edge(x, y):
+                    self._star.update((x, y))
+            for x, y in update.h_removed:
+                if h.remove_edge(x, y):
+                    self._note_h(x, y, False)
+            for x, y in update.h_added:
+                if h.add_edge(x, y):
+                    self._note_h(x, y, True)
+            self._full |= update.rebuilt
+        self._stale = True
+
+    def _note_h(self, x: int, y: int, added: bool) -> None:
+        edge = (x, y) if x < y else (y, x)
+        if self._h_delta.pop(edge, added) == added:
+            self._h_delta[edge] = added  # first change since the repair
+        # else: the opposite change was pending — the flap cancels
 
     def applied_seq(self) -> int:
         return self.db.applied_seq(self.system.driver_id)
 
-    def recompute(self) -> None:
-        """Rebuild the owned rows from the replica — the serial primitives.
+    # -- row repair ------------------------------------------------------ #
 
-        Distance rows are BFS on the replica's frozen H for the shard
-        *and its G-neighbors* (the argmin inputs); tables are
-        :func:`project_table_row` per owned source.  Bit-identical to
-        :class:`RoutingService`'s rows by construction — same inputs,
-        same code.
+    def recompute(self) -> None:
+        """Repair the held rows and owned tables from the net delta.
+
+        The full path (bootstrap, :class:`FullTopology`, a ``rebuilt``
+        delta) BFSes every held row and re-projects every owned table,
+        mirroring :meth:`RoutingService.refresh`.  Otherwise the rows are
+        repaired from the net delta since the last repair: the certified
+        :func:`~repro.dynamic.serving.dirty_rows` test over the rows held
+        before and after picks which to re-BFS, rows that became held get
+        a fresh BFS, and an owned table is re-projected only where its
+        argmin inputs moved — its whole row when its G-star changed, the
+        changed columns of its G-neighbors' rows otherwise.  Bit-identical
+        to :class:`RoutingService`'s rows by construction: same inputs,
+        same kernels, same certified dirty set.
         """
-        if self._computed_version == self._topo_version:
+        if not self._stale:
             return
-        n = self.num_nodes
-        g = Graph(n, self.g_edges)
-        h = Graph(n, self.h_edges)
-        own = self.system.owned_nodes(self.ident, n)
-        sources = set(own)
-        for u in own:
-            sources.update(g.neighbors(u))
-        self.dist = np.full((n, n), -1, dtype=np.int32)
-        if sources:
-            for s, row in batched_bfs(h.freeze(), sorted(sources), arrays=True):
-                self.dist[s] = row
-        self.tables = np.full((n, n), -1, dtype=np.int32)
-        for u in own:
-            project_table_row(self.dist, self.tables, sorted(g.neighbors(u)), u, None)
-        self._computed_version = self._topo_version
+        with obs.span("actors.recompute"):
+            if self._full:
+                self._repair_full()
+            else:
+                self._repair()
+        self._h_delta.clear()
+        self._star.clear()
+        self._stale = self._full = False
         self.recomputes += 1
+
+    def _owned(self, n: int) -> np.ndarray:
+        return np.arange(self.ident, n, self.system.shards)
+
+    def _held_rows(self, n: int) -> np.ndarray:
+        """Rows the owned tables read: owned ∪ N_G(owned)."""
+        held = np.zeros(n, dtype=bool)
+        owned = self._owned(n)
+        held[owned] = True
+        held[_neighbor_spans(self.g.freeze(), owned)[0]] = True
+        return held
+
+    def _bfs(self, rows: "list[int]", track=frozenset()) -> "tuple[list[int], list[np.ndarray]]":
+        """BFS *rows* on the replica H into ``dist``.
+
+        Returns the rows of *track* that moved, with their
+        changed-destination masks.
+        """
+        changed: "list[int]" = []
+        masks: "list[np.ndarray]" = []
+        if rows:
+            for s, row in batched_bfs(self.h.freeze(), rows, arrays=True):
+                if s in track:
+                    mask = row != self.dist[s]
+                    if mask.any():
+                        changed.append(s)
+                        masks.append(mask)
+                self.dist[s] = row
+        self.rows_recomputed += len(rows)
+        obs.inc("actors.rows_recomputed", len(rows))
+        return changed, masks
+
+    def _project(self, u: int, cols: "np.ndarray | None") -> None:
+        project_table_row(self.dist, self.tables, sorted(self.g.neighbors(u)), u, cols)
+
+    def _size_matrices(self, n: int) -> None:
+        """View ``dist``/``tables`` at n×n, growing their buffers by half
+        again when joins outgrow them (cells past the old size are −1:
+        a new id is unreachable until its row is BFSed)."""
+        old = self.dist.shape[0]
+        if n == old:
+            return
+        cap = self._dist_buf.shape[0]
+        if n < old or n > cap:
+            # Past capacity, keep the rows and grow by half again
+            # (amortized); a compaction shrink carries nothing over.
+            keep = old if n > old else 0
+            cap = max(n, cap + cap // 2) if keep else n
+            dist = np.full((cap, cap), -1, dtype=np.int32)
+            dist[:keep, :keep] = self.dist[:keep, :keep]
+            tables = np.full((cap, cap), -1, dtype=np.int32)
+            tables[:keep, :keep] = self.tables[:keep, :keep]
+            self._dist_buf, self._tables_buf = dist, tables
+            old = keep
+        self.dist = self._dist_buf[:n, :n]
+        self.tables = self._tables_buf[:n, :n]
+        self.held = np.concatenate([self.held[:old], np.zeros(n - old, dtype=bool)])
+
+    def _repair_full(self) -> None:
+        n = self.num_nodes
+        self._size_matrices(n)
+        self.held = self._held_rows(n)
+        self._bfs(np.flatnonzero(self.held).tolist())
+        owned = self._owned(n)
+        for u in owned.tolist():
+            self._project(u, None)
+        self.tables_reprojected += owned.size
+        self.full_recomputes += 1
+        obs.inc("actors.tables_reprojected", owned.size)
+        obs.inc("actors.full_recomputes")
+
+    def _repair(self) -> None:
+        n = self.num_nodes
+        old_n = self.dist.shape[0]
+        self._size_matrices(n)  # joins grow the id space; new rows unheld
+        was_held = self.held
+        held = self._held_rows(n) if (self._star or n != old_n) else was_held
+        h_added = [e for e, added in self._h_delta.items() if added]
+        h_removed = [e for e, added in self._h_delta.items() if not added]
+        dirty = dirty_rows(
+            self.dist, self.h, h_added, h_removed, rows=np.flatnonzero(held & was_held)
+        )
+        # A newly held row needs no damage mask: it became held because an
+        # owned source gained a G-edge to it (or is itself new), and every
+        # owned table that reads it had its G-star change — full damage.
+        fresh = np.flatnonzero(held & ~was_held).tolist()
+        changed, masks = self._bfs(sorted(dirty.union(fresh)), track=dirty)
+        self.held = held
+        # Damage, per owned table: its whole row when its G-star changed
+        # (or it is new), else the OR of its changed neighbor rows' masks.
+        shards = self.system.shards
+        owned = self._owned(n)
+        whole = np.zeros(owned.size, dtype=bool)
+        for u in self._star:
+            if u % shards == self.ident:
+                whole[u // shards] = True
+        whole[owned >= old_n] = True
+        touched = 0
+        for i in np.flatnonzero(whole).tolist():
+            self._project(int(owned[i]), None)
+            touched += 1
+        if changed:
+            nbrs, which = _neighbor_spans(self.g.freeze(), np.asarray(changed))
+            mine = nbrs % shards == self.ident
+            reads = np.zeros((owned.size, len(changed)), dtype=np.float32)
+            reads[nbrs[mine] // shards, which[mine]] = 1.0
+            reads[whole] = 0.0
+            hit = np.flatnonzero(reads.any(axis=1))
+            damage = (reads[hit] @ np.asarray(masks, dtype=np.float32)) > 0
+            for i, mask in zip(hit.tolist(), damage):
+                self._project(int(owned[i]), np.flatnonzero(mask))
+            touched += hit.size
+        self.tables_reprojected += touched
+        obs.inc("actors.tables_reprojected", touched)
 
     # -- read side (serial table semantics, owner-scoped) --------------- #
 
@@ -280,7 +460,7 @@ class ActorSystem:
         for actor in self.actors:
             self.transport.register(actor.ident)
         self.transport.register(self.driver_id)
-        self._outbox: "list[ServeDelta]" = []
+        self._outbox: "list[LsaUpdate | FullTopology]" = []  # seq not yet assigned
         self._log: "dict[int, LsaUpdate | FullTopology]" = {}
         self._out_seq = 0
         self._round = 0
@@ -323,15 +503,7 @@ class ActorSystem:
             return
         self._run(self.transport.start())
         self._started = True
-        g = self.service.graph
-        h = self.service.advertised
-        boot = FullTopology(
-            origin=self.driver_id,
-            seq=self._next_seq(),
-            num_nodes=g.num_nodes,
-            g_edges=tuple(sorted(g.edges())),
-            h_edges=tuple(sorted(h.edges())),
-        )
+        boot = self._snapshot(self._next_seq())
         self._log[boot.seq] = boot
         self._run(self._flood(boot))
         self.quiesce()
@@ -355,24 +527,30 @@ class ActorSystem:
         self._out_seq += 1
         return self._out_seq
 
-    def _on_delta(self, delta: ServeDelta) -> None:
-        self._outbox.append(delta)
-
-    def _delta_message(self, delta: ServeDelta):
-        seq = self._next_seq()
-        if self.mode == "full":
-            g = self.service.graph
-            h = self.service.advertised
-            return FullTopology(
-                origin=self.driver_id,
-                seq=seq,
-                num_nodes=g.num_nodes,
-                g_edges=tuple(sorted(g.edges())),
-                h_edges=tuple(sorted(h.edges())),
-            )
-        return LsaUpdate(
+    def _snapshot(self, seq: int) -> FullTopology:
+        """The service's live (G, H) as a :class:`FullTopology` at *seq*."""
+        g = self.service.graph
+        h = self.service.advertised
+        return FullTopology(
             origin=self.driver_id,
             seq=seq,
+            num_nodes=g.num_nodes,
+            g_edges=tuple(sorted(g.edges())),
+            h_edges=tuple(sorted(h.edges())),
+        )
+
+    def _on_delta(self, delta: ServeDelta) -> None:
+        """Queue *delta*'s message; its seq is assigned when it floods.
+
+        A snapshot is taken now, while the service is at this delta's
+        state — a later tick queued behind it must not leak into it.
+        """
+        if delta.resync or self.mode == "full":
+            self._outbox.append(self._snapshot(0))
+            return
+        self._outbox.append(LsaUpdate(
+            origin=self.driver_id,
+            seq=0,
             g_added=delta.g_added,
             g_removed=delta.g_removed,
             h_added=delta.h_added,
@@ -380,7 +558,7 @@ class ActorSystem:
             nodes_joined=delta.nodes_joined,
             num_nodes=delta.num_nodes,
             rebuilt=delta.rebuilt,
-        )
+        ))
 
     async def _flood(self, message) -> None:
         """Inject at the ring entry with a ring-covering TTL."""
@@ -415,8 +593,8 @@ class ActorSystem:
         return self._run(self._quiesce())
 
     async def _quiesce(self) -> int:
-        for delta in self._outbox:
-            message = self._delta_message(delta)
+        for queued in self._outbox:
+            message = replace(queued, seq=self._next_seq())
             self._log[message.seq] = message
             await self._flood(message)
         self._outbox.clear()
@@ -446,6 +624,7 @@ class ActorSystem:
                 idle = 0
             else:
                 idle += 1
+        self._trim_log()
         if self.tables:
             for actor in self.actors:
                 if actor.ident not in self._muzzled:
@@ -466,16 +645,32 @@ class ActorSystem:
         await self.transport.tick()
         return progressed
 
+    def _trim_log(self) -> None:
+        """Drop logged seqs every live actor has applied, bar the newest
+        :data:`LOG_WINDOW` (kept so a briefly muzzled actor catches up from
+        deltas rather than a snapshot)."""
+        live = [a.applied_seq() for a in self.actors if a.ident not in self._muzzled]
+        floor = min(min(live, default=self._out_seq), self._out_seq - LOG_WINDOW)
+        for seq in [s for s in self._log if s <= floor]:
+            del self._log[seq]
+
     async def _driver_drain(self) -> bool:
         progressed = False
         for m in await self.transport.recv_all(self.driver_id):
             if isinstance(m, ResendRequest):
                 progressed = True
-                for seq in m.want:
-                    logged = self._log.get(seq)
-                    if logged is not None:
-                        # Unicast retransmit: ttl 0 — apply, don't re-flood.
-                        await self.transport.send(self.driver_id, m.origin, logged)
+                # Unicast retransmits carry ttl 0 — apply, don't re-flood.
+                if all(seq in self._log for seq in m.want):
+                    for seq in m.want:
+                        await self.transport.send(self.driver_id, m.origin, self._log[seq])
+                elif not self._outbox:
+                    # Part of the gap was trimmed: send the whole state as
+                    # of the newest flooded seq, which supersedes the gap.
+                    # (With deltas still queued the service is ahead of that
+                    # seq; the actor asks again after the next flood.)
+                    await self.transport.send(
+                        self.driver_id, m.origin, self._snapshot(self._out_seq)
+                    )
             elif isinstance(m, RouteReply):
                 self._replies[m.qid] = m
         return progressed
@@ -516,13 +711,14 @@ class ActorSystem:
     def mismatches(self) -> "list[str]":
         """Differences between the actor tier and the serial service.
 
-        Empty iff every actor's replica matches the live (G, H) and
-        every owned distance/table row is bit-identical to the service's
-        matrices — the convergence property the suite asserts.
+        Empty iff every actor's replica matches the live (G, H), every
+        held distance row (owned sources and their G-neighbors) and every
+        owned table row is bit-identical to the service's matrices — the
+        convergence property the suite asserts.
         """
         out = []
-        g_edges = set(self.service.graph.edges())
-        h_edges = set(self.service.advertised.edges())
+        g = self.service.graph
+        h = self.service.advertised
         n = self.service.num_nodes
         dist = self.service._dist
         tabs = self.service._tables
@@ -533,17 +729,21 @@ class ActorSystem:
             if actor.num_nodes != n:
                 out.append(f"{tag}: num_nodes {actor.num_nodes} != {n}")
                 continue
-            if actor.g_edges != g_edges:
+            if actor.g.edge_set() != g.edge_set():
                 out.append(f"{tag}: G replica diverged")
-            if actor.h_edges != h_edges:
+            if actor.h.edge_set() != h.edge_set():
                 out.append(f"{tag}: H replica diverged")
             if not self.tables:
                 continue
-            for u in self.owned_nodes(actor.ident, n):
-                if not np.array_equal(actor.dist[u], dist[u]):
-                    out.append(f"{tag}: distance row {u} differs")
-                if not np.array_equal(actor.tables[u], tabs[u]):
-                    out.append(f"{tag}: table row {u} differs")
+            owned = self.owned_nodes(actor.ident, n)
+            held = np.flatnonzero(actor.held)
+            if actor.held.shape != (n,) or not actor.held[owned].all():
+                out.append(f"{tag}: held rows do not cover the shard")
+                continue
+            for u in held[(actor.dist[held] != dist[held]).any(axis=1)].tolist():
+                out.append(f"{tag}: distance row {u} differs")
+            for u in np.asarray(owned)[(actor.tables[owned] != tabs[owned]).any(axis=1)].tolist():
+                out.append(f"{tag}: table row {u} differs")
         return out
 
     def converged(self) -> bool:

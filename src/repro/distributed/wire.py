@@ -120,9 +120,12 @@ class LsaUpdate:
 class FullTopology:
     """Naive full-flooding advertisement: the whole live G and H.
 
-    The cold-start bootstrap (sequence 0 seeds every actor's replica)
-    and the baseline the bytes-on-the-wire benchmark measures the
-    incremental :class:`LsaUpdate` stream against.
+    The cold-start bootstrap (sequence 1 seeds every actor's replica),
+    the resync after a state change no delta describes (compaction), the
+    answer to a resend request for seqs the driver already trimmed from
+    its log, and the baseline the bytes-on-the-wire benchmark measures the
+    incremental :class:`LsaUpdate` stream against.  It is the whole state
+    as of ``seq``: :meth:`LsaDb.take_ready` lets it close any gap below.
     """
 
     origin: int
@@ -217,8 +220,19 @@ class LsaDb:
         return True
 
     def take_ready(self, origin: int) -> list:
-        """Pop and return the in-order applicable updates for *origin*."""
+        """Pop and return the in-order applicable updates for *origin*.
+
+        A pending :class:`FullTopology` is the whole state as of its seq,
+        so it supersedes every update before it: the gap below it closes
+        (those entries are dropped) and it is applicable at once.
+        """
         pending = self._pending.get(origin, {})
+        snapshots = [s for s, (u, _born) in pending.items() if isinstance(u, FullTopology)]
+        if snapshots:
+            top = max(snapshots)
+            for s in [s for s in pending if s < top]:
+                del pending[s]
+            self._applied[origin] = top - 1
         ready = []
         nxt = self._applied.get(origin, 0) + 1
         while nxt in pending:

@@ -25,7 +25,9 @@ table damage decomposes exactly:
   (``|D[w,x] − D[w,y]| = 1`` — it lay on a shortest path) or some inserted
   edge is *improving* (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞ — it
   shortcuts).  One vectorized scan over the old matrix finds the dirty
-  rows; one batched BFS on the new frozen H recomputes exactly those.
+  rows (:func:`dirty_rows`, which the distributed shard actors run too,
+  restricted to the rows they hold); one batched BFS on the new frozen H
+  recomputes exactly those.
 * **tables** change only for sources with a dirty-row neighbor (their
   argmin inputs moved) or whose G-star itself changed (event endpoints,
   leavers and their former neighbors, joiners) — and within a table, only
@@ -75,7 +77,7 @@ from ..routing.tables import _FAR, project_table_row
 from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
 
-__all__ = ["RoutingService", "ServeDelta", "ServeReport", "MemoryStats"]
+__all__ = ["RoutingService", "ServeDelta", "ServeReport", "MemoryStats", "dirty_rows"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,12 @@ class ServeDelta:
     but applying the deltas alone is already exact).  Matches the
     :class:`~repro.distributed.wire.LsaUpdate` payload field-for-field,
     which is what keeps the wire schema a projection of this one.
+
+    A ``resync`` delta carries no edges: the service changed state in a
+    way no net delta describes (:meth:`RoutingService.compact` renumbered
+    the ids, or a direct :meth:`RoutingService.refresh` resynced after an
+    unknown change), so a replica must reload the whole (G, H) — the actor
+    tier answers it with a :class:`~repro.distributed.wire.FullTopology`.
     """
 
     seq: int  # 1-based, contiguous per service instance
@@ -103,6 +111,7 @@ class ServeDelta:
     h_removed: "tuple[tuple[int, int], ...]" = ()
     nodes_joined: "tuple[int, ...]" = ()
     num_nodes: int = 0  # id-space size after the tick
+    resync: bool = False  # replicas must reload the full (G, H)
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,7 @@ class RoutingService:
         self._mem_cache: "tuple | None" = None  # (graph, version, MemoryStats)
         self._dist = np.empty((0, 0), dtype=np.int32)
         self._tables = np.empty((0, 0), dtype=np.int32)
-        self.refresh()
+        self._refresh()
         # Counters measure *serving* work: zero out the initial population.
         self.rows_recomputed = 0
         self.tables_recomputed = 0
@@ -286,6 +295,7 @@ class RoutingService:
         h_added: "tuple[tuple[int, int], ...]",
         h_removed: "tuple[tuple[int, int], ...]",
         nodes_joined: "tuple[int, ...]",
+        resync: bool = False,
     ) -> None:
         if not self._subscribers:
             return
@@ -301,6 +311,7 @@ class RoutingService:
             h_removed=h_removed,
             nodes_joined=nodes_joined,
             num_nodes=self.num_nodes,
+            resync=resync,
         )
         for callback in list(self._subscribers):
             callback(delta)
@@ -421,8 +432,17 @@ class RoutingService:
         """Recompute every distance row and table from scratch (fallback).
 
         Re-projects in place so ``entries_updated`` keeps counting only
-        cells whose next hop actually changed, refresh or not.
+        cells whose next hop actually changed, refresh or not.  A direct
+        call means the caller suspects a change the feed never saw, so it
+        publishes a ``resync`` :class:`ServeDelta`: subscribed replicas
+        reload the whole (G, H) rather than trust their delta stream.
         """
+        self._refresh()
+        self._publish(0, True, True, (), (), (), (), (), resync=True)
+
+    def _refresh(self) -> None:
+        """:meth:`refresh` without the feed (the rebuilt-tick path, whose
+        net delta the tick's own :class:`ServeDelta` already carries)."""
         n = self.maintainer.graph.num_nodes
         self._resize_matrices(n)
         with obs.span("serving.recompute_rows"):
@@ -450,7 +470,9 @@ class RoutingService:
         The spanner is rebuilt from scratch on the renumbered graph (ids
         participate in tie-breaks, so the old trees need not survive the
         renumbering); served tables again match :func:`routing_table`
-        bit-for-bit — the property tests assert it.
+        bit-for-bit — the property tests assert it.  The closing
+        :meth:`refresh` publishes a ``resync`` :class:`ServeDelta`, so
+        subscribed replicas reload the renumbered (G, H).
         """
         g = self.maintainer.graph
         keep = [u for u in g.nodes() if g.neighbors(u)]
@@ -566,17 +588,17 @@ class RoutingService:
             self._resize_matrices(n)
         if rebuilt:  # global churn: the maintainer rebuilt, so do we
             before = self.entries_updated
-            self.refresh()
+            self._refresh()
             return True, n, n, self.entries_updated - before
         new_nodes = range(old_dim, n)
-        dirty_rows = self._dirty_rows(h_added, h_removed)
-        dirty_rows.update(new_nodes)
-        if dirty_rows:
+        dirty = dirty_rows(self._dist, self.advertised, h_added, h_removed)
+        dirty.update(new_nodes)
+        if dirty:
             with obs.span("serving.recompute_rows"):
-                changed_cols = self._recompute_rows(sorted(dirty_rows))
+                changed_cols = self._recompute_rows(sorted(dirty))
         else:
             changed_cols = {}
-        self.rows_recomputed += len(dirty_rows)
+        self.rows_recomputed += len(dirty)
         # A table moves only if its argmin inputs did: a neighbor's row
         # changed, or its own G-star changed (None mask = all destinations).
         damage: "dict[int, np.ndarray | None]" = {u: None for u in star_changed}
@@ -595,53 +617,71 @@ class RoutingService:
         with obs.span("serving.project_tables"):
             tables_touched = self._project_tables(damage)
         self.tables_recomputed += tables_touched
-        return False, len(dirty_rows), tables_touched, self.entries_updated - entries_before
+        return False, len(dirty), tables_touched, self.entries_updated - entries_before
 
-    def _dirty_rows(
-        self,
-        h_added: "tuple[tuple[int, int], ...]",
-        h_removed: "tuple[tuple[int, int], ...]",
-    ) -> set[int]:
-        """Sources whose H-BFS row may have changed, from the old matrix.
 
-        Certified complement — a row failing every test below kept all its
-        distances.  Inserted edges shrink row *w* only when they shortcut
-        it (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞).  A removed
-        edge stretches row *w* only when it was *tight*
-        (``D[w,x] + 1 = D[w,y]``) **and** the farther endpoint has no
-        surviving equally-tight parent: any shortest path that crossed
-        ``xy`` reroutes through an alternative parent ``z`` with
-        ``D[w,z] + 1 = D[w,y]`` and ``zy`` still in H, level by level, so
-        the whole row is preserved (the alternative-parent induction of
-        dynamic SSSP).  The joint evaluation on the *old* matrix is exact:
-        rows passing the deletion tests keep their distances through all
-        deletions, making the insertion test's baseline valid.
-        """
-        d = self._dist
-        n = d.shape[0]
-        if n == 0 or (not h_added and not h_removed):
+def dirty_rows(
+    d: "np.ndarray",
+    h: Graph,
+    h_added: "Sequence[tuple[int, int]]",
+    h_removed: "Sequence[tuple[int, int]]",
+    rows: "np.ndarray | None" = None,
+) -> set[int]:
+    """Sources whose H-BFS row may have changed, from the old matrix *d*.
+
+    *d* holds ``d_H(w, ·)`` on the H before the net delta (ΔH⁺ =
+    *h_added*, ΔH⁻ = *h_removed*); *h* is the H after it.  Certified
+    complement — a row failing every test below kept all its distances.
+    Inserted edges shrink row *w* only when they shortcut it
+    (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞).  A removed edge
+    stretches row *w* only when it was *tight* (``D[w,x] + 1 = D[w,y]``)
+    **and** the farther endpoint has no surviving equally-tight parent:
+    any shortest path that crossed ``xy`` reroutes through an alternative
+    parent ``z`` with ``D[w,z] + 1 = D[w,y]`` and ``zy`` still in H, level
+    by level, so the whole row is preserved (the alternative-parent
+    induction of dynamic SSSP).  The joint evaluation on the *old* matrix
+    is exact: rows passing the deletion tests keep their distances through
+    all deletions, making the insertion test's baseline valid.
+
+    Every test for row *w* reads only row *w*, so *rows* may restrict the
+    analysis to a subset of rows — the only ones *d* needs to hold.  The
+    serial service passes every row (``None``); a shard actor passes the
+    rows it holds (owned sources and their G-neighbors).
+    """
+    n = d.shape[0]
+    if n == 0 or (not h_added and not h_removed):
+        return set()
+    if rows is None:
+        ids = None
+        pick: "slice | np.ndarray" = slice(None)
+        pick_block: "slice | np.ndarray" = slice(None)
+        count = n
+    else:
+        ids = np.asarray(rows, dtype=np.intp)
+        if ids.size == 0:
             return set()
-        h = self.advertised  # post-repair H: alternatives must survive
-        dirty = np.zeros(n, dtype=bool)
-        for x, y in h_removed:
-            dx = d[:, x].astype(np.int64)
-            dy = d[:, y].astype(np.int64)
-            for near, far, far_node in ((dx, dy, y), (dy, dx, x)):
-                tight = (near >= 0) & (near + 1 == far)
-                if not tight.any():
-                    continue
-                alts = sorted(h.neighbors(far_node))
-                if alts:
-                    block = d[:, alts].astype(np.int64)
-                    rescued = ((block >= 0) & (block + 1 == far[:, None])).any(axis=1)
-                    tight &= ~rescued
-                dirty |= tight
-            # Defensive: mixed reachability should be impossible for an old
-            # H edge; treat it as dirty rather than provably clean.
-            dirty |= (dx < 0) != (dy < 0)
-        for x, y in h_added:
-            dx = np.where(d[:, x] < 0, _FAR, d[:, x]).astype(np.int64)
-            dy = np.where(d[:, y] < 0, _FAR, d[:, y]).astype(np.int64)
-            # The new edge shortcuts w's view of one endpoint → row shrinks.
-            dirty |= np.abs(dx - dy) > 1
-        return {int(w) for w in np.flatnonzero(dirty)}
+        pick, pick_block, count = ids, ids[:, None], ids.size
+    dirty = np.zeros(count, dtype=bool)
+    for x, y in h_removed:
+        dx = d[pick, x].astype(np.int64)
+        dy = d[pick, y].astype(np.int64)
+        for near, far, far_node in ((dx, dy, y), (dy, dx, x)):
+            tight = (near >= 0) & (near + 1 == far)
+            if not tight.any():
+                continue
+            alts = sorted(h.neighbors(far_node))
+            if alts:
+                block = d[pick_block, alts].astype(np.int64)
+                rescued = ((block >= 0) & (block + 1 == far[:, None])).any(axis=1)
+                tight &= ~rescued
+            dirty |= tight
+        # Defensive: mixed reachability should be impossible for an old
+        # H edge; treat it as dirty rather than provably clean.
+        dirty |= (dx < 0) != (dy < 0)
+    for x, y in h_added:
+        dx = np.where(d[pick, x] < 0, _FAR, d[pick, x]).astype(np.int64)
+        dy = np.where(d[pick, y] < 0, _FAR, d[pick, y]).astype(np.int64)
+        # The new edge shortcuts w's view of one endpoint → row shrinks.
+        dirty |= np.abs(dx - dy) > 1
+    hits = np.flatnonzero(dirty)
+    return {int(w) for w in (hits if ids is None else ids[hits])}

@@ -330,11 +330,11 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         self._note_hint(_G, set(star_changed) | new_rows)
         return super()._ingest(h_added, h_removed, star_changed, rebuilt)
 
-    def refresh(self) -> None:
+    def _refresh(self) -> None:
         # Unknown delta (init, fallback, error resync, compaction): drop the
         # certificates so both snapshots republish wholesale.
         self._hints.clear()
-        super().refresh()
+        super()._refresh()
         self._publish_directory()
 
     # ------------------------------------------------------------------ #

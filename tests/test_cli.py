@@ -262,6 +262,31 @@ class TestDistserveCli:
         row = next(line for line in out.splitlines() if "| mobility" in line)
         assert "yes" in row and "6/6" in row
 
+    def test_metrics_surface_actor_repair_counters(self, capsys, tmp_path):
+        import json
+
+        from repro import obs
+
+        obs.reset()
+        out = tmp_path / "distserve.json"
+        rc = main(
+            [
+                "distserve", "--n", "36", "--events", "10", "--tick", "5",
+                "--shards", "3", "--queries", "2", "--seed", "7",
+                "--metrics", str(out),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        merged = json.loads(out.read_text())["merged"]
+        counters = merged["counters"]
+        assert counters["actors.full_recomputes"] >= 3  # one bootstrap per actor
+        assert counters["actors.rows_recomputed"] > 0
+        assert counters["actors.tables_reprojected"] > 0
+        # One span per actor per quiesce (bootstrap + 2 ticks), never per row.
+        assert 0 < merged["histograms"]["actors.recompute.us"]["count"] <= 3 * 3
+        obs.reset()
+
     def test_uds_soak_converges(self, capsys):
         rc = main(
             [
