@@ -1,8 +1,8 @@
 """Bench **B-lint** — the analysis gate itself stays fast enough to gate.
 
 The deep pass parses every project file, builds the call graph, runs the
-summary fixpoints, and checks RL008–RL011 — whole-program work that runs
-on every ``./scripts/check.sh`` and every CI push.  The acceptance bar:
+summary fixpoint, and checks RL009 and RL011 — whole-program work that
+runs on every ``./scripts/check.sh`` and every CI push.  The acceptance bar:
 a **full deep analysis of the repo finishes in under 10 seconds**, so
 the verification layer never becomes the bottleneck of the edit-check
 loop it protects.

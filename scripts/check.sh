@@ -28,11 +28,12 @@
 # fails loudly on a structural perf regression.
 #
 # Step 5 is static analysis: the repo's own AST linter runs twice —
-# per-file (`python -m repro lint`, the seqlock/RNG/shm/tuning/task/
-# exception/fault-hook invariants, see src/repro/analysis/lint/) and
+# per-file (`python -m repro lint`, the RNG/shm/tuning/task/exception/
+# timing/fault-hook/async invariants, see src/repro/analysis/lint/) and
 # whole-program (`python -m repro lint --deep` — the interprocedural
-# RL008–RL011 rules over the project call graph, see
-# src/repro/analysis/deep/).  Both are zero-baseline and blocking; ruff
+# RL009/RL011 pair over the project call graph, see
+# src/repro/analysis/deep/).  Seqlock row writes need no rule: row_write
+# is their only API.  Both are zero-baseline and blocking; ruff
 # and mypy run when installed (`pip install -e ".[lint]"`) — `ruff
 # check` blocks, `ruff format --check` is advisory (formatting drift is
 # reported, not fatal), mypy blocks on the typed core subset from
@@ -40,14 +41,14 @@
 #
 # Step 6 is the dynamic twin of step 5: the runtime protocol sanitizer
 # (REPRO_SANITIZE=1, see src/repro/analysis/sanitize.py) re-runs the
-# parallel suite plus its own corpus with the seqlock/shm/snapshot hooks
-# armed in raise mode, so any protocol violation the static pass can't
-# see aborts the run instead of silently corrupting shared state.
+# parallel suite plus its own corpus with the shm-leak/snapshot hooks
+# armed in raise mode, so a leaked segment or a double-shipped snapshot
+# aborts the run instead of silently corrupting shared state.
 #
 # Step 7 re-runs the chaos corpus (tests/faults/: injected crashes,
 # wedges, shm failures, degraded serving, reconvergence) under the same
-# sanitizer — supervisor recovery must not violate the seqlock/shm
-# protocols it is repairing.
+# sanitizer — supervisor recovery must not leak the segments it is
+# repairing.
 # CI (.github/workflows/check.yml) runs exactly this script.
 
 set -euo pipefail

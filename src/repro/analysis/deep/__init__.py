@@ -2,8 +2,8 @@
 
 Layers on top of the per-file engine: :mod:`.callgraph` builds the
 project model, :mod:`.summaries` digests every function once, and
-:mod:`.rules` runs RL008–RL011 over the closure.  The runtime twin of
-these checks lives in :mod:`repro.analysis.sanitize`.
+:mod:`.rules` runs RL009 and RL011 over the closure.  The runtime twin of
+the static passes lives in :mod:`repro.analysis.sanitize`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def deep_lint_project(
     """Run the deep rules over an already-built project.
 
     Suppression comments work exactly as for the per-file rules — the
-    finding's file context decides, so a ``# reprolint: disable=RL008``
+    finding's file context decides, so a ``# reprolint: disable=RL009``
     next to the flagged line silences it (and shows up ``suppressed``
     in the JSON output when *keep_suppressed* is set).
     """

@@ -1,12 +1,12 @@
 """Project model + call graph for the interprocedural (``--deep``) pass.
 
-The per-file rules (``RL001``–``RL007``) see one :class:`~repro.analysis
-.lint.engine.FileContext` at a time; the protocols they guard do not stop
-at function boundaries.  :class:`Project` parses every file once, indexes
-every function/method definition (:class:`FunctionInfo`), and resolves
-call expressions to their *possible* project-internal targets so the deep
-rules (:mod:`repro.analysis.deep.rules`) can follow a versioned-matrix
-write, an escaping shm handle, or a blocking call through the graph.
+The per-file rules see one :class:`~repro.analysis.lint.engine.FileContext`
+at a time; the protocols they guard do not stop at function boundaries.
+:class:`Project` parses every file once, indexes every function/method
+definition (:class:`FunctionInfo`), and resolves call expressions to their
+*possible* project-internal targets so the deep rules
+(:mod:`repro.analysis.deep.rules`) can follow a seed or a blocking call
+through the graph.
 
 Resolution is deliberately name-based and over-approximate — Python has
 no static types to narrow a receiver, and the protocols are cheap to keep
@@ -18,12 +18,7 @@ conservative:
 * ``obj.attr(...)`` resolves to every project function or method named
   ``attr``;
 * anything else (``numpy``, stdlib, comprehension targets) resolves to
-  ``[]`` — external, opaque, assumed non-writing/non-blocking.
-
-Where the over-approximation provably cannot decide (e.g. which concrete
-class a ``self`` attribute holds at runtime), the runtime sanitizer
-(:mod:`repro.analysis.sanitize`) is the second layer of the same
-protocol check — see the module docstrings there and in ``deep/rules``.
+  ``[]`` — external, opaque, assumed non-blocking.
 """
 
 from __future__ import annotations

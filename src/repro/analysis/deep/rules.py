@@ -1,18 +1,18 @@
-"""Interprocedural rules RL008–RL011 (``python -m repro lint --deep``).
+"""Interprocedural rules RL009 and RL011 (``python -m repro lint --deep``).
 
 Each rule consumes the :class:`~repro.analysis.deep.summaries.Summaries`
-closure rather than re-walking callee bodies: RL008 chases versioned-
-matrix taint through call arguments into sink parameters, RL009 pins RNG
-construction to :mod:`repro.rng` seed flow, RL010 demands every freshly
-created shared-memory owner reach a close/owner on the main path, and
-RL011 forbids anything that can park the process inside a seqlock
-read-retry loop.
+closure rather than re-walking callee bodies: RL009 pins RNG
+construction to :mod:`repro.rng` seed flow, and RL011 forbids anything
+that can park the process inside a seqlock read-retry loop.
 
-These rules are the *static* half of a two-layer check; the runtime
-sanitizer (:mod:`repro.analysis.sanitize`) enforces the same protocols
-dynamically where the over-approximation here cannot decide (virtual
-dispatch, data-dependent aliasing).  The fixture corpus in
-``tests/analysis`` asserts per injected violation which layer catches it.
+The seqlock *write* side and shared-memory ownership need no rule here:
+``row_write`` is the only way to write a versioned row (nested writes
+raise, unbracketed ones hit a read-only view), and segment leaks are
+reported at runtime by the sanitizer (:mod:`repro.analysis.sanitize`,
+``shm.leak`` / ``shm.leak_at_pool_close``).  The corpus in
+``tests/analysis/test_sanitizer.py`` asserts per injected violation
+whether it is still caught, and by which layer, or can no longer be
+written.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator
 from ...errors import ParameterError
 from ..lint.engine import Finding
 from .callgraph import FunctionInfo, Project
-from .summaries import FunctionSummary, Summaries, _param_offset
+from .summaries import Summaries
 
 __all__ = [
     "DEEP_REGISTRY",
@@ -76,116 +76,6 @@ def default_deep_rules() -> "list[DeepRule]":
     return [DEEP_REGISTRY[code]() for code in sorted(DEEP_REGISTRY)]
 
 
-def _kinds_match(arg_kind: str, sink_kind: str) -> bool:
-    return "both" in (arg_kind, sink_kind) or arg_kind == sink_kind
-
-
-@register_deep
-class InterproceduralBracketRule(DeepRule):
-    """RL008 — versioned-matrix writes bracketed even through callees.
-
-    RL001 sees the bracket and the write in one function; this rule also
-    flags (a) an unbracketed write to a matrix the function itself
-    obtained (``versioned=True`` construction, ``state.matrix(...)``,
-    ``state.matrices[...]``, a tainted ``self`` attribute), and (b) an
-    unbracketed call that passes such a matrix into a callee whose
-    summary says the matching parameter reaches a row write.
-    """
-
-    code = "RL008"
-    name = "deep-seqlock-bracket"
-    description = (
-        "every reachable write to a versioned matrix row must be inside a "
-        "begin_row_write/end_row_write bracket, including writes in callees"
-    )
-
-    def _root_taint(
-        self, summaries: Summaries, fi: FunctionInfo, s: FunctionSummary, root: str
-    ) -> "str | None":
-        """Taint kind of a write-site root expression, or None."""
-        kinds = []
-        if root in s.local_obj:
-            kinds.append("obj")
-        if root in s.local_arr:
-            kinds.append("arr")
-        attr = summaries.attr_kind(fi, root)
-        if attr is not None:
-            kinds.append(attr)
-        if not kinds:
-            return None
-        if "both" in kinds or len(set(kinds)) > 1:
-            return "both"
-        return kinds[0]
-
-    def _arg_taint(
-        self, summaries: Summaries, fi: FunctionInfo, s: FunctionSummary, arg: ast.expr
-    ) -> "str | None":
-        """Taint kind carried by a call argument expression, or None."""
-        if isinstance(arg, ast.Name):
-            if arg.id in s.array_alias:
-                root = s.array_alias[arg.id]
-                if self._root_taint(summaries, fi, s, root) in ("obj", "both"):
-                    return "arr"
-            return self._root_taint(summaries, fi, s, arg.id)
-        if isinstance(arg, ast.Attribute):
-            if arg.attr == "array":
-                root = ast.unparse(arg.value)
-                if self._root_taint(summaries, fi, s, root) in ("obj", "both"):
-                    return "arr"
-                return None
-            return self._root_taint(summaries, fi, s, ast.unparse(arg))
-        if isinstance(arg, ast.Subscript):
-            base = arg.value
-            if isinstance(base, ast.Attribute) and base.attr == "matrices":
-                return "obj"
-        return None
-
-    def check(self, project: Project, summaries: Summaries) -> Iterator[Finding]:
-        for fi, s in summaries.of.items():
-            if summaries.exempt_rl008(fi):
-                continue
-            for w in s.writes:
-                if w.bracketed:
-                    continue
-                kind = self._root_taint(summaries, fi, s, w.root)
-                if kind is None:
-                    continue
-                yield self.finding(
-                    fi,
-                    w.node,
-                    f"write to versioned matrix '{w.root}' outside a "
-                    f"begin_row_write/end_row_write bracket in {fi.name}()",
-                )
-            for cs in s.calls:
-                if cs.bracketed:
-                    continue
-                for callee in cs.callees:
-                    if summaries.exempt_rl008(callee):
-                        continue
-                    callee_s = summaries.of[callee]
-                    off = _param_offset(callee, cs.call)
-                    for pos, sink_kind in callee_s.sink_params.items():
-                        ai = pos - off
-                        if not (0 <= ai < len(cs.call.args)):
-                            continue
-                        arg = cs.call.args[ai]
-                        # A bare parameter propagates taint to *our*
-                        # callers via the sink fixpoint instead.
-                        if isinstance(arg, ast.Name) and arg.id in s.params:
-                            continue
-                        arg_kind = self._arg_taint(summaries, fi, s, arg)
-                        if arg_kind is None or not _kinds_match(arg_kind, sink_kind):
-                            continue
-                        yield self.finding(
-                            fi,
-                            cs.call,
-                            f"call to {callee.name}() writes versioned matrix "
-                            f"rows via '{ast.unparse(arg)}' outside a "
-                            "begin_row_write/end_row_write bracket",
-                        )
-                        break  # one finding per call site is enough
-
-
 @register_deep
 class RngTaintRule(DeepRule):
     """RL009 — library RNG streams must be rooted in caller-provided seeds.
@@ -234,65 +124,6 @@ class RngTaintRule(DeepRule):
                         "(repro.rng.derive_seed) instead"
                     )
                 yield self.finding(fi, rc.node, message)
-
-
-@register_deep
-class ShmEscapeRule(DeepRule):
-    """RL010 — shared-memory owners must reach a close/owner on all
-    non-exceptional paths.
-
-    RL003's per-file heuristic sees ``share()`` and ``close()`` in one
-    function; this rule follows the handle through the call graph: a
-    creation handed to a callee counts as handled only if some resolved
-    target closes, stores, returns, or ``with``-manages that parameter
-    (transitively).  A close that only happens inside an ``except``
-    handler does not count — the main path still leaks.
-    """
-
-    code = "RL010"
-    name = "deep-shm-escape"
-    description = (
-        "every share()/Shared* owner must reach close()/unlink() or a "
-        "registered owner on the non-exceptional path, across calls"
-    )
-
-    def _handled_by_call(
-        self, summaries: Summaries, s: FunctionSummary, name: str
-    ) -> bool:
-        for cs in s.calls:
-            call = cs.call
-            if any(
-                kw.value is not None
-                and isinstance(kw.value, ast.Name)
-                and kw.value.id == name
-                for kw in call.keywords
-            ):
-                return True  # keyword hand-off: assume ownership transfer
-            for ai, arg in enumerate(call.args):
-                if not (isinstance(arg, ast.Name) and arg.id == name):
-                    continue
-                if not cs.callees:
-                    return True  # external callee: assume it takes ownership
-                for callee in cs.callees:
-                    off = _param_offset(callee, call)
-                    if (ai + off) in summaries.of[callee].handling_params:
-                        return True
-        return False
-
-    def check(self, project: Project, summaries: Summaries) -> Iterator[Finding]:
-        for fi, s in summaries.of.items():
-            for creation in s.creations:
-                if creation.name in s.handled_names:
-                    continue
-                if self._handled_by_call(summaries, s, creation.name):
-                    continue
-                yield self.finding(
-                    fi,
-                    creation.node,
-                    f"shared-memory owner '{creation.name}' from "
-                    f"{creation.what} never reaches close()/unlink() or an "
-                    f"owner on the non-exceptional path of {fi.name}()",
-                )
 
 
 @register_deep

@@ -1,33 +1,12 @@
 """Per-function summaries: the facts the interprocedural rules combine.
 
 A :class:`FunctionSummary` is a flow-insensitive digest of one function
-body — which parameters reach a versioned-matrix row write, which locals
-hold freshly created shared-memory owners and whether they are handed
-off, which calls can block, which loops are seqlock retry loops, which
-RNG streams are rooted in a literal.  The deep rules never re-walk a
-callee body at a call site; they consult the callee's summary, and
-:class:`Summaries` closes the transitive facts (sink parameters, closing
-parameters, blocking reachability) with fixpoint worklists over the call
-graph.
-
-Taint vocabulary (RL008)
-------------------------
-Two kinds of value carry versioned-matrix taint:
-
-* ``obj`` — a matrix *object* exposing ``.array`` and the seqlock bracket
-  methods: the result of any call with a truthy ``versioned=`` keyword
-  (``SharedMatrix(...)``, ``pool.matrix(...)``), an ``AttachedMatrix``
-  construction, or a ``state.matrices[...]`` lookup;
-* ``arr`` — a bare numpy view of such a matrix: an ``x.array`` alias of a
-  tainted object, or a worker-side ``state.matrix(name)`` accessor call
-  (one argument, no keywords — creation calls carry shape arguments).
-
-Attribute taint is scoped *per class*: ``self._dist`` is tainted inside
-``ShardedRoutingService`` (whose ``_resize_matrices`` binds it to a
-``versioned=True`` matrix) but not inside the serial ``RoutingService``,
-whose ``_dist`` is a private numpy array.  Inheritance is deliberately
-not blurred across classes — the runtime sanitizer covers the dynamic
-dispatch the static layer cannot see.
+body — which calls it makes (resolved through the call graph), which of
+them can block, which loops are seqlock retry loops, which RNG streams
+are rooted in a literal.  The deep rules never re-walk a callee body at
+a call site; they consult the callee's summary, and :class:`Summaries`
+closes the one transitive fact (can this function block?) with a
+fixpoint worklist over the call graph.
 """
 
 from __future__ import annotations
@@ -38,39 +17,22 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..lint.engine import FileContext
-from ..lint.rules import SeqlockBracketRule, _method_call
 from .callgraph import FunctionInfo, Project
 
 __all__ = [
     "BlockingCall",
     "CallSite",
-    "CreationSite",
     "FunctionSummary",
     "RngCall",
     "Summaries",
-    "WriteSite",
 ]
 
 #: Receivers whose ``.get(...)`` is a blocking queue read, not a dict
 #: lookup: bare/suffixed ``q``/``qs`` names and anything called ``queue``.
 _QUEUEISH_RE = re.compile(r"(^|\.|_)(task_|result_|out_|work_)?qs?$|queue", re.IGNORECASE)
 
-#: Constructor / factory names whose result owns a shared-memory segment.
-_SHM_CTORS = frozenset({"SharedCSR", "SharedMatrix", "SharedDirectory", "SharedMemory"})
-
 #: repro.rng entry points a literal seed must never be fed from library code.
 _RNG_FUNCS = frozenset({"ensure_rng", "derive_seed", "spawn"})
-
-
-@dataclass
-class WriteSite:
-    """One subscript store: ``root.array[i] = ...`` / ``alias[i] = ...`` /
-    ``name[i] = ...`` — classified by what the *root* expression holds."""
-
-    node: ast.stmt
-    root: str  # unparsed root expression ("att", "dest", "self._dist")
-    kind: str  # "obj" (matrix object's .array) or "arr" (bare array name)
-    bracketed: bool  # inside a begin_row_write try with end in finally
 
 
 @dataclass
@@ -79,7 +41,6 @@ class CallSite:
 
     call: ast.Call
     callees: "list[FunctionInfo]"
-    bracketed: bool
     in_retry_loop: bool
 
 
@@ -101,62 +62,17 @@ class RngCall:
 
 
 @dataclass
-class CreationSite:
-    """A shared-memory owner bound to a local name (RL010 tracks these)."""
-
-    node: ast.Call
-    name: str  # the local the owner is bound to
-    what: str  # ".share()" or the constructor name
-
-
-@dataclass
 class FunctionSummary:
     """Everything the deep rules need to know about one function."""
 
     fi: FunctionInfo
     params: "list[str]"
-    writes: "list[WriteSite]" = field(default_factory=list)
     calls: "list[CallSite]" = field(default_factory=list)
     retry_loops: "list[ast.stmt]" = field(default_factory=list)
     blocking: "list[BlockingCall]" = field(default_factory=list)
     rng_calls: "list[RngCall]" = field(default_factory=list)
-    creations: "list[CreationSite]" = field(default_factory=list)
-    handled_names: "set[str]" = field(default_factory=set)
-    local_obj: "set[str]" = field(default_factory=set)  # obj-tainted expressions
-    local_arr: "set[str]" = field(default_factory=set)  # arr-tainted expressions
-    array_alias: "dict[str, str]" = field(default_factory=dict)  # alias -> obj root
-    attr_assigns: "list[tuple[str, str]]" = field(default_factory=list)  # (attr, kind)
-    self_name: "str | None" = None
-    # Fixpoint results (filled by Summaries):
-    sink_params: "dict[int, str]" = field(default_factory=dict)  # index -> kind
-    handling_params: "set[int]" = field(default_factory=set)  # close/store/return
+    # Fixpoint result (filled by Summaries):
     blocks: "str | None" = None  # label chain when this function can block
-
-
-def _truthy_versioned(call: ast.Call) -> bool:
-    """Does *call* carry a ``versioned=`` keyword that may be true?"""
-    for kw in call.keywords:
-        if kw.arg == "versioned":
-            if isinstance(kw.value, ast.Constant):
-                return bool(kw.value.value)
-            return True  # versioned=<expr>: assume it can be true
-    return False
-
-
-def _call_name(call: ast.Call) -> "str | None":
-    """The called bare/attribute name (``foo`` for both ``foo()`` and ``x.foo()``)."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _contains_name(node: ast.AST, name: str) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node)
-    )
 
 
 def _rng_bindings(ctx: FileContext) -> "tuple[set[str], set[str]]":
@@ -185,8 +101,6 @@ class _FunctionScanner:
         self.project = project
         self.ctx = fi.ctx
         self.summary = FunctionSummary(fi=fi, params=fi.params)
-        if fi.cls is not None and fi.params and fi.params[0] in ("self", "cls"):
-            self.summary.self_name = fi.params[0]
         self._rng_direct, self._rng_modules = _rng_bindings(fi.ctx)
         self._nested: "set[int]" = {
             id(sub)
@@ -200,101 +114,16 @@ class _FunctionScanner:
         """Is *node* in this function's own body (not a nested def's)?"""
         return id(node) not in self._nested
 
-    def _scan_retry_loops(self) -> None:
-        self.summary.retry_loops = [
-            loop for loop in _retry_loops_in(self.fi) if self._own(loop)
-        ]
-
     def scan(self) -> FunctionSummary:
         s = self.summary
-        self._scan_taint()
-        self._scan_retry_loops()
+        s.retry_loops = [loop for loop in _retry_loops_in(self.fi) if self._own(loop)]
         retry_nodes = {
             id(sub) for loop in s.retry_loops for sub in ast.walk(loop)
         }
         for node in ast.walk(self.fi.node):
-            if not self._own(node):
-                continue
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                self._scan_write(node)
-            if isinstance(node, ast.Call):
+            if self._own(node) and isinstance(node, ast.Call):
                 self._scan_call(node, in_retry_loop=id(node) in retry_nodes)
-        self._scan_handled()
         return s
-
-    # -- taint sources -------------------------------------------------- #
-
-    def _taint_kind_of(self, value: ast.expr) -> "str | None":
-        """Taint kind ("obj"/"arr"/"both") carried by expression *value*."""
-        if isinstance(value, ast.Call):
-            if _truthy_versioned(value):
-                return "both"  # SharedMatrix(...) is obj, pool.matrix(...) is arr
-            name = _call_name(value)
-            if name == "AttachedMatrix":
-                return "obj"
-            if (
-                isinstance(value.func, ast.Attribute)
-                and value.func.attr == "matrix"
-                and len(value.args) == 1
-                and not value.keywords
-            ):
-                return "arr"  # worker-state accessor: state.matrix(name)
-        elif isinstance(value, ast.Subscript):
-            base = value.value
-            if isinstance(base, ast.Attribute) and base.attr == "matrices":
-                return "obj"  # state.matrices[name]
-        return None
-
-    def _scan_taint(self) -> None:
-        s = self.summary
-        for node in ast.walk(self.fi.node):
-            if not self._own(node) or not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
-            if value is None:
-                continue
-            kind = self._taint_kind_of(value)
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-            attrs = [
-                t.attr
-                for t in targets
-                if isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == s.self_name
-            ]
-            if kind is not None:
-                if kind in ("obj", "both"):
-                    s.local_obj.update(names)
-                if kind in ("arr", "both"):
-                    s.local_arr.update(names)
-                s.attr_assigns.extend((attr, kind) for attr in attrs)
-            elif isinstance(value, ast.Attribute) and value.attr == "array":
-                root = ast.unparse(value.value)
-                for name in names:
-                    s.array_alias[name] = root
-
-    # -- writes --------------------------------------------------------- #
-
-    def _scan_write(self, stmt: "ast.Assign | ast.AugAssign") -> None:
-        s = self.summary
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for tgt in targets:
-            if not isinstance(tgt, ast.Subscript):
-                continue
-            base = tgt.value
-            if isinstance(base, ast.Attribute) and base.attr == "array":
-                root, kind = ast.unparse(base.value), "obj"
-            elif isinstance(base, ast.Name) and base.id in s.array_alias:
-                root, kind = s.array_alias[base.id], "obj"
-            elif isinstance(base, ast.Name):
-                root, kind = base.id, "arr"
-            elif isinstance(base, ast.Attribute):
-                root, kind = ast.unparse(base), "arr"
-            else:
-                continue
-            bracketed = SeqlockBracketRule._in_bracket_try(self.ctx, stmt)
-            s.writes.append(WriteSite(stmt, root, kind, bracketed))
 
     # -- calls ---------------------------------------------------------- #
 
@@ -304,7 +133,6 @@ class _FunctionScanner:
             CallSite(
                 call=call,
                 callees=self.project.resolve(call, self.ctx),
-                bracketed=SeqlockBracketRule._in_bracket_try(self.ctx, call),
                 in_retry_loop=in_retry_loop,
             )
         )
@@ -312,7 +140,6 @@ class _FunctionScanner:
         if label is not None:
             s.blocking.append(BlockingCall(call, label))
         self._scan_rng(call)
-        self._scan_creation(call)
 
     def _blocking_label(self, call: ast.Call) -> "str | None":
         func = call.func
@@ -354,227 +181,20 @@ class _FunctionScanner:
         ):
             self.summary.rng_calls.append(RngCall(call, hit, seed.value))
 
-    def _scan_creation(self, call: ast.Call) -> None:
-        func = call.func
-        what: "str | None" = None
-        if isinstance(func, ast.Attribute) and func.attr == "share" and not call.args:
-            what = ".share()"
-        else:
-            name = _call_name(call)
-            if name in _SHM_CTORS:
-                what = name
-        if what is None:
-            return
-        # Only a creation bound to a plain local name can leak silently;
-        # `return Ctor()`, `self.x = Ctor()`, `f(Ctor())` all hand the
-        # owner to someone (tracked through handling_params for calls).
-        parent = self.ctx.parent(call)
-        if (
-            isinstance(parent, ast.Assign)
-            and len(parent.targets) == 1
-            and isinstance(parent.targets[0], ast.Name)
-        ):
-            self.summary.creations.append(
-                CreationSite(call, parent.targets[0].id, what)
-            )
-
-    # -- handled uses (RL010) ------------------------------------------- #
-
-    def _in_except_handler(self, node: ast.AST) -> bool:
-        return any(
-            isinstance(anc, ast.ExceptHandler) for anc in self.ctx.ancestors(node)
-        )
-
-    def _scan_handled(self) -> None:
-        """Names whose owner provably reaches a close/owner on the main path."""
-        s = self.summary
-        tracked = {c.name for c in s.creations}
-        if not tracked:
-            return
-        for node in ast.walk(self.fi.node):
-            if not self._own(node):
-                continue
-            if isinstance(node, ast.Call):
-                closing = _method_call(node, "close") or _method_call(node, "unlink")
-                if closing is not None:
-                    recv = closing.func.value  # type: ignore[attr-defined]
-                    if (
-                        isinstance(recv, ast.Name)
-                        and recv.id in tracked
-                        and not self._in_except_handler(node)
-                    ):
-                        s.handled_names.add(recv.id)
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if node.value is not None:
-                    s.handled_names.update(
-                        n for n in tracked if _contains_name(node.value, n)
-                    )
-            elif isinstance(node, ast.Assign):
-                stores = any(
-                    isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets
-                )
-                if stores:
-                    s.handled_names.update(
-                        n for n in tracked if _contains_name(node.value, n)
-                    )
-            elif isinstance(node, ast.withitem):
-                s.handled_names.update(
-                    n for n in tracked if _contains_name(node.context_expr, n)
-                )
-
 
 def summarize_function(fi: FunctionInfo, project: Project) -> FunctionSummary:
     return _FunctionScanner(fi, project).scan()
 
 
-def _param_offset(callee: FunctionInfo, call: ast.Call) -> int:
-    """Positional shift when binding call args to callee params.
-
-    ``obj.method(a)`` binds ``a`` to the parameter *after* ``self``; a
-    bare-name call binds positionally from the first parameter.
-    """
-    if (
-        isinstance(call.func, ast.Attribute)
-        and callee.cls is not None
-        and callee.params
-        and callee.params[0] in ("self", "cls")
-    ):
-        return 1
-    return 0
-
-
 class Summaries:
-    """All function summaries + the fixpoint closures the rules consume."""
+    """All function summaries + the fixpoint closure the rules consume."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
         self.of: "dict[FunctionInfo, FunctionSummary]" = {
             fi: summarize_function(fi, project) for fi in project.functions
         }
-        #: (file ctx id, class name, attribute) -> taint kind
-        self.attr_taint: "dict[tuple[int, str, str], str]" = {}
-        for fi, s in self.of.items():
-            if fi.cls is None:
-                continue
-            for attr, kind in s.attr_assigns:
-                key = (id(fi.ctx), fi.cls, attr)
-                have = self.attr_taint.get(key)
-                self.attr_taint[key] = "both" if have not in (None, kind) else kind
-        self._close_sink_params()
-        self._close_handling_params()
         self._close_blocking()
-
-    # -- helpers shared with the rules ----------------------------------- #
-
-    def attr_kind(self, fi: FunctionInfo, root: str) -> "str | None":
-        """Taint kind of a ``self.X`` root expression inside *fi*'s class."""
-        s = self.of[fi]
-        if fi.cls is None or s.self_name is None:
-            return None
-        prefix = f"{s.self_name}."
-        if not root.startswith(prefix) or "." in root[len(prefix) :]:
-            return None
-        return self.attr_taint.get((id(fi.ctx), fi.cls, root[len(prefix) :]))
-
-    @staticmethod
-    def _is_protocol_home(fi: FunctionInfo) -> bool:
-        """shm.py implements the primitives; it cannot bracket itself."""
-        return fi.ctx.in_module("repro/parallel/shm.py") or fi.name in (
-            "begin_row_write",
-            "end_row_write",
-        )
-
-    def exempt_rl008(self, fi: FunctionInfo) -> bool:
-        return self._is_protocol_home(fi)
-
-    # -- fixpoints -------------------------------------------------------- #
-
-    def _close_sink_params(self) -> None:
-        """Params reaching an unbracketed versioned write, transitively.
-
-        Base case: an unbracketed write whose root is a parameter.  Step:
-        passing a parameter into a callee's sink position outside any
-        bracket makes it a sink here too.
-        """
-        for fi, s in self.of.items():
-            if self.exempt_rl008(fi):
-                continue
-            for w in s.writes:
-                if w.bracketed:
-                    continue
-                if w.root in s.params:
-                    s.sink_params.setdefault(s.params.index(w.root), w.kind)
-        changed = True
-        while changed:
-            changed = False
-            for fi, s in self.of.items():
-                if self.exempt_rl008(fi):
-                    continue
-                for cs in s.calls:
-                    if cs.bracketed:
-                        continue
-                    for callee in cs.callees:
-                        if self.exempt_rl008(callee):
-                            continue
-                        callee_s = self.of[callee]
-                        off = _param_offset(callee, cs.call)
-                        for pos, kind in callee_s.sink_params.items():
-                            ai = pos - off
-                            if not (0 <= ai < len(cs.call.args)):
-                                continue
-                            arg = cs.call.args[ai]
-                            if isinstance(arg, ast.Name) and arg.id in s.params:
-                                idx = s.params.index(arg.id)
-                                if idx not in s.sink_params:
-                                    s.sink_params[idx] = kind
-                                    changed = True
-
-    def _close_handling_params(self) -> None:
-        """Params a function closes, stores, or returns (ownership taken)."""
-        for fi, s in self.of.items():
-            for idx, param in enumerate(s.params):
-                if self._directly_handles(fi, s, param):
-                    s.handling_params.add(idx)
-        changed = True
-        while changed:
-            changed = False
-            for fi, s in self.of.items():
-                for cs in s.calls:
-                    for callee in cs.callees:
-                        callee_s = self.of[callee]
-                        off = _param_offset(callee, cs.call)
-                        for pos in callee_s.handling_params:
-                            ai = pos - off
-                            if not (0 <= ai < len(cs.call.args)):
-                                continue
-                            arg = cs.call.args[ai]
-                            if isinstance(arg, ast.Name) and arg.id in s.params:
-                                idx = s.params.index(arg.id)
-                                if idx not in s.handling_params:
-                                    s.handling_params.add(idx)
-                                    changed = True
-
-    @staticmethod
-    def _directly_handles(fi: FunctionInfo, s: FunctionSummary, param: str) -> bool:
-        for node in ast.walk(fi.node):
-            if isinstance(node, ast.Call):
-                closing = _method_call(node, "close") or _method_call(node, "unlink")
-                if closing is not None:
-                    recv = closing.func.value  # type: ignore[attr-defined]
-                    if isinstance(recv, ast.Name) and recv.id == param:
-                        return True
-            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if node.value is not None and _contains_name(node.value, param):
-                    return True
-            elif isinstance(node, ast.Assign):
-                if any(
-                    isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets
-                ) and _contains_name(node.value, param):
-                    return True
-            elif isinstance(node, ast.withitem):
-                if _contains_name(node.context_expr, param):
-                    return True
-        return False
 
     def _close_blocking(self) -> None:
         """Transitive "can this function block?" labels (RL011).
@@ -605,22 +225,14 @@ class Summaries:
                     if s.blocks is not None:
                         break
 
-def _is_retry_loop(node: ast.stmt) -> bool:
-    """A seqlock retry loop: iterates the retry budget or calls ``_spin``."""
-    if isinstance(node, ast.For):
-        if "_SEQLOCK_MAX_TRIES" in ast.unparse(node.iter):
-            return True
-    elif not isinstance(node, ast.While):
-        return False
-    return any(
-        isinstance(sub, ast.Call)
-        and isinstance(sub.func, ast.Name)
-        and sub.func.id == "_spin"
-        for sub in ast.walk(node)
-    )
-
 
 def _retry_loops_in(fi: FunctionInfo) -> Iterator[ast.stmt]:
+    """Seqlock retry loops: ``for``/``while`` loops that back off via ``_spin``."""
     for node in ast.walk(fi.node):
-        if isinstance(node, (ast.For, ast.While)) and _is_retry_loop(node):
+        if isinstance(node, (ast.For, ast.While)) and any(
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == "_spin"
+            for sub in ast.walk(node)
+        ):
             yield node

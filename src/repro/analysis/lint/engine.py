@@ -2,32 +2,34 @@
 
 The concurrency and reproducibility layers of this repository rest on
 hand-maintained *protocols* rather than language-enforced invariants:
-seqlock write brackets around shared-matrix rows, pinned shared-memory
-attachments, seeds that flow through :mod:`repro.rng`, worker tasks that
-must survive a ``spawn`` re-import.  Nothing in Python stops a refactor
+pinned shared-memory attachments, seeds that flow through
+:mod:`repro.rng`, worker tasks that must survive a ``spawn`` re-import.
+(Where a protocol could be made structural it was: seqlock row writes go
+through ``row_write`` and need no rule.)  Nothing in Python stops a refactor
 from quietly violating them — and a violated protocol does not fail a
 unit test, it deadlocks a reader three PRs later.  reprolint encodes each
 protocol as a static-analysis rule over the AST, so the check gate
-(``scripts/check.sh`` step [5/5]) fails the moment a violation is
+(``scripts/check.sh`` step [5/7]) fails the moment a violation is
 *written*, not the day it is *scheduled*.
 
 Architecture
 ------------
 * :class:`Rule` — one invariant; subclasses implement ``check(ctx)`` and
   register themselves in :data:`REGISTRY` via the :func:`register`
-  decorator (the AST-local codes ``RL001``–``RL007`` and ``RL012`` live
-  in :mod:`repro.analysis.lint.rules`; the interprocedural codes
-  ``RL008``–``RL011`` live in :mod:`repro.analysis.deep` and run under
-  ``python -m repro lint --deep``).
+  decorator (the AST-local codes ``RL002``–``RL007``, ``RL012`` and
+  ``RL013`` live in :mod:`repro.analysis.lint.rules`; the
+  interprocedural ``RL009`` and ``RL011`` live in
+  :mod:`repro.analysis.deep` and run under ``python -m repro lint
+  --deep``).
 * :class:`FileContext` — one parsed file: source, AST, a lazily built
-  parent map (for ancestor queries like "is this statement inside a
-  ``finally`` block?"), and the parsed suppression comments.
+  parent map (for ancestor queries like "which function encloses this
+  handler?"), and the parsed suppression comments.
 * :func:`lint_paths` / :func:`lint_file` — walk files, run every rule,
   drop suppressed findings, return a sorted :class:`Finding` list.
 
 Suppressions
 ------------
-A finding is silenced by a ``# reprolint: disable=RL001`` comment on the
+A finding is silenced by a ``# reprolint: disable=RL006`` comment on the
 same *logical* line (several codes may be comma-separated; a bare
 ``# reprolint: disable`` silences every rule on that line).  For a
 statement wrapped over several physical lines the comment may sit on any

@@ -1,4 +1,4 @@
-"""The AST-local reprolint rules (``RL001``–``RL007``, ``RL012``, ``RL013``).
+"""The AST-local reprolint rules (``RL002``–``RL007``, ``RL012``, ``RL013``).
 
 Each rule encodes one protocol of the concurrency / reproducibility
 layers; the docstring of each class states the invariant, why it matters,
@@ -15,7 +15,6 @@ from typing import Iterator
 from .engine import FileContext, Finding, Rule, register
 
 __all__ = [
-    "SeqlockBracketRule",
     "RngDisciplineRule",
     "ShmLifecycleRule",
     "TuningConstantsRule",
@@ -25,203 +24,6 @@ __all__ = [
     "FaultHookConfinementRule",
     "AsyncBlockingCallRule",
 ]
-
-
-def _stmt_lists(tree: ast.AST) -> Iterator["list[ast.stmt]"]:
-    """Every statement list in *tree* (bodies, else-branches, finally-blocks)."""
-    for node in ast.walk(tree):
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(node, field, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                yield block
-
-
-def _method_call(node: ast.AST, name: str) -> "ast.Call | None":
-    """*node* as a ``<recv>.name(...)`` call, else ``None``."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == name
-    ):
-        return node
-    return None
-
-
-@register
-class SeqlockBracketRule(Rule):
-    """RL001 — seqlock write brackets must be balanced on *all* paths.
-
-    The shared-matrix seqlock protocol (``repro/parallel/shm.py``) flips a
-    per-row version counter odd in ``begin_row_write`` and even again in
-    ``end_row_write``.  If an exception escapes between the two, the counter
-    stays odd forever and every concurrent reader spins until
-    ``TornReadError``.  The only construct Python guarantees to run the
-    closing half under is ``try/finally``, so the rule demands::
-
-        attached.begin_row_write(u)
-        try:
-            attached.array[u] = row      # the guarded write
-        finally:
-            attached.end_row_write(u)
-
-    Three checks: (a) every ``begin_row_write`` statement is immediately
-    followed by a ``try`` whose ``finally`` calls the matching
-    ``end_row_write``; (b) every ``end_row_write`` call sits inside some
-    ``finally`` block; (c) inside a function that opens brackets, writes to
-    the versioned array (``x.array[...] = ...`` or an alias bound from
-    ``x.array``) happen inside a bracket's ``try`` body.
-    """
-
-    code = "RL001"
-    name = "seqlock-bracket"
-    description = "begin_row_write must be balanced by end_row_write via try/finally"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # The protocol primitives themselves (shm.py) define and document
-        # the counter flips; they cannot bracket themselves.
-        skip: "set[int]" = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
-                "begin_row_write",
-                "end_row_write",
-            ):
-                skip.update(id(sub) for sub in ast.walk(node))
-
-        yield from self._check_begin_bracketed(ctx, skip)
-        yield from self._check_end_in_finally(ctx, skip)
-        yield from self._check_writes_bracketed(ctx, skip)
-
-    # -- (a) begin immediately followed by try/finally with matching end --- #
-
-    def _check_begin_bracketed(self, ctx: FileContext, skip: "set[int]") -> Iterator[Finding]:
-        for block in _stmt_lists(ctx.tree):
-            for i, stmt in enumerate(block):
-                if id(stmt) in skip or not isinstance(stmt, ast.Expr):
-                    continue
-                begin = _method_call(stmt.value, "begin_row_write")
-                if begin is None:
-                    continue
-                nxt = block[i + 1] if i + 1 < len(block) else None
-                if isinstance(nxt, ast.Try) and self._finally_ends(nxt, begin):
-                    continue
-                yield self.finding(
-                    ctx,
-                    stmt,
-                    "begin_row_write is not immediately followed by a try/finally "
-                    "calling the matching end_row_write — a raise here leaves the "
-                    "row version odd and readers spin to TornReadError",
-                )
-
-    @staticmethod
-    def _finally_ends(try_node: ast.Try, begin: ast.Call) -> bool:
-        want_recv = ast.unparse(begin.func.value)  # type: ignore[attr-defined]
-        want_args = [ast.unparse(a) for a in begin.args]
-        for stmt in try_node.finalbody:
-            for node in ast.walk(stmt):
-                end = _method_call(node, "end_row_write")
-                if (
-                    end is not None
-                    and isinstance(end.func, ast.Attribute)
-                    and ast.unparse(end.func.value) == want_recv
-                    and [ast.unparse(a) for a in end.args] == want_args
-                ):
-                    return True
-        return False
-
-    # -- (b) every end_row_write lives in a finally block ------------------ #
-
-    def _check_end_in_finally(self, ctx: FileContext, skip: "set[int]") -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if id(node) in skip:
-                continue
-            end = _method_call(node, "end_row_write")
-            if end is None or not self._is_call_expr(ctx, end):
-                continue
-            if not self._in_finally(ctx, end):
-                yield self.finding(
-                    ctx,
-                    end,
-                    "end_row_write outside a finally block — it is skipped when "
-                    "the guarded write raises",
-                )
-
-    @staticmethod
-    def _is_call_expr(ctx: FileContext, call: ast.Call) -> bool:
-        # Only statement-position calls count; `x.end_row_write` referenced
-        # as a value (e.g. passed around) is out of protocol scope.
-        return isinstance(ctx.parent(call), ast.Expr)
-
-    @staticmethod
-    def _in_finally(ctx: FileContext, node: ast.AST) -> bool:
-        child: ast.AST = node
-        for anc in ctx.ancestors(node):
-            if isinstance(anc, ast.Try) and any(
-                child is stmt or id(child) in {id(s) for s in ast.walk(stmt)}
-                for stmt in anc.finalbody
-            ):
-                return True
-            child = anc
-        return False
-
-    # -- (c) versioned-array writes happen inside a bracket ---------------- #
-
-    def _check_writes_bracketed(self, ctx: FileContext, skip: "set[int]") -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if id(func) in skip:
-                continue
-            has_bracket = any(
-                _method_call(n, "begin_row_write") is not None for n in ast.walk(func)
-            )
-            if not has_bracket:
-                continue
-            aliases = {
-                tgt.id
-                for stmt in ast.walk(func)
-                if isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Attribute)
-                and stmt.value.attr == "array"
-                for tgt in stmt.targets
-                if isinstance(tgt, ast.Name)
-            }
-            for stmt in ast.walk(func):
-                if not isinstance(stmt, (ast.Assign, ast.AugAssign)):
-                    continue
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                for tgt in targets:
-                    if not isinstance(tgt, ast.Subscript):
-                        continue
-                    base = tgt.value
-                    is_versioned = (isinstance(base, ast.Name) and base.id in aliases) or (
-                        isinstance(base, ast.Attribute) and base.attr == "array"
-                    )
-                    if is_versioned and not self._in_bracket_try(ctx, stmt):
-                        yield self.finding(
-                            ctx,
-                            stmt,
-                            "write to a versioned shared array outside a seqlock "
-                            "bracket (begin_row_write / try / finally: end_row_write)",
-                        )
-
-    @staticmethod
-    def _in_bracket_try(ctx: FileContext, node: ast.AST) -> bool:
-        child: ast.AST = node
-        for anc in ctx.ancestors(node):
-            if isinstance(anc, ast.Try):
-                in_body = any(
-                    child is stmt or id(child) in {id(s) for s in ast.walk(stmt)}
-                    for stmt in anc.body
-                )
-                has_end = any(
-                    _method_call(n, "end_row_write") is not None
-                    for stmt in anc.finalbody
-                    for n in ast.walk(stmt)
-                )
-                if in_body and has_end:
-                    return True
-            child = anc
-        return False
 
 
 @register

@@ -1,17 +1,12 @@
 """Runtime protocol sanitizer — the dynamic twin of ``lint --deep``.
 
-The interprocedural rules (:mod:`repro.analysis.deep`) prove what they
-can statically; everything the over-approximation cannot decide (which
-concrete object a ``self`` attribute holds, whether two processes really
-interleave, whether a segment outlives its pool) is checked *here*, at
-runtime, TSan-style.  Set ``REPRO_SANITIZE=1`` and the hooks compiled
-into :mod:`repro.parallel` start feeding three state machines:
+The static passes (:mod:`repro.analysis.lint`, :mod:`repro.analysis.deep`)
+prove what they can from source; what only shows at runtime — whether a
+segment outlives the pool that published it, whether a worker's final
+snapshot is absorbed twice — is checked *here*, TSan-style.  Set
+``REPRO_SANITIZE=1`` and the hooks compiled into :mod:`repro.parallel`
+start feeding two state machines:
 
-* **seqlock brackets** — per (versions-segment, row) nesting depth:
-  a second ``begin_row_write`` on an open row, an ``end_row_write``
-  without a begin, or a matrix closed with a row still open is a
-  violation (``seqlock.nested_begin`` / ``seqlock.unmatched_end`` /
-  ``seqlock.open_at_close``);
 * **shm segments** — every segment created by this process is tracked
   until its ``unlink``; :func:`open_segments` / :func:`segment_open`
   let the pool assert nothing leaked at close (``shm.leak_at_pool_close``
@@ -20,15 +15,19 @@ into :mod:`repro.parallel` start feeding three state machines:
   must be absorbed exactly once per pool start
   (``obs.double_final_snapshot``).
 
+The seqlock write protocol needs no runtime twin: ``row_write`` on
+:class:`~repro.parallel.shm.SharedMatrix` / ``AttachedMatrix`` is the only
+way to write a versioned row, refuses a nested write itself, and the
+matrices' ``array`` views are read-only.
+
 Two modes: ``raise`` (default — first violation raises
 :class:`SanitizeError` at the violating call site) and ``record``
 (``REPRO_SANITIZE=record`` — violations accumulate for
-:func:`violations`, which the mutation suite uses to assert the
-sanitizer *would* have fired).  Worker processes inherit the
-installation: ``fork`` copies the flag, ``spawn`` re-imports
-:mod:`repro.parallel` whose import hook calls
-:func:`maybe_install_from_env` — and :func:`worker_reset` clears
-inherited per-process state at worker startup.
+:func:`violations`, which the corpus suite uses to assert the sanitizer
+*would* have fired).  Worker processes inherit the installation: ``fork``
+copies the flag, ``spawn`` re-imports :mod:`repro.parallel` whose import
+hook calls :func:`maybe_install_from_env` — and :func:`worker_reset`
+clears inherited per-process state at worker startup.
 
 The hooks are written to cost one module-attribute load when disabled
 (``if not sanitize.active: return``), so leaving the import wiring in
@@ -54,10 +53,7 @@ __all__ = [
     "install",
     "installed_mode",
     "maybe_install_from_env",
-    "note_begin_row_write",
-    "note_end_row_write",
     "note_final_snapshot",
-    "note_matrix_close",
     "note_pool_start",
     "note_segment_create",
     "note_segment_unlink",
@@ -87,8 +83,6 @@ active: bool = False
 
 _mode: str = "raise"
 _violations: "list[Violation]" = []
-#: (versions segment name, row) -> bracket depth (1 == write in progress).
-_brackets: "dict[tuple[str, int], int]" = {}
 #: shm segment names created by this process and not yet unlinked.
 _segments: "set[str]" = set()
 #: pool id -> worker ids whose final snapshot was already absorbed.
@@ -120,7 +114,6 @@ def uninstall() -> None:
     global active
     active = False
     _violations.clear()
-    _brackets.clear()
     _segments.clear()
     _pool_finals.clear()
 
@@ -144,13 +137,12 @@ def maybe_install_from_env() -> None:
 def worker_reset() -> None:
     """Drop state inherited across ``fork`` at worker startup.
 
-    A forked worker inherits the parent's bracket/segment/snapshot maps;
+    A forked worker inherits the parent's segment/snapshot maps;
     none of them describe *this* process's actions, so a worker must
     start from a clean slate or parent-side activity shows up as
     phantom violations.
     """
     _violations.clear()
-    _brackets.clear()
     _segments.clear()
     _pool_finals.clear()
 
@@ -180,61 +172,6 @@ def _report(kind: str, message: str) -> None:
     _violations.append(Violation(kind, message))
     if _mode == "raise":
         raise SanitizeError(f"[{kind}] {message}")
-
-
-# --------------------------------------------------------------------- #
-# seqlock bracket state machine
-# --------------------------------------------------------------------- #
-
-
-def note_begin_row_write(block: str, row: int) -> None:
-    """A ``begin_row_write`` on row *row* of the versions segment *block*."""
-    key = (block, int(row))
-    depth = _brackets.get(key, 0)
-    _brackets[key] = depth + 1
-    if depth != 0:
-        _report(
-            "seqlock.nested_begin",
-            f"begin_row_write({row}) on {block} while the row is already "
-            f"mid-write (depth {depth}) — the version counter goes even "
-            "and readers accept a torn row",
-        )
-
-
-def note_end_row_write(block: str, row: int) -> None:
-    key = (block, int(row))
-    depth = _brackets.get(key, 0)
-    if depth <= 0:
-        _brackets.pop(key, None)
-        _report(
-            "seqlock.unmatched_end",
-            f"end_row_write({row}) on {block} without a matching "
-            "begin_row_write — the version counter goes odd and readers "
-            "spin to TornReadError",
-        )
-        return
-    if depth == 1:
-        _brackets.pop(key)
-    else:
-        _brackets[key] = depth - 1
-
-
-def note_matrix_close(block: str) -> None:
-    """The matrix backing versions segment *block* is closing."""
-    open_rows = sorted(row for (b, row), d in _brackets.items() if b == block and d > 0)
-    for row in open_rows:
-        _brackets.pop((block, row), None)
-    if open_rows:
-        _report(
-            "seqlock.open_at_close",
-            f"matrix {block} closed with row(s) {open_rows} still "
-            "mid-write — concurrent readers of the surviving segment "
-            "spin forever",
-        )
-
-
-def open_brackets() -> "dict[tuple[str, int], int]":
-    return dict(_brackets)
 
 
 # --------------------------------------------------------------------- #

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run reprolint, the project-invariant AST checker "
-        "(seqlock brackets, RNG discipline, shm lifecycle, ...)",
+        "(RNG discipline, shm lifecycle, tuning knobs, ...)",
     )
     p.add_argument(
         "paths",
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep",
         action="store_true",
         help="also run the interprocedural pass (call graph + function "
-        "summaries: RL008-RL011)",
+        "summaries: RL009, RL011)",
     )
     p.add_argument(
         "--format",

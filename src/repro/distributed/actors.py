@@ -60,7 +60,7 @@ import numpy as np
 
 from .. import obs
 from ..dynamic.serving import RoutingService, ServeDelta, dirty_rows
-from ..errors import ParameterError, ProtocolError
+from ..errors import NodeNotFound, ParameterError, ProtocolError
 from ..graph import Graph, batched_bfs
 from ..routing.greedy_routing import RouteResult
 from ..routing.tables import project_table_row
@@ -231,7 +231,7 @@ class ShardActor:
         return changed, masks
 
     def _project(self, u: int, cols: "np.ndarray | None") -> None:
-        project_table_row(self.dist, self.tables, sorted(self.g.neighbors(u)), u, cols)
+        project_table_row(self.dist, self.tables[u], sorted(self.g.neighbors(u)), u, cols)
 
     def _size_matrices(self, n: int) -> None:
         """View ``dist``/``tables`` at n×n, growing their buffers by half
@@ -682,10 +682,9 @@ class ActorSystem:
         if source == target:
             raise ParameterError("source equals target")
         n = self.service.num_nodes
-        if not (0 <= target < n):
-            from ..errors import NodeNotFound
-
-            raise NodeNotFound(target, n)
+        for node in (source, target):
+            if not (0 <= node < n):
+                raise NodeNotFound(node, n)
         if max_hops is None:
             max_hops = n
         return self._run(self._route(source, target, max_hops))

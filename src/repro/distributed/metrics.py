@@ -17,7 +17,7 @@ so the ``REPRO_OBS`` knob never changes a simulator result.
 
 from __future__ import annotations
 
-from ..obs.metrics import COUNT_BOUNDS, MetricsRegistry
+from ..obs.metrics import BYTE_BOUNDS, COUNT_BOUNDS, MetricsRegistry
 
 __all__ = ["SimStats", "WireStats"]
 
@@ -122,7 +122,7 @@ class WireStats:
         reg.inc("wire.messages")
         reg.inc("wire.bytes", size_bytes)
         reg.inc("wire.links", link_units)
-        reg.observe("wire.frame_bytes", size_bytes, COUNT_BOUNDS)
+        reg.observe("wire.frame_bytes", size_bytes, BYTE_BOUNDS)
 
     def record_dropped(self) -> None:
         self.registry.inc("wire.dropped")

@@ -548,7 +548,7 @@ class RoutingService:
             if cols is not None and cols.size == 0:
                 continue
             nbrs = sorted(g.neighbors(u))
-            self.entries_updated += project_table_row(self._dist, self._tables, nbrs, u, cols)
+            self.entries_updated += project_table_row(self._dist, self._tables[u], nbrs, u, cols)
             touched += 1
         obs.inc("serve.tables_reprojected", touched)
         return touched

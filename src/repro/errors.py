@@ -46,7 +46,8 @@ class InfeasibleError(ReproError):
 
 
 class ProtocolError(ReproError):
-    """A distributed protocol was driven in an unsupported way."""
+    """A distributed or shared-memory protocol was driven in an unsupported
+    way (e.g. a nested seqlock row write)."""
 
 
 class TornReadError(ReproError):

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 from .. import tuning
 from .metrics import (
+    BYTE_BOUNDS,
     COUNT_BOUNDS,
     SCHEMA,
     TIME_BOUNDS_US,
@@ -39,6 +40,7 @@ from .timing import Stopwatch, now, time_best
 from .tracer import Span, Tracer
 
 __all__ = [
+    "BYTE_BOUNDS",
     "COUNT_BOUNDS",
     "SCHEMA",
     "TIME_BOUNDS_US",

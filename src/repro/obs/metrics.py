@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from ..errors import ParameterError
 
 __all__ = [
+    "BYTE_BOUNDS",
     "COUNT_BOUNDS",
     "SCHEMA",
     "TIME_BOUNDS_US",
@@ -74,6 +75,9 @@ COUNT_BOUNDS: tuple[float, ...] = (
     1_024.0,
     4_096.0,
 )
+
+#: Default buckets for sizes in bytes (wire frames): 64 B .. 4 MiB, ×2 apart.
+BYTE_BOUNDS: tuple[float, ...] = tuple(float(1 << k) for k in range(6, 23))
 
 
 class Histogram:

@@ -166,15 +166,10 @@ def _task_bfs_rows(state: _WorkerState, payload):
     graph, out, sources, slots, cutoff = payload
     g = state.csr(graph)
     attached = state.matrices[out]
-    dest = attached.array
     slot_of = dict(zip(sources, slots))
     for s, row in batched_bfs(g, sources, cutoff, arrays=True):
-        slot = slot_of[s]
-        attached.begin_row_write(slot)
-        try:
-            dest[slot] = row
-        finally:
-            attached.end_row_write(slot)
+        with attached.row_write(slot_of[s]) as dest:
+            dest[:] = row
     return len(sources)
 
 
@@ -185,8 +180,8 @@ def _task_serve_rows(state: _WorkerState, payload):
     shard owns) recompute the BFS row on the attached H snapshot, diff it
     against the current shared row, overwrite it, and report
     ``(source, packed-change-mask)`` for rows that actually moved — the
-    only bytes that cross the queue.  On a versioned matrix each row write
-    is bracketed by the seqlock counters, so concurrent readers
+    only bytes that cross the queue.  Each row is written inside
+    ``row_write``, so concurrent readers
     (:class:`~repro.parallel.sharded.RouteReader`) never observe a torn row.
     """
     from ..graph.traversal import batched_bfs
@@ -202,11 +197,8 @@ def _task_serve_rows(state: _WorkerState, payload):
             mask = row != dist[s]
             if mask.any():
                 changed.append((s, np.packbits(mask).tobytes()))
-                attached.begin_row_write(s)
-                try:
-                    dist[s] = row
-                finally:
-                    attached.end_row_write(s)
+                with attached.row_write(s) as dest:
+                    dest[:] = row
         return changed
 
 
@@ -225,7 +217,6 @@ def _task_serve_tables(state: _WorkerState, payload):
     g = state.csr(g_name)
     dist = state.matrix(dist_name)
     attached = state.matrices[tab_name]
-    tables = attached.array
     n = dist.shape[1]
     entries_changed = 0
     for u, packed in jobs:
@@ -235,11 +226,8 @@ def _task_serve_tables(state: _WorkerState, payload):
             mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).astype(bool)
             cols = np.flatnonzero(mask)
         nbrs = g.neighbors_csr(u).tolist()  # sorted ascending == sorted(N_G(u))
-        attached.begin_row_write(u)
-        try:
-            entries_changed += project_table_row(dist, tables, nbrs, u, cols)
-        finally:
-            attached.end_row_write(u)
+        with attached.row_write(u) as row:
+            entries_changed += project_table_row(dist, row, nbrs, u, cols)
     return entries_changed
 
 
@@ -264,57 +252,17 @@ def _task_tree_edges(state: _WorkerState, payload):
 
 
 def _task_crash_in_write(state: _WorkerState, payload):
-    """Fault injection: raise *inside* a seqlock write bracket.
+    """Fault injection: raise *inside* ``row_write``.
 
-    ``payload = (matrix, row)`` — opens the bracket on *row* and raises.
-    Exercises the crash path the try/finally brackets in the serve tasks
-    protect against: the ``finally`` must restore the row version to even
-    so concurrent readers terminate instead of spinning.  Lives in the
-    production registry (not the test module) so ``spawn`` workers can
-    resolve it after re-import.
+    ``payload = (matrix, row)`` — opens the write on *row* and raises.
+    Exercises the crash path ``row_write`` commits on the way out: the row
+    version must be even again so concurrent readers terminate instead of
+    spinning.  Lives in the production registry (not the test module) so
+    ``spawn`` workers can resolve it after re-import.
     """
     name, row = payload
-    attached = state.matrices[name]
-    attached.begin_row_write(row)
-    try:
-        raise RuntimeError(f"injected crash inside row {row} write bracket")
-    finally:
-        attached.end_row_write(row)
-
-
-def _task_sanitize_nested_begin(state: _WorkerState, payload):
-    """Fault injection: open a seqlock bracket *twice* on the same row.
-
-    ``payload = (matrix, row)`` — the nested ``begin_row_write`` is the
-    violation the static pass provably cannot see (it happens across two
-    dynamic activations of correct-looking code), so the sanitizer suite
-    uses this task to assert the runtime layer fires inside real worker
-    processes, under both ``fork`` and ``spawn``.  Returns ``(active,
-    raised, kinds)`` — whether the sanitizer was installed in this
-    process, the raise-mode error message (or None), and the recorded
-    violation kinds.  Lives in the production registry so ``spawn``
-    workers can resolve it after re-import.
-    """
-    name, row = payload
-    attached = state.matrices[name]
-    caught = None
-    attached.begin_row_write(row)
-    try:
-        # Nested begin: flips the row version even mid-write, so a reader
-        # would accept a torn row.  Deliberate protocol violation under
-        # test; the arithmetic below rebalances the counter.
-        attached.begin_row_write(row)  # reprolint: disable=RL001
-    except _sanitize.SanitizeError as exc:
-        caught = str(exc)
-    finally:
-        attached.end_row_write(row)
-        if caught is None:
-            # The nested begin actually incremented (record mode / off):
-            # a second end restores the even version for later readers.
-            attached.end_row_write(row)
-    kinds = [v.kind for v in _sanitize.violations()]
-    _sanitize.clear_violations()
-    return (_sanitize.active, caught, kinds)
+    with state.matrices[name].row_write(row):
+        raise RuntimeError(f"injected crash inside row {row} write")
 
 
 def _task_obs_snapshot(state: _WorkerState, payload):
@@ -352,7 +300,6 @@ TASKS = {
     "serve_tables": _task_serve_tables,
     "tree_edges": _task_tree_edges,
     "crash_in_write": _task_crash_in_write,
-    "sanitize_nested_begin": _task_sanitize_nested_begin,
     "obs_snapshot": _task_obs_snapshot,
     "obs_record": _task_obs_record,
 }
@@ -387,7 +334,7 @@ def _worker_main(
     obs.reset()
     obs.tracer().stop()
     if _sanitize.active:
-        # Same reasoning: inherited bracket/segment state describes the
+        # Same reasoning: inherited segment/snapshot state describes the
         # parent's actions, not this process's.
         _sanitize.worker_reset()
     if _faults.active:
@@ -758,9 +705,10 @@ class WorkerPool:
 
         An existing matrix is resized only when the requested shape
         differs; *fill* initializes fresh cells.  ``versioned`` (creation
-        only) adds the per-row seqlock counters concurrent readers need.
-        The returned numpy view aliases the workers' — drop it before the
-        next resize.
+        only) adds the per-row seqlock counters concurrent readers need
+        and makes the view read-only (rows change only through
+        ``row_write``).  The returned numpy view aliases the workers' —
+        drop it before the next resize.
         """
         if self._closed:
             raise ParameterError("WorkerPool is closed")

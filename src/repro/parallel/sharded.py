@@ -45,9 +45,9 @@ apply/refresh the service posts the current matrix handles to a
 :meth:`ShardedRoutingService.reader_handle` can construct a
 :class:`RouteReader` over the same bytes and serve ``next_hop`` /
 ``table`` / ``route`` lookups *while the shard workers repair*: writers
-bracket each row write with the version counters, readers retry a moved
-row, so every observed row is bit-identical to a state the service
-actually committed — the torn-read property suite in
+update each row inside ``row_write`` (odd version while in progress),
+readers retry a moved row, so every observed row is bit-identical to a
+state the service actually committed — the torn-read property suite in
 ``tests/parallel/test_torn_reads.py`` pins exactly that.
 """
 

@@ -16,14 +16,17 @@ far too large to pickle per task, so they live in
   reallocating; parent and workers read and write the *same* bytes, so
   "sending a row" to a worker costs nothing.
 * **Concurrent readers** — a matrix created with ``versioned=True`` carries
-  one seqlock-style version counter per row: writers bracket every row
-  write with :meth:`begin_row_write <AttachedMatrix.begin_row_write>` /
-  :meth:`end_row_write <AttachedMatrix.end_row_write>` (odd = write in
-  progress), and :meth:`AttachedMatrix.read_row` /
-  :meth:`~AttachedMatrix.read_cell` retry until they capture a row whose
-  version was even and unchanged across the copy — so a reader process can
-  serve lookups *while* shard workers repair, and only ever observes row
-  states the writers actually committed (never a torn half-write).
+  one seqlock-style version counter per row.  The only way to write one of
+  its rows is ``with m.row_write(u) as row:`` — the version goes odd on
+  entry and even again on exit, whether the body returns or raises — and
+  its :attr:`~SharedMatrix.array` is a **read-only** view, so a write that
+  skips the bracket raises ``ValueError`` the first time it runs.
+  :meth:`AttachedMatrix.read_row` / :meth:`~AttachedMatrix.read_cell`
+  retry until they capture a row whose version was even and unchanged
+  across the copy — so a reader process can serve lookups *while* shard
+  workers repair, and only ever observes row states the writers actually
+  committed (never a torn half-write).  Unversioned matrices keep a
+  writable ``array`` and treat ``row_write`` as a plain row view.
 
   .. note:: Pure Python offers no cross-process memory fence, so the
      protocol relies on the platform's total-store-order guarantee (x86 /
@@ -54,16 +57,17 @@ from __future__ import annotations
 import pickle
 import secrets
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .. import faults as _faults
 from .. import obs, tuning
 from ..analysis import sanitize as _sanitize
-from ..errors import ParameterError, TornReadError
+from ..errors import ParameterError, ProtocolError, TornReadError
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -438,7 +442,53 @@ def attach_csr(handle: "SharedCSRHandle | AttachedCSR") -> CSRGraph:
     return g
 
 
-class SharedMatrix:
+class _RowWriter:
+    """The write side of the row seqlock, shared by both matrix classes.
+
+    Subclasses provide :meth:`_writable` (the writable logical view) and
+    :meth:`_versions` (the per-row versions, ``None`` when unversioned).
+    """
+
+    def _writable(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _versions(self) -> "np.ndarray | None":
+        raise NotImplementedError
+
+    @contextmanager
+    def row_write(self, u: int) -> Iterator[np.ndarray]:
+        """Write row *u* under the seqlock; yields the writable row.
+
+        The version goes odd before the body runs and even again after
+        it on every exit path, so readers never accept a half-written row
+        and never spin on one a raising body abandoned.  Entering a row
+        that is already odd (a nested write) raises
+        :class:`~repro.errors.ProtocolError` before touching anything —
+        the inner commit would flip the version even mid-write.  Only a
+        process dying inside the body (the ``write.crash`` fault site)
+        leaves the row odd, which :meth:`SharedMatrix.repair_torn_rows`
+        mends.  On an unversioned matrix this is a plain row view.
+        """
+        row = self._writable()[u]
+        ver = self._versions()
+        if ver is None:
+            yield row
+            return
+        if int(ver[u]) & 1:
+            raise ProtocolError(
+                f"row_write({u}) while row {u} is already mid-write — a nested "
+                "write would commit a torn row"
+            )
+        ver[u] += 1
+        try:
+            if _faults.active:
+                _faults.on_begin_row_write(u)  # crash site: row now odd
+            yield row
+        finally:
+            ver[u] += 1
+
+
+class SharedMatrix(_RowWriter):
     """Parent-side owner of a dense int32 matrix in shared memory.
 
     The logical shape is ``(rows, cols)`` inside a ``(cap_rows, cap_cols)``
@@ -448,8 +498,9 @@ class SharedMatrix:
 
     ``versioned=True`` adds one int64 seqlock counter per row (a second
     shared block) so writer processes can publish row updates that
-    concurrent readers observe atomically — see the module docstring and
-    :meth:`AttachedMatrix.read_row`.
+    concurrent readers observe atomically: rows are then written only
+    through :meth:`row_write`, and :attr:`array` is read-only — see the
+    module docstring and :meth:`AttachedMatrix.read_row`.
     """
 
     def __init__(
@@ -479,7 +530,7 @@ class SharedMatrix:
         self._closed = False
         self.fill = fill  # remembered: repair_torn_rows resets rows to it
         if fill is not None:
-            self.array[:] = fill
+            self._writable()[:] = fill
 
     @property
     def handle(self) -> SharedMatrixHandle:
@@ -500,29 +551,23 @@ class SharedMatrix:
             return None
         return np.ndarray((self._cap_r,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
 
-    def begin_row_write(self, u: int) -> None:
-        """Mark row *u* as mid-write (odd version); no-op when unversioned."""
-        ver = self.row_versions
-        if ver is not None:
-            if _sanitize.active:
-                _sanitize.note_begin_row_write(self._shm_ver.name, u)
-            ver[u] += 1
-            if _faults.active:
-                _faults.on_begin_row_write(u)  # crash site: row now odd
+    def _versions(self) -> "np.ndarray | None":
+        return self.row_versions
 
-    def end_row_write(self, u: int) -> None:
-        """Commit row *u* (even version again); no-op when unversioned."""
-        ver = self.row_versions
-        if ver is not None:
-            if _sanitize.active:
-                _sanitize.note_end_row_write(self._shm_ver.name, u)
-            ver[u] += 1
+    def _writable(self) -> np.ndarray:
+        base = np.ndarray((self._cap_r, self._cap_c), dtype=_MAT_DTYPE, buffer=self._shm.buf)
+        return base[: self.rows, : self.cols]
 
     @property
     def array(self) -> np.ndarray:
-        """The live ``(rows, cols)`` view (writes are visible to workers)."""
-        base = np.ndarray((self._cap_r, self._cap_c), dtype=_MAT_DTYPE, buffer=self._shm.buf)
-        return base[: self.rows, : self.cols]
+        """The live ``(rows, cols)`` view, shared with every attachment.
+
+        Read-only when versioned: rows change only through
+        :meth:`row_write`.
+        """
+        view = self._writable()
+        view.flags.writeable = self._shm_ver is None
+        return view
 
     @property
     def capacity_bytes(self) -> int:
@@ -543,7 +588,7 @@ class SharedMatrix:
         old_rows, old_cols = self.rows, self.cols
         reallocated = rows > self._cap_r or cols > self._cap_c
         if reallocated:
-            old_shm, old_view = self._shm, self.array
+            old_shm, old_view = self._shm, self._writable()
             old_ver_shm, old_ver = self._shm_ver, self.row_versions
             old_cap_r = self._cap_r
             self._cap_r = max(_headroom(rows), self._cap_r)
@@ -559,10 +604,11 @@ class SharedMatrix:
                 new_ver[:] = 0
                 new_ver[:old_cap_r] = old_ver
             self.rows, self.cols = rows, cols
+            a = self._writable()
             if fill is not None:
-                self.array[:] = fill
+                a[:] = fill
             keep_r, keep_c = min(old_rows, rows), min(old_cols, cols)
-            self.array[:keep_r, :keep_c] = old_view[:keep_r, :keep_c]
+            a[:keep_r, :keep_c] = old_view[:keep_r, :keep_c]
             del old_view  # drop the buffer export so the mmap can close
             del old_ver
             old_shm.close()
@@ -573,7 +619,7 @@ class SharedMatrix:
         else:
             self.rows, self.cols = rows, cols
             if fill is not None:
-                a = self.array
+                a = self._writable()
                 if rows > old_rows:
                     a[old_rows:, :] = fill
                 if cols > old_cols:
@@ -584,21 +630,20 @@ class SharedMatrix:
     def repair_torn_rows(self) -> "list[int]":
         """Commit every row a dead writer left mid-write; returns their ids.
 
-        A worker that crashed between ``begin_row_write`` and
-        ``end_row_write`` leaves the row version odd forever: readers spin
-        to :class:`~repro.errors.TornReadError`, and the half-written
-        content must never be served.  The supervisor calls this after
-        respawning: each odd row is overwritten with the matrix *fill* (a
-        committed-looking dormant state) **while the version is still
-        odd** — concurrent seqlock readers discard anything captured
-        mid-write — and only then committed.  The retried task rewrites
-        the real content afterwards.
+        A worker that died inside :meth:`row_write` leaves the row version
+        odd forever: readers spin to :class:`~repro.errors.TornReadError`,
+        and the half-written content must never be served.  The supervisor
+        calls this after respawning: each odd row is overwritten with the
+        matrix *fill* (a committed-looking dormant state) **while the
+        version is still odd** — concurrent seqlock readers discard
+        anything captured mid-write — and only then committed.  The
+        retried task rewrites the real content afterwards.
         """
         ver = self.row_versions
         if ver is None:
             return []
         fill = 0 if self.fill is None else self.fill
-        arr = self.array
+        arr = self._writable()
         repaired = []
         for u in range(self.rows):
             if int(ver[u]) & 1:
@@ -610,8 +655,6 @@ class SharedMatrix:
     def close(self) -> None:
         if self._closed:
             return
-        if _sanitize.active and self._shm_ver is not None:
-            _sanitize.note_matrix_close(self._shm_ver.name)
         self._closed = True
         blocks = [self._shm] if self._shm_ver is None else [self._shm, self._shm_ver]
         for shm in blocks:
@@ -628,19 +671,21 @@ class SharedMatrix:
             pass
 
 
-class AttachedMatrix:
+class AttachedMatrix(_RowWriter):
     """Worker/reader-side attachment of a :class:`SharedMatrix`.
 
-    Writers (shard workers) bracket row updates with
-    :meth:`begin_row_write`/:meth:`end_row_write`; readers in other
-    processes use :meth:`read_row`/:meth:`read_cell`, which follow the
-    seqlock protocol — capture the row version (retry while odd), copy the
-    data, re-check the version, retry on any movement.  ``torn_retries``
+    Writers (shard workers) update rows with ``with att.row_write(u) as
+    row:`` (:attr:`array` is read-only when versioned, exactly as on the
+    owner); readers in other processes use :meth:`read_row` /
+    :meth:`read_cell`, which follow the seqlock protocol — capture the row
+    version (retry while odd), copy the data, re-check the version, retry
+    on any movement.  ``torn_retries``
     counts how many captures had to be retried (i.e. torn states that were
     *observed and discarded*, never returned).
     """
 
-    _arr: np.ndarray
+    _arr: np.ndarray  # writable: only row_write hands out its rows
+    _view: np.ndarray  # what `array` returns (read-only when versioned)
     _ver: "np.ndarray | None"
 
     def __init__(self, handle: SharedMatrixHandle) -> None:
@@ -658,15 +703,24 @@ class AttachedMatrix:
             (h.capacity_rows, h.capacity_cols), dtype=_MAT_DTYPE, buffer=self._shm.buf
         )
         self._arr = base[: h.rows, : h.cols]
+        self._view = self._arr.view()
+        self._view.flags.writeable = self._shm_ver is None
         self._ver = (
             None
             if self._shm_ver is None
             else np.ndarray((h.capacity_rows,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
         )
 
+    def _versions(self) -> "np.ndarray | None":
+        return self._ver
+
+    def _writable(self) -> np.ndarray:
+        return self._arr
+
     @property
     def array(self) -> np.ndarray:
-        return self._arr
+        """The mapped ``(rows, cols)`` view; read-only when versioned."""
+        return self._view
 
     @property
     def rows(self) -> int:
@@ -680,22 +734,6 @@ class AttachedMatrix:
     def versions(self) -> "np.ndarray | None":
         """The per-row seqlock counters (None when the matrix is unversioned)."""
         return self._ver
-
-    def begin_row_write(self, u: int) -> None:
-        """Mark row *u* mid-write (odd); no-op when unversioned."""
-        if self._ver is not None:
-            if _sanitize.active:
-                _sanitize.note_begin_row_write(self._handle.versions_name, u)
-            self._ver[u] += 1
-            if _faults.active:
-                _faults.on_begin_row_write(u)  # crash site: row now odd
-
-    def end_row_write(self, u: int) -> None:
-        """Commit row *u* (even again); no-op when unversioned."""
-        if self._ver is not None:
-            if _sanitize.active:
-                _sanitize.note_end_row_write(self._handle.versions_name, u)
-            self._ver[u] += 1
 
     def read_row(self, u: int, cols: "np.ndarray | None" = None) -> np.ndarray:
         """A stable private copy of row *u* (optionally only *cols*).
@@ -759,7 +797,7 @@ class AttachedMatrix:
     def close(self) -> None:
         # Drop buffer exports before unmapping (a closed attachment must
         # never be read again, hence the deliberate type violation).
-        self._arr = self._ver = None  # type: ignore[assignment]
+        self._arr = self._view = self._ver = None  # type: ignore[assignment]
         blocks = [self._shm] if self._shm_ver is None else [self._shm, self._shm_ver]
         for shm in blocks:
             try:

@@ -59,19 +59,20 @@ def _argmin_hops(block: "np.ndarray", nbrs: "list[int]") -> "np.ndarray":
 
 
 def project_table_row(
-    dist: "np.ndarray", tables: "np.ndarray", nbrs: "list[int]", u: int, cols: "np.ndarray | None"
+    dist: "np.ndarray", row: "np.ndarray", nbrs: "list[int]", u: int, cols: "np.ndarray | None"
 ) -> int:
-    """Re-argmin table row *u* in place; returns how many entries changed.
+    """Re-argmin *u*'s next-hop *row* in place; returns how many entries changed.
 
     The projection kernel of the serving layer, shared verbatim by the
-    single-process :class:`~repro.dynamic.serving.RoutingService` and the
-    worker processes of :class:`~repro.parallel.sharded.\
-ShardedRoutingService` — one implementation is what makes the two
-    bit-identical by construction.  ``dist`` is the ``d_H`` matrix,
-    ``tables`` the next-hop matrix, ``nbrs`` the sorted G-neighbors of
-    *u*, ``cols`` the destinations to refresh (``None`` = all).
+    single-process :class:`~repro.dynamic.serving.RoutingService`, the
+    shard actors and the worker processes of
+    :class:`~repro.parallel.sharded.ShardedRoutingService` — one
+    implementation is what makes them bit-identical by construction.
+    ``dist`` is the ``d_H`` matrix, ``row`` the writable table row of *u*
+    (``tables[u]``, or the row a shared matrix's ``row_write`` yields),
+    ``nbrs`` the sorted G-neighbors of *u*, ``cols`` the destinations to
+    refresh (``None`` = all).
     """
-    row = tables[u]
     if cols is None:
         old = row.copy()
         if not nbrs:

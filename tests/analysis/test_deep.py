@@ -1,9 +1,9 @@
-"""Interprocedural pass: call graph, summaries, RL008–RL011, repo self-check.
+"""Interprocedural pass: call graph, summaries, RL009/RL011, repo self-check.
 
 Fixture files are linted under pretend paths via ``deep_lint_sources`` so
-the path-scoped rules (RL009's library scope, RL008's shm.py exemption)
-see the module layout they guard.  The shared violation corpus asserting
-*which layer* catches each injected violation lives in
+the path-scoped rule (RL009's library scope) sees the module layout it
+guards.  The shared violation corpus asserting *which layer* catches each
+injected violation (or that it can no longer be written) lives in
 ``test_sanitizer.py``.
 """
 
@@ -76,45 +76,6 @@ class TestCallGraph:
 
 
 class TestSummaries:
-    def test_sink_params_propagate_through_the_call_graph(self):
-        project = Project.from_sources(
-            [
-                (
-                    "src/repro/x.py",
-                    "def leaf(dest, u):\n"
-                    "    dest.array[u] = 0\n"
-                    "\n"
-                    "def middle(m, u):\n"
-                    "    leaf(m, u)\n",
-                )
-            ]
-        )
-        summaries = Summaries(project)
-        by_name = {fi.name: summaries.of[fi] for fi in project.functions}
-        assert by_name["leaf"].sink_params == {0: "obj"}
-        assert by_name["middle"].sink_params == {0: "obj"}  # transitive
-
-    def test_bracketed_call_does_not_propagate_the_sink(self):
-        project = Project.from_sources(
-            [
-                (
-                    "src/repro/x.py",
-                    "def leaf(dest, u):\n"
-                    "    dest.array[u] = 0\n"
-                    "\n"
-                    "def middle(m, u):\n"
-                    "    m.begin_row_write(u)\n"
-                    "    try:\n"
-                    "        leaf(m, u)\n"
-                    "    finally:\n"
-                    "        m.end_row_write(u)\n",
-                )
-            ]
-        )
-        summaries = Summaries(project)
-        by_name = {fi.name: summaries.of[fi] for fi in project.functions}
-        assert by_name["middle"].sink_params == {}
-
     def test_blocking_closure_is_transitive_and_spin_is_exempt(self):
         project = Project.from_sources(
             [
@@ -138,34 +99,29 @@ class TestSummaries:
         assert by_name["inner"].blocks is not None
         assert "inner" in by_name["outer"].blocks
 
-    def test_attr_taint_is_scoped_per_class(self):
+    def test_retry_loops_are_the_loops_that_spin(self):
         project = Project.from_sources(
             [
                 (
                     "src/repro/x.py",
-                    "class Sharded:\n"
-                    "    def setup(self, pool):\n"
-                    "        self._dist = pool.matrix('d', 4, 4, versioned=True)\n"
-                    "\n"
-                    "class Serial:\n"
-                    "    def setup(self):\n"
-                    "        self._dist = make_numpy_array()\n"
-                    "    def write(self, u):\n"
-                    "        self._dist[u] = 0\n",
+                    "def read(ver, budget):\n"
+                    "    for attempt in range(budget):\n"
+                    "        if ver[0] & 1:\n"
+                    "            _spin(attempt)\n"
+                    "    while True:\n"
+                    "        break\n",
                 )
             ]
         )
         summaries = Summaries(project)
-        sharded = [fi for fi in project.functions if fi.cls == "Sharded"][0]
-        serial = [fi for fi in project.functions if fi.cls == "Serial"][0]
-        assert summaries.attr_kind(sharded, "self._dist") == "both"
-        assert summaries.attr_kind(serial, "self._dist") is None
+        (s,) = summaries.of.values()
+        assert [type(loop).__name__ for loop in s.retry_loops] == ["For"]
 
 
 class TestDeepRegistry:
-    def test_registry_has_the_four_deep_rules(self):
+    def test_registry_has_the_two_deep_rules(self):
         rules = default_deep_rules()
-        assert [r.code for r in rules] == ["RL008", "RL009", "RL010", "RL011"]
+        assert [r.code for r in rules] == ["RL009", "RL011"]
         assert all(r.name and r.description for r in rules)
         assert set(DEEP_REGISTRY) == {r.code for r in rules}
 
@@ -180,26 +136,7 @@ class TestDeepRegistry:
 
             @register_deep
             class Duplicate(DeepRule):
-                code = "RL008"
-
-
-class TestInterproceduralBracket:
-    def test_bad_fixture_flags_call_site_direct_and_alias_writes(self):
-        findings = fixture_deep_findings("rl008_bad.py")
-        assert [f.rule for f in findings] == ["RL008"] * 3
-        messages = " | ".join(f.message for f in findings)
-        assert "call to write_row()" in messages  # the interprocedural one
-        assert "'m'" in messages  # direct write on a versioned construction
-        assert "'arr'" in messages  # write through the state.matrix alias
-
-    def test_good_fixture_is_clean(self):
-        assert fixture_deep_findings("rl008_good.py") == []
-
-    def test_shm_module_itself_is_exempt(self):
-        findings = fixture_deep_findings(
-            "rl008_bad.py", fake_path="src/repro/parallel/shm.py"
-        )
-        assert findings == []
+                code = "RL009"
 
 
 class TestRngTaint:
@@ -220,19 +157,6 @@ class TestRngTaint:
             "rl009_bad.py", fake_path="tests/helpers/seeding.py"
         )
         assert findings == []
-
-
-class TestShmEscape:
-    def test_bad_fixture_flags_all_three_leaks(self):
-        findings = fixture_deep_findings("rl010_bad.py")
-        assert [f.rule for f in findings] == ["RL010"] * 3
-        messages = " | ".join(f.message for f in findings)
-        assert "'shared' from .share()" in messages
-        assert "'block' from SharedMemory" in messages
-        assert "close_only_on_error" in messages  # except-only cleanup leaks
-
-    def test_good_fixture_is_clean(self):
-        assert fixture_deep_findings("rl010_good.py") == []
 
 
 class TestBlockingInRetryLoop:
@@ -279,8 +203,10 @@ class TestCliDeep:
     def test_list_rules_includes_the_deep_section(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL008", "RL009", "RL010", "RL011"):
+        for code in ("RL009", "RL011"):
             assert code in out
+        for retired in ("RL001", "RL008", "RL010"):
+            assert retired not in out
         assert "[deep]" in out
 
 

@@ -1,4 +1,4 @@
-"""reprolint: engine mechanics, the seven rules over fixtures, repo self-check.
+"""reprolint: engine mechanics, the per-file rules over fixtures, repo self-check.
 
 The fixture files in ``tests/analysis/fixtures/`` are deliberately
 non-compliant (that is the test); they are excluded from ruff in
@@ -28,7 +28,6 @@ from repro.analysis.lint.rules import (
     ExceptionHygieneRule,
     FaultHookConfinementRule,
     RngDisciplineRule,
-    SeqlockBracketRule,
     ShmLifecycleRule,
     TimingDisciplineRule,
     TuningConstantsRule,
@@ -122,7 +121,7 @@ class TestEngine:
 
     def test_registry_has_the_ast_local_rules(self):
         rules = default_rules()
-        assert [r.code for r in rules] == [f"RL00{i}" for i in range(1, 8)] + ["RL012", "RL013"]
+        assert [r.code for r in rules] == [f"RL00{i}" for i in range(2, 8)] + ["RL012", "RL013"]
         assert all(r.name and r.description for r in rules)
         assert set(REGISTRY) == {r.code for r in rules}
 
@@ -137,7 +136,7 @@ class TestEngine:
 
             @register
             class Duplicate(Rule):
-                code = "RL001"
+                code = "RL002"
 
     def test_iter_python_files_skips_caches_and_rejects_missing(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -157,26 +156,6 @@ class TestEngine:
         b = Finding("a.py", 1, 4, "RL006", "m")
         assert sorted([a, b]) == [b, a]
         assert b.format() == "a.py:1:4: RL006 m"
-
-
-class TestSeqlockBracketRule:
-    def test_bad_fixture_flags_all_variants(self):
-        findings = fixture_findings("rl001_bad.py", SeqlockBracketRule())
-        assert [f.rule for f in findings] == ["RL001"] * 4
-        messages = " | ".join(f.message for f in findings)
-        assert "not immediately followed by a try/finally" in messages
-        assert "outside a finally block" in messages
-        assert "outside a seqlock" in messages
-
-    def test_good_fixture_is_clean(self):
-        assert fixture_findings("rl001_good.py", SeqlockBracketRule()) == []
-
-    def test_mismatched_receiver_detected(self):
-        findings = fixture_findings("rl001_bad.py", SeqlockBracketRule())
-        # The a.begin / b.end pair contributes exactly one finding (the
-        # unmatched begin); the end itself *is* inside a finally.
-        mismatch = [f for f in findings if f.line >= 11]
-        assert len(mismatch) == 1
 
 
 class TestRngDisciplineRule:
@@ -336,10 +315,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in (
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL012", "RL013",
-        ):
+        for code in ("RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL012", "RL013"):
             assert code in out
+        assert "RL001" not in out
 
     def test_findings_exit_nonzero_and_print_locations(self, capsys):
         assert main(["lint", str(FIXTURES / "rl006_bad.py")]) == 1

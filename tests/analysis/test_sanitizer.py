@@ -1,18 +1,15 @@
 """Runtime sanitizer + the shared injected-violation corpus.
 
-The corpus is the cross-validation contract of the two-layer design:
-every deliberately injected protocol violation declares which layer —
-the interprocedural pass (``static``), the runtime sanitizer
-(``runtime``), or both — must catch it, and a parametrized test asserts
-exactly that.  Violations the summaries over-approximate (nested begins
-across dynamic activations, double-shipped snapshots) are runtime-only;
-violations that never execute in tests (a blocking call in a retry loop)
-are static-only; shm leaks are caught by both.
-
-Worker-side checks run through the real :data:`repro.parallel.pool.TASKS`
-fault-injection entry under both ``fork`` and ``spawn`` — the spawn
-child installs the sanitizer purely from ``REPRO_SANITIZE`` at package
-import, which is the production path.
+The corpus is the contract of the layered design: every deliberately
+injected protocol violation is either still *caught* — by the
+interprocedural pass (``static``), the runtime sanitizer (``runtime``),
+or both — or can no longer be written (``structural``): the API raises
+the moment it is attempted.  A parametrized test asserts exactly that per
+case.  The seqlock write violations are all structural: ``row_write`` is
+the only way to write a versioned row, versioned ``array`` views are
+read-only, a nested write raises, and there is no public "end a write"
+call to misuse.  Shm leaks and snapshot shipping stay runtime checks;
+seed flow and blocking in a retry loop stay static.
 """
 
 import multiprocessing
@@ -23,11 +20,11 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.deep import deep_lint_sources
-from repro.analysis.lint import lint_file
-from repro.analysis.lint.rules import SeqlockBracketRule
+from repro.errors import ProtocolError
+from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
 from repro.parallel import shm as shm_mod
-from repro.parallel.shm import SharedMatrix
+from repro.parallel.shm import AttachedMatrix, SharedMatrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,50 +71,24 @@ class TestInstall:
 
     def test_raise_mode_raises_and_records(self):
         sanitize.install("raise")
-        with pytest.raises(sanitize.SanitizeError, match="unmatched"):
-            sanitize.note_end_row_write("seg", 0)
-        assert [v.kind for v in sanitize.violations()] == ["seqlock.unmatched_end"]
+        sanitize.note_final_snapshot(7, 0)
+        with pytest.raises(sanitize.SanitizeError, match="absorbed twice"):
+            sanitize.note_final_snapshot(7, 0)
+        assert [v.kind for v in sanitize.violations()] == ["obs.double_final_snapshot"]
 
     def test_worker_reset_clears_inherited_state(self):
         sanitize.install("record")
         sanitize.note_segment_create("seg-a")
-        sanitize.note_begin_row_write("seg-b", 1)
+        sanitize.note_final_snapshot(7, 0)
         sanitize.worker_reset()
         assert sanitize.open_segments() == set()
-        assert sanitize.open_brackets() == {}
+        sanitize.note_final_snapshot(7, 0)  # the parent's shipment is forgotten
         assert sanitize.violations() == []
 
 
 # --------------------------------------------------------------------- #
 # the shared injected-violation corpus
 # --------------------------------------------------------------------- #
-
-
-def _runtime_nested_begin():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    try:
-        m.begin_row_write(1)
-        m.begin_row_write(1)  # reprolint: disable=RL001 -- injected violation
-        m.end_row_write(1)
-        m.end_row_write(1)
-    finally:
-        m.close()
-
-
-def _runtime_unmatched_end():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    try:
-        m.end_row_write(2)  # reprolint: disable=RL001 -- injected violation
-        with sanitize.suspended():
-            m.end_row_write(2)  # rebalance to even for the close
-    finally:
-        m.close()
-
-
-def _runtime_open_at_close():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    m.begin_row_write(0)  # reprolint: disable=RL001 -- injected violation
-    m.close()
 
 
 def _runtime_segment_leak():
@@ -163,70 +134,71 @@ def _runtime_double_final_snapshot():
             pool.close()
 
 
+def _write_row(dest, u, value):
+    """A helper writing straight into a matrix view, no bracket."""
+    dest.array[u] = value
+
+
+def _structural_unbracketed_write_in_callee():
+    m = SharedMatrix(4, 4, versioned=True, fill=0)
+    att = AttachedMatrix(m.handle)
+    try:
+        _write_row(att, 1, 5)  # what a worker holds: an attachment
+    finally:
+        att.close()
+        m.close()
+
+
+def _structural_nested_row_write():
+    m = SharedMatrix(4, 4, versioned=True, fill=0)
+    try:
+        with m.row_write(1):
+            with m.row_write(1):
+                pass
+    finally:
+        m.close()
+
+
+def _structural_unmatched_end():
+    m = SharedMatrix(4, 4, versioned=True, fill=0)
+    try:
+        m.end_row_write(2)
+    finally:
+        m.close()
+
+
 @dataclass
 class Case:
-    """One injected violation and the layer(s) contracted to catch it."""
+    """One injected violation and how it is stopped."""
 
     name: str
-    layers: "frozenset[str]"
-    static_path: "str | None" = None  # pretend path for path-scoped rules
+    layers: "frozenset[str]"  # "static" / "runtime" catch it; "structural": unwritable
     static_fixture: "str | None" = None  # file in tests/analysis/fixtures
     static_rules: "frozenset[str]" = field(default_factory=frozenset)
     runtime: "object" = None  # callable run under record mode
     runtime_kinds: "frozenset[str]" = field(default_factory=frozenset)
+    attempt: "object" = None  # structural: the callable that must raise ...
+    raises: "type[BaseException] | None" = None  # ... this
 
 
 CORPUS = [
     Case(
-        name="unbracketed_write_in_callee",
-        layers=frozenset({"static"}),
-        static_fixture="rl008_bad.py",
-        static_path="src/repro/under_test.py",
-        static_rules=frozenset({"RL008"}),
-    ),
-    Case(
         name="literal_reseed_in_helper",
         layers=frozenset({"static"}),
         static_fixture="rl009_bad.py",
-        static_path="src/repro/under_test.py",
         static_rules=frozenset({"RL009"}),
     ),
     Case(
         name="blocking_in_retry_loop",
         layers=frozenset({"static"}),
         static_fixture="rl011_bad.py",
-        static_path="src/repro/under_test.py",
         static_rules=frozenset({"RL011"}),
     ),
     Case(
         name="leaked_shm_segment",
-        layers=frozenset({"static", "runtime"}),
-        static_fixture="rl010_bad.py",
-        static_path="src/repro/under_test.py",
-        static_rules=frozenset({"RL010"}),
+        layers=frozenset({"runtime"}),
         runtime=_runtime_segment_leak,
         runtime_kinds=frozenset({"shm.leak"}),
-    ),
-    Case(
-        name="bracket_open_at_close",
-        layers=frozenset({"static", "runtime"}),
-        # The static half is per-file RL001 (begin not followed by
-        # try/finally); the runtime half is the close-time state machine.
-        static_fixture=None,
-        runtime=_runtime_open_at_close,
-        runtime_kinds=frozenset({"seqlock.open_at_close"}),
-    ),
-    Case(
-        name="nested_begin",
-        layers=frozenset({"runtime"}),
-        runtime=_runtime_nested_begin,
-        runtime_kinds=frozenset({"seqlock.nested_begin"}),
-    ),
-    Case(
-        name="unmatched_end",
-        layers=frozenset({"runtime"}),
-        runtime=_runtime_unmatched_end,
-        runtime_kinds=frozenset({"seqlock.unmatched_end"}),
     ),
     Case(
         name="leak_at_pool_close",
@@ -240,40 +212,49 @@ CORPUS = [
         runtime=_runtime_double_final_snapshot,
         runtime_kinds=frozenset({"obs.double_final_snapshot"}),
     ),
+    Case(
+        name="unbracketed_write_in_callee",
+        layers=frozenset({"structural"}),
+        attempt=_structural_unbracketed_write_in_callee,
+        raises=ValueError,  # versioned views are read-only
+    ),
+    Case(
+        name="nested_row_write",
+        layers=frozenset({"structural"}),
+        attempt=_structural_nested_row_write,
+        raises=ProtocolError,
+    ),
+    Case(
+        name="unmatched_end",
+        layers=frozenset({"structural"}),
+        attempt=_structural_unmatched_end,
+        raises=AttributeError,  # no public end-of-write call exists
+    ),
 ]
 
 
 class TestCorpus:
-    """Every injected violation is caught by its contracted layer(s)."""
+    """Every injected violation is caught by its layer(s) or cannot be written."""
 
     def test_every_case_declares_at_least_one_layer(self):
         for case in CORPUS:
             assert case.layers, case.name
-            assert case.layers <= {"static", "runtime"}, case.name
+            assert case.layers <= {"static", "runtime", "structural"}, case.name
+            if "static" in case.layers:
+                assert case.static_fixture and case.static_rules, case.name
             if "runtime" in case.layers:
-                assert case.runtime is not None, case.name
-            if "static" in case.layers and case.static_fixture is not None:
-                assert case.static_rules, case.name
+                assert case.runtime is not None and case.runtime_kinds, case.name
+            if "structural" in case.layers:
+                assert case.layers == {"structural"}, case.name
+                assert case.attempt is not None and case.raises is not None, case.name
 
     @pytest.mark.parametrize(
         "case", [c for c in CORPUS if "static" in c.layers], ids=lambda c: c.name
     )
     def test_static_layer_catches(self, case):
-        if case.static_fixture is not None:
-            source = (FIXTURES / case.static_fixture).read_text(encoding="utf-8")
-            findings = deep_lint_sources([(case.static_path, source)])
-            assert case.static_rules <= {f.rule for f in findings}, case.name
-        else:
-            # bracket_open_at_close: the per-file layer owns this shape.
-            source = (
-                "def broken(owner):\n"
-                "    owner.begin_row_write(0)\n"
-                "    owner.close()\n"
-            )
-            findings = lint_file(
-                "src/repro/under_test.py", [SeqlockBracketRule()], source=source
-            )
-            assert {f.rule for f in findings} == {"RL001"}
+        source = (FIXTURES / case.static_fixture).read_text(encoding="utf-8")
+        findings = deep_lint_sources([("src/repro/under_test.py", source)])
+        assert case.static_rules <= {f.rule for f in findings}, case.name
 
     @pytest.mark.parametrize(
         "case", [c for c in CORPUS if "runtime" in c.layers], ids=lambda c: c.name
@@ -286,6 +267,14 @@ class TestCorpus:
         assert case.runtime_kinds <= kinds, f"{case.name}: {kinds}"
 
     @pytest.mark.parametrize(
+        "case", [c for c in CORPUS if "structural" in c.layers], ids=lambda c: c.name
+    )
+    def test_unwritable_case_raises(self, case):
+        """No sanitizer needed: the API itself refuses the violation."""
+        with sanitize.suspended(), pytest.raises(case.raises):
+            case.attempt()
+
+    @pytest.mark.parametrize(
         "case", [c for c in CORPUS if c.layers == {"static"}], ids=lambda c: c.name
     )
     def test_static_only_cases_are_invisible_to_the_sanitizer(self, case):
@@ -296,45 +285,24 @@ class TestCorpus:
 
 
 # --------------------------------------------------------------------- #
-# worker-side enforcement, fork + spawn
+# worker-side traffic under the sanitizer
 # --------------------------------------------------------------------- #
 
 
 class TestWorkerSide:
-    @pytest.mark.parametrize("method", START_METHODS)
-    def test_nested_begin_caught_inside_real_workers(self, method, monkeypatch):
-        # spawn children install purely from the environment at package
-        # import; fork children inherit the parent's installed flag.
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        sanitize.install("raise")
-        with WorkerPool(workers=2, seed=11, start_method=method) as pool:
-            pool.matrix("d", 8, 8, versioned=True, fill=0)
-            ((active, caught, kinds),) = pool.run(
-                "sanitize_nested_begin", [("d", 3)], to=[0]
-            )
-        assert active is True
-        assert caught is not None and "nested_begin" in caught
-        assert "seqlock.nested_begin" in kinds
-
-    @pytest.mark.parametrize("method", START_METHODS)
-    def test_task_is_inert_when_sanitizer_is_off(self, method, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        with WorkerPool(workers=1, seed=11, start_method=method) as pool:
-            pool.matrix("d", 8, 8, versioned=True, fill=0)
-            ((active, caught, kinds),) = pool.run(
-                "sanitize_nested_begin", [("d", 3)], to=[0]
-            )
-            # The counter arithmetic rebalanced: the row must read clean.
-            owner = pool.matrix_owner("d")
-            assert int(owner.row_versions[3]) % 2 == 0
-        assert caught is None
-        assert kinds == []
-
     def test_clean_parallel_traffic_records_no_violations(self):
-        """Negative control: a correct bracketed workload under the
-        sanitizer produces zero violations."""
+        """Negative control: real row writes into versioned and plain
+        shared matrices under the sanitizer produce zero violations."""
         sanitize.install("record")
+        csr = path_graph(6).freeze()
         with WorkerPool(workers=2, seed=5, start_method=START_METHODS[0]) as pool:
+            pool.publish_csr("g", csr)
             pool.matrix("d", 6, 6, versioned=True, fill=-1)
-            pool.run("echo", [1, 2], to=[0, 1])
+            pool.matrix("s", 6, 6, fill=-1)
+            for out in ("d", "s"):
+                payloads = [("g", out, rows, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
+                assert pool.run("bfs_rows", payloads, to=[0, 1]) == [3, 3]
+            owner = pool.matrix_owner("d")
+            assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
+            assert all(int(v) == 2 for v in owner.row_versions[:6])
         assert sanitize.violations() == []

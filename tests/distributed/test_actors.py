@@ -143,6 +143,18 @@ class TestRouteEquivalence:
             with pytest.raises(NodeNotFound):
                 system.route(0, 10_000)
 
+    @pytest.mark.parametrize("source", [-1, N])
+    def test_out_of_range_source_rejected_like_served(self, source):
+        # -1 used to wrap around to row n-1 and "deliver" from there.
+        g = random_connected_gnp(N, 0.15, seed=1)
+        with ActorSystem(g, "kcover", shards=SHARDS) as system:
+            with pytest.raises(NodeNotFound):
+                route_served(system.service, source, 3)
+            with pytest.raises(NodeNotFound):
+                system.route(source, 3)
+            with pytest.raises(NodeNotFound):
+                route_actor(system, source, 3)
+
 
 class TestLiveness:
     def test_silent_peer_goes_suspect_after_hello_timeout(self):

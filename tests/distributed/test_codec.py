@@ -23,6 +23,9 @@ from repro.distributed import (
     wire_bytes,
 )
 from repro.distributed import codec
+from repro.distributed.metrics import WireStats
+from repro.dynamic import make_scenario
+from repro.dynamic.maintainer import SpannerMaintainer
 from repro.errors import ProtocolError
 
 SIM_MESSAGES = [
@@ -134,3 +137,25 @@ class TestRegistry:
             decode(b'{"k": "hello", "p": {}}')  # missing schema stamp
         with pytest.raises(ProtocolError):
             decode(b'{"s": "repro.wire/1", "k": "meteor", "p": {}}')  # unknown kind
+
+
+def test_bootstrap_frame_lands_in_a_finite_frame_bytes_bucket():
+    # The cold-start FullTopology is the biggest frame the actor tier
+    # sends; at n=1500 it is ~10^5 bytes, far past the 4096 ceiling of
+    # the count buckets the histogram used to borrow.
+    g = make_scenario("failure", 1500, 1, seed=20090525).initial
+    h = SpannerMaintainer(g).spanner.graph
+    frame = FullTopology(
+        origin=-1,
+        seq=1,
+        num_nodes=g.num_nodes,
+        g_edges=tuple(sorted(g.edges())),
+        h_edges=tuple(sorted(h.edges())),
+    )
+    size = wire_bytes(frame)
+    assert size > 4096
+    stats = WireStats()
+    stats.record_send(size, link_units(frame))
+    hist = stats.registry.histogram("wire.frame_bytes")
+    assert hist.count == 1 and hist.counts[-1] == 0  # nothing in overflow
+    assert hist.bounds[0] <= 64 and hist.bounds[-1] >= 4 * 2**20

@@ -1,24 +1,24 @@
 """Seqlock crash safety: a task raising mid-write must not wedge readers.
 
-The RL001 invariant (reprolint) in executable form.  ``begin_row_write``
-flips a row's version counter odd; only ``end_row_write`` makes it even
-again.  Before the try/finally brackets in ``_task_serve_rows`` /
-``_task_serve_tables``, a task raising between the two left the counter
-odd *forever* — and every subsequent seqlock read of that row spun its
-whole retry budget and died with :class:`TornReadError`.
+``row_write`` flips a row's version counter odd on entry and commits it
+(even again) in a ``finally`` on exit.  Before writes were bracketed that
+way, a task raising between the two flips left the counter odd *forever*
+— and every subsequent seqlock read of that row spun its whole retry
+budget and died with :class:`TornReadError`.
 
 ``crash_in_write`` (in the production ``TASKS`` registry, so ``spawn``
-workers resolve it after re-import) injects exactly that raise inside a
-bracket.  These tests pin, under both start methods:
+workers resolve it after re-import) raises inside ``row_write``.  These
+tests pin, under both start methods:
 
 * the failed task surfaces as :class:`WorkerError` in the parent;
-* the row version is even again afterwards (the ``finally`` ran);
+* the row version is even again afterwards (the ``finally`` ran) — also
+  for a raise inside ``row_write`` in this process;
 * readers — an in-process :class:`AttachedMatrix`, a
   :class:`RouteReader`, and a concurrent reader *process* — keep
   returning clean committed values promptly;
-* and the reason the brackets matter: a bracket left open really does
-  drive readers to :class:`TornReadError` (terminates, never spins
-  forever).
+* and why the commit matters: a row left odd (the state only a writer
+  *dying* inside ``row_write`` leaves) really does drive readers to
+  :class:`TornReadError` (terminates, never spins forever).
 """
 
 import multiprocessing
@@ -27,7 +27,7 @@ import pytest
 
 from repro.errors import TornReadError
 from repro.parallel import WorkerError, WorkerPool
-from repro.parallel.shm import AttachedMatrix, SharedDirectory
+from repro.parallel.shm import AttachedMatrix, SharedDirectory, SharedMatrix
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -128,20 +128,40 @@ class TestCrashInsideWriteBracket:
                 directory.close()
 
 
+def test_raise_inside_row_write_commits_the_row():
+    """The in-process twin of ``crash_in_write``: the body raises, the
+    exception propagates, and the version is even again — for the owner
+    and for an attachment alike."""
+    m = SharedMatrix(4, 4, versioned=True, fill=7)
+    att = AttachedMatrix(m.handle)
+    try:
+        for writer in (m, att):
+            with pytest.raises(RuntimeError, match="boom"):
+                with writer.row_write(2) as row:
+                    row[:2] = 9
+                    raise RuntimeError("boom")
+            assert int(m.row_versions[2]) % 2 == 0
+        assert att.read_row(2).tolist() == [9, 9, 7, 7]  # committed as left
+        assert att.torn_retries == 0
+    finally:
+        att.close()
+        m.close()
+
+
 def test_unbalanced_bracket_reaches_torn_read_error():
-    """The counter-factual: an open bracket must *terminate* readers.
+    """The counter-factual: a row left odd must *terminate* readers.
 
     With the retry budget shrunk via the ``read_retries`` tuning knob (the
     production 200k takes ~20s of backoff), a reader of a row whose writer
-    died mid-bracket raises TornReadError instead of spinning forever —
-    the contract the crash-safety brackets exist to avoid triggering.
+    died inside ``row_write`` raises TornReadError instead of spinning
+    forever — the state ``row_write``'s commit-on-exit never leaves behind.
     """
     from repro import tuning
 
     with tuning.overridden(read_retries=2048), WorkerPool(1) as pool:
         pool.matrix("m", 4, 4, fill=7, versioned=True)
         owner = pool.matrix_owner("m")
-        owner.begin_row_write(2)  # simulate a writer that died mid-bracket
+        owner.row_versions[2] += 1  # simulate a writer that died mid-write
         try:
             attached = AttachedMatrix(owner.handle)
             try:
@@ -151,4 +171,4 @@ def test_unbalanced_bracket_reaches_torn_read_error():
             finally:
                 attached.close()
         finally:
-            owner.end_row_write(2)
+            owner.row_versions[2] += 1

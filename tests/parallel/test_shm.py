@@ -3,16 +3,34 @@
 The data plane's contract is byte-level: an attached snapshot must be
 indistinguishable from the original (``share()``/``attach()`` round-trip),
 and a delta publish must leave attached readers seeing exactly the new
-snapshot while shipping fewer bytes than a full rewrite.
+snapshot while shipping fewer bytes than a full rewrite.  Versioned rows
+are written only through ``row_write`` (:class:`TestRowWrite`).
 """
+
+import ast
+import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import ParameterError
+from repro.analysis import sanitize
+from repro.errors import ParameterError, ProtocolError
 from repro.graph import CSRGraph, Graph, bfs_distances
 from repro.graph.generators import gnp_random_graph, path_graph, random_connected_gnp
-from repro.parallel import AttachedMatrix, SharedCSR, SharedMatrix, attach_csr
+from repro.parallel import (
+    AttachedMatrix,
+    SharedCSR,
+    SharedMatrix,
+    WorkerError,
+    WorkerPool,
+    attach_csr,
+)
+
+START_METHODS = [
+    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
+]
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -222,8 +240,8 @@ class TestVersionedMatrix:
         try:
             assert m.handle.versions_name is None
             assert m.row_versions is None
-            m.begin_row_write(1)  # no-ops, not errors
-            m.end_row_write(1)
+            with m.row_write(1) as row:  # no counters to flip, not an error
+                row[:] = 4
             att = AttachedMatrix(m.handle)
             assert att.versions is None
             assert (att.read_row(0) == m.array[0]).all()
@@ -236,10 +254,9 @@ class TestVersionedMatrix:
         try:
             att = AttachedMatrix(m.handle)
             assert int(att.versions[2]) == 0
-            att.begin_row_write(2)
-            assert int(att.versions[2]) == 1  # odd: in progress
-            att.array[2] = 7
-            att.end_row_write(2)
+            with att.row_write(2) as row:
+                assert int(att.versions[2]) == 1  # odd: in progress
+                row[:] = 7
             assert int(att.versions[2]) == 2  # even: committed
             assert (att.read_row(2) == 7).all()
             assert att.read_cell(2, 3) == 7
@@ -255,15 +272,17 @@ class TestVersionedMatrix:
         m = SharedMatrix(4, 4, versioned=True, fill=0)
         try:
             att = AttachedMatrix(m.handle)
-            m.begin_row_write(1)  # writer holds row 1 (odd version)
-            m.array[1] = 99
+            holding = threading.Event()
 
-            def commit_soon():
-                time.sleep(0.05)
-                m.end_row_write(1)
+            def write_slowly():
+                with m.row_write(1) as out:  # writer holds row 1 (odd version)
+                    out[:] = 99
+                    holding.set()
+                    time.sleep(0.05)
 
-            t = threading.Thread(target=commit_soon)
+            t = threading.Thread(target=write_slowly)
             t.start()
+            assert holding.wait(timeout=10)
             row = att.read_row(1)  # must spin until the commit, then succeed
             t.join()
             assert (row == 99).all()
@@ -274,14 +293,12 @@ class TestVersionedMatrix:
 
     def test_dead_writer_surfaces_as_torn_read_error(self):
         from repro import tuning
-        from repro.analysis import sanitize
         from repro.errors import TornReadError
 
         m = SharedMatrix(3, 3, versioned=True, fill=0)
         try:
             att = AttachedMatrix(m.handle)
-            with sanitize.suspended():  # deliberate dead-writer injection
-                m.begin_row_write(0)  # never committed
+            m.row_versions[0] += 1  # a writer that died inside row_write
             with tuning.overridden(read_retries=50):
                 with pytest.raises(TornReadError):
                     att.read_row(0)
@@ -294,8 +311,8 @@ class TestVersionedMatrix:
     def test_reallocation_carries_the_counters_forward(self):
         m = SharedMatrix(3, 3, capacity_rows=3, capacity_cols=3, versioned=True)
         try:
-            m.begin_row_write(2)
-            m.end_row_write(2)
+            with m.row_write(2):
+                pass
             old_versions_name = m.handle.versions_name
             assert m.resize(8, 8, fill=-1) is True
             assert m.handle.versions_name != old_versions_name
@@ -303,6 +320,185 @@ class TestVersionedMatrix:
             assert int(m.row_versions[7]) == 0
         finally:
             m.close()
+
+
+def _nested_write_child(handle, out_q) -> None:
+    """Worker-process body: a nested ``row_write`` on one attached row."""
+    att = AttachedMatrix(handle)
+    try:
+        with att.row_write(3):
+            with att.row_write(3):
+                pass
+    except ProtocolError as exc:
+        out_q.put(("ProtocolError", str(exc), sanitize.active))
+    else:  # pragma: no cover - surfaced by the assert
+        out_q.put(("no error", "", sanitize.active))
+    finally:
+        att.close()
+
+
+#: Names only ``parallel/shm.py`` may use: spellings of the raw seqlock
+#: bracket and the writable-view hooks behind ``row_write``.
+_BRACKET_NAMES = frozenset(
+    {
+        "begin_row_write",
+        "end_row_write",
+        "_begin_row_write",
+        "_end_row_write",
+        "_writable",
+        "_versions",
+    }
+)
+_COUNTER_VIEWS = frozenset({"row_versions", "versions"})
+
+
+def _bracket_uses(tree: ast.AST) -> "list[int]":
+    """Lines of *tree* that touch the bracket outside ``row_write``: a
+    bracket-name reference, or a store into a row-version counter view."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _BRACKET_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in _BRACKET_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for tgt in targets:
+                base = tgt.value if isinstance(tgt, ast.Subscript) else None
+                if isinstance(base, ast.Attribute) and base.attr in _COUNTER_VIEWS:
+                    lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestRowWrite:
+    """``with m.row_write(u) as row:`` is the only way to write a versioned row."""
+
+    def test_versioned_array_is_read_only(self):
+        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        att = AttachedMatrix(m.handle)
+        try:
+            for view in (m.array, att.array):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[1, 2] = 5
+                with pytest.raises(ValueError, match="read-only"):
+                    view[1] = 5
+            with att.row_write(1) as row:
+                row[2] = 5
+            assert m.array[1, 2] == 5 and att.read_cell(1, 2) == 5
+            assert int(m.row_versions[1]) == 2
+        finally:
+            att.close()
+            m.close()
+
+    def test_pool_hands_out_read_only_versioned_views(self):
+        with WorkerPool(1, start_method=START_METHODS[0]) as pool:
+            versioned = pool.matrix("d", 3, 3, fill=0, versioned=True)
+            plain = pool.matrix("s", 3, 1, fill=0)
+            with pytest.raises(ValueError, match="read-only"):
+                versioned[0, 0] = 1
+            plain[0, 0] = 1  # unversioned: writable as before
+            assert pool.matrix_owner("s").array[0, 0] == 1
+
+    def test_unversioned_row_write_is_a_plain_row_view(self):
+        m = SharedMatrix(3, 4, fill=0)
+        try:
+            assert m.array.flags.writeable
+            with m.row_write(2) as row:
+                row[:] = 8
+            with pytest.raises(RuntimeError):
+                with m.row_write(1) as row:
+                    row[0] = 6
+                    raise RuntimeError("no counters to restore")
+            with m.row_write(0):
+                with m.row_write(0):  # nesting is harmless without counters
+                    pass
+            assert m.array.tolist() == [[0] * 4, [6, 0, 0, 0], [8] * 4]
+        finally:
+            m.close()
+
+    def test_nested_row_write_raises(self):
+        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        att = AttachedMatrix(m.handle)
+        try:
+            for outer, inner in ((m, m), (m, att), (att, att)):
+                with outer.row_write(3) as row:
+                    row[:] = 1
+                    with pytest.raises(ProtocolError, match="already mid-write"):
+                        with inner.row_write(3):
+                            pass  # pragma: no cover - entry raises
+                    assert int(m.row_versions[3]) % 2 == 1  # still held, not flipped
+                assert int(m.row_versions[3]) % 2 == 0
+            assert att.read_row(3).tolist() == [1, 1, 1, 1]
+        finally:
+            att.close()
+            m.close()
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_nested_row_write_raises_inside_worker_processes(self, method, monkeypatch):
+        # The check is part of row_write itself, not the sanitizer: it
+        # fires in fresh fork and spawn processes with REPRO_SANITIZE unset.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitize.uninstall()
+        ctx = multiprocessing.get_context(method)
+        m = SharedMatrix(8, 8, versioned=True, fill=0)
+        try:
+            out_q = ctx.SimpleQueue()
+            proc = ctx.Process(target=_nested_write_child, args=(m.handle, out_q))
+            proc.start()
+            kind, message, sanitizer_on = out_q.get()
+            proc.join(timeout=30)
+            assert kind == "ProtocolError" and "already mid-write" in message
+            assert sanitizer_on is False
+            assert proc.exitcode == 0
+            assert int(m.row_versions[3]) == 2  # the outer write committed
+        finally:
+            m.close()
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_pool_worker_refuses_a_row_already_mid_write(self, method, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitize.uninstall()
+        with WorkerPool(1, start_method=method) as pool:
+            pool.matrix("d", 8, 8, versioned=True, fill=0)
+            owner = pool.matrix_owner("d")
+            with owner.row_write(3):
+                with pytest.raises(WorkerError, match="ProtocolError"):
+                    pool.run("crash_in_write", [("d", 3)])
+            assert int(owner.row_versions[3]) == 2
+            with pytest.raises(WorkerError, match="injected crash"):
+                pool.run("crash_in_write", [("d", 3)])  # a fresh write proceeds
+            assert int(owner.row_versions[3]) == 4
+
+    def test_bracket_primitives_are_unreachable_outside_shm(self):
+        for cls in (SharedMatrix, AttachedMatrix):
+            assert not hasattr(cls, "begin_row_write")
+            assert not hasattr(cls, "end_row_write")
+        shm_module = REPO_ROOT / "src" / "repro" / "parallel" / "shm.py"
+        offenders = []
+        scanned = 0
+        for top in ("src", "benchmarks", "scripts"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                if path == shm_module:
+                    continue
+                scanned += 1
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                offenders += [f"{path.relative_to(REPO_ROOT)}:{n}" for n in _bracket_uses(tree)]
+        assert scanned > 50
+        assert offenders == [], "raw seqlock bracket outside shm.py: " + ", ".join(offenders)
+        assert _bracket_uses(ast.parse(shm_module.read_text(encoding="utf-8")))  # scan sees it
+
+    def test_bracket_scan_flags_every_spelling(self):
+        source = (
+            "m.begin_row_write(u)\n"
+            "m._end_row_write(u)\n"
+            "row = m._writable()[u]\n"
+            "m.row_versions[u] += 1\n"
+            "att.versions[u] = 0\n"
+            "with m.row_write(u) as row:\n"
+            "    row[:] = 1\n"
+            "x = m.row_versions[u]\n"
+        )
+        assert _bracket_uses(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
 class TestSharedDirectory:
