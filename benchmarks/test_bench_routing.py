@@ -16,22 +16,33 @@ acceptance bars of the dynamic serving layer (PR 3):
   must beat the per-destination-BFS reference by ≥ 3× at n ≥ 1500;
 * the incremental tables of :class:`~repro.dynamic.RoutingService` must
   beat recompute-per-event by ≥ 5× over a 100-event churn stream at
-  n ≥ 1500 — while staying bit-identical to from-scratch tables.
+  n ≥ 1500 — while staying bit-identical to from-scratch tables;
+* repairing the dirty distance rows from the tick's net ΔH
+  (:func:`~repro.graph.repair_rows`) must beat re-running a batched BFS
+  on the same rows by ≥ 5× on a node-churn stream at n = 1500 — with
+  identical rows.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.analysis import render_table
 from repro.baselines import simulate_blind_flooding, simulate_mpr_flooding
 from repro.core import build_k_connecting_spanner, build_remote_spanner
-from repro.dynamic import RoutingService, SpannerMaintainer, failure_recovery_scenario
+from repro.dynamic import (
+    RoutingService,
+    SpannerMaintainer,
+    failure_recovery_scenario,
+    make_scenario,
+)
+from repro.dynamic.serving import dirty_rows
 from repro.experiments import largest_component, scaled_udg
-from repro.graph import sample_pairs
+from repro.graph import batched_bfs, repair_rows, sample_pairs
 from repro.routing import (
     full_link_state_cost,
     route_all_pairs_stats,
@@ -43,11 +54,14 @@ from repro.routing import (
 #: Serving-layer acceptance bars (ISSUE 3).
 REQUIRED_TABLE_SPEEDUP = 5.0  # incremental tables vs recompute-per-event
 REQUIRED_KERNEL_SPEEDUP = 3.0  # neighbor-sourced kernel vs per-destination scan
+REQUIRED_REPAIR_SPEEDUP = 5.0  # row repair vs batched BFS on the same dirty rows
 N_DYN = 1500
 NUM_EVENTS = 100
 KERNEL_SOURCES = 3  # sources timed per kernel (the scan is the slow part)
 REFRESH_SAMPLE = 3  # full-refresh timings averaged for the baseline
 DYN_SEED = 20090525
+REPAIR_EVENTS = 60  # node-churn events replayed for the row-repair bench
+REPAIR_TICK = 5  # events per coalesced tick
 
 
 @pytest.fixture(scope="module")
@@ -254,4 +268,74 @@ def test_incremental_tables_vs_recompute(dyn_scenario, record, results_dir, benc
     assert speedup >= REQUIRED_TABLE_SPEEDUP, (
         f"incremental tables only {speedup:.2f}x faster than recompute-per-event "
         f"(need ≥ {REQUIRED_TABLE_SPEEDUP}x): {payload}"
+    )
+
+
+def test_row_repair_vs_bfs(record, results_dir):
+    """Row repair vs a batched BFS of the same dirty rows — ≥ 5×."""
+    sc = make_scenario("nodechurn", N_DYN, REPAIR_EVENTS, seed=DYN_SEED)
+    service = RoutingService(sc.initial, "kcover")
+    deltas = []
+    service.subscribe(deltas.append)
+    events = list(sc.events)
+    t_repair = t_bfs = 0.0
+    rows_total = entries_total = ticks = 0
+    per_row = []
+    for lo in range(0, len(events), REPAIR_TICK):
+        old = service._dist.copy()
+        service.apply_batch(events[lo : lo + REPAIR_TICK])
+        delta = deltas[-1]
+        if not delta.changed or delta.rebuilt:
+            continue
+        n = service.num_nodes
+        before = np.full((n, n), -1, dtype=np.int32)
+        before[: old.shape[0], : old.shape[0]] = old
+        h = service.advertised.freeze()
+        rows = sorted(
+            w
+            for w in dirty_rows(before, service.advertised, delta.h_added, delta.h_removed)
+            if w < old.shape[0]
+        )
+        sw = obs.Stopwatch()
+        r, c, v = repair_rows(h, before, rows, delta.h_added, delta.h_removed)
+        t_repair += sw.elapsed()
+        sw = obs.Stopwatch()
+        fresh = np.array([row for _s, row in batched_bfs(h, rows, arrays=True)])
+        t_bfs += sw.elapsed()
+        before[r, c] = v
+        assert np.array_equal(before[rows], fresh), "repaired rows differ from BFS"
+        assert np.array_equal(fresh, service._dist[rows]), "served rows differ from BFS"
+        ticks += 1
+        rows_total += len(rows)
+        entries_total += int(r.size)
+        per_row.extend(np.bincount(np.searchsorted(rows, r), minlength=len(rows)).tolist())
+    assert ticks > 0 and rows_total > 0
+    speedup = t_bfs / t_repair
+    payload = {
+        "graph": {"n": sc.initial.num_nodes, "kind": "udg-nodechurn", "seed": DYN_SEED},
+        "events": REPAIR_EVENTS,
+        "tick": REPAIR_TICK,
+        "ticks_measured": ticks,
+        "dirty_rows_per_tick": round(rows_total / ticks, 1),
+        "changed_entries_per_dirty_row": {
+            "mean": round(entries_total / rows_total, 2),
+            "median": float(np.median(per_row)),
+        },
+        "ms_per_tick_repair": round(t_repair / ticks * 1e3, 2),
+        "ms_per_tick_bfs": round(t_bfs / ticks * 1e3, 2),
+        "speedup_repair_vs_bfs": round(speedup, 2),
+        "required_speedup": REQUIRED_REPAIR_SPEEDUP,
+    }
+    _merge_artifact(results_dir, "row_repair", payload)
+    record(
+        "bench_routing_row_repair",
+        f"row repair n={sc.initial.num_nodes} nodechurn, {REPAIR_TICK}-event ticks: "
+        f"{payload['dirty_rows_per_tick']} dirty rows/tick, "
+        f"{payload['changed_entries_per_dirty_row']['mean']} changed entries/row; "
+        f"repair {payload['ms_per_tick_repair']} ms/tick vs BFS "
+        f"{payload['ms_per_tick_bfs']} ms/tick -> {speedup:.1f}x",
+    )
+    assert speedup >= REQUIRED_REPAIR_SPEEDUP, (
+        f"row repair only {speedup:.2f}x faster than batched BFS "
+        f"(need ≥ {REQUIRED_REPAIR_SPEEDUP}x): {payload}"
     )

@@ -39,6 +39,7 @@ METRICS = [
         ("incremental_tables", "speedup_incremental_vs_recompute"),
         "incremental tables",
     ),
+    ("BENCH_routing.json", ("row_repair", "speedup_repair_vs_bfs"), "row repair vs BFS"),
     ("BENCH_parallel.json", ("sharded_repair", "speedup_4_vs_1"), "sharded repair 4v1"),
     ("BENCH_queries.json", ("query_throughput", "speedup_served_vs_bfs"), "served queries"),
     ("BENCH_lint.json", ("deep_lint", "files_per_second"), "deep lint throughput"),

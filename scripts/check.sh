@@ -158,6 +158,11 @@ print(
     f"{r['incremental_tables']['speedup_incremental_vs_recompute']}x "
     f"(required {r['incremental_tables']['required_speedup']}x)"
 )
+print(
+    f"row repair speedup vs batched BFS on the same dirty rows: "
+    f"{r['row_repair']['speedup_repair_vs_bfs']}x "
+    f"(required {r['row_repair']['required_speedup']}x)"
+)
 sharded = p["sharded_repair"]
 curve = ", ".join(
     f"W={w}: {s['events_per_second']} ev/s" for w, s in sharded["workers"].items()

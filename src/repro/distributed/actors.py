@@ -19,12 +19,14 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   are *repaired from the net delta* accumulated since the last repair
   (link-state style: LSDB update → partial SPF → next-hop table): the
   certified :func:`~repro.dynamic.serving.dirty_rows` test the serial
-  service runs, restricted to the held rows, picks the rows to re-BFS,
-  rows that became held get a fresh BFS, and only damaged owned tables
-  are re-projected.  Same inputs, same kernels (``batched_bfs`` +
-  ``project_table_row``), same certified dirty set — so a converged
-  actor's rows are bit-for-bit the service's rows, which the
-  convergence property suite asserts;
+  service runs, restricted to the held rows, picks the rows to repair,
+  :func:`~repro.graph.traversal.repair_rows` relabels only their moved
+  entries, rows that became held get a fresh BFS, and only damaged owned
+  tables are re-projected.  Same inputs, same kernels (``repair_rows``
+  for dirty rows, ``batched_bfs`` for fresh ones, ``project_table_row``
+  for tables), same certified dirty set — so a converged actor's rows
+  are bit-for-bit the service's rows, which the convergence property
+  suite asserts;
 * actors sit on a **ring overlay**: updates enter at ``seq % shards``
   and flood both directions with TTL + loop-window headers, HELLO
   beacons carry applied sequence numbers between ring neighbors
@@ -61,7 +63,8 @@ import numpy as np
 from .. import obs
 from ..dynamic.serving import RoutingService, ServeDelta, dirty_rows
 from ..errors import NodeNotFound, ParameterError, ProtocolError
-from ..graph import Graph, batched_bfs
+from ..graph import Graph, batched_bfs, repair_rows
+from ..graph.traversal import row_changes
 from ..routing.greedy_routing import RouteResult
 from ..routing.tables import project_table_row
 from .transport import LoopbackTransport, Transport
@@ -180,8 +183,9 @@ class ShardActor:
         mirroring :meth:`RoutingService.refresh`.  Otherwise the rows are
         repaired from the net delta since the last repair: the certified
         :func:`~repro.dynamic.serving.dirty_rows` test over the rows held
-        before and after picks which to re-BFS, rows that became held get
-        a fresh BFS, and an owned table is re-projected only where its
+        before and after picks which to repair
+        (:func:`~repro.graph.traversal.repair_rows`), rows that became held
+        get a fresh BFS, and an owned table is re-projected only where its
         argmin inputs moved — its whole row when its G-star changed, the
         changed columns of its G-neighbors' rows otherwise.  Bit-identical
         to :class:`RoutingService`'s rows by construction: same inputs,
@@ -210,25 +214,37 @@ class ShardActor:
         held[_neighbor_spans(self.g.freeze(), owned)[0]] = True
         return held
 
-    def _bfs(self, rows: "list[int]", track=frozenset()) -> "tuple[list[int], list[np.ndarray]]":
-        """BFS *rows* on the replica H into ``dist``.
+    def _bfs(self, rows: "list[int]") -> None:
+        """BFS *rows* on the replica H into ``dist``."""
+        if rows:
+            for s, row in batched_bfs(self.h.freeze(), rows, arrays=True):
+                self.dist[s] = row
+        self._count_rows(0, len(rows))
 
-        Returns the rows of *track* that moved, with their
-        changed-destination masks.
-        """
+    def _repair_rows(
+        self, rows: "list[int]", h_added, h_removed
+    ) -> "tuple[list[int], list[np.ndarray]]":
+        """Repair held *rows* in ``dist`` from the net ΔH since the last
+        repair; returns the rows that moved, with their changed-destination
+        masks."""
         changed: "list[int]" = []
         masks: "list[np.ndarray]" = []
         if rows:
-            for s, row in batched_bfs(self.h.freeze(), rows, arrays=True):
-                if s in track:
-                    mask = row != self.dist[s]
-                    if mask.any():
-                        changed.append(s)
-                        masks.append(mask)
-                self.dist[s] = row
-        self.rows_recomputed += len(rows)
-        obs.inc("actors.rows_recomputed", len(rows))
+            moved = repair_rows(self.h.freeze(), self.dist, rows, h_added, h_removed)
+            self.dist[moved[0], moved[1]] = moved[2]
+            for s, cols, _vals in row_changes(*moved):
+                mask = np.zeros(self.dist.shape[1], dtype=bool)
+                mask[cols] = True
+                changed.append(s)
+                masks.append(mask)
+        self._count_rows(len(rows), 0)
         return changed, masks
+
+    def _count_rows(self, repaired: int, bfsed: int) -> None:
+        self.rows_recomputed += repaired + bfsed
+        obs.inc("actors.rows_recomputed", repaired + bfsed)
+        obs.inc("actors.rows_repaired", repaired)
+        obs.inc("actors.rows_bfs", bfsed)
 
     def _project(self, u: int, cols: "np.ndarray | None") -> None:
         project_table_row(self.dist, self.tables[u], sorted(self.g.neighbors(u)), u, cols)
@@ -280,11 +296,11 @@ class ShardActor:
         dirty = dirty_rows(
             self.dist, self.h, h_added, h_removed, rows=np.flatnonzero(held & was_held)
         )
+        changed, masks = self._repair_rows(sorted(dirty), h_added, h_removed)
         # A newly held row needs no damage mask: it became held because an
         # owned source gained a G-edge to it (or is itself new), and every
         # owned table that reads it had its G-star change — full damage.
-        fresh = np.flatnonzero(held & ~was_held).tolist()
-        changed, masks = self._bfs(sorted(dirty.union(fresh)), track=dirty)
+        self._bfs(np.flatnonzero(held & ~was_held).tolist())
         self.held = held
         # Damage, per owned table: its whole row when its G-star changed
         # (or it is new), else the OR of its changed neighbor rows' masks.

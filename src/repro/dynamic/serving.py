@@ -26,8 +26,13 @@ table damage decomposes exactly:
   edge is *improving* (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞ — it
   shortcuts).  One vectorized scan over the old matrix finds the dirty
   rows (:func:`dirty_rows`, which the distributed shard actors run too,
-  restricted to the rows they hold); one batched BFS on the new frozen H
-  recomputes exactly those.
+  restricted to the rows they hold).  Those rows are then *repaired*, not
+  re-run: :func:`~repro.graph.traversal.repair_rows` applies the same
+  alternative-parent argument per destination, relabelling only the
+  entries whose distance moved (removals on H − ΔH⁺, then insertions on
+  the new H, both in level order).  A full batched BFS stays for rows
+  with no old distances to repair from: the refresh path, rows of newly
+  joined ids, and rows a crashed writer left reset.
 * **tables** change only for sources with a dirty-row neighbor (their
   argmin inputs moved) or whose G-star itself changed (event endpoints,
   leavers and their former neighbors, joiners) — and within a table, only
@@ -66,18 +71,36 @@ speedup as ``BENCH_routing.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..errors import NodeNotFound, ParameterError
-from ..graph import Graph, batched_bfs
+from ..graph import Graph, batched_bfs, repair_rows
+from ..graph.traversal import orphaned_far_ends, repairable_rows, row_changes
 from ..routing.tables import _FAR, project_table_row
 from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
 
-__all__ = ["RoutingService", "ServeDelta", "ServeReport", "MemoryStats", "dirty_rows"]
+__all__ = [
+    "RoutingService",
+    "RowDelta",
+    "ServeDelta",
+    "ServeReport",
+    "MemoryStats",
+    "dirty_rows",
+]
+
+
+class RowDelta(NamedTuple):
+    """The net spanner delta one row repair applies (see
+    :func:`~repro.graph.traversal.repair_rows`), plus the id-space size
+    before it: rows of ids at or past ``old_n`` have nothing to repair."""
+
+    h_added: "tuple[tuple[int, int], ...]"
+    h_removed: "tuple[tuple[int, int], ...]"
+    old_n: int
 
 
 @dataclass(frozen=True)
@@ -121,7 +144,7 @@ class ServeReport:
     events: int  # events submitted
     changed: bool  # False when nothing (graph, H, tables) moved
     refreshed: bool  # True when the full-refresh fallback fired
-    dirty_rows: int  # H-distance rows recomputed (BFS runs)
+    dirty_rows: int  # H-distance rows brought up to date (repaired or BFSed)
     dirty_tables: int  # per-source tables re-argmin'd
     entries_updated: int  # table cells whose next hop actually changed
     seconds: float  # time spent inside apply/apply_batch proper
@@ -514,9 +537,15 @@ class RoutingService:
         tables[:k, :k] = self._tables[:k, :k]
         self._tables = tables
 
-    def _recompute_rows(self, order: Iterable[int], track: bool = True) -> "dict[int, np.ndarray]":
-        """BFS-recompute the given D rows on the freshly frozen H.
+    def _recompute_rows(
+        self, order: Iterable[int], track: bool = True, delta: "RowDelta | None" = None
+    ) -> "dict[int, np.ndarray]":
+        """Bring the given D rows up to date on the freshly frozen H.
 
+        With the tick's net *delta*, rows holding the old distances are
+        repaired (:func:`~repro.graph.traversal.repair_rows`: only moved
+        entries change); the rest — every row when *delta* is ``None``
+        (the refresh path), rows of ids joined in the tick — are BFSed.
         Returns ``{row: changed-destination mask}`` for rows that actually
         moved (empty when *track* is false — the refresh path needs no
         damage propagation).
@@ -524,10 +553,23 @@ class RoutingService:
         order = list(order)
         if not order:
             return {}
-        obs.inc("serve.rows_recomputed", len(order))
         h = self.advertised.freeze()
+        repair, bfs = ([], order) if delta is None else repairable_rows(
+            self._dist, order, delta.old_n
+        )
+        obs.inc("serve.rows_recomputed", len(order))
+        obs.inc("serve.rows_repaired", len(repair))
+        obs.inc("serve.rows_bfs", len(bfs))
+        n = self._dist.shape[1]
         changed: "dict[int, np.ndarray]" = {}
-        for s, new_row in batched_bfs(h, order, arrays=True):
+        if delta is not None and repair:
+            rows, cols, vals = repair_rows(h, self._dist, repair, delta.h_added, delta.h_removed)
+            self._dist[rows, cols] = vals
+            if track:
+                for s, moved, _vals in row_changes(rows, cols, vals):
+                    changed[s] = np.zeros(n, dtype=bool)
+                    changed[s][moved] = True
+        for s, new_row in batched_bfs(h, bfs, arrays=True):
             if track:
                 mask = new_row != self._dist[s]
                 if mask.any():
@@ -595,7 +637,9 @@ class RoutingService:
         dirty.update(new_nodes)
         if dirty:
             with obs.span("serving.recompute_rows"):
-                changed_cols = self._recompute_rows(sorted(dirty))
+                changed_cols = self._recompute_rows(
+                    sorted(dirty), delta=RowDelta(h_added, h_removed, old_dim)
+                )
         else:
             changed_cols = {}
         self.rows_recomputed += len(dirty)
@@ -646,7 +690,9 @@ def dirty_rows(
     Every test for row *w* reads only row *w*, so *rows* may restrict the
     analysis to a subset of rows — the only ones *d* needs to hold.  The
     serial service passes every row (``None``); a shard actor passes the
-    rows it holds (owned sources and their G-neighbors).
+    rows it holds (owned sources and their G-neighbors).  The removal test
+    is :func:`~repro.graph.traversal.orphaned_far_ends`, the same one that
+    seeds :func:`~repro.graph.traversal.repair_rows`.
     """
     n = d.shape[0]
     if n == 0 or (not h_added and not h_removed):
@@ -654,30 +700,19 @@ def dirty_rows(
     if rows is None:
         ids = None
         pick: "slice | np.ndarray" = slice(None)
-        pick_block: "slice | np.ndarray" = slice(None)
         count = n
     else:
         ids = np.asarray(rows, dtype=np.intp)
         if ids.size == 0:
             return set()
-        pick, pick_block, count = ids, ids[:, None], ids.size
+        pick, count = ids, ids.size
     dirty = np.zeros(count, dtype=bool)
+    for _far, orphaned in orphaned_far_ends(d, h, h_removed, ids):
+        dirty |= orphaned
     for x, y in h_removed:
-        dx = d[pick, x].astype(np.int64)
-        dy = d[pick, y].astype(np.int64)
-        for near, far, far_node in ((dx, dy, y), (dy, dx, x)):
-            tight = (near >= 0) & (near + 1 == far)
-            if not tight.any():
-                continue
-            alts = sorted(h.neighbors(far_node))
-            if alts:
-                block = d[pick_block, alts].astype(np.int64)
-                rescued = ((block >= 0) & (block + 1 == far[:, None])).any(axis=1)
-                tight &= ~rescued
-            dirty |= tight
         # Defensive: mixed reachability should be impossible for an old
         # H edge; treat it as dirty rather than provably clean.
-        dirty |= (dx < 0) != (dy < 0)
+        dirty |= (d[pick, x] < 0) != (d[pick, y] < 0)
     for x, y in h_added:
         dx = np.where(d[pick, x] < 0, _FAR, d[pick, x]).astype(np.int64)
         dy = np.where(d[pick, y] < 0, _FAR, d[pick, y]).astype(np.int64)

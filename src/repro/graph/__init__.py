@@ -21,6 +21,7 @@ from .traversal import (
     is_connected,
     multi_source_distances,
     path_to_root,
+    repair_rows,
     ring,
 )
 from .cache import (
@@ -61,6 +62,7 @@ __all__ = [
     "is_connected",
     "multi_source_distances",
     "path_to_root",
+    "repair_rows",
     "ring",
     "all_pairs_distances",
     "diameter",

@@ -28,6 +28,10 @@ or ``backend="csr"`` to force one (the property tests assert exact
 agreement between the two).  For per-node loops — every Algorithm 1–5
 construction, stretch certification, APSP — use :func:`batched_bfs`, which
 freezes once and amortizes buffer allocation across sources.
+
+When a graph changes by a small net delta, :func:`repair_rows` brings
+existing BFS rows up to date instead of re-running them: only the entries
+whose distance moved are relabelled, and only those are returned.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from .. import tuning
 from ..errors import ParameterError
 from .csr import CSRGraph
-from .graph import Graph
+from .graph import Graph, canonical_edge
 
 __all__ = [
     "bfs_distances",
@@ -53,6 +57,10 @@ __all__ = [
     "bounded_distance",
     "batched_bfs",
     "batched_bfs_parents",
+    "orphaned_far_ends",
+    "repair_rows",
+    "repairable_rows",
+    "row_changes",
     "connected_components",
     "is_connected",
 ]
@@ -642,6 +650,330 @@ def batched_bfs_parents(
         parent_rows = parent.reshape(b, n)
         for i, s in enumerate(src_list[lo : lo + b]):
             yield int(s), dist_rows[i].tolist(), parent_rows[i].tolist()
+
+
+# --------------------------------------------------------------------- #
+# incremental row repair
+# --------------------------------------------------------------------- #
+
+
+def orphaned_far_ends(
+    d: "np.ndarray",
+    h,
+    h_removed: "Iterable[tuple[int, int]]",
+    rows: "np.ndarray | None" = None,
+    exclude: "frozenset | set" = frozenset(),
+) -> Iterator["tuple[int, np.ndarray]"]:
+    """Yield ``(far, mask)``: where a removed edge orphaned its far endpoint.
+
+    *d* holds BFS rows on the graph before the delta, *h* is the graph
+    after it and *h_removed* the removed edges.  For each removed edge
+    and each orientation ``near → far``, ``mask[i]`` is set when the edge
+    was *tight* from row ``w`` (``d[w, near] + 1 == d[w, far]``: it lay on
+    a shortest path) and no surviving neighbor ``z`` of *far* in *h* is
+    an equally tight parent (``d[w, z] + 1 == d[w, far]``).  Edges in
+    *exclude* do not count as surviving.  Only orientations with a set
+    mask are yielded.
+
+    Row ``w`` is ``rows[i]`` (every row of *d* when *rows* is ``None``),
+    and every test reads only that row.
+    """
+    pick = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    for x, y in h_removed:
+        dx = d[pick, x].astype(np.int64)
+        dy = d[pick, y].astype(np.int64)
+        for near, far, far_node in ((dx, dy, y), (dy, dx, x)):
+            tight = (near >= 0) & (near + 1 == far)
+            hits = np.flatnonzero(tight)
+            if hits.size == 0:
+                continue
+            alts = sorted(
+                z for z in h.neighbors(far_node) if canonical_edge(z, far_node) not in exclude
+            )
+            if alts:
+                ids = hits if rows is None else pick[hits]
+                block = d[ids[:, None], alts]
+                tight[hits[(block + 1 == far[hits, None]).any(axis=1)]] = False
+            if tight.any():
+                yield far_node, tight
+
+
+def repairable_rows(d: "np.ndarray", rows: "Iterable[int]", old_n: int) -> "tuple[list, list]":
+    """Split *rows* into ``(repairable, needs_bfs)`` for :func:`repair_rows`.
+
+    A row can be repaired only when it holds the exact distances of the
+    graph before the delta.  Rows of ids at or past *old_n* (joined since)
+    have none, and a row whose own diagonal is not 0 is not a BFS row at
+    all: a crashed writer's row that was reset to −1 is one.  Both need a
+    full BFS.
+    """
+    rows = np.asarray(list(rows), dtype=np.int64)
+    if rows.size == 0:
+        return [], []
+    old = rows < old_n
+    ok = np.zeros(rows.size, dtype=bool)
+    ok[old] = d[rows[old], rows[old]] == 0
+    return rows[ok].tolist(), rows[~ok].tolist()
+
+
+_NEVER = np.iinfo(np.int64).max  # tentative distance of a not-yet-reached entry
+
+
+class _RowPatch:
+    """Sparse changes to BFS rows of a matrix, keyed ``row * n + node``.
+
+    The matrix itself is only read, through a flat view of its rows (no
+    copy, also for a row-strided view into a larger buffer).  The patch
+    holds sorted keys with their new values (−1 = unreachable) and answers
+    lookups over "matrix with the patch applied".
+    """
+
+    def __init__(self, d: "np.ndarray", n: int) -> None:
+        self.d, self.n = d, n
+        self.stride = d.strides[0] // d.itemsize
+        span = (d.shape[0] - 1) * self.stride + n
+        self.flat = np.lib.stride_tricks.as_strided(
+            d, shape=(span,), strides=(d.itemsize,), writeable=False
+        )
+        self.keys = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0, dtype=np.int64)
+
+    def old(self, keys: "np.ndarray") -> "np.ndarray":
+        if self.stride != self.n:
+            keys = keys + keys // self.n * (self.stride - self.n)
+        return self.flat[keys].astype(np.int64)
+
+    def cur(self, keys: "np.ndarray") -> "np.ndarray":
+        vals = self.old(keys)
+        pos, hit = _locate(self.keys, keys)
+        vals[hit] = self.vals[pos[hit]]
+        return vals
+
+    def assign(self, keys: "np.ndarray", vals) -> None:
+        """Set sorted unique *keys* to *vals*, replacing earlier values."""
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.int64), keys.shape)
+        pos, hit = _locate(self.keys, keys)
+        self.vals[pos[hit]] = vals[hit]
+        fresh = ~hit
+        at = np.searchsorted(self.keys, keys[fresh])
+        self.keys = np.insert(self.keys, at, keys[fresh])
+        self.vals = np.insert(self.vals, at, vals[fresh])
+
+    def expand(self, graph: "tuple[np.ndarray, np.ndarray]", keys: "np.ndarray"):
+        """``(neighbor keys, index into keys)`` of every edge out of *keys*."""
+        indptr, indices = graph
+        node = keys % self.n
+        starts = indptr[node]
+        counts = indptr[node + 1] - starts
+        total = int(counts.sum())
+        cum = np.cumsum(counts)
+        offs = np.repeat(starts - cum + counts, counts) + np.arange(total)
+        nbrs = np.repeat(keys - node, counts) + indices[offs]
+        return nbrs, np.repeat(np.arange(keys.size, dtype=np.int32), counts)
+
+
+def _locate(sorted_keys: "np.ndarray", keys: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
+    """``(position, found)`` of each of *keys* in the sorted *sorted_keys*."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=np.intp), np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def _without_edges(
+    indptr: "np.ndarray", indices: "np.ndarray", edges: "set[tuple[int, int]]"
+) -> "tuple[np.ndarray, np.ndarray]":
+    """CSR arrays of the graph minus *edges* (each must be present)."""
+    pos = []
+    for x, y in edges:
+        for a, b in ((x, y), (y, x)):
+            lo, hi = int(indptr[a]), int(indptr[a + 1])
+            at = lo + int(np.searchsorted(indices[lo:hi], b))
+            if at >= hi or indices[at] != b:
+                raise ParameterError(f"inserted edge {(x, y)} is not in the graph")
+            pos.append(at)
+    keep = np.ones(indices.size, dtype=bool)
+    keep[pos] = False
+    ends = np.fromiter((v for e in edges for v in e), dtype=np.int64)
+    dropped = np.cumsum(np.bincount(ends, minlength=indptr.size - 1))
+    mid = indptr.copy()
+    mid[1:] -= dropped
+    return mid, indices[keep]
+
+
+def repair_rows(
+    g,
+    d: "np.ndarray",
+    rows: "Iterable[int]",
+    h_added: "Iterable[tuple[int, int]]" = (),
+    h_removed: "Iterable[tuple[int, int]]" = (),
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Bring BFS rows up to date with a net edge delta; returns the changes.
+
+    ``d[w]`` must hold the exact distances from ``w`` (−1 = unreachable)
+    on the graph *before* the delta, for every ``w`` in *rows*; *g* is
+    the graph *after* it, ``h_added``/``h_removed`` the net delta
+    (ΔH⁺/ΔH⁻).  Columns of ids that did not exist before read −1, and
+    each row of *d* must be contiguous (it may be a view into a larger
+    buffer, as the shared serving matrices are).  Returns the changed entries as ``(rows, cols, values)`` arrays,
+    sorted by row, then column; applying them makes ``d[w]`` equal to
+    ``batched_bfs(g, [w])``.  *d* is only read.
+
+    Two phases, each in the style of dynamic BFS (Even–Shiloach,
+    Ramalingam–Reps), vectorized across rows on flat ``row * n + node``
+    keys like :func:`batched_bfs`:
+
+    * **deletions**, on ``g − ΔH⁺``: the seeds are the far endpoints that
+      :func:`orphaned_far_ends` reports (ΔH⁺ excluded as parents).  Level
+      by level, a child becomes *affected* when it has no unaffected tight
+      parent left.  The affected entries are then relabelled in level
+      order from their unaffected boundary (−1 where nothing reaches);
+    * **insertions**, on *g*: each ΔH⁺ edge that shortcuts an endpoint
+      seeds a decrease, and decreases propagate in level order.
+
+    Only entries whose distance moved are touched: working memory is
+    proportional to them (plus *rows*, and rows × |ΔH⁺| per chunk of
+    inserted edges), never rows × n.
+    """
+    csr = g if isinstance(g, CSRGraph) else g.freeze()
+    n = csr.num_nodes
+    rows = np.unique(np.fromiter(rows, dtype=np.int64))
+    plus = {canonical_edge(x, y) for x, y in h_added}
+    h_removed = list(h_removed)
+    if rows.size == 0 or not (plus or h_removed):
+        return rows[:0], rows[:0], np.empty(0, dtype=np.int32)
+    if d.shape[1] != n:
+        raise ParameterError(f"rows have {d.shape[1]} columns, the graph {n} nodes")
+    if d.strides[1] != d.itemsize:
+        raise ParameterError("repair_rows needs contiguous rows")
+    indptr, indices = csr.numpy_arrays()
+    patch = _RowPatch(d, n)
+    if h_removed:
+        mid = _without_edges(indptr, indices, plus) if plus else (indptr, indices)
+        _repair_deletions(patch, csr, mid, rows, h_removed, plus)
+    if plus:
+        _repair_insertions(patch, (indptr, indices), rows, sorted(plus))
+    keys, vals = patch.keys, patch.vals
+    moved = vals != patch.old(keys)
+    keys, vals = keys[moved], vals[moved]
+    return keys // n, keys % n, vals.astype(np.int32)
+
+
+def _repair_deletions(patch: _RowPatch, csr: CSRGraph, mid, rows, h_removed, plus) -> None:
+    """Phase 1: relabel the entries whose distance grew on ``g − ΔH⁺``."""
+    n = patch.n
+    seeds = [
+        rows[orphaned] * n + far
+        for far, orphaned in orphaned_far_ends(patch.d, csr, h_removed, rows, plus)
+    ]
+    if not seeds:
+        return
+    seeds = np.unique(np.concatenate(seeds))
+    levels = patch.old(seeds)
+    order = np.argsort(levels, kind="stable")
+    seeds, levels = seeds[order], levels[order]
+    # Cascade in level order: an entry at level L is affected iff it has no
+    # tight parent (level L − 1) outside the affected set — and the only
+    # affected entries at level L − 1 are the previous frontier.
+    found = []
+    frontier = seeds[:0]
+    level, i = int(levels[0]), 0
+    while True:
+        j = int(np.searchsorted(levels, level, side="right"))
+        cand = seeds[i:j]
+        i = j
+        if frontier.size:
+            kids, _ = patch.expand(mid, frontier)
+            cand = np.concatenate([cand, kids[patch.old(kids) == level]])
+        cand = np.unique(cand)
+        nbrs, owner = patch.expand(mid, cand)
+        parent = (patch.old(nbrs) == level - 1) & ~_locate(frontier, nbrs)[1]
+        frontier = cand[np.bincount(owner[parent], minlength=cand.size) == 0]
+        if frontier.size:
+            found.append(frontier)
+            level += 1
+        elif i < seeds.size:
+            level = int(levels[i])
+        else:
+            break
+    # Relabel from the boundary: tentative distance through the nearest
+    # unaffected neighbor, then settle level by level inside the set.
+    affected = np.sort(np.concatenate(found))
+    tent = np.full(affected.size, _NEVER, dtype=np.int64)
+    cuts = np.searchsorted(affected, rows[:: _batch_chunk()] * n).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [affected.size]):  # a chunk of rows at a time
+        nbrs, owner = patch.expand(mid, affected[lo:hi])
+        vals = patch.old(nbrs)
+        outside = (vals >= 0) & ~_locate(affected, nbrs)[1]
+        np.minimum.at(tent, lo + owner[outside], vals[outside] + 1)
+    done = np.zeros(affected.size, dtype=bool)
+    while True:
+        pending = ~done & (tent < _NEVER)
+        if not pending.any():
+            break
+        level = int(tent[pending].min())
+        now = np.flatnonzero(pending & (tent == level))
+        done[now] = True
+        nbrs, _ = patch.expand(mid, affected[now])
+        pos, inside = _locate(affected, nbrs)
+        pos = pos[inside]
+        pos = pos[~done[pos]]
+        tent[pos] = np.minimum(tent[pos], level + 1)
+    patch.assign(affected, np.where(tent < _NEVER, tent, UNREACHED))
+
+
+def _repair_insertions(patch: _RowPatch, full, rows, plus: "list[tuple[int, int]]") -> None:
+    """Phase 2: propagate the decreases the ΔH⁺ edges cause, on *g*."""
+    base = rows[:, None] * patch.n
+    keys, vals = [], []
+    for lo in range(0, len(plus), _batch_chunk()):
+        ends = np.asarray(plus[lo : lo + _batch_chunk()], dtype=np.int64)
+        kx = (base + ends[:, 0]).ravel()
+        ky = (base + ends[:, 1]).ravel()
+        vx, vy = patch.cur(kx), patch.cur(ky)
+        for k, here, there in ((ky, vy, vx), (kx, vx, vy)):
+            better = (there >= 0) & ((here < 0) | (here > there + 1))
+            keys.append(k[better])
+            vals.append(there[better] + 1)
+    seeds, levels = np.concatenate(keys), np.concatenate(vals)
+    if seeds.size == 0:
+        return
+    order = np.lexsort((levels, seeds))  # by key, then level
+    seeds, levels = seeds[order], levels[order]
+    first = np.append(True, seeds[1:] != seeds[:-1])  # each key's smallest level
+    seeds, levels = seeds[first], levels[first]
+    patch.assign(seeds, levels)
+    order = np.argsort(levels, kind="stable")
+    seeds, levels = seeds[order], levels[order]
+    frontier = seeds[:0]
+    level, i = int(levels[0]), 0
+    while True:
+        j = int(np.searchsorted(levels, level, side="right"))
+        due = seeds[i:j]
+        i = j
+        # A seed a shorter path has lowered since is settled already.
+        frontier = np.union1d(frontier, due[patch.cur(due) == level])
+        if frontier.size:
+            nbrs, _ = patch.expand(full, frontier)
+            now = patch.cur(nbrs)
+            frontier = np.unique(nbrs[(now < 0) | (now > level + 1)])
+            patch.assign(frontier, level + 1)
+            level += 1
+        elif i < seeds.size:
+            level = int(levels[i])
+        else:
+            break
+
+
+def row_changes(
+    rows: "np.ndarray", cols: "np.ndarray", vals: "np.ndarray"
+) -> Iterator["tuple[int, np.ndarray, np.ndarray]"]:
+    """Split :func:`repair_rows` output into ``(row, cols, values)`` per row."""
+    if rows.size == 0:
+        return
+    cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+    heads = rows[np.concatenate([[0], cuts])].tolist()
+    yield from zip(heads, np.split(cols, cuts), np.split(vals, cuts))
 
 
 # --------------------------------------------------------------------- #

@@ -174,26 +174,50 @@ def _task_bfs_rows(state: _WorkerState, payload):
 
 
 def _task_serve_rows(state: _WorkerState, payload):
-    """Recompute H-distance rows of the shared serving matrix.
+    """Bring H-distance rows of the shared serving matrix up to date.
 
-    ``payload = (h, dist, sources)`` — for each source (a row this worker's
-    shard owns) recompute the BFS row on the attached H snapshot, diff it
-    against the current shared row, overwrite it, and report
-    ``(source, packed-change-mask)`` for rows that actually moved — the
-    only bytes that cross the queue.  Each row is written inside
-    ``row_write``, so concurrent readers
-    (:class:`~repro.parallel.sharded.RouteReader`) never observe a torn row.
+    ``payload = (h, dist, sources, delta)`` — *sources* are rows this
+    worker's shard owns, *delta* the tick's
+    :class:`~repro.dynamic.serving.RowDelta` (net ΔH⁺/ΔH⁻ and the
+    id-space size before it) or ``None`` for a refresh.  Rows holding the
+    old distances are repaired on the attached H snapshot
+    (:func:`~repro.graph.traversal.repair_rows`), writing only the changed
+    columns; the rest — ids joined in the tick, rows a crashed writer left
+    reset to −1 (their diagonal is not 0), every row of a refresh — are
+    BFSed and diffed against the shared row.  Reports ``(source,
+    packed-change-mask)`` for rows that actually moved — the only bytes
+    that cross the queue.  Each row is written inside ``row_write``, so
+    concurrent readers (:class:`~repro.parallel.sharded.RouteReader`)
+    never observe a torn row.
+
+    Safe to re-run after a crash: a row the failed attempt already
+    committed holds the new distances, and repairing exact rows again
+    changes nothing.
     """
-    from ..graph.traversal import batched_bfs
+    from ..graph.traversal import batched_bfs, repair_rows, repairable_rows, row_changes
 
-    h_name, dist_name, sources = payload
-    obs.inc("serve.rows_recomputed", len(sources))
+    h_name, dist_name, sources, delta = payload
     with obs.span("pool.shard_repair"):
         h = state.csr(h_name)
         attached = state.matrices[dist_name]
         dist = attached.array
+        n = dist.shape[1]
+        repair, bfs = ([], sources) if delta is None else repairable_rows(
+            dist, sources, delta.old_n
+        )
+        obs.inc("serve.rows_recomputed", len(sources))
+        obs.inc("serve.rows_repaired", len(repair))
+        obs.inc("serve.rows_bfs", len(bfs))
         changed = []
-        for s, row in batched_bfs(h, sources, arrays=True):
+        if repair:
+            rows, cols, vals = repair_rows(h, dist, repair, delta.h_added, delta.h_removed)
+            for s, moved, new in row_changes(rows, cols, vals):
+                with attached.row_write(s) as dest:
+                    dest[moved] = new
+                mask = np.zeros(n, dtype=bool)
+                mask[moved] = True
+                changed.append((s, np.packbits(mask).tobytes()))
+        for s, row in batched_bfs(h, bfs, arrays=True):
             mask = row != dist[s]
             if mask.any():
                 changed.append((s, np.packbits(mask).tobytes()))
@@ -214,21 +238,22 @@ def _task_serve_tables(state: _WorkerState, payload):
 
     g_name, dist_name, tab_name, jobs = payload
     obs.inc("serve.tables_reprojected", len(jobs))
-    g = state.csr(g_name)
-    dist = state.matrix(dist_name)
-    attached = state.matrices[tab_name]
-    n = dist.shape[1]
-    entries_changed = 0
-    for u, packed in jobs:
-        if packed is None:
-            cols = None
-        else:
-            mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).astype(bool)
-            cols = np.flatnonzero(mask)
-        nbrs = g.neighbors_csr(u).tolist()  # sorted ascending == sorted(N_G(u))
-        with attached.row_write(u) as row:
-            entries_changed += project_table_row(dist, row, nbrs, u, cols)
-    return entries_changed
+    with obs.span("pool.shard_project"):
+        g = state.csr(g_name)
+        dist = state.matrix(dist_name)
+        attached = state.matrices[tab_name]
+        n = dist.shape[1]
+        entries_changed = 0
+        for u, packed in jobs:
+            if packed is None:
+                cols = None
+            else:
+                mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).astype(bool)
+                cols = np.flatnonzero(mask)
+            nbrs = g.neighbors_csr(u).tolist()  # sorted ascending == sorted(N_G(u))
+            with attached.row_write(u) as row:
+                entries_changed += project_table_row(dist, row, nbrs, u, cols)
+        return entries_changed
 
 
 def _task_tree_edges(state: _WorkerState, payload):
@@ -793,8 +818,12 @@ class WorkerPool:
         def fail(wids, message: str) -> "WorkerError":
             # Auto-reset before raising: the next run() restarts fresh
             # workers and replays shared state — no caller dance needed.
+            # With every worker stopped, a row left mid-write is torn for
+            # good: mend it now, or the next write to it is refused as
+            # nested.
             report = self._death_report(wids, outstanding)
             self._stop_workers(graceful=False)
+            self._repair_shared()
             return WorkerError(f"{message} [{report}]")
 
         def recover(wids, *, wedged: bool) -> None:

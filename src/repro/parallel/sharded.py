@@ -11,9 +11,11 @@ summaries:
 1. the parent runs the damage analysis of the base class unchanged
    (dirty-row certification against the old matrix, star damage, table
    damage masks) — it reads the same shared ``D`` the workers write;
-2. dirty rows fan out **shard-local**: each worker BFS-recomputes only the
-   rows it owns, writes them straight into shared ``D``, and sends back
-   just ``(row id, packed changed-destination mask)`` for rows that moved;
+2. dirty rows fan out **shard-local**: each worker repairs only the rows
+   it owns from the tick's net ΔH (:func:`~repro.graph.traversal.\
+repair_rows`; BFS for joined ids and refreshes), writes the changed
+   columns straight into shared ``D``, and sends back just ``(row id,
+   packed changed-destination mask)`` for rows that moved;
 3. damaged tables fan out shard-local the same way, each worker
    re-argmin-ing its own table rows in shared ``T`` via the exact kernel
    (:func:`~repro.routing.tables.project_table_row`) the serial service
@@ -260,14 +262,14 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             # committed state (the serial service passes through it too).
             self._publish_directory()
 
-    def _recompute_rows(self, order, track: bool = True) -> "dict[int, np.ndarray]":
+    def _recompute_rows(self, order, track: bool = True, delta=None) -> "dict[int, np.ndarray]":
         order = list(order)
         if not order:
             return {}
         h = self.advertised.freeze()
         self._pool.publish_csr(_H, h, dirty_rows=self._hints.pop(_H, None))
         buckets, to = self._shard(order)
-        payloads = [(_H, _DIST, bucket) for bucket in buckets]
+        payloads = [(_H, _DIST, bucket, delta) for bucket in buckets]
         respawns = self._pool.health.respawns
         results = self._pool.run("serve_rows", payloads, to=to)
         if not track:

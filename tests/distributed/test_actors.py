@@ -272,6 +272,12 @@ class TestIncrementalRepair:
         counters = obs.snapshot()["counters"]
         assert counters["actors.full_recomputes"] == SHARDS
         assert counters["actors.rows_recomputed"] == sum(a.rows_recomputed for a in system.actors)
+        # Every recomputed row was either repaired from ΔH or BFSed.
+        assert counters["actors.rows_repaired"] > 0
+        assert (
+            counters["actors.rows_repaired"] + counters["actors.rows_bfs"]
+            == counters["actors.rows_recomputed"]
+        )
         assert counters["actors.tables_reprojected"] == sum(
             a.tables_reprojected for a in system.actors
         )

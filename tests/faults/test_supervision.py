@@ -137,3 +137,21 @@ class TestTornRowRepair:
             owner = pool.matrix_owner("m")
             assert owner.row_versions is not None
             assert all(int(v) % 2 == 0 for v in owner.row_versions)
+
+    def test_quarantine_mends_the_row_its_last_victim_tore(self, monkeypatch):
+        # Every write crashes, respawns included, so the task is quarantined
+        # after three kills — and the third victim's row is left mid-write
+        # with no retry to come.  The pool must mend it before giving up:
+        # otherwise the next write to that row is refused as nested.
+        _arm(monkeypatch, FaultPlan("torn-always", 1, (FaultRule("write.crash", p=1.0),)))
+        with WorkerPool(1, start_method="fork") as pool:
+            pool.matrix("m", 4, 4, fill=7, versioned=True)
+            with pytest.raises(WorkerError, match="poison task"):
+                pool.run("crash_in_write", [("m", 1)])
+            assert pool.health.quarantined == 1
+            assert pool.health.torn_rows_repaired == 3
+            owner = pool.matrix_owner("m")
+            assert all(int(v) % 2 == 0 for v in owner.row_versions)
+            faults.uninstall()  # fork: the next workers start disarmed
+            with pytest.raises(WorkerError, match="injected crash"):
+                pool.run("crash_in_write", [("m", 1)])

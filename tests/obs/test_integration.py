@@ -10,11 +10,13 @@ from repro.distributed.metrics import SimStats
 from repro.dynamic import (
     RoutingService,
     failure_recovery_scenario,
+    make_scenario,
     serve_queries,
 )
 from repro.graph import sample_pairs
 from repro.graph.cache import cached_bfs_distances
 from repro.graph.generators import random_connected_gnp
+from repro.parallel import ShardedRoutingService
 
 
 def _small_service(n=80, events=6, seed=11):
@@ -46,6 +48,35 @@ class TestServeCounters:
             service.apply(ev)
         delta = obs.diff_snapshots(before, obs.snapshot())
         assert delta["counters"].get("serve.rows_recomputed", 0) > 0
+
+    def test_rows_split_into_repaired_and_bfs(self):
+        # Joins grow the id space (their rows are BFSed); every other dirty
+        # row is repaired from the net delta.  The total keeps its name.
+        sc = make_scenario("nodechurn", 60, 30, seed=4)
+        service = RoutingService(sc.initial, "kcover", rebuild_fraction=1.0)
+        before = obs.snapshot()
+        reports = service.apply_stream(sc.events, tick=3)
+        counters = obs.diff_snapshots(before, obs.snapshot())["counters"]
+        total = counters["serve.rows_recomputed"]
+        assert total == sum(r.dirty_rows for r in reports)
+        assert counters["serve.rows_repaired"] > 0
+        assert counters["serve.rows_bfs"] > 0
+        assert counters["serve.rows_repaired"] + counters["serve.rows_bfs"] == total
+
+    def test_sharded_rows_split_and_projection_span(self):
+        sc = make_scenario("nodechurn", 60, 30, seed=4)
+        with ShardedRoutingService(
+            sc.initial, "kcover", workers=2, rebuild_fraction=1.0
+        ) as service:
+            service.apply_stream(sc.events, tick=3)
+            shards = service.metrics()["shards"]
+        for snap in shards.values():
+            rows = snap["counters"]
+            assert rows["serve.rows_repaired"] + rows["serve.rows_bfs"] == rows[
+                "serve.rows_recomputed"
+            ]
+            assert snap["histograms"]["pool.shard_project.us"]["count"] > 0
+        assert sum(s["counters"]["serve.rows_repaired"] for s in shards.values()) > 0
 
     def test_cache_hit_and_miss_counters(self):
         g = random_connected_gnp(24, 0.2, seed=5)

@@ -19,14 +19,25 @@ tests pin, under both start methods:
 * and why the commit matters: a row left odd (the state only a writer
   *dying* inside ``row_write`` leaves) really does drive readers to
   :class:`TornReadError` (terminates, never spins forever).
+
+The incremental row repair is retry-safe too: a worker killed mid-way
+through the ``serve_rows`` stage leaves rows it already committed (exact
+new distances), one torn row the supervisor resets to −1, and untouched
+old rows.  The retried task repairs the first kind to a no-op, sends the
+torn row (its diagonal is no longer 0) to a full BFS, and repairs the
+rest — D and T end bit-identical to the serial twin.
 """
 
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro import faults, obs
+from repro.dynamic import RoutingService, make_scenario
 from repro.errors import TornReadError
-from repro.parallel import WorkerError, WorkerPool
+from repro.faults import FaultPlan, FaultRule
+from repro.parallel import ShardedRoutingService, WorkerError, WorkerPool
 from repro.parallel.shm import AttachedMatrix, SharedDirectory, SharedMatrix
 
 START_METHODS = [
@@ -172,3 +183,44 @@ def test_unbalanced_bracket_reaches_torn_read_error():
                 attached.close()
         finally:
             owner.row_versions[2] += 1
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_write_crash_mid_incremental_row_repair(method, monkeypatch):
+    """A torn write inside an incremental ``serve_rows`` stage heals exactly."""
+    sc = make_scenario("failure", 40, 20, seed=5)
+    n = sc.initial.num_nodes
+    # One worker: the build writes every D row and every T row (2n writes);
+    # the next write opportunity is the first tick's serve_rows stage, and
+    # the crash fires on its second row write, after one committed row.
+    plan = FaultPlan(
+        "torn-repair",
+        3,
+        (FaultRule("write.crash", p=1.0, count=1, after=2 * n + 1, fresh_only=True),),
+    )
+    monkeypatch.setenv(faults.ENV_GATE, "1")
+    monkeypatch.setenv(faults.ENV_PLAN, plan.spec())
+    faults.install(plan)
+    try:
+        serial = RoutingService(sc.initial, "kcover", rebuild_fraction=1.0)
+        before = obs.snapshot()
+        events = list(sc.events)
+        with ShardedRoutingService(
+            sc.initial, "kcover", workers=1, start_method=method, rebuild_fraction=1.0
+        ) as service:
+            for lo in range(0, len(events), 5):
+                serial.apply_batch(events[lo : lo + 5])
+                service.apply_batch(events[lo : lo + 5])
+                assert np.array_equal(np.asarray(service._dist), serial._dist)
+                assert np.array_equal(np.asarray(service._tables), serial._tables)
+            assert service.pool_health.respawns == 1
+            assert service.pool_health.torn_rows_repaired == 1
+            shards = service.metrics()["merged"]["counters"]
+        counters = obs.diff_snapshots(before, obs.snapshot())["counters"]
+        # The crash hit the row stage, not the table projection ...
+        assert counters.get("sharded.crash_full_damage", 0) == 1
+        # ... and the respawned worker repaired rows and BFSed the torn one.
+        assert shards.get("serve.rows_repaired", 0) > 0
+        assert shards.get("serve.rows_bfs", 0) >= 1
+    finally:
+        faults.uninstall()
