@@ -6,6 +6,10 @@
 #   SKIP_BENCH=1 ./scripts/check.sh    # tests + static analysis (e.g. on battery)
 #   BENCH_GUARD_SKIP=1 ./scripts/check.sh   # record benches, skip the guard
 #
+# Step 2 ends with perfbench's own smoke tests (`python -m pytest
+# perfbench`): they install every layer-tracer binding, so renaming or
+# dropping a traced module attribute fails here.
+#
 # Step 3 runs the traversal, dynamic-maintenance, routing-serving,
 # parallel-serving, query-serving, observability, lint-gate,
 # fault-recovery, wire-bytes and actor-tier micro-benchmarks and leaves
@@ -59,6 +63,9 @@ python -m pytest --collect-only -q tests > /dev/null
 
 echo "== [2/7] tier-1 test suite =="
 python -m pytest -q tests
+
+echo "-- perfbench smoke tests (the only run that installs every layer-tracer binding)"
+python -m pytest -q perfbench
 
 run_static_analysis() {
     echo "== [5/7] static analysis (reprolint shallow + deep; ruff/mypy when installed) =="

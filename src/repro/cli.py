@@ -879,7 +879,7 @@ def _cmd_distserve(args) -> int:
                 "links",
                 "recomputes",
                 "full",
-                "rows BFS'd",
+                "rows updated",
                 "converged",
                 "routes match",
             ],

@@ -20,13 +20,13 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   (link-state style: LSDB update → partial SPF → next-hop table): the
   certified :func:`~repro.dynamic.serving.dirty_rows` test the serial
   service runs, restricted to the held rows, picks the rows to repair,
-  :func:`~repro.graph.traversal.repair_rows` relabels only their moved
-  entries, rows that became held get a fresh BFS, and only damaged owned
-  tables are re-projected.  Same inputs, same kernels (``repair_rows``
-  for dirty rows, ``batched_bfs`` for fresh ones, ``project_table_row``
-  for tables), same certified dirty set — so a converged actor's rows
-  are bit-for-bit the service's rows, which the convergence property
-  suite asserts;
+  rows that became held get a fresh BFS, and only damaged owned tables
+  are re-projected.  The row and table work is the serial service's own
+  :class:`~repro.dynamic.serving.RowOwner` (``update_rows`` →
+  ``damage`` → ``project``) over the actor's arrays — same inputs, same
+  code, same certified dirty set — so a converged actor's rows are
+  bit-for-bit the service's rows, which the convergence property suite
+  asserts;
 * actors sit on a **ring overlay**: updates enter at ``seq % shards``
   and flood both directions with TTL + loop-window headers, HELLO
   beacons carry applied sequence numbers between ring neighbors
@@ -61,12 +61,18 @@ from dataclasses import replace
 import numpy as np
 
 from .. import obs
-from ..dynamic.serving import RoutingService, ServeDelta, dirty_rows
+from ..dynamic.serving import (
+    DenseRows,
+    RoutingService,
+    RowDelta,
+    RowOwner,
+    ServeDelta,
+    dirty_rows,
+    resized,
+)
 from ..errors import NodeNotFound, ParameterError, ProtocolError
-from ..graph import Graph, batched_bfs, repair_rows
-from ..graph.traversal import row_changes
+from ..graph import Graph
 from ..routing.greedy_routing import RouteResult
-from ..routing.tables import project_table_row
 from .transport import LoopbackTransport, Transport
 from .wire import (
     HELLO_TIMEOUT,
@@ -79,6 +85,11 @@ from .wire import (
     RouteReply,
 )
 
+# Bound here although RowOwner does the row and table work: perfbench's
+# layer tracer patches these two module attributes by name.
+from ..graph import batched_bfs  # noqa: F401
+from ..routing.tables import project_table_row  # noqa: F401
+
 __all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor"]
 
 #: Newest seqs the driver's resend log keeps beyond what every live actor
@@ -87,26 +98,18 @@ __all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor"]
 LOG_WINDOW = 8
 
 
-def _neighbor_spans(csr, rows: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
-    """``(neighbor ids, index into rows)`` of every edge out of *rows*."""
-    indptr, indices = csr.numpy_arrays()
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
-    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return indices[offsets], np.repeat(np.arange(rows.size), lens)
-
-
 class ShardActor:
     """One table shard: a persistent (G, H) replica plus the rows it holds.
 
     ``g``/``h`` are the replica, patched in place by every applied LSA.
     ``dist`` holds valid ``d_H`` rows exactly where ``held`` is set (the
     owned sources and their G-neighbors, as of the last repair);
-    ``tables`` holds the owned next-hop rows.  Both are n×n views of
-    buffers that only a compaction or id-space growth past their capacity
-    reallocates.  Between repairs the actor accumulates the net ΔH (a
-    flap cancels) and the G-star endpoints of every applied update, which
-    is all :meth:`recompute` needs.
+    ``tables`` holds the owned next-hop rows.  Both are n×n arrays that
+    only a change of the id space resizes (−1-padded, with the serial
+    service's :func:`~repro.dynamic.serving.resized`).  Between repairs
+    the actor accumulates the net ΔH (a flap cancels) and the G-star
+    endpoints of every applied update, which is all :meth:`recompute`
+    needs.
     """
 
     def __init__(self, ident: int, system: "ActorSystem") -> None:
@@ -115,10 +118,8 @@ class ShardActor:
         self.db = LsaDb()
         self.g = Graph(0)
         self.h = Graph(0)
-        self._dist_buf = np.empty((0, 0), dtype=np.int32)
-        self._tables_buf = np.empty((0, 0), dtype=np.int32)
-        self.dist = self._dist_buf  # n×n views of the buffers
-        self.tables = self._tables_buf
+        self.dist = np.empty((0, 0), dtype=np.int32)
+        self.tables = np.empty((0, 0), dtype=np.int32)
         self.held = np.zeros(0, dtype=bool)
         self._h_delta: "dict[tuple[int, int], bool]" = {}  # edge -> added (net)
         self._star: "set[int]" = set()  # endpoints of G edges changed
@@ -178,156 +179,64 @@ class ShardActor:
     def recompute(self) -> None:
         """Repair the held rows and owned tables from the net delta.
 
-        The full path (bootstrap, :class:`FullTopology`, a ``rebuilt``
-        delta) BFSes every held row and re-projects every owned table,
-        mirroring :meth:`RoutingService.refresh`.  Otherwise the rows are
-        repaired from the net delta since the last repair: the certified
+        Runs the serial service's :class:`~repro.dynamic.serving.RowOwner`
+        over this shard: the certified
         :func:`~repro.dynamic.serving.dirty_rows` test over the rows held
-        before and after picks which to repair
-        (:func:`~repro.graph.traversal.repair_rows`), rows that became held
-        get a fresh BFS, and an owned table is re-projected only where its
-        argmin inputs moved — its whole row when its G-star changed, the
-        changed columns of its G-neighbors' rows otherwise.  Bit-identical
-        to :class:`RoutingService`'s rows by construction: same inputs,
-        same kernels, same certified dirty set.
+        before and after picks the rows to repair, rows that became held
+        are BFSed as fresh, and an owned table is re-projected only where
+        its argmin inputs moved — its whole row when its G-star changed,
+        the changed columns of its G-neighbors' rows otherwise.  The full
+        path (bootstrap, :class:`FullTopology`, a ``rebuilt`` delta)
+        treats every held row as fresh and every owned table as whole,
+        mirroring :meth:`RoutingService.refresh`.  Bit-identical to
+        :class:`RoutingService`'s rows by construction: same inputs, same
+        code, same certified dirty set.
         """
         if not self._stale:
             return
         with obs.span("actors.recompute"):
-            if self._full:
-                self._repair_full()
-            else:
-                self._repair()
+            self._repair()
         self._h_delta.clear()
         self._star.clear()
         self._stale = self._full = False
         self.recomputes += 1
 
-    def _owned(self, n: int) -> np.ndarray:
-        return np.arange(self.ident, n, self.system.shards)
-
-    def _held_rows(self, n: int) -> np.ndarray:
+    def _held_rows(self, owns: np.ndarray) -> np.ndarray:
         """Rows the owned tables read: owned ∪ N_G(owned)."""
-        held = np.zeros(n, dtype=bool)
-        owned = self._owned(n)
-        held[owned] = True
-        held[_neighbor_spans(self.g.freeze(), owned)[0]] = True
+        indptr, indices = self.g.freeze().numpy_arrays()
+        held = owns.copy()
+        held[indices[np.repeat(owns, np.diff(indptr))]] = True
         return held
 
-    def _bfs(self, rows: "list[int]") -> None:
-        """BFS *rows* on the replica H into ``dist``."""
-        if rows:
-            for s, row in batched_bfs(self.h.freeze(), rows, arrays=True):
-                self.dist[s] = row
-        self._count_rows(0, len(rows))
-
-    def _repair_rows(
-        self, rows: "list[int]", h_added, h_removed
-    ) -> "tuple[list[int], list[np.ndarray]]":
-        """Repair held *rows* in ``dist`` from the net ΔH since the last
-        repair; returns the rows that moved, with their changed-destination
-        masks."""
-        changed: "list[int]" = []
-        masks: "list[np.ndarray]" = []
-        if rows:
-            moved = repair_rows(self.h.freeze(), self.dist, rows, h_added, h_removed)
-            self.dist[moved[0], moved[1]] = moved[2]
-            for s, cols, _vals in row_changes(*moved):
-                mask = np.zeros(self.dist.shape[1], dtype=bool)
-                mask[cols] = True
-                changed.append(s)
-                masks.append(mask)
-        self._count_rows(len(rows), 0)
-        return changed, masks
-
-    def _count_rows(self, repaired: int, bfsed: int) -> None:
-        self.rows_recomputed += repaired + bfsed
-        obs.inc("actors.rows_recomputed", repaired + bfsed)
-        obs.inc("actors.rows_repaired", repaired)
-        obs.inc("actors.rows_bfs", bfsed)
-
-    def _project(self, u: int, cols: "np.ndarray | None") -> None:
-        project_table_row(self.dist, self.tables[u], sorted(self.g.neighbors(u)), u, cols)
-
-    def _size_matrices(self, n: int) -> None:
-        """View ``dist``/``tables`` at n×n, growing their buffers by half
-        again when joins outgrow them (cells past the old size are −1:
-        a new id is unreachable until its row is BFSed)."""
-        old = self.dist.shape[0]
-        if n == old:
-            return
-        cap = self._dist_buf.shape[0]
-        if n < old or n > cap:
-            # Past capacity, keep the rows and grow by half again
-            # (amortized); a compaction shrink carries nothing over.
-            keep = old if n > old else 0
-            cap = max(n, cap + cap // 2) if keep else n
-            dist = np.full((cap, cap), -1, dtype=np.int32)
-            dist[:keep, :keep] = self.dist[:keep, :keep]
-            tables = np.full((cap, cap), -1, dtype=np.int32)
-            tables[:keep, :keep] = self.tables[:keep, :keep]
-            self._dist_buf, self._tables_buf = dist, tables
-            old = keep
-        self.dist = self._dist_buf[:n, :n]
-        self.tables = self._tables_buf[:n, :n]
-        self.held = np.concatenate([self.held[:old], np.zeros(n - old, dtype=bool)])
-
-    def _repair_full(self) -> None:
-        n = self.num_nodes
-        self._size_matrices(n)
-        self.held = self._held_rows(n)
-        self._bfs(np.flatnonzero(self.held).tolist())
-        owned = self._owned(n)
-        for u in owned.tolist():
-            self._project(u, None)
-        self.tables_reprojected += owned.size
-        self.full_recomputes += 1
-        obs.inc("actors.tables_reprojected", owned.size)
-        obs.inc("actors.full_recomputes")
-
     def _repair(self) -> None:
-        n = self.num_nodes
-        old_n = self.dist.shape[0]
-        self._size_matrices(n)  # joins grow the id space; new rows unheld
-        was_held = self.held
-        held = self._held_rows(n) if (self._star or n != old_n) else was_held
-        h_added = [e for e, added in self._h_delta.items() if added]
-        h_removed = [e for e, added in self._h_delta.items() if not added]
-        dirty = dirty_rows(
-            self.dist, self.h, h_added, h_removed, rows=np.flatnonzero(held & was_held)
-        )
-        changed, masks = self._repair_rows(sorted(dirty), h_added, h_removed)
-        # A newly held row needs no damage mask: it became held because an
-        # owned source gained a G-edge to it (or is itself new), and every
-        # owned table that reads it had its G-star change — full damage.
-        self._bfs(np.flatnonzero(held & ~was_held).tolist())
-        self.held = held
-        # Damage, per owned table: its whole row when its G-star changed
-        # (or it is new), else the OR of its changed neighbor rows' masks.
-        shards = self.system.shards
-        owned = self._owned(n)
-        whole = np.zeros(owned.size, dtype=bool)
-        for u in self._star:
-            if u % shards == self.ident:
-                whole[u // shards] = True
-        whole[owned >= old_n] = True
-        touched = 0
-        for i in np.flatnonzero(whole).tolist():
-            self._project(int(owned[i]), None)
-            touched += 1
-        if changed:
-            nbrs, which = _neighbor_spans(self.g.freeze(), np.asarray(changed))
-            mine = nbrs % shards == self.ident
-            reads = np.zeros((owned.size, len(changed)), dtype=np.float32)
-            reads[nbrs[mine] // shards, which[mine]] = 1.0
-            reads[whole] = 0.0
-            hit = np.flatnonzero(reads.any(axis=1))
-            damage = (reads[hit] @ np.asarray(masks, dtype=np.float32)) > 0
-            for i, mask in zip(hit.tolist(), damage):
-                self._project(int(owned[i]), np.flatnonzero(mask))
-            touched += hit.size
-        self.tables_reprojected += touched
-        obs.inc("actors.tables_reprojected", touched)
+        n, old_n = self.num_nodes, self.dist.shape[0]
+        self.dist, self.tables = resized(self.dist, n), resized(self.tables, n)
+        owns = np.arange(n) % self.system.shards == self.ident
+        # Joins grow the id space; new rows start unheld.
+        was_held = np.zeros(n, dtype=bool)
+        if not self._full:
+            was_held[:old_n] = self.held
+        if self._full or self._star or n != old_n:
+            self.held = self._held_rows(owns)
+        fresh = np.flatnonzero(self.held & ~was_held).tolist()
+        if self._full:
+            dirty, delta, whole = [], None, range(n)
+            self.full_recomputes += 1
+            obs.inc("actors.full_recomputes")
+        else:
+            h_added = [e for e, added in self._h_delta.items() if added]
+            h_removed = [e for e, added in self._h_delta.items() if not added]
+            kept = np.flatnonzero(self.held & was_held)
+            dirty = sorted(dirty_rows(self.dist, self.h, h_added, h_removed, rows=kept))
+            delta = RowDelta(h_added, h_removed, old_n)
+            whole = [*self._star, *range(old_n, n)]
+        core = RowOwner(DenseRows(self.dist), DenseRows(self.tables), prefix="actors")
+        changed = core.update_rows(self.h.freeze(), dirty, delta, fresh)
+        self.rows_recomputed += len(dirty) + len(fresh)
+        g = self.g.freeze()
+        damage = core.damage(g, changed, whole, owns)
+        core.project(g, damage)
+        self.tables_reprojected += len(damage)
 
     # -- read side (serial table semantics, owner-scoped) --------------- #
 

@@ -49,12 +49,18 @@ tables are bit-identical to a from-scratch
 property suite in ``tests/dynamic/test_serving.py`` asserts exactly this,
 entry for entry, across edge *and* node churn.
 
-The three inner stages — matrix (re)sizing, distance-row recompute, table
-projection — are overridable hooks (:meth:`_resize_matrices`,
-:meth:`_recompute_rows`, :meth:`_project_tables`): the multiprocess
-:class:`~repro.parallel.sharded.ShardedRoutingService` reuses every damage
--tracking decision here and swaps only those stages for shared-memory
-fan-outs, which is what keeps it bit-identical by construction.
+Keeping a set of D rows exact under a net ΔH, and re-projecting the
+tables that read them, is one decision made in one place: :class:`RowOwner`
+(``update_rows`` → ``damage`` → ``project``).  Its storage is anything with
+``.array`` and ``.row_write(u)`` — the shared matrices of
+:mod:`repro.parallel.shm`, or a plain array wrapped in :class:`DenseRows`
+— so the same code runs here over every row, in each worker of the
+multiprocess :class:`~repro.parallel.sharded.ShardedRoutingService` over
+the rows ``u % W`` it owns, and in each shard actor of
+:mod:`repro.distributed.actors` over the rows ``u % shards`` its tables
+read.  That is what keeps the three backends bit-identical by
+construction; the sharded service overrides only the fan-out stages
+(:meth:`_resize_matrices`, :meth:`_recompute_rows`, :meth:`_project_tables`).
 
 Long-horizon memory control: joins grow the id space monotonically (a
 leave keeps its id slot), so the n×n matrices only ever grow.
@@ -70,6 +76,7 @@ speedup as ``BENCH_routing.json``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,8 +91,10 @@ from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
 
 __all__ = [
+    "DenseRows",
     "RoutingService",
     "RowDelta",
+    "RowOwner",
     "ServeDelta",
     "ServeReport",
     "MemoryStats",
@@ -101,6 +110,145 @@ class RowDelta(NamedTuple):
     h_added: "tuple[tuple[int, int], ...]"
     h_removed: "tuple[tuple[int, int], ...]"
     old_n: int
+
+
+class DenseRows:
+    """A plain numpy matrix behind the shared matrices' write API."""
+
+    def __init__(self, array: "np.ndarray") -> None:
+        self.array = array
+
+    def row_write(self, u: int) -> "nullcontext[np.ndarray]":
+        return nullcontext(self.array[u])
+
+
+def resized(matrix: "np.ndarray", n: int) -> "np.ndarray":
+    """*matrix* at shape ``(n, n)``: overlapping content kept, fresh cells
+    −1 (a new id is unreachable until its row is recomputed).  Returns
+    *matrix* itself when the shape already matches."""
+    old = matrix.shape[0]
+    if n == old:
+        return matrix
+    k = min(old, n)
+    out = np.full((n, n), -1, dtype=np.int32)
+    out[:k, :k] = matrix[:k, :k]
+    return out
+
+
+class RowOwner:
+    """Keeps a set of D rows exact under a net ΔH; projects their tables.
+
+    *dist* and *tables* are the storage — anything with ``.array`` (the
+    readable matrix) and ``.row_write(u)`` (a context yielding row *u*
+    writable): a :class:`~repro.parallel.shm.SharedMatrix` or
+    :class:`~repro.parallel.shm.AttachedMatrix` (seqlock-bracketed), or a
+    :class:`DenseRows`.  *prefix* names the work counters
+    (``<prefix>.rows_recomputed`` = ``rows_repaired`` + ``rows_bfs``,
+    ``<prefix>.tables_reprojected``).  Which rows and tables an owner
+    keeps is the caller's choice: the serial service passes every row, a
+    pool worker the rows ``u % W`` it owns, a shard actor the rows its
+    tables read.
+    """
+
+    def __init__(self, dist, tables=None, prefix: str = "serve") -> None:
+        self.dist, self.tables, self.prefix = dist, tables, prefix
+
+    def update_rows(
+        self,
+        h,
+        rows: "Iterable[int]",
+        delta: "RowDelta | None",
+        fresh: "Iterable[int]" = (),
+    ) -> "dict[int, np.ndarray | None]":
+        """Bring *rows* and *fresh* up to date on the frozen new *h*.
+
+        With the net *delta*, each of *rows* that holds the old distances
+        is repaired (:func:`~repro.graph.traversal.repair_rows` — only
+        moved entries change); the rest (ids joined since ``old_n``, rows
+        a crashed writer reset to −1) are BFSed, as is every row when
+        *delta* is ``None`` (a refresh).  *fresh* rows hold nothing to
+        trust and are always BFSed.
+
+        Returns ``{row: changed columns}`` for rows that moved (``None`` =
+        every column, for *fresh* rows: what they held was never read as
+        theirs), or ``{}`` for a refresh, which needs no damage.
+        """
+        rows, fresh = list(rows), list(fresh)
+        if delta is None:
+            repair, bfs = [], rows + fresh
+        else:
+            repair, bfs = repairable_rows(self.dist.array, rows, delta.old_n)
+            bfs += fresh
+        prefix = self.prefix
+        obs.inc(f"{prefix}.rows_recomputed", len(repair) + len(bfs))
+        obs.inc(f"{prefix}.rows_repaired", len(repair))
+        obs.inc(f"{prefix}.rows_bfs", len(bfs))
+        changed: "dict[int, np.ndarray | None]" = {}
+        if repair:
+            moved = repair_rows(h, self.dist.array, repair, delta.h_added, delta.h_removed)
+            for s, cols, vals in row_changes(*moved):
+                with self.dist.row_write(s) as row:
+                    row[cols] = vals
+                changed[s] = cols
+        for s, new in batched_bfs(h, bfs, arrays=True):
+            moved = new != self.dist.array[s]
+            if moved.any():
+                with self.dist.row_write(s) as row:
+                    row[:] = new
+                if delta is not None:  # a refresh reports nothing
+                    changed[s] = np.flatnonzero(moved)
+        if delta is not None:
+            changed.update(dict.fromkeys(fresh))
+        return changed
+
+    @staticmethod
+    def damage(
+        g,
+        changed: "dict[int, np.ndarray | None]",
+        whole: "Iterable[int]",
+        owns: "np.ndarray | None" = None,
+    ) -> "dict[int, np.ndarray | None]":
+        """Which columns of which tables must be re-argmin'd.
+
+        A table reads the rows of its G-neighbors (*g* is the frozen G),
+        so it is damaged at the union of their *changed* columns; tables
+        in *whole* (their G-star changed, or they are new) and readers of
+        a row changed everywhere are damaged at every column (``None``).
+        *owns*, a boolean mask over ids, keeps only the tables this owner
+        projects.
+        """
+        n = g.num_nodes
+        indptr, indices = g.numpy_arrays()
+        skip = np.zeros(n, dtype=bool) if owns is None else ~owns
+        whole = list(whole)
+        # One n-wide mask per table (an n×n bool scratch, an eighth of
+        # D + T, touched only at the readers' rows): bounded by the
+        # tables, however many columns the changed rows moved.
+        hit = np.zeros((n, n), dtype=bool)
+        for w, cols in changed.items():
+            readers = indices[indptr[w] : indptr[w + 1]]
+            if cols is None:
+                whole.extend(readers.tolist())
+            else:
+                hit[readers[:, None], cols] = True
+        damage: "dict[int, np.ndarray | None]" = {u: None for u in whole if not skip[u]}
+        skip[list(damage)] = True
+        for u in np.flatnonzero(hit.any(axis=1) & ~skip).tolist():
+            damage[u] = np.flatnonzero(hit[u])
+        return damage
+
+    def project(self, g, damage: "dict[int, np.ndarray | None]") -> int:
+        """Re-argmin the table rows in *damage* (``None`` = every column)
+        on the frozen G *g*; returns how many table entries changed."""
+        dist = self.dist.array
+        indptr, indices = g.numpy_arrays()
+        entries = 0
+        for u, cols in damage.items():
+            nbrs = indices[indptr[u] : indptr[u + 1]].tolist()  # sorted N_G(u)
+            with self.tables.row_write(u) as row:
+                entries += project_table_row(dist, row, nbrs, u, cols)
+        obs.inc(f"{self.prefix}.tables_reprojected", len(damage))
+        return entries
 
 
 @dataclass(frozen=True)
@@ -469,9 +617,9 @@ class RoutingService:
         n = self.maintainer.graph.num_nodes
         self._resize_matrices(n)
         with obs.span("serving.recompute_rows"):
-            self._recompute_rows(range(n), track=False)
+            self._recompute_rows(range(n))
         with obs.span("serving.project_tables"):
-            self._project_tables({u: None for u in range(n)})
+            self._project_tables(dict.fromkeys(range(n)))
         obs.inc("serve.full_refreshes")
         self.full_refreshes += 1
         self.rows_recomputed += n
@@ -523,77 +671,27 @@ class RoutingService:
     # ------------------------------------------------------------------ #
 
     def _resize_matrices(self, n: int) -> None:
-        """Bring D and T to shape ``(n, n)``, keeping overlapping content
-        and padding fresh cells with −1 (new ids are unreachable until
-        their rows are recomputed)."""
-        old = self._dist.shape[0]
-        if n == old:
-            return
-        k = min(old, n)
-        dist = np.full((n, n), -1, dtype=np.int32)
-        dist[:k, :k] = self._dist[:k, :k]
-        self._dist = dist
-        tables = np.full((n, n), -1, dtype=np.int32)
-        tables[:k, :k] = self._tables[:k, :k]
-        self._tables = tables
+        """Bring D and T to shape ``(n, n)`` (see :func:`resized`)."""
+        self._dist = resized(self._dist, n)
+        self._tables = resized(self._tables, n)
+
+    def _owner(self) -> RowOwner:
+        return RowOwner(DenseRows(self._dist), DenseRows(self._tables))
 
     def _recompute_rows(
-        self, order: Iterable[int], track: bool = True, delta: "RowDelta | None" = None
-    ) -> "dict[int, np.ndarray]":
-        """Bring the given D rows up to date on the freshly frozen H.
-
-        With the tick's net *delta*, rows holding the old distances are
-        repaired (:func:`~repro.graph.traversal.repair_rows`: only moved
-        entries change); the rest — every row when *delta* is ``None``
-        (the refresh path), rows of ids joined in the tick — are BFSed.
-        Returns ``{row: changed-destination mask}`` for rows that actually
-        moved (empty when *track* is false — the refresh path needs no
-        damage propagation).
-        """
-        order = list(order)
-        if not order:
-            return {}
-        h = self.advertised.freeze()
-        repair, bfs = ([], order) if delta is None else repairable_rows(
-            self._dist, order, delta.old_n
-        )
-        obs.inc("serve.rows_recomputed", len(order))
-        obs.inc("serve.rows_repaired", len(repair))
-        obs.inc("serve.rows_bfs", len(bfs))
-        n = self._dist.shape[1]
-        changed: "dict[int, np.ndarray]" = {}
-        if delta is not None and repair:
-            rows, cols, vals = repair_rows(h, self._dist, repair, delta.h_added, delta.h_removed)
-            self._dist[rows, cols] = vals
-            if track:
-                for s, moved, _vals in row_changes(rows, cols, vals):
-                    changed[s] = np.zeros(n, dtype=bool)
-                    changed[s][moved] = True
-        for s, new_row in batched_bfs(h, bfs, arrays=True):
-            if track:
-                mask = new_row != self._dist[s]
-                if mask.any():
-                    changed[s] = mask
-            self._dist[s] = new_row
-        return changed
+        self, order: Iterable[int], delta: "RowDelta | None" = None
+    ) -> "dict[int, np.ndarray | None]":
+        """Bring the given D rows up to date on the freshly frozen H
+        (:meth:`RowOwner.update_rows`); returns the changed columns per
+        moved row (``{}`` for a refresh, *delta* ``None``)."""
+        return self._owner().update_rows(self.advertised.freeze(), order, delta)
 
     def _project_tables(self, damage: "dict[int, np.ndarray | None]") -> int:
-        """Re-argmin the damaged table rows (``None`` mask = all columns).
-
-        Returns how many tables were actually touched; adds every changed
-        cell to ``entries_updated``.
-        """
-        g = self.maintainer.graph
-        touched = 0
-        for u, mask in damage.items():
-            cols = None if mask is None else np.flatnonzero(mask)
-            if cols is not None and cols.size == 0:
-                continue
-            nbrs = sorted(g.neighbors(u))
-            self.entries_updated += project_table_row(self._dist, self._tables[u], nbrs, u, cols)
-            touched += 1
-        obs.inc("serve.tables_reprojected", touched)
-        return touched
+        """Re-argmin the damaged table rows (:meth:`RowOwner.project`);
+        returns how many tables were touched and adds every changed cell
+        to ``entries_updated``."""
+        self.entries_updated += self._owner().project(self.graph.freeze(), damage)
+        return len(damage)
 
     # ------------------------------------------------------------------ #
     # incremental machinery
@@ -635,28 +733,16 @@ class RoutingService:
         new_nodes = range(old_dim, n)
         dirty = dirty_rows(self._dist, self.advertised, h_added, h_removed)
         dirty.update(new_nodes)
+        changed: "dict[int, np.ndarray | None]" = {}
         if dirty:
             with obs.span("serving.recompute_rows"):
-                changed_cols = self._recompute_rows(
-                    sorted(dirty), delta=RowDelta(h_added, h_removed, old_dim)
+                changed = self._recompute_rows(
+                    sorted(dirty), RowDelta(h_added, h_removed, old_dim)
                 )
-        else:
-            changed_cols = {}
         self.rows_recomputed += len(dirty)
         # A table moves only if its argmin inputs did: a neighbor's row
-        # changed, or its own G-star changed (None mask = all destinations).
-        damage: "dict[int, np.ndarray | None]" = {u: None for u in star_changed}
-        for v in new_nodes:
-            damage[v] = None
-        for w, mask in changed_cols.items():
-            for u in g.neighbors(w):
-                current = damage.get(u, False)
-                if current is None:
-                    continue
-                if current is False:
-                    damage[u] = mask.copy()
-                else:
-                    current |= mask
+        # changed, or its own G-star changed (then all destinations).
+        damage = RowOwner.damage(g.freeze(), changed, [*star_changed, *new_nodes])
         entries_before = self.entries_updated
         with obs.span("serving.project_tables"):
             tables_touched = self._project_tables(damage)

@@ -127,9 +127,6 @@ class _WorkerState:
     def csr(self, name: str):
         return self.csrs[name].graph
 
-    def matrix(self, name: str) -> np.ndarray:
-        return self.matrices[name].array
-
     def thawed(self, name: str):
         """A mutable :class:`Graph` twin of snapshot *name* (cached per version)."""
         key = (name, self.csrs[name].version)
@@ -174,86 +171,44 @@ def _task_bfs_rows(state: _WorkerState, payload):
 
 
 def _task_serve_rows(state: _WorkerState, payload):
-    """Bring H-distance rows of the shared serving matrix up to date.
+    """Bring this shard's rows of the shared distance matrix up to date.
 
     ``payload = (h, dist, sources, delta)`` — *sources* are rows this
     worker's shard owns, *delta* the tick's
-    :class:`~repro.dynamic.serving.RowDelta` (net ΔH⁺/ΔH⁻ and the
-    id-space size before it) or ``None`` for a refresh.  Rows holding the
-    old distances are repaired on the attached H snapshot
-    (:func:`~repro.graph.traversal.repair_rows`), writing only the changed
-    columns; the rest — ids joined in the tick, rows a crashed writer left
-    reset to −1 (their diagonal is not 0), every row of a refresh — are
-    BFSed and diffed against the shared row.  Reports ``(source,
-    packed-change-mask)`` for rows that actually moved — the only bytes
-    that cross the queue.  Each row is written inside ``row_write``, so
-    concurrent readers (:class:`~repro.parallel.sharded.RouteReader`)
-    never observe a torn row.
+    :class:`~repro.dynamic.serving.RowDelta` or ``None`` for a refresh.
+    Runs :meth:`RowOwner.update_rows <repro.dynamic.serving.RowOwner.\
+update_rows>` on the attached H snapshot and matrix, so every row is
+    written inside ``row_write`` and concurrent readers
+    (:class:`~repro.parallel.sharded.RouteReader`) never observe a torn
+    one.  Returns ``[(source, changed columns)]`` for rows that moved —
+    the only bytes that cross the queue; a refresh returns nothing.
 
     Safe to re-run after a crash: a row the failed attempt already
     committed holds the new distances, and repairing exact rows again
     changes nothing.
     """
-    from ..graph.traversal import batched_bfs, repair_rows, repairable_rows, row_changes
+    from ..dynamic.serving import RowOwner
 
     h_name, dist_name, sources, delta = payload
     with obs.span("pool.shard_repair"):
-        h = state.csr(h_name)
-        attached = state.matrices[dist_name]
-        dist = attached.array
-        n = dist.shape[1]
-        repair, bfs = ([], sources) if delta is None else repairable_rows(
-            dist, sources, delta.old_n
-        )
-        obs.inc("serve.rows_recomputed", len(sources))
-        obs.inc("serve.rows_repaired", len(repair))
-        obs.inc("serve.rows_bfs", len(bfs))
-        changed = []
-        if repair:
-            rows, cols, vals = repair_rows(h, dist, repair, delta.h_added, delta.h_removed)
-            for s, moved, new in row_changes(rows, cols, vals):
-                with attached.row_write(s) as dest:
-                    dest[moved] = new
-                mask = np.zeros(n, dtype=bool)
-                mask[moved] = True
-                changed.append((s, np.packbits(mask).tobytes()))
-        for s, row in batched_bfs(h, bfs, arrays=True):
-            mask = row != dist[s]
-            if mask.any():
-                changed.append((s, np.packbits(mask).tobytes()))
-                with attached.row_write(s) as dest:
-                    dest[:] = row
-        return changed
+        owner = RowOwner(state.matrices[dist_name])
+        return list(owner.update_rows(state.csr(h_name), sources, delta).items())
 
 
 def _task_serve_tables(state: _WorkerState, payload):
-    """Re-project next-hop table rows this worker's shard owns.
+    """Re-project the next-hop table rows this worker's shard owns.
 
-    ``payload = (g, dist, tables, jobs)`` with ``jobs = [(u, packed-mask |
-    None)]`` — identical math to the serial service: argmin over the
-    G-neighbors' shared distance rows, restricted to the changed
-    destinations.  Returns the number of table entries that changed.
+    ``payload = (g, dist, tables, jobs)`` with ``jobs = [(u, changed
+    columns | None)]`` — :meth:`RowOwner.project <repro.dynamic.serving.\
+RowOwner.project>` over the shared matrices, the serial service's code.
+    Returns the number of table entries that changed.
     """
-    from ..routing.tables import project_table_row
+    from ..dynamic.serving import RowOwner
 
     g_name, dist_name, tab_name, jobs = payload
-    obs.inc("serve.tables_reprojected", len(jobs))
     with obs.span("pool.shard_project"):
-        g = state.csr(g_name)
-        dist = state.matrix(dist_name)
-        attached = state.matrices[tab_name]
-        n = dist.shape[1]
-        entries_changed = 0
-        for u, packed in jobs:
-            if packed is None:
-                cols = None
-            else:
-                mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n).astype(bool)
-                cols = np.flatnonzero(mask)
-            nbrs = g.neighbors_csr(u).tolist()  # sorted ascending == sorted(N_G(u))
-            with attached.row_write(u) as row:
-                entries_changed += project_table_row(dist, row, nbrs, u, cols)
-        return entries_changed
+        owner = RowOwner(state.matrices[dist_name], state.matrices[tab_name])
+        return owner.project(state.csr(g_name), dict(jobs))
 
 
 def _task_tree_edges(state: _WorkerState, payload):

@@ -9,23 +9,29 @@ BFS rows, G for the argmin stars) live in shared memory
 summaries:
 
 1. the parent runs the damage analysis of the base class unchanged
-   (dirty-row certification against the old matrix, star damage, table
-   damage masks) — it reads the same shared ``D`` the workers write;
-2. dirty rows fan out **shard-local**: each worker repairs only the rows
-   it owns from the tick's net ΔH (:func:`~repro.graph.traversal.\
-repair_rows`; BFS for joined ids and refreshes), writes the changed
-   columns straight into shared ``D``, and sends back just ``(row id,
-   packed changed-destination mask)`` for rows that moved;
-3. damaged tables fan out shard-local the same way, each worker
-   re-argmin-ing its own table rows in shared ``T`` via the exact kernel
-   (:func:`~repro.routing.tables.project_table_row`) the serial service
-   uses, returning only changed-entry counts.
+   (dirty-row certification against the old matrix, star damage, and
+   :meth:`RowOwner.damage <repro.dynamic.serving.RowOwner.damage>` over
+   the changed columns) — it reads the same shared ``D`` the workers
+   write;
+2. dirty rows fan out **shard-local**: each worker runs
+   :meth:`RowOwner.update_rows <repro.dynamic.serving.RowOwner.\
+update_rows>` — the serial service's code — over the rows it owns on the
+   attached shared ``D`` (repair from the tick's net ΔH, BFS for joined
+   ids and refreshes), and sends back just ``(row id, changed columns)``
+   for rows that moved;
+3. damaged tables fan out shard-local the same way, each worker running
+   :meth:`RowOwner.project <repro.dynamic.serving.RowOwner.project>` on
+   its own table rows in shared ``T`` and returning only the changed-entry
+   count.
 
-Because every stage reuses the serial implementation's math on the same
-bytes, the served tables are **bit-identical** to
-:class:`~repro.dynamic.serving.RoutingService` after every event — the
-property suite in ``tests/parallel/test_sharded.py`` asserts it for
-W ∈ {1, 2, 4} across all four churn scenarios and every construction.
+Only the fan-out policy lives here: sharding by owner, the over-repair
+after a worker crash (``sharded.crash_full_damage``) and the full
+re-projection retries.  Because every stage runs the serial
+implementation's code on the same bytes, the served tables are
+**bit-identical** to :class:`~repro.dynamic.serving.RoutingService` after
+every event — the property suite in ``tests/parallel/test_sharded.py``
+asserts it for W ∈ {1, 2, 4} across all four churn scenarios and every
+construction.
 
 Snapshot publishing is delta-aware: the service accumulates the rows whose
 H/G adjacency changed since the last publish (the maintainer's net spanner
@@ -262,63 +268,47 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             # committed state (the serial service passes through it too).
             self._publish_directory()
 
-    def _recompute_rows(self, order, track: bool = True, delta=None) -> "dict[int, np.ndarray]":
-        order = list(order)
-        if not order:
-            return {}
+    def _recompute_rows(self, order, delta=None) -> "dict[int, np.ndarray | None]":
         h = self.advertised.freeze()
         self._pool.publish_csr(_H, h, dirty_rows=self._hints.pop(_H, None))
         buckets, to = self._shard(order)
-        payloads = [(_H, _DIST, bucket, delta) for bucket in buckets]
         respawns = self._pool.health.respawns
-        results = self._pool.run("serve_rows", payloads, to=to)
-        if not track:
-            return {}
-        n = self._dist.shape[1]
-        if self._pool.health.respawns != respawns:
-            # A worker died mid-stage.  The retried tasks recomputed every
-            # requested row correctly, but their changed-destination masks
-            # diff against whatever the crashed attempt already committed —
-            # they can *understate* the damage.  Treat every recomputed row
-            # as fully changed so the table projection over-repairs; the
-            # result stays bit-identical, only this event costs more.
+        results = self._pool.run("serve_rows", [(_H, _DIST, b, delta) for b in buckets], to=to)
+        if delta is not None and self._pool.health.respawns != respawns:
+            # A worker died mid-stage.  The retried tasks brought every
+            # requested row up to date, but their changed columns diff
+            # against whatever the crashed attempt already committed —
+            # they can *understate* the damage.  Treat every row as changed
+            # everywhere so the table projection over-repairs; the result
+            # stays bit-identical, only this event costs more.
             obs.inc("sharded.crash_full_damage")
-            return {int(s): np.ones(n, dtype=bool) for s in order}
-        changed: "dict[int, np.ndarray]" = {}
-        for chunk in results:
-            for s, packed in chunk:
-                mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n)
-                changed[s] = mask.astype(bool)
-        return changed
+            return dict.fromkeys(order)
+        return {s: cols for chunk in results for s, cols in chunk}
 
     def _project_tables(self, damage: "dict[int, np.ndarray | None]") -> int:
-        jobs = []
-        for u, mask in damage.items():
-            if mask is None:
-                jobs.append((u, None))
-            elif mask.any():
-                jobs.append((u, np.packbits(mask).tobytes()))
-        if not jobs:
+        if not damage:
             return 0
         g_csr = self.graph.freeze()
         self._pool.publish_csr(_G, g_csr, dirty_rows=self._hints.pop(_G, None))
-        buckets, to = self._shard(jobs)
-        payloads = [(_G, _DIST, _TABLES, bucket) for bucket in buckets]
+
+        def run(jobs) -> int:
+            buckets, to = self._shard(jobs)
+            payloads = [(_G, _DIST, _TABLES, bucket) for bucket in buckets]
+            return sum(self._pool.run("serve_tables", payloads, to=to))
+
         respawns = self._pool.health.respawns
-        self.entries_updated += sum(self._pool.run("serve_tables", payloads, to=to))
+        self.entries_updated += run(list(damage.items()))
         for _ in range(_REPROJECT_ATTEMPTS):
             if self._pool.health.respawns == respawns:
                 break
             # A crash mid-projection tears the table row being written; the
             # pool repairs it to all −1 before retrying, but the retried job
-            # honours its original column mask — unmasked columns would stay
-            # −1.  Re-project every damaged table in full to restore them.
+            # honours its original columns — the others would stay −1.
+            # Re-project every damaged table in full to restore them.
             obs.inc("sharded.crash_full_reproject")
             respawns = self._pool.health.respawns
-            buckets, to = self._shard([(u, None) for u, _ in jobs])
-            payloads = [(_G, _DIST, _TABLES, bucket) for bucket in buckets]
-            self._pool.run("serve_tables", payloads, to=to)
-        return len(jobs)
+            run([(u, None) for u in damage])
+        return len(damage)
 
     # ------------------------------------------------------------------ #
     # hint bookkeeping around the base machinery
@@ -461,32 +451,21 @@ class RouteReader:
             return
         for attempt in range(64):
             payload, gen = self._dir.read()
-            if len(payload) == 2:
-                # Bare (dist, tables) payload — a directory posted outside
-                # ShardedRoutingService.  No stamps means no staleness
-                # protocol: every row counts as committed-and-current.
-                dist_h, tables_h = payload
-                stamps_h, committed, pending = None, 0, 0
-            else:
-                dist_h, tables_h, stamps_h, committed, pending = payload
+            *handles, committed, pending = payload  # dist, tables, stamps
             try:
                 if self._dist is None:
                     fresh: "list[AttachedMatrix]" = []
                     try:
-                        for handle in (dist_h, tables_h, stamps_h):
-                            if handle is not None:
-                                fresh.append(AttachedMatrix(handle))
+                        for handle in handles:
+                            fresh.append(AttachedMatrix(handle))
                     except FileNotFoundError:
                         for attached in fresh:
                             attached.close()
                         raise
-                    self._dist, self._tables = fresh[0], fresh[1]
-                    self._stamps = fresh[2] if len(fresh) > 2 else None
+                    self._dist, self._tables, self._stamps = fresh
                 else:
-                    self._dist.refresh(dist_h)
-                    self._tables.refresh(tables_h)
-                    if self._stamps is not None and stamps_h is not None:
-                        self._stamps.refresh(stamps_h)
+                    for attached, handle in zip((self._dist, self._tables, self._stamps), handles):
+                        attached.refresh(handle)
             except FileNotFoundError:
                 time.sleep(0.001 * min(attempt + 1, 10))
                 continue
@@ -524,10 +503,6 @@ class RouteReader:
         bounds.
         """
         self._sync()
-        if self._stamps is None:  # bare directory: no staleness protocol
-            if not (0 <= u < self._tables.rows):
-                raise NodeNotFound(u, self._tables.rows)
-            return 0
         if not (0 <= u < self._stamps.rows):
             raise NodeNotFound(u, self._stamps.rows)
         return max(0, self._pending - int(self._stamps.read_cell(u, 0)))
@@ -535,7 +510,7 @@ class RouteReader:
     def _too_stale(self, u: int) -> bool:
         # Callers have already synced; rows beyond the stamp matrix (a
         # resize race) count as never committed.
-        if self.max_staleness is None or self._stamps is None:
+        if self.max_staleness is None:
             return False
         stamp = int(self._stamps.read_cell(u, 0)) if u < self._stamps.rows else 0
         return self._pending - stamp > self.max_staleness

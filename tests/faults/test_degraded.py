@@ -72,33 +72,6 @@ class TestMaxStalenessValidation:
                             assert reader.next_hop(u, v) == serial.next_hop(u, v)
 
 
-class TestBareDirectoryCompat:
-    def test_two_tuple_payload_means_no_staleness_protocol(self):
-        # Directories posted outside ShardedRoutingService (the crash-
-        # safety suite, ad-hoc deployments) carry no stamp matrix; the
-        # reader serves them with staleness pinned to 0.
-        from repro.parallel import WorkerPool
-        from repro.parallel.shm import SharedDirectory
-
-        with WorkerPool(1) as pool:
-            pool.matrix("dist", 4, 4, fill=1, versioned=True)
-            pool.matrix("tables", 4, 4, fill=3, versioned=True)
-            directory = SharedDirectory()
-            try:
-                directory.post(
-                    (pool.matrix_owner("dist").handle, pool.matrix_owner("tables").handle)
-                )
-                with RouteReader(directory.name, max_staleness=0) as reader:
-                    assert reader.staleness(2) == 0
-                    assert reader.next_hop(0, 1) == 3
-                    assert reader.distance(0, 1) == 1
-                    # All-1 distance rows certify no strictly-closer hop:
-                    # the fallback honestly refuses on this synthetic state.
-                    assert reader.hop_fallback(0, 1) is None
-            finally:
-                directory.close()
-
-
 class TestHopFallback:
     def test_fallback_walks_are_journey_valid_and_deliver(self):
         sc = make_scenario("mobility", 30, 5, seed=11)

@@ -50,6 +50,21 @@ def _crash(pool, name, row):
         pool.run("crash_in_write", [(name, row)])
 
 
+def _post(pool, directory):
+    """Post the directory payload :class:`ShardedRoutingService` posts:
+    ``(dist, tables, stamps, generation, pending)``, quiescent."""
+    pool.matrix("stamps", 4, 1, fill=1)
+    directory.post(
+        (
+            pool.matrix_owner("dist").handle,
+            pool.matrix_owner("tables").handle,
+            pool.matrix_owner("stamps").handle,
+            1,
+            1,
+        )
+    )
+
+
 def _reader_loop(directory, ready, stop, out_q):
     """Concurrent reader process: next_hop(0, 1) until told to stop."""
     from repro.parallel import RouteReader
@@ -89,9 +104,7 @@ class TestCrashInsideWriteBracket:
             pool.matrix("tables", 4, 4, fill=3, versioned=True)
             directory = SharedDirectory()
             try:
-                directory.post(
-                    (pool.matrix_owner("dist").handle, pool.matrix_owner("tables").handle)
-                )
+                _post(pool, directory)
                 from repro.parallel import RouteReader
 
                 reader = RouteReader(directory.name)
@@ -113,9 +126,7 @@ class TestCrashInsideWriteBracket:
             directory = SharedDirectory()
             proc = None
             try:
-                directory.post(
-                    (pool.matrix_owner("dist").handle, pool.matrix_owner("tables").handle)
-                )
+                _post(pool, directory)
                 ready, stop = ctx.Event(), ctx.Event()
                 out_q = ctx.SimpleQueue()
                 proc = ctx.Process(
