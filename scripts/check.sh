@@ -6,9 +6,18 @@
 #   SKIP_BENCH=1 ./scripts/check.sh    # tests + static analysis (e.g. on battery)
 #   BENCH_GUARD_SKIP=1 ./scripts/check.sh   # record benches, skip the guard
 #
-# Step 2 ends with perfbench's own smoke tests (`python -m pytest
-# perfbench`): they install every layer-tracer binding, so renaming or
-# dropping a traced module attribute fails here.
+# Step 2 runs perfbench's own smoke tests after tier-1 (`python -m
+# pytest perfbench`): they install every layer-tracer binding, so
+# renaming or dropping a traced module attribute fails here.  It ends
+# with the seven soak smokes (all on the one `repro.soak` loop): a
+# traffic soak writing ./OBS_traffic.json + ./OBS_traffic.trace.json
+# through the --metrics/--trace flags, a crashy chaos soak that must
+# reconverge, the distserve actor tier on loopback and over a
+# Unix-domain socket, a 2-worker serve verified every event
+# (./OBS_serve*.json), a 2-worker traffic soak whose queries ride a
+# RouteReader (./OBS_traffic_smoke*.json), and a mayhem chaos soak over
+# the partition scenario (./OBS_chaos.json).  CI uploads the OBS_*.json
+# artifacts.
 #
 # Step 3 runs the traversal, dynamic-maintenance, routing-serving,
 # parallel-serving, query-serving, observability, lint-gate,
@@ -21,11 +30,7 @@
 # accumulate a perf trajectory.
 # The parallel, query and obs benches degrade gracefully on single-core
 # runners: they record the measurement and a "degraded" marker instead
-# of asserting the multi-core speedup/overhead bars.  A traffic soak
-# smoke then writes ./OBS_traffic.json + ./OBS_traffic.trace.json
-# through the --metrics/--trace flags (the artifacts CI uploads), and a
-# distserve smoke converges the actor tier on loopback and over a
-# Unix-domain socket.
+# of asserting the multi-core speedup/overhead bars.
 #
 # Step 4 compares the freshly recorded speedups against the artifacts
 # committed at HEAD with a tolerance band (scripts/bench_guard.py) and
@@ -66,6 +71,24 @@ python -m pytest -q tests
 
 echo "-- perfbench smoke tests (the only run that installs every layer-tracer binding)"
 python -m pytest -q perfbench
+
+echo "-- soak smokes: traffic, chaos, distserve, serve over the repro.soak loop"
+PYTHONPATH=src python -m repro traffic --n 150 --events 20 --queries 15 \
+    --workload uniform --compare-bfs 0 \
+    --metrics OBS_traffic.json --trace OBS_traffic.trace.json
+PYTHONPATH=src python -m repro obs OBS_traffic.json > /dev/null
+PYTHONPATH=src python -m repro chaos --plan crashy --scenario outage \
+    --n 80 --events 20 --tick 5 --queries 10 --workers 1 --seed 2009
+PYTHONPATH=src python -m repro distserve --scenario mobility --transport loop \
+    --n 80 --events 20 --tick 5 --shards 4 --queries 10 --seed 2009
+PYTHONPATH=src python -m repro distserve --scenario growth --transport uds \
+    --n 60 --events 16 --tick 4 --shards 3 --queries 8 --seed 2009
+PYTHONPATH=src python -m repro serve --scenario failure --n 150 --events 30 \
+    --workers 2 --check-every 1 --metrics OBS_serve.json --trace OBS_serve.trace.json
+PYTHONPATH=src python -m repro traffic --n 150 --events 30 --queries 20 --workers 2 \
+    --metrics OBS_traffic_smoke.json --trace OBS_traffic_smoke.trace.json
+PYTHONPATH=src python -m repro chaos --plan mayhem --scenario partition --n 100 \
+    --events 25 --tick 5 --queries 10 --workers 2 --seed 2009 --metrics OBS_chaos.json
 
 run_static_analysis() {
     echo "== [5/7] static analysis (reprolint shallow + deep; ruff/mypy when installed) =="
@@ -122,19 +145,6 @@ cp benchmarks/results/BENCH_faults.json BENCH_faults.json
 cp benchmarks/results/BENCH_wire.json BENCH_wire.json
 cp benchmarks/results/BENCH_actors.json BENCH_actors.json
 echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_lint.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
-echo "-- observability smoke: traffic soak writes --metrics/--trace artifacts"
-PYTHONPATH=src python -m repro traffic --n 150 --events 20 --queries 15 \
-    --workload uniform --compare-bfs 0 \
-    --metrics OBS_traffic.json --trace OBS_traffic.trace.json
-PYTHONPATH=src python -m repro obs OBS_traffic.json > /dev/null
-echo "-- chaos smoke: crashy soak over the outage scenario must reconverge"
-PYTHONPATH=src python -m repro chaos --plan crashy --scenario outage \
-    --n 80 --events 20 --tick 5 --queries 10 --workers 1 --seed 2009
-echo "-- distserve smoke: actor tier converges on loopback and over a UDS socket"
-PYTHONPATH=src python -m repro distserve --scenario mobility --transport loop \
-    --n 80 --events 20 --tick 5 --shards 4 --queries 10 --seed 2009
-PYTHONPATH=src python -m repro distserve --scenario growth --transport uds \
-    --n 60 --events 16 --tick 4 --shards 3 --queries 8 --seed 2009
 python - <<'PYEOF'
 import json
 t = json.load(open("BENCH_traversal.json"))

@@ -603,7 +603,17 @@ class ActorSystem:
     # -- serving ---------------------------------------------------------- #
 
     def route(self, source: int, target: int, max_hops: "int | None" = None) -> RouteResult:
-        """``route_served``'s journey, forwarded hop-by-hop across actors."""
+        """:func:`~repro.routing.greedy_routing.route_served`'s journey,
+        executed by the tier.
+
+        The decision loop runs *across* shard actors — each next-hop lookup
+        at the owner of the current node, each potential appended by the
+        owner of the chosen hop — yet the returned :class:`RouteResult` is
+        identical (path, delivery, potentials, tie-breaks) to
+        ``route_served`` against :attr:`service`, because both realize the
+        same argmin off bit-identical rows.  The equivalence is
+        property-tested in ``tests/distributed/test_actors.py``.
+        """
         if source == target:
             raise ParameterError("source equals target")
         n = self.service.num_nodes

@@ -59,7 +59,7 @@ from .shm import (
     SharedMatrixHandle,
     attach_csr,
 )
-from .fanout import maybe_parallel_bfs, parallel_tree_edges
+from .fanout import maybe_parallel_bfs
 from .sharded import RouteReader, ShardedRoutingService
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "SharedMatrixHandle",
     "attach_csr",
     "maybe_parallel_bfs",
-    "parallel_tree_edges",
     "RouteReader",
     "ShardedRoutingService",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from .. import tuning
 from .pool import WorkerPool, resolve_workers
 
-__all__ = ["maybe_parallel_bfs", "parallel_tree_edges"]
+__all__ = ["maybe_parallel_bfs"]
 
 #: Shared-object names used by the one-shot helpers.
 _G, _OUT = "bfs:g", "bfs:out"
@@ -78,33 +78,3 @@ def maybe_parallel_bfs(csr, sources: "list[int]", cutoff: "int | None", workers)
         if transient:
             pool.close()
 
-
-def parallel_tree_edges(
-    g, method: str, kwargs: dict, workers, *, roots=None
-) -> "dict[int, tuple]":
-    """Build every root's dominating tree on a pool; returns ``{root: edges}``.
-
-    The parallel-construction primitive (Censor-Hillel et al.'s theme):
-    workers attach the shared CSR of *g*, resolve the construction locally
-    and return only the tree edge lists.  Used by ``python -m repro churn
-    --workers N`` to verify the maintained spanner against a from-scratch
-    build without a serial rebuild.  Returns ``None``-never; with
-    ``workers`` resolving to 1 the single worker still builds everything
-    (degraded but exact).
-    """
-    csr = g.freeze() if hasattr(g, "freeze") else g
-    roots = list(range(csr.num_nodes)) if roots is None else list(roots)
-    if isinstance(workers, WorkerPool):
-        pool, transient = workers, False
-    else:
-        pool, transient = WorkerPool(resolve_workers(workers)), True
-    try:
-        pool.publish_csr(_G, csr)
-        payloads = [
-            (_G, method, kwargs, chunk) for chunk in _chunks(roots, pool.workers * 2)
-        ]
-        results = pool.run("tree_edges", payloads)
-        return {u: edges for chunk in results for u, edges in chunk}
-    finally:
-        if transient:
-            pool.close()

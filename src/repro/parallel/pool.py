@@ -122,19 +122,9 @@ class _WorkerState:
         self.rng = ensure_rng(derive_seed(seed, "worker", worker_id))
         self.csrs: dict[str, AttachedCSR] = {}
         self.matrices: dict[str, AttachedMatrix] = {}
-        self._thawed: dict = {}  # (name, version) -> mutable Graph
 
     def csr(self, name: str):
         return self.csrs[name].graph
-
-    def thawed(self, name: str):
-        """A mutable :class:`Graph` twin of snapshot *name* (cached per version)."""
-        key = (name, self.csrs[name].version)
-        g = self._thawed.get(key)
-        if g is None:
-            self._thawed = {k: v for k, v in self._thawed.items() if k[0] != name}
-            self._thawed[key] = g = self.csrs[name].graph.to_graph()
-        return g
 
     def close(self) -> None:
         for a in self.csrs.values():
@@ -143,7 +133,6 @@ class _WorkerState:
             a.close()
         self.csrs.clear()
         self.matrices.clear()
-        self._thawed.clear()
 
 
 def _task_echo(state: _WorkerState, payload):
@@ -211,26 +200,6 @@ RowOwner.project>` over the shared matrices, the serial service's code.
         return owner.project(state.csr(g_name), dict(jobs))
 
 
-def _task_tree_edges(state: _WorkerState, payload):
-    """Build dominating trees for a chunk of roots (parallel construction).
-
-    ``payload = (graph, method, kwargs, roots)`` — resolves the
-    construction in-process and returns each root's tree edge tuple; the
-    parent unions them into the spanner (used by the ``churn --workers``
-    parallel verification).
-    """
-    from ..dynamic.maintainer import resolve_construction
-
-    graph, method, kwargs, roots = payload
-    construction = resolve_construction(method, **kwargs)
-    g = state.thawed(graph)
-    out = []
-    for u in roots:
-        tree = construction.tree_fn(g, u)
-        out.append((u, tuple(sorted(tree.edges()))))
-    return out
-
-
 def _task_crash_in_write(state: _WorkerState, payload):
     """Fault injection: raise *inside* ``row_write``.
 
@@ -278,7 +247,6 @@ TASKS = {
     "bfs_rows": _task_bfs_rows,
     "serve_rows": _task_serve_rows,
     "serve_tables": _task_serve_tables,
-    "tree_edges": _task_tree_edges,
     "crash_in_write": _task_crash_in_write,
     "obs_snapshot": _task_obs_snapshot,
     "obs_record": _task_obs_record,

@@ -10,7 +10,6 @@ from .greedy_routing import (
     RouteResult,
     RoutingStats,
     route,
-    route_actor,
     route_all_pairs_stats,
     route_served,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "RouteResult",
     "RoutingStats",
     "route",
-    "route_actor",
     "route_served",
     "route_all_pairs_stats",
     "AdvertisementCost",

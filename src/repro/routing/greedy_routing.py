@@ -33,7 +33,6 @@ __all__ = [
     "RouteResult",
     "RoutingStats",
     "route",
-    "route_actor",
     "route_served",
     "route_all_pairs_stats",
 ]
@@ -180,22 +179,6 @@ def route_served(
             result.potentials.append(0)
             return result
     return result
-
-
-def route_actor(system, source: int, target: int, max_hops: "int | None" = None) -> RouteResult:
-    """:func:`route_served`'s journey, executed by the distributed tier.
-
-    *system* is a started :class:`~repro.distributed.actors.ActorSystem`;
-    the decision loop runs *across* shard actors — each next-hop lookup
-    at the owner of the current node, each potential appended by the
-    owner of the chosen hop — yet the returned
-    :class:`RouteResult` is identical (path, delivery, potentials,
-    tie-breaks) to ``route_served`` against the system's serial service,
-    because both realize the same argmin off bit-identical rows.  The
-    equivalence is property-tested in
-    ``tests/distributed/test_actors.py``.
-    """
-    return system.route(source, target, max_hops)
 
 
 @dataclass

@@ -4,7 +4,7 @@ The acceptance property: after quiescence, every shard actor's replica
 and owned rows are **bit-for-bit** the serial :class:`RoutingService`'s
 (``mismatches() == []``), across all four scenarios × all four
 constructions on loopback, and over real TCP/UDS sockets for at least
-one scenario each.  Plus: ``route_actor`` journeys equal ``route_served``
+one scenario each.  Plus: ``ActorSystem.route`` journeys equal ``route_served``
 exactly, HELLO timeouts mark silent peers suspect, and count-capped
 ``lsa.drop``/``lsa.delay`` fault plans still converge through the
 anti-entropy resend path.
@@ -27,7 +27,7 @@ from repro.errors import NodeNotFound, ParameterError, ProtocolError
 from repro.faults import PLANS
 from repro.graph import sample_pairs
 from repro.graph.generators import random_connected_gnp
-from repro.routing import route_actor, route_served
+from repro.routing import route_served
 from repro.rng import derive_seed
 
 #: Construction → extra kwargs (mirrors the serving suite's spellings).
@@ -129,7 +129,7 @@ class TestRouteEquivalence:
                 require_nonadjacent=False,
             )
             for s, t in pairs:
-                actor_r = route_actor(system, s, t)
+                actor_r = system.route(s, t)
                 served_r = route_served(system.service, s, t)
                 assert actor_r.path == served_r.path
                 assert actor_r.delivered == served_r.delivered
@@ -152,8 +152,6 @@ class TestRouteEquivalence:
                 route_served(system.service, source, 3)
             with pytest.raises(NodeNotFound):
                 system.route(source, 3)
-            with pytest.raises(NodeNotFound):
-                route_actor(system, source, 3)
 
 
 class TestLiveness:
@@ -356,7 +354,7 @@ class TestResync:
             assert system.mismatches() == []
             assert [a.full_recomputes for a in system.actors] == [f + 1 for f in full_before]
             for s, t in sample_pairs(system.service.graph, 6, seed=1, require_nonadjacent=False):
-                assert route_actor(system, s, t).path == route_served(system.service, s, t).path
+                assert system.route(s, t).path == route_served(system.service, s, t).path
             system.apply_tick(events[:0])
             assert system.mismatches() == []
 

@@ -185,6 +185,28 @@ class TestCliArtifacts:
         assert shard_rows > 0
         assert doc["merged"]["counters"]["serve.rows_recomputed"] >= shard_rows
 
+    def test_chaos_and_serve_agree_on_maintainer_counters(self, tmp_path, capsys):
+        # The same stream through `serve` and through a quiet `chaos` must do
+        # the same maintainer work: verification records nothing, and the
+        # chaos run's pool snapshots land in the file like serve's do.
+        stream = "--scenario mobility --n 60 --events 10 --tick 5 --workers 2 --seed 7".split()
+        docs = {}
+        for cmd in (["serve"], ["chaos", "--plan", "quiet"]):
+            obs.reset()
+            path = tmp_path / f"{cmd[0]}.json"
+            assert main([*cmd, *stream, "--metrics", str(path)]) == 0
+            docs[cmd[0]] = json.loads(path.read_text(encoding="utf-8"))
+        capsys.readouterr()
+        obs.reset()
+
+        def maintainer(doc):
+            counters = doc["process"]["counters"]
+            return {k: v for k, v in counters.items() if k.startswith("maintainer.")}
+
+        assert maintainer(docs["serve"])["maintainer.full_rebuilds"] > 0
+        assert maintainer(docs["chaos"]) == maintainer(docs["serve"])
+        assert sorted(docs["chaos"]["shards"]) == ["0", "1"]
+
     def test_obs_command_prints_and_diffs(self, tmp_path, capsys):
         metrics = tmp_path / "m.json"
         assert (

@@ -168,7 +168,7 @@ class TestWorkersValidation:
     died inside WorkerPool with a traceback.
     """
 
-    @pytest.mark.parametrize("cmd", ["churn", "serve", "traffic"])
+    @pytest.mark.parametrize("cmd", ["serve", "traffic"])
     @pytest.mark.parametrize("bad", ["0", "-2", "1.5", "two"])
     def test_invalid_counts_rejected_at_parse_time(self, cmd, bad, capsys):
         parser = build_parser()
@@ -177,7 +177,7 @@ class TestWorkersValidation:
         assert exc.value.code == 2  # argparse usage error, not a traceback
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", ["churn", "serve", "traffic"])
+    @pytest.mark.parametrize("cmd", ["serve", "traffic"])
     def test_valid_and_omitted_workers(self, cmd):
         parser = build_parser()
         assert parser.parse_args([cmd, "--workers", "3"]).workers == 3
@@ -348,3 +348,100 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "respawns" in out
+
+
+def _table_rows(out: str, first: str) -> "list[dict[str, str]]":
+    """Body rows of the rendered table whose header starts with *first*."""
+
+    def cells(line: str) -> "list[str]":
+        return [c.strip() for c in line.strip().strip("|").split("|")]
+
+    lines = out.splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith(f"| {first} "))
+    keys = cells(lines[top])
+    rows = []
+    for line in lines[top + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append(dict(zip(keys, cells(line))))
+    return rows
+
+
+SERVE_COLS = ("scenario", "events", "rows/tick", "tables/tick", "entries upd", "refreshes",
+              "matrix MB", "dormant ids", "matches scratch")
+TRAFFIC_COLS = ("workload", "ticks", "queries", "delivered", "mean hops", "matches route")
+
+#: One tiny seed-fixed case per soak command: ``(argv, {header: (columns,
+#: rows)}, lines)``.  Only the deterministic columns are pinned (timings are
+#: not); a row is its cells joined by spaces, a line a substring of stdout.
+PINNED = [
+    (
+        "churn --n 40 --events 12 --check-every 5 --seed 3",
+        {"scenario": (("scenario", "events", "incremental", "rebuilds", "mean dirty ball",
+                       "spanner edges", "matches rebuild"),
+                      ["mobility 12 0 12 40 80 yes", "failure 12 0 12 40 101 yes",
+                       "growth 12 12 0 5.2 9 yes", "nodechurn 12 5 7 26.2 59 yes"])},
+        [],
+    ),
+    (
+        "serve --n 40 --events 12 --tick 3 --check-every 4 --seed 3",
+        {"scenario": (SERVE_COLS, ["mobility 12 40 40 432 4 0.01 0 yes",
+                                   "failure 12 40 40 193 4 0.01 0 yes",
+                                   "growth 12 6.2 6.2 70 0 0.01 32 yes",
+                                   "nodechurn 12 40.2 40.2 601 3 0.01 4 yes"])},
+        ["mobility: routed 60/60 sampled pairs (max stretch 1.00); distance cache 39/256 "
+         "entries, 768 hits / 39 misses / 0 evictions;",
+         "growth: routed 28/28 sampled pairs (max stretch 1.00); distance cache 39/256 "
+         "entries, 748 hits / 39 misses / 0 evictions;",
+         "nodechurn: routed 60/60 sampled pairs (max stretch 1.00); distance cache 41/256 "
+         "entries, 847 hits / 41 misses / 0 evictions;"],
+    ),
+    (
+        "serve --scenario nodechurn --n 40 --events 10 --tick 5 --workers 2 --seed 3",
+        {"scenario": (SERVE_COLS, ["nodechurn 10 41 41 141 2 0.03 0 yes"])},
+        ["nodechurn: routed 60/60 sampled pairs (max stretch 1.00); distance cache 40/256 "
+         "entries, 810 hits / 40 misses / 0 evictions;"],
+    ),
+    (
+        "traffic --n 40 --events 8 --tick 4 --queries 5 --compare-bfs 4 --seed 3",
+        {"workload": (TRAFFIC_COLS, ["uniform 3 15 100% 2.27 yes", "zipf 3 15 100% 2.67 yes",
+                                     "locality 3 15 100% 2.2 yes"])},
+        [],
+    ),
+    (
+        "traffic --workload zipf --scenario nodechurn --n 40 --events 8 --tick 4 --queries 5 "
+        "--workers 2 --compare-bfs 4 --seed 3",
+        {"workload": (TRAFFIC_COLS, ["zipf 3 15 100% 3.07 yes"])},
+        [],
+    ),
+    (
+        "chaos --plan quiet --scenario mobility --n 40 --events 8 --tick 4 --queries 5 "
+        "--workers 1 --seed 3",
+        {"ticks": (("ticks", "queries", "delivered", "fallback hops", "degraded ticks",
+                    "invalid hops", "reconverged"), ["3 15 100% 0 0 0 yes"]),
+         "respawns": (("respawns", "task retries", "wedge restarts", "quarantined",
+                       "torn rows repaired", "backoff s"), ["0 0 0 0 0 0"])},
+        [],
+    ),
+    (
+        "distserve --n 30 --events 8 --tick 4 --shards 3 --queries 4 --seed 3",
+        {"scenario": (("scenario", "events", "rounds", "messages", "bytes", "links", "recomputes",
+                       "full", "rows updated", "converged", "routes match"),
+                      ["mobility 8 30 82 16366 1454 9 9 254 yes 4/4"])},
+        [],
+    ),
+]
+
+
+class TestSoakOutputPinned:
+    """Every soak command's deterministic output, pinned to fixed values."""
+
+    @pytest.mark.parametrize("argv, tables, lines", PINNED, ids=[c[0] for c in PINNED])
+    def test_deterministic_columns(self, argv, tables, lines, capsys):
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        for first, (cols, expected) in tables.items():
+            got = [" ".join(row[c] for c in cols) for row in _table_rows(out, first)]
+            assert got == expected, out
+        for line in lines:
+            assert line in out, out
