@@ -20,12 +20,12 @@
 # artifacts.
 #
 # Step 3 runs the traversal, dynamic-maintenance, routing-serving,
-# parallel-serving, query-serving, observability, lint-gate,
-# fault-recovery, wire-bytes and actor-tier micro-benchmarks and leaves
-# their JSON artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
+# parallel-serving, query-serving, observability, fault-recovery,
+# wire-bytes and actor-tier micro-benchmarks and leaves their JSON
+# artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
 # ./BENCH_routing.json, ./BENCH_parallel.json, ./BENCH_queries.json,
-# ./BENCH_obs.json, ./BENCH_lint.json, ./BENCH_faults.json,
-# ./BENCH_wire.json and ./BENCH_actors.json (copied from
+# ./BENCH_obs.json, ./BENCH_faults.json, ./BENCH_wire.json and
+# ./BENCH_actors.json (copied from
 # benchmarks/results/) so successive PRs
 # accumulate a perf trajectory.
 # The parallel, query and obs benches degrade gracefully on single-core
@@ -36,13 +36,12 @@
 # committed at HEAD with a tolerance band (scripts/bench_guard.py) and
 # fails loudly on a structural perf regression.
 #
-# Step 5 is static analysis: the repo's own AST linter runs twice —
-# per-file (`python -m repro lint`, the RNG/shm/tuning/task/exception/
-# timing/fault-hook/async invariants, see src/repro/analysis/lint/) and
-# whole-program (`python -m repro lint --deep` — the interprocedural
-# RL009/RL011 pair over the project call graph, see
-# src/repro/analysis/deep/).  Seqlock row writes need no rule: row_write
-# is their only API.  Both are zero-baseline and blocking; ruff
+# Step 5 is static analysis: the repo's own AST linter (`python -m repro
+# lint`, the RNG/seed-flow, shm, tuning, task, exception, timing,
+# fault-hook and async invariants, see src/repro/analysis/lint/), zero
+# baseline and blocking.  The seqlock needs no rule: row_write is the
+# only way to write a row, and every read goes through the one
+# shm._read_stable loop (a tier-1 test guards both).  ruff
 # and mypy run when installed (`pip install -e ".[lint]"`) — `ruff
 # check` blocks, `ruff format --check` is advisory (formatting drift is
 # reported, not fatal), mypy blocks on the typed core subset from
@@ -91,9 +90,8 @@ PYTHONPATH=src python -m repro chaos --plan mayhem --scenario partition --n 100 
     --events 25 --tick 5 --queries 10 --workers 2 --seed 2009 --metrics OBS_chaos.json
 
 run_static_analysis() {
-    echo "== [5/7] static analysis (reprolint shallow + deep; ruff/mypy when installed) =="
+    echo "== [5/7] static analysis (reprolint; ruff/mypy when installed) =="
     PYTHONPATH=src python -m repro lint src benchmarks scripts
-    PYTHONPATH=src python -m repro lint --deep src benchmarks scripts
     if command -v ruff > /dev/null 2>&1; then
         ruff check .
         ruff format --check . \
@@ -127,12 +125,12 @@ if [ "${SKIP_BENCH:-0}" = "1" ]; then
     exit 0
 fi
 
-echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,lint,faults,wire,actors}.json) =="
+echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,faults,wire,actors}.json) =="
 python -m pytest -q benchmarks/test_bench_traversal.py benchmarks/test_bench_dynamic.py \
     benchmarks/test_bench_routing.py benchmarks/test_bench_parallel.py \
     benchmarks/test_bench_queries.py benchmarks/test_bench_obs.py \
-    benchmarks/test_bench_lint.py benchmarks/test_bench_faults.py \
-    benchmarks/test_bench_wire.py benchmarks/test_bench_actors.py \
+    benchmarks/test_bench_faults.py benchmarks/test_bench_wire.py \
+    benchmarks/test_bench_actors.py \
     -p no:cacheprovider --benchmark-disable
 cp benchmarks/results/BENCH_traversal.json BENCH_traversal.json
 cp benchmarks/results/BENCH_dynamic.json BENCH_dynamic.json
@@ -140,11 +138,10 @@ cp benchmarks/results/BENCH_routing.json BENCH_routing.json
 cp benchmarks/results/BENCH_parallel.json BENCH_parallel.json
 cp benchmarks/results/BENCH_queries.json BENCH_queries.json
 cp benchmarks/results/BENCH_obs.json BENCH_obs.json
-cp benchmarks/results/BENCH_lint.json BENCH_lint.json
 cp benchmarks/results/BENCH_faults.json BENCH_faults.json
 cp benchmarks/results/BENCH_wire.json BENCH_wire.json
 cp benchmarks/results/BENCH_actors.json BENCH_actors.json
-echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_lint.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
+echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
 python - <<'PYEOF'
 import json
 t = json.load(open("BENCH_traversal.json"))
@@ -153,7 +150,6 @@ r = json.load(open("BENCH_routing.json"))
 p = json.load(open("BENCH_parallel.json"))
 q = json.load(open("BENCH_queries.json"))
 o = json.load(open("BENCH_obs.json"))
-lint = json.load(open("BENCH_lint.json"))
 flt = json.load(open("BENCH_faults.json"))
 wire = json.load(open("BENCH_wire.json"))
 actors = json.load(open("BENCH_actors.json"))
@@ -216,11 +212,6 @@ print(
     f"obs merge exactness: serial {mx['serial_rows_recomputed']} rows == "
     f"merged {mx['merged_rows_recomputed']} over {mx['workers']} shards: "
     f"{'exact' if mx['exact'] else 'MISMATCH'}"
-)
-dl = lint["deep_lint"]
-print(
-    f"deep lint gate: {dl['files']} files in {dl['wall_seconds']}s "
-    f"(bar {dl['max_wall_seconds']}s; {dl['files_per_second']} files/s)"
 )
 cr = flt["crash_recovery"]
 print(

@@ -15,8 +15,8 @@ linter's: 1 when any *unsuppressed* finding exists, else 0.
 
 Usage::
 
-    python scripts/lint_annotations.py LINT_deep.json
-    python -m repro lint --deep --format json src | python scripts/lint_annotations.py
+    python scripts/lint_annotations.py LINT.json
+    python -m repro lint --format json src | python scripts/lint_annotations.py
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ def main(argv: list[str]) -> int:
     summary = report.get("summary", {})
     print(
         f"lint_annotations: {live} finding(s), "
-        f"{summary.get('suppressed', 0)} suppressed"
-        + (" [deep]" if report.get("deep") else ""),
+        f"{summary.get('suppressed', 0)} suppressed",
         file=sys.stderr,
     )
     return 1 if live else 0

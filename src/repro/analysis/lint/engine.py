@@ -5,9 +5,11 @@ hand-maintained *protocols* rather than language-enforced invariants:
 pinned shared-memory attachments, seeds that flow through
 :mod:`repro.rng`, worker tasks that must survive a ``spawn`` re-import.
 (Where a protocol could be made structural it was: seqlock row writes go
-through ``row_write`` and need no rule.)  Nothing in Python stops a refactor
-from quietly violating them — and a violated protocol does not fail a
-unit test, it deadlocks a reader three PRs later.  reprolint encodes each
+through ``row_write`` and reads through the one ``_read_stable`` loop in
+:mod:`repro.parallel.shm`, so neither needs a rule.)  Nothing in Python
+stops a refactor from quietly violating them — and a violated protocol
+does not fail a unit test, it deadlocks a reader three PRs later.
+reprolint encodes each
 protocol as a static-analysis rule over the AST, so the check gate
 (``scripts/check.sh`` step [5/7]) fails the moment a violation is
 *written*, not the day it is *scheduled*.
@@ -16,11 +18,10 @@ Architecture
 ------------
 * :class:`Rule` — one invariant; subclasses implement ``check(ctx)`` and
   register themselves in :data:`REGISTRY` via the :func:`register`
-  decorator (the AST-local codes ``RL002``–``RL007``, ``RL012`` and
-  ``RL013`` live in :mod:`repro.analysis.lint.rules`; the
-  interprocedural ``RL009`` and ``RL011`` live in
-  :mod:`repro.analysis.deep` and run under ``python -m repro lint
-  --deep``).
+  decorator (the codes ``RL002``–``RL007``, ``RL012`` and ``RL013`` live
+  in :mod:`repro.analysis.lint.rules`).  Every rule sees one file; a
+  per-function fact such as "does this function take a seed?" comes
+  from :meth:`FileContext.enclosing_function`.
 * :class:`FileContext` — one parsed file: source, AST, a lazily built
   parent map (for ancestor queries like "which function encloses this
   handler?"), and the parsed suppression comments.

@@ -1,4 +1,4 @@
-"""The AST-local reprolint rules (``RL002``–``RL007``, ``RL012``, ``RL013``).
+"""The reprolint rules (``RL002``–``RL007``, ``RL012``, ``RL013``).
 
 Each rule encodes one protocol of the concurrency / reproducibility
 layers; the docstring of each class states the invariant, why it matters,
@@ -26,9 +26,14 @@ __all__ = [
 ]
 
 
+#: The :mod:`repro.rng` entry points library code must feed caller seeds.
+_RNG_SEEDERS = frozenset({"ensure_rng", "derive_seed", "spawn"})
+_SEED_PARAM_RE = re.compile(r"seed", re.IGNORECASE)
+
+
 @register
 class RngDisciplineRule(Rule):
-    """RL002 — raw RNG construction is confined to :mod:`repro.rng`.
+    """RL002 — random streams are rooted in caller seeds via :mod:`repro.rng`.
 
     Reproducibility of the experiment tables rests on every random stream
     being derived from an explicit seed through ``ensure_rng`` /
@@ -36,11 +41,20 @@ class RngDisciplineRule(Rule):
     module-level ``random.shuffle`` silently forks an unseeded stream and
     the benchmark numbers stop being bit-reproducible.  Only
     ``src/repro/rng.py`` may touch the raw constructors.
+
+    In library code (``/repro/``) the sanctioned entry points must not be
+    fed an int literal either — that pins every caller to one stream —
+    nor ``None`` inside a function that takes a seed parameter, which
+    ignores it.  ``ensure_rng(None)`` in a seed-less function is the
+    documented "fresh entropy" escape hatch.
     """
 
     code = "RL002"
     name = "rng-discipline"
-    description = "raw np.random/random construction only inside repro/rng.py"
+    description = (
+        "raw np.random/random construction only inside repro/rng.py; library "
+        "code feeds repro.rng caller seeds, never int/None literals"
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_module("repro/rng.py"):
@@ -49,6 +63,8 @@ class RngDisciplineRule(Rule):
         numpy_mods: "set[str]" = set()  # names bound to `numpy`
         np_random_mods: "set[str]" = set()  # names bound to `numpy.random`
         direct: "set[str]" = set()  # names imported from random/numpy.random
+        rng_mods: "set[str]" = set()  # names bound to the `repro.rng` module
+        seeders: "set[str]" = set()  # _RNG_SEEDERS imported by name
 
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -63,7 +79,14 @@ class RngDisciplineRule(Rule):
                             np_random_mods.add(alias.asname)
                         else:
                             numpy_mods.add("numpy")
+                    elif alias.name.split(".")[-1] == "rng":
+                        rng_mods.add(alias.asname or alias.name)
             elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "rng":
+                    seeders.update(
+                        a.asname or a.name for a in node.names if a.name in _RNG_SEEDERS
+                    )
+                rng_mods.update(a.asname or a.name for a in node.names if a.name == "rng")
                 if node.module == "random":
                     direct.update(a.asname or a.name for a in node.names)
                 elif node.module == "numpy.random":
@@ -73,6 +96,7 @@ class RngDisciplineRule(Rule):
                         if alias.name == "random":
                             np_random_mods.add(alias.asname or alias.name)
 
+        library = "/repro/" in f"/{ctx.posix_path}"
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -98,6 +122,43 @@ class RngDisciplineRule(Rule):
                     f"raw RNG call {hit}(...) outside repro/rng.py — thread a seed "
                     "through repro.rng.ensure_rng/derive_seed/spawn instead",
                 )
+            elif library and (
+                (isinstance(func, ast.Name) and func.id in seeders)
+                or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in _RNG_SEEDERS
+                    and ast.unparse(func.value) in rng_mods
+                )
+            ):
+                message = self._literal_seed(ctx, node)
+                if message is not None:
+                    yield self.finding(ctx, node, message)
+
+    @staticmethod
+    def _literal_seed(ctx: FileContext, call: ast.Call) -> "str | None":
+        """Why *call* (a repro.rng entry point) detaches from caller seeds."""
+        seed: "ast.expr | None" = call.args[0] if call.args else None
+        for kw in call.keywords:
+            if kw.arg == "seed":
+                seed = kw.value
+        if not isinstance(seed, ast.Constant) or not (
+            seed.value is None or isinstance(seed.value, int)
+        ):
+            return None
+        name = ast.unparse(call.func)
+        if seed.value is not None:
+            return (
+                f"{name}({seed.value!r}) re-seeds from a literal in library code — "
+                "derive the seed from the caller (repro.rng.derive_seed) instead"
+            )
+        fn = ctx.enclosing_function(call)
+        params = () if fn is None else (*fn.args.posonlyargs, *fn.args.args)
+        if not any(_SEED_PARAM_RE.search(p.arg) for p in params):
+            return None  # no seed to ignore: the fresh-entropy escape hatch
+        return (
+            f"{name}(None) ignores the seed parameter of {fn.name}() — "
+            "thread the caller's seed through"
+        )
 
 
 @register

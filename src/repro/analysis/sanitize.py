@@ -1,7 +1,7 @@
-"""Runtime protocol sanitizer — the dynamic twin of ``lint --deep``.
+"""Runtime protocol sanitizer — the dynamic twin of ``python -m repro lint``.
 
-The static passes (:mod:`repro.analysis.lint`, :mod:`repro.analysis.deep`)
-prove what they can from source; what only shows at runtime — whether a
+The static pass (:mod:`repro.analysis.lint`) proves what it can from
+source; what only shows at runtime — whether a
 segment outlives the pool that published it, whether a worker's final
 snapshot is absorbed twice — is checked *here*, TSan-style.  Set
 ``REPRO_SANITIZE=1`` and the hooks compiled into :mod:`repro.parallel`
@@ -15,10 +15,11 @@ start feeding two state machines:
   must be absorbed exactly once per pool start
   (``obs.double_final_snapshot``).
 
-The seqlock write protocol needs no runtime twin: ``row_write`` on
+The seqlock protocol needs no runtime twin: ``row_write`` on
 :class:`~repro.parallel.shm.SharedMatrix` / ``AttachedMatrix`` is the only
 way to write a versioned row, refuses a nested write itself, and the
-matrices' ``array`` views are read-only.
+matrices' ``array`` views are read-only; every read goes through the one
+``_read_stable`` loop in :mod:`repro.parallel.shm`.
 
 Two modes: ``raise`` (default — first violation raises
 :class:`SanitizeError` at the violating call site) and ``record``

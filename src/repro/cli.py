@@ -201,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered rules and exit",
     )
     p.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the interprocedural pass (call graph + function "
-        "summaries: RL009, RL011)",
-    )
-    p.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -704,17 +698,13 @@ def _cmd_lint(args) -> int:
     import json as _json
     import os
 
-    from .analysis.deep import deep_lint_paths, default_deep_rules
     from .analysis.lint import default_rules, lint_paths
     from .errors import ParameterError
 
     rules = default_rules()
-    deep_rules = default_deep_rules()
     if args.list_rules:
         for rule in rules:
             print(f"{rule.code} {rule.name}: {rule.description}")
-        for rule in deep_rules:
-            print(f"{rule.code} {rule.name} [deep]: {rule.description}")
         return 0
     paths = args.paths or [p for p in ("src", "benchmarks", "scripts") if os.path.isdir(p)]
     if not paths:
@@ -723,10 +713,6 @@ def _cmd_lint(args) -> int:
     as_json = args.format == "json"
     try:
         findings = lint_paths(paths, rules, keep_suppressed=as_json)
-        if args.deep:
-            findings = sorted(
-                findings + deep_lint_paths(paths, deep_rules, keep_suppressed=as_json)
-            )
     except ParameterError as exc:
         print(f"repro lint: {exc}")
         return 2
@@ -736,7 +722,6 @@ def _cmd_lint(args) -> int:
             _json.dumps(
                 {
                     "schema": "reprolint/1",
-                    "deep": bool(args.deep),
                     "paths": [str(p) for p in paths],
                     "findings": [
                         {
@@ -760,13 +745,12 @@ def _cmd_lint(args) -> int:
         return 1 if unsuppressed else 0
     for finding in unsuppressed:
         print(finding.format())
-    n_rules = len(rules) + (len(deep_rules) if args.deep else 0)
     if unsuppressed:
         print(
             f"repro lint: {len(unsuppressed)} finding(s) in {', '.join(map(str, paths))}"
         )
         return 1
-    print(f"repro lint: clean ({', '.join(map(str, paths))}; {n_rules} rules)")
+    print(f"repro lint: clean ({', '.join(map(str, paths))}; {len(rules)} rules)")
     return 0
 
 

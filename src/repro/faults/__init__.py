@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import ParameterError
 from ..rng import derive_seed, ensure_rng
@@ -275,6 +276,8 @@ _plan: "FaultPlan | None" = None
 _rng = None
 _in_worker: bool = False
 _incarnation: int = 0
+#: Worker-side flush run right before an injected crash exits the process.
+_before_exit: "Callable[[], None] | None" = None
 #: site -> opportunities seen / fires so far (per process).
 _seen: "dict[str, int]" = {}
 _fires: "dict[str, int]" = {}
@@ -315,12 +318,13 @@ def install(plan: FaultPlan) -> None:
 
 def uninstall() -> None:
     """Disarm and drop all per-process state."""
-    global active, _plan, _rng, _in_worker, _incarnation
+    global active, _plan, _rng, _in_worker, _incarnation, _before_exit
     active = False
     _plan = None
     _rng = None
     _in_worker = False
     _incarnation = 0
+    _before_exit = None
     _seen.clear()
     _fires.clear()
 
@@ -354,21 +358,29 @@ def current_plan() -> "FaultPlan | None":
     return _plan
 
 
-def worker_reset(worker_id: int, incarnation: int = 0) -> None:
+def worker_reset(
+    worker_id: int,
+    incarnation: int = 0,
+    before_exit: "Callable[[], None] | None" = None,
+) -> None:
     """Re-seed for a worker process (fork inherits the parent's stream;
     both start methods must give worker *i* its own deterministic one).
 
     *incarnation* is the supervisor's respawn count for this worker id —
     part of the seed (a respawned worker replays a *different* stream,
     not its predecessor's fate) and the gate for ``fresh_only`` rules.
+    *before_exit* runs right before an injected crash calls ``os._exit``:
+    the pool passes a flush of its result queue, so the results of tasks
+    that finished before the crash still reach the supervisor.
     """
-    global _rng, _in_worker, _incarnation
+    global _rng, _in_worker, _incarnation, _before_exit
     if not active:
         return
     assert _plan is not None
     _rng = ensure_rng(derive_seed(_plan.seed, "faults", "worker", worker_id, incarnation))
     _in_worker = True
     _incarnation = incarnation
+    _before_exit = before_exit
     _seen.clear()
     _fires.clear()
 
@@ -407,6 +419,13 @@ def _fire(site: str) -> "FaultRule | None":
 # --------------------------------------------------------------------- #
 
 
+def _crash(code: int) -> None:
+    """Die like a killed worker, after handing over finished results."""
+    if _before_exit is not None:
+        _before_exit()
+    os._exit(code)
+
+
 def on_task_start(fn: str) -> None:
     """Worker-side, before a task executes: crash or wedge sites.
 
@@ -416,7 +435,7 @@ def on_task_start(fn: str) -> None:
     if not _in_worker or fn.startswith("obs_"):
         return
     if _fire("task.crash") is not None:
-        os._exit(EXIT_TASK_CRASH)
+        _crash(EXIT_TASK_CRASH)
     rule = _fire("worker.wedge")
     if rule is not None:
         import time
@@ -482,4 +501,4 @@ def on_begin_row_write(row: int) -> None:
     if not _in_worker:
         return
     if _fire("write.crash") is not None:
-        os._exit(EXIT_WRITE_CRASH)
+        _crash(EXIT_WRITE_CRASH)

@@ -289,7 +289,15 @@ def _worker_main(
         # Re-seed the fault stream per (worker id, incarnation) so chaos
         # runs replay bit-identically under fork and spawn alike, and
         # respawned workers are exempt from fresh-only rules.
-        _faults.worker_reset(worker_id, incarnation)
+
+        def flush_results() -> None:
+            # An injected crash first pushes the results still buffered in
+            # the queue's feeder thread into the pipe, or the supervisor
+            # would blame a task that had already finished.
+            result_q.close()
+            result_q.join_thread()
+
+        _faults.worker_reset(worker_id, incarnation, before_exit=flush_results)
     try:
         while True:
             msg = task_q.get()
@@ -749,6 +757,17 @@ class WorkerPool:
             self._repair_shared()
             return WorkerError(f"{message} [{report}]")
 
+        def take(wid: int, task_id: int, ok: bool, res) -> None:
+            if ok and task_id == _OBS_TASK_ID:  # final snapshot of a
+                if _sanitize.active:  # worker stopped earlier
+                    _sanitize.note_final_snapshot(id(self), wid)
+                self._absorb_obs(wid, res)
+            elif not ok:
+                raise WorkerError(f"task failed in worker {wid}:\n{res}")
+            elif task_id in outstanding:  # ignore strays from a prior failed gather
+                slot, _wid = outstanding.pop(task_id)
+                results[slot] = res
+
         def recover(wids, *, wedged: bool) -> None:
             nonlocal deadline, respawned
             if not self.supervise:
@@ -758,9 +777,16 @@ class WorkerPool:
                     else "died mid-task"
                 )
                 raise fail(wids, f"worker(s) {kind} (supervision disabled)") from None
+            # Take every result already delivered first: a task that
+            # answered before its worker died is neither redone nor blamed.
+            while True:
+                try:
+                    take(*self._result_q.get_nowait())
+                except queue_mod.Empty:
+                    break
             redo = sorted(tid for tid, (_slot, w) in outstanding.items() if w in wids)
             # Poison accounting: the earliest unanswered task per worker
-            # is the one it was (most likely) executing when it died.
+            # is the one it was executing when it died.
             for wid in wids:
                 mine = [tid for tid in redo if outstanding[tid][1] == wid]
                 if not mine:
@@ -810,24 +836,14 @@ class WorkerPool:
         with obs.span("pool.run"):
             while outstanding:
                 try:
-                    wid, task_id, ok, res = self._result_q.get(timeout=0.1)
+                    msg = self._result_q.get(timeout=0.1)
                 except queue_mod.Empty:
                     dead = [w for w, p in enumerate(self._procs) if not p.is_alive()]
                     if dead:
                         recover(dead, wedged=False)
-                        continue
-                    if time.monotonic() > deadline:
+                    elif time.monotonic() > deadline:
                         wedged = sorted({w for _slot, w in outstanding.values()})
                         recover(wedged, wedged=True)
                     continue
-                if ok and task_id == _OBS_TASK_ID:  # final snapshot of a
-                    if _sanitize.active:  # worker stopped earlier
-                        _sanitize.note_final_snapshot(id(self), wid)
-                    self._absorb_obs(wid, res)
-                    continue
-                if not ok:
-                    raise WorkerError(f"task failed in worker {wid}:\n{res}")
-                if task_id in outstanding:  # ignore strays from a prior failed gather
-                    slot, _wid = outstanding.pop(task_id)
-                    results[slot] = res
+                take(*msg)
         return results

@@ -60,7 +60,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -88,6 +88,8 @@ _IDX_DTYPE = np.intc
 _MAT_DTYPE = np.int32
 _VER_DTYPE = np.int64
 
+_T = TypeVar("_T")
+
 
 def _max_tries() -> int:
     """Retry budget for seqlock reads (the ``read_retries`` tuning knob,
@@ -108,6 +110,49 @@ def _spin(attempt: int) -> None:
         time.sleep(0.0001)
     elif attempt >= 16:
         time.sleep(0)
+
+
+def _read_stable(
+    ver: np.ndarray,
+    i: int,
+    data: Any,
+    key: Any,
+    cast: "Callable[[Any], _T]",
+    owner: "AttachedMatrix | None" = None,
+) -> _T:
+    """``cast(data[key])`` copied while version ``ver[i]`` stayed even.
+
+    The one seqlock read loop: capture the version (retry while odd —
+    a writer is mid-row), copy, re-check, retry on any movement, so the
+    result is always a state some writer committed.  *cast* must copy
+    (``int``, ``np.array``, ``bytes``); the caller passes it rather than
+    a closure, so a read allocates nothing beyond its result.  With an
+    *owner* (an :class:`AttachedMatrix`) every discarded capture bumps
+    ``owner.torn_retries`` and the ``seqlock.retry_busy`` /
+    ``seqlock.retry_torn`` counters.  Nothing here may block: the only
+    back-off is :func:`_spin` (``tests/parallel/test_shm.py`` guards
+    that this is the only loop that calls it).  The retry budget is
+    looked up only once a read has to retry, so an uncontended read
+    costs two version loads and the copy.
+    """
+    attempt = 0
+    while True:
+        v0 = int(ver[i])
+        if v0 & 1:
+            metric = "seqlock.retry_busy"
+        else:
+            value = cast(data[key])
+            if int(ver[i]) == v0:
+                return value
+            metric = "seqlock.retry_torn"
+        if owner is not None:
+            owner.torn_retries += 1
+            obs.inc(metric)
+        if attempt + 1 >= _max_tries():
+            break
+        _spin(attempt)
+        attempt += 1
+    raise TornReadError(f"seqlock version {i} never stabilized (writer died mid-write?)")
 
 
 def _headroom(size: int) -> int:
@@ -744,42 +789,17 @@ class AttachedMatrix(_RowWriter):
         callers guarantee no concurrent writers).
         """
         ver = self._ver
+        key = u if cols is None else (u, cols)
         if ver is None:
-            return np.array(self._arr[u] if cols is None else self._arr[u, cols])
-        for attempt in range(_max_tries()):
-            v0 = int(ver[u])
-            if v0 & 1:
-                self.torn_retries += 1
-                obs.inc("seqlock.retry_busy")
-                _spin(attempt)
-                continue
-            row = np.array(self._arr[u] if cols is None else self._arr[u, cols])
-            if int(ver[u]) == v0:
-                return row
-            self.torn_retries += 1
-            obs.inc("seqlock.retry_torn")
-            _spin(attempt)
-        raise TornReadError(f"row {u} never stabilized (writer died mid-write?)")
+            return np.array(self._arr[key])
+        return _read_stable(ver, u, self._arr, key, np.array, self)
 
     def read_cell(self, u: int, v: int) -> int:
         """A stable read of one cell, under the same seqlock protocol."""
         ver = self._ver
         if ver is None:
             return int(self._arr[u, v])
-        for attempt in range(_max_tries()):
-            v0 = int(ver[u])
-            if v0 & 1:
-                self.torn_retries += 1
-                obs.inc("seqlock.retry_busy")
-                _spin(attempt)
-                continue
-            value = int(self._arr[u, v])
-            if int(ver[u]) == v0:
-                return value
-            self.torn_retries += 1
-            obs.inc("seqlock.retry_torn")
-            _spin(attempt)
-        raise TornReadError(f"cell ({u}, {v}) never stabilized (writer died mid-write?)")
+        return _read_stable(ver, u, self._arr, (u, v), int, self)
 
     def refresh(self, handle: SharedMatrixHandle) -> None:
         if handle.name != self._handle.name:
@@ -877,19 +897,17 @@ class AttachedDirectory:
         return int(np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)[0])
 
     def read(self) -> "tuple[object, int]":
-        """The latest committed payload and its generation (seqlock read)."""
+        """The latest committed payload and its generation (seqlock read).
+
+        The whole block is copied under the generation check, so the
+        generation and payload length come from the same committed post
+        as the payload bytes.
+        """
         hdr = np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)
-        for attempt in range(_max_tries()):
-            g0 = int(hdr[0])
-            if g0 & 1:
-                _spin(attempt)
-                continue
-            length = int(hdr[1])
-            data = bytes(self._shm.buf[SharedDirectory._HEADER : SharedDirectory._HEADER + length])
-            if int(hdr[0]) == g0:
-                return pickle.loads(data), g0
-            _spin(attempt)
-        raise TornReadError("directory never stabilized (owner died mid-post?)")
+        block = _read_stable(hdr, 0, self._shm.buf, slice(None), bytes)
+        gen, length = np.frombuffer(block, dtype=np.int64, count=2).tolist()
+        start = SharedDirectory._HEADER
+        return pickle.loads(block[start : start + length]), gen
 
     def close(self) -> None:
         try:

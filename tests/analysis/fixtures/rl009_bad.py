@@ -1,4 +1,4 @@
-"""RL009 bad: repro.rng entry points fed literals in library code."""
+"""RL002 bad (library scope): repro.rng entry points fed literals."""
 
 from ..rng import derive_seed, ensure_rng
 

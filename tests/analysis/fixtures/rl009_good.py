@@ -1,4 +1,4 @@
-"""RL009 good: seeds flow from the caller through repro.rng."""
+"""RL002 good (library scope): seeds flow from the caller through repro.rng."""
 
 from ..rng import derive_seed, ensure_rng
 

@@ -1,4 +1,4 @@
-"""RL011 bad: blocking calls inside a seqlock read-retry loop."""
+"""A hand-rolled seqlock retry loop that blocks (the shm read-loop guard flags it)."""
 
 import time
 

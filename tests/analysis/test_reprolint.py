@@ -38,6 +38,7 @@ from repro.errors import ParameterError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
+LIBRARY_PATH = "src/repro/under_test.py"  # in RL002's literal-seed scope
 
 
 def fixture_findings(name, rule, fake_path=None):
@@ -172,6 +173,58 @@ class TestRngDisciplineRule:
     def test_rng_module_itself_is_exempt(self):
         findings = fixture_findings("rl002_bad.py", RngDisciplineRule(), "src/repro/rng.py")
         assert findings == []
+
+    def test_literal_seeds_flagged_in_library_code(self):
+        findings = fixture_findings("rl009_bad.py", RngDisciplineRule(), LIBRARY_PATH)
+        assert [(f.rule, f.line) for f in findings] == [("RL002", 7), ("RL002", 8), ("RL002", 9)]
+        messages = " | ".join(f.message for f in findings)
+        assert "ensure_rng(12345)" in messages
+        assert "ensure_rng(None) ignores the seed parameter" in messages
+        assert "derive_seed(7)" in messages
+
+    def test_literal_seed_good_fixture_is_clean(self):
+        assert fixture_findings("rl009_good.py", RngDisciplineRule(), LIBRARY_PATH) == []
+
+    def test_literal_seeds_fine_outside_library(self):
+        # The same literals are fine outside src/repro (tests, scripts).
+        for path in ("tests/helpers/seeding.py", "scripts/seeding.py", None):
+            assert fixture_findings("rl009_bad.py", RngDisciplineRule(), path) == []
+
+    def test_literal_seed_spellings_and_scopes(self):
+        source = (
+            "from .. import rng as r\n"
+            "import repro.rng\n"
+            "_STREAM = r.ensure_rng(3)\n"
+            "def a(n):\n"
+            "    return repro.rng.spawn(seed=4), r.ensure_rng(None)\n"
+            "def b(base_seed):\n"
+            "    def inner(k):\n"
+            "        return r.ensure_rng(None)\n"
+            "    return r.derive_seed(None, 'b'), inner\n"
+            "def c(seed, rng):\n"
+            "    return rng.spawn(2), r.ensure_rng(seed)\n"
+        )
+        findings = lint_file(LIBRARY_PATH, [RngDisciplineRule()], source=source)
+        assert [f.line for f in findings] == [3, 5, 9]
+
+    @staticmethod
+    def _literal_seed_source_with_first_line_silenced():
+        return (FIXTURES / "rl009_bad.py").read_text(encoding="utf-8").replace(
+            "rng = ensure_rng(12345)",
+            "rng = ensure_rng(12345)  # reprolint: disable=RL002",
+        )
+
+    def test_literal_seed_honors_inline_suppressions(self):
+        source = self._literal_seed_source_with_first_line_silenced()
+        findings = lint_file(LIBRARY_PATH, [RngDisciplineRule()], source=source)
+        assert [f.line for f in findings] == [8, 9]
+
+    def test_literal_seed_keep_suppressed_marks_instead_of_dropping(self):
+        source = self._literal_seed_source_with_first_line_silenced()
+        kept = lint_file(
+            LIBRARY_PATH, [RngDisciplineRule()], source=source, keep_suppressed=True
+        )
+        assert [f.suppressed for f in kept] == [True, False, False]
 
 
 class TestShmLifecycleRule:
@@ -319,6 +372,23 @@ class TestCli:
             assert code in out
         assert "RL001" not in out
 
+    def test_list_rules_drops_the_deep_section(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for retired in ("RL001", "RL008", "RL009", "RL010", "RL011"):
+            assert retired not in out
+        assert "[deep]" not in out
+
+    def test_literal_seed_in_library_code_fails_the_gate(self, capsys, tmp_path):
+        target = tmp_path / "src" / "repro" / "helper.py"
+        target.parent.mkdir(parents=True)
+        target.write_text((FIXTURES / "rl009_bad.py").read_text(encoding="utf-8"))
+        assert main(["lint", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("RL002") == 3
+        with pytest.raises(SystemExit):
+            main(["lint", "--deep", str(tmp_path)])  # the flag is gone
+
     def test_findings_exit_nonzero_and_print_locations(self, capsys):
         assert main(["lint", str(FIXTURES / "rl006_bad.py")]) == 1
         out = capsys.readouterr().out
@@ -339,7 +409,7 @@ class TestCli:
         assert main(["lint", "--format", "json", str(FIXTURES / "rl006_bad.py")]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["schema"] == "reprolint/1"
-        assert data["deep"] is False
+        assert "deep" not in data
         first = data["findings"][0]
         assert set(first) == {"rule", "path", "line", "col", "message", "suppressed"}
         assert data["summary"]["findings"] == len(data["findings"])
@@ -369,4 +439,9 @@ class TestRepoIsClean:
         """The gate this PR ships: zero findings, zero baseline."""
         paths = [REPO_ROOT / d for d in ("src", "benchmarks", "scripts")]
         findings = lint_paths([p for p in paths if p.is_dir()])
+        assert findings == [], "\n".join(f.format() for f in findings)
+
+    def test_repo_has_no_literal_seeds(self):
+        """Library code takes its seeds from callers: no literal or dropped seed."""
+        findings = lint_paths([REPO_ROOT / "src"], [RngDisciplineRule()])
         assert findings == [], "\n".join(f.format() for f in findings)

@@ -1,17 +1,20 @@
 """Runtime sanitizer + the shared injected-violation corpus.
 
 The corpus is the contract of the layered design: every deliberately
-injected protocol violation is either still *caught* — by the
-interprocedural pass (``static``), the runtime sanitizer (``runtime``),
-or both — or can no longer be written (``structural``): the API raises
-the moment it is attempted.  A parametrized test asserts exactly that per
+injected protocol violation is either still *caught* — by a static check
+over the source (``static``), the runtime sanitizer (``runtime``), or
+both — or can no longer be written (``structural``): the API raises the
+moment it is attempted.  A parametrized test asserts exactly that per
 case.  The seqlock write violations are all structural: ``row_write`` is
 the only way to write a versioned row, versioned ``array`` views are
 read-only, a nested write raises, and there is no public "end a write"
-call to misuse.  Shm leaks and snapshot shipping stay runtime checks;
-seed flow and blocking in a retry loop stay static.
+call to misuse.  Shm leaks and snapshot shipping stay runtime checks.
+Seed flow is reprolint's RL002; blocking in a seqlock retry loop is
+caught by the read-loop guard in ``tests/parallel/test_shm.py``, which
+pins every seqlock read to the one ``shm._read_stable`` loop.
 """
 
+import ast
 import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,12 +22,18 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import sanitize
-from repro.analysis.deep import deep_lint_sources
+from repro.analysis.lint import lint_file
 from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
 from repro.parallel import shm as shm_mod
 from repro.parallel.shm import AttachedMatrix, SharedMatrix
+from tests.parallel.test_shm import (
+    read_loop_violations,
+    repro_modules,
+    repro_modules_with_shm,
+    shm_source,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -167,14 +176,29 @@ def _structural_unmatched_end():
         m.close()
 
 
+def _static_literal_reseed():
+    source = (FIXTURES / "rl009_bad.py").read_text(encoding="utf-8")
+    findings = lint_file("src/repro/under_test.py", source=source)
+    return [[f for f in findings if f.rule == "RL002"]]
+
+
+def _static_blocking_in_retry_loop():
+    """The guard over ``src/repro`` plus a blocking hand-rolled loop, and
+    over ``src/repro`` with a sleep inside ``_read_stable`` itself."""
+    fixture = ast.parse((FIXTURES / "rl011_bad.py").read_text(encoding="utf-8"))
+    return [
+        read_loop_violations([*repro_modules(), ("src/repro/under_test.py", fixture)]),
+        read_loop_violations(repro_modules_with_shm(shm_source(sleep_in_read_loop=True))),
+    ]
+
+
 @dataclass
 class Case:
     """One injected violation and how it is stopped."""
 
     name: str
     layers: "frozenset[str]"  # "static" / "runtime" catch it; "structural": unwritable
-    static_fixture: "str | None" = None  # file in tests/analysis/fixtures
-    static_rules: "frozenset[str]" = field(default_factory=frozenset)
+    static: "object" = None  # callable: one findings list per violating input
     runtime: "object" = None  # callable run under record mode
     runtime_kinds: "frozenset[str]" = field(default_factory=frozenset)
     attempt: "object" = None  # structural: the callable that must raise ...
@@ -185,14 +209,12 @@ CORPUS = [
     Case(
         name="literal_reseed_in_helper",
         layers=frozenset({"static"}),
-        static_fixture="rl009_bad.py",
-        static_rules=frozenset({"RL009"}),
+        static=_static_literal_reseed,
     ),
     Case(
         name="blocking_in_retry_loop",
         layers=frozenset({"static"}),
-        static_fixture="rl011_bad.py",
-        static_rules=frozenset({"RL011"}),
+        static=_static_blocking_in_retry_loop,
     ),
     Case(
         name="leaked_shm_segment",
@@ -241,7 +263,7 @@ class TestCorpus:
             assert case.layers, case.name
             assert case.layers <= {"static", "runtime", "structural"}, case.name
             if "static" in case.layers:
-                assert case.static_fixture and case.static_rules, case.name
+                assert case.static is not None, case.name
             if "runtime" in case.layers:
                 assert case.runtime is not None and case.runtime_kinds, case.name
             if "structural" in case.layers:
@@ -252,9 +274,8 @@ class TestCorpus:
         "case", [c for c in CORPUS if "static" in c.layers], ids=lambda c: c.name
     )
     def test_static_layer_catches(self, case):
-        source = (FIXTURES / case.static_fixture).read_text(encoding="utf-8")
-        findings = deep_lint_sources([("src/repro/under_test.py", source)])
-        assert case.static_rules <= {f.rule for f in findings}, case.name
+        per_input = case.static()
+        assert per_input and all(per_input), f"{case.name}: {per_input}"
 
     @pytest.mark.parametrize(
         "case", [c for c in CORPUS if "runtime" in c.layers], ids=lambda c: c.name

@@ -95,6 +95,19 @@ class TestPoisonAndBudget:
             _echo_ok(pool)
 
 
+    def test_poison_blame_names_the_running_payload(self, monkeypatch):
+        # Payload 0 finishes with a large result; the crash hits payload 1
+        # while that result may still sit in the worker's queue buffer.
+        # It must reach the supervisor, which then blames payload 1.
+        _arm(
+            monkeypatch,
+            FaultPlan("second", 1, (FaultRule("task.crash", p=1.0, after=1, count=1),)),
+        )
+        with WorkerPool(1, poison_threshold=1) as pool:
+            with pytest.raises(WorkerError, match="poison task: 'echo' payload 1 killed"):
+                pool.run("echo", [b"x" * (4 << 20), "second"], to=[0, 0])
+
+
 class TestUnsupervisedErrorDetail:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_error_names_exitcode_and_inflight(self, method, monkeypatch):

@@ -8,6 +8,7 @@ are written only through ``row_write`` (:class:`TestRowWrite`).
 """
 
 import ast
+import functools
 import multiprocessing
 from pathlib import Path
 
@@ -370,6 +371,85 @@ def _bracket_uses(tree: ast.AST) -> "list[int]":
     return sorted(lines)
 
 
+#: What the one seqlock read loop (``shm._read_stable``) may call besides
+#: the conversion its caller passes, and the conversions callers may pass.
+#: None of them can park the reader, so the loop stays a bounded spin.
+_READ_LOOP_CALLS = frozenset({"int", "range", "_max_tries", "_spin", "obs.inc"})
+_READ_CASTS = frozenset({"int", "bytes", "np.array"})
+_CAST_ARG = 4  # _read_stable(ver, i, data, key, cast, owner=None)
+
+
+def read_loop_violations(modules) -> "list[str]":
+    """Breaches of the single-read-loop structure over *modules*, the
+    ``(label, ast)`` pairs standing for ``src/repro``: exactly one
+    ``_read_stable`` holding exactly one loop, that loop calling only
+    :data:`_READ_LOOP_CALLS` and its cast parameter, ``_spin`` referenced
+    nowhere else, and every caller passing a cast from :data:`_READ_CASTS`."""
+    out = []
+    readers = []
+    for label, tree in modules:
+        inside = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_read_stable":
+                readers.append((label, node))
+                inside |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = ast.unparse(node)
+            else:
+                name = ""
+            if name.split(".")[-1] == "_spin" and id(node) not in inside:
+                out.append(f"{label}:{node.lineno}: _spin outside _read_stable")
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_read_stable"):
+                cast = [kw.value for kw in node.keywords if kw.arg == "cast"]
+                cast += node.args[_CAST_ARG : _CAST_ARG + 1]
+                if not cast or ast.unparse(cast[0]) not in _READ_CASTS:
+                    out.append(f"{label}:{node.lineno}: _read_stable cast not in {sorted(_READ_CASTS)}")
+    if len(readers) != 1:
+        return out + [f"expected one _read_stable, found {len(readers)}"]
+    label, reader = readers[0]
+    loops = [n for n in ast.walk(reader) if isinstance(n, (ast.For, ast.While))]
+    if len(loops) != 1:
+        return out + [f"{label}: expected one loop in _read_stable, found {len(loops)}"]
+    allowed = _READ_LOOP_CALLS | {reader.args.args[_CAST_ARG].arg}
+    for node in ast.walk(loops[0]):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) not in allowed:
+            out.append(f"{label}:{node.lineno}: {ast.unparse(node.func)}() in the read loop")
+    return out
+
+
+SHM_PATH = "src/repro/parallel/shm.py"
+
+
+def shm_source(*, sleep_in_read_loop: bool = False) -> str:
+    """``parallel/shm.py``'s source, optionally with a blocking call
+    inserted into the ``_read_stable`` loop (a mutation the guard must
+    catch)."""
+    source = (REPO_ROOT / SHM_PATH).read_text(encoding="utf-8")
+    copy_line = "            value = cast(data[key])\n"
+    assert source.count(copy_line) == 1
+    if sleep_in_read_loop:
+        source = source.replace(copy_line, "            time.sleep(0.001)\n" + copy_line)
+    return source
+
+
+def repro_modules_with_shm(source: str) -> "list[tuple[str, ast.Module]]":
+    """:func:`repro_modules` with ``shm.py`` replaced by *source*."""
+    return [(label, ast.parse(source) if label == SHM_PATH else tree) for label, tree in repro_modules()]
+
+
+@functools.lru_cache(maxsize=1)
+def repro_modules() -> "tuple[tuple[str, ast.Module], ...]":
+    """Every module under ``src/repro`` as ``(relative path, ast)``."""
+    root = REPO_ROOT / "src" / "repro"
+    return tuple(
+        (str(path.relative_to(REPO_ROOT)), ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(root.rglob("*.py"))
+    )
+
+
 class TestRowWrite:
     """``with m.row_write(u) as row:`` is the only way to write a versioned row."""
 
@@ -501,6 +581,43 @@ class TestRowWrite:
         assert _bracket_uses(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
+class TestReadLoop:
+    """Every seqlock read goes through the one ``_read_stable`` loop."""
+
+    def test_repo_has_one_read_loop_and_nothing_blocks_in_it(self):
+        modules = repro_modules()
+        assert len(modules) > 50
+        assert read_loop_violations(modules) == []
+
+    def test_guard_flags_each_breach(self):
+        found = read_loop_violations(repro_modules_with_shm(shm_source(sleep_in_read_loop=True)))
+        assert any("time.sleep()" in v for v in found)
+        lambda_cast = shm_source().replace("(u, v), int, self)", "(u, v), lambda x: int(x), self)")
+        found = read_loop_violations(repro_modules_with_shm(lambda_cast))
+        assert any("cast not in" in v for v in found)
+        hand_rolled = ast.parse(
+            "from .shm import _spin\n"
+            "def read(ver, arr, u):\n"
+            "    for attempt in range(9):\n"
+            "        if not ver[u] & 1:\n"
+            "            return arr[u]\n"
+            "        _spin(attempt)\n"
+        )
+        found = read_loop_violations([*repro_modules(), ("src/repro/other.py", hand_rolled)])
+        assert found == [
+            "src/repro/other.py:1: _spin outside _read_stable",
+            "src/repro/other.py:6: _spin outside _read_stable",
+        ]
+
+
+def _post_changing_lengths(directory, stop):
+    """Forked child: post payloads whose length keeps changing until *stop*."""
+    k = 0
+    while not stop.is_set():
+        k += 1
+        directory.post((k, b"x" * (k % 40 * 97)))
+
+
 class TestSharedDirectory:
     def test_post_read_round_trip(self):
         from repro.parallel import AttachedDirectory, SharedDirectory
@@ -530,3 +647,49 @@ class TestSharedDirectory:
                 d.post(b"x" * 8192)
         finally:
             d.close()
+
+    def test_odd_header_raises_torn_read_error(self):
+        from repro import tuning
+        from repro.errors import TornReadError
+        from repro.parallel import AttachedDirectory, SharedDirectory
+
+        d = SharedDirectory()
+        att = AttachedDirectory(d.name)
+        try:
+            d.post("committed")
+            np.ndarray((2,), dtype=np.int64, buffer=d._shm.buf)[0] += 1  # owner died mid-post
+            with tuning.overridden(read_retries=50):
+                with pytest.raises(TornReadError):
+                    att.read()
+        finally:
+            att.close()
+            d.close()
+
+    @pytest.mark.skipif("fork" not in START_METHODS, reason="the poster shares the owner by fork")
+    def test_concurrent_posts_of_changing_length_never_tear(self):
+        import time
+
+        from repro.parallel import AttachedDirectory, SharedDirectory
+
+        ctx = multiprocessing.get_context("fork")
+        d = SharedDirectory()
+        att = AttachedDirectory(d.name)
+        stop = ctx.Event()
+        poster = ctx.Process(target=_post_changing_lengths, args=(d, stop))
+        poster.start()
+        try:
+            gen0 = att.generation()
+            while att.generation() == gen0:  # the poster is running
+                pass
+            seen = set()
+            deadline = time.monotonic() + 0.3
+            while time.monotonic() < deadline:
+                (k, blob), gen = att.read()
+                assert blob == b"x" * (k % 40 * 97) and gen % 2 == 0
+                seen.add(k)
+        finally:
+            stop.set()
+            poster.join(timeout=30)
+            att.close()
+            d.close()
+        assert len(seen) > 2  # the reads really raced the posts
