@@ -20,7 +20,12 @@ acceptance bars of the dynamic serving layer (PR 3):
 * repairing the dirty distance rows from the tick's net ΔH
   (:func:`~repro.graph.repair_rows`) must beat re-running a batched BFS
   on the same rows by ≥ 5× on a node-churn stream at n = 1500 — with
-  identical rows.
+  identical rows;
+* projecting a tick's damaged tables in one batched gather over their
+  flat ``(table, column)`` cells (:meth:`RowOwner.project
+  <repro.dynamic.serving.RowOwner.project>`) must beat one
+  :func:`~repro.routing.tables.project_table_row` pass per table by ≥ 4×
+  on the same node-churn stream — with identical tables.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.dynamic import (
     failure_recovery_scenario,
     make_scenario,
 )
-from repro.dynamic.serving import dirty_rows
+from repro.dynamic.serving import DenseRows, RowOwner, dirty_rows
 from repro.experiments import largest_component, scaled_udg
 from repro.graph import batched_bfs, repair_rows, sample_pairs
 from repro.routing import (
@@ -50,11 +55,13 @@ from repro.routing import (
     routing_table_scan,
     spanner_advertisement_cost,
 )
+from repro.routing.tables import project_table_row
 
 #: Serving-layer acceptance bars (ISSUE 3).
 REQUIRED_TABLE_SPEEDUP = 5.0  # incremental tables vs recompute-per-event
 REQUIRED_KERNEL_SPEEDUP = 3.0  # neighbor-sourced kernel vs per-destination scan
 REQUIRED_REPAIR_SPEEDUP = 5.0  # row repair vs batched BFS on the same dirty rows
+REQUIRED_CELL_SPEEDUP = 4.0  # batched cell projection vs one pass per table
 N_DYN = 1500
 NUM_EVENTS = 100
 KERNEL_SOURCES = 3  # sources timed per kernel (the scan is the slow part)
@@ -338,4 +345,84 @@ def test_row_repair_vs_bfs(record, results_dir):
     assert speedup >= REQUIRED_REPAIR_SPEEDUP, (
         f"row repair only {speedup:.2f}x faster than batched BFS "
         f"(need ≥ {REQUIRED_REPAIR_SPEEDUP}x): {payload}"
+    )
+
+
+def test_cell_projection_vs_per_table(record, results_dir):
+    """Batched cell projection vs one ``project_table_row`` per table — ≥ 4×."""
+    sc = make_scenario("nodechurn", N_DYN, REPAIR_EVENTS, seed=DYN_SEED)
+    service = RoutingService(sc.initial, "kcover")
+    project = service._project_tables
+    timings = []  # (per-table s, batched s, tables, cells) per measured tick
+
+    def per_table(dist, tables, indptr, indices, jobs):
+        for u, cols in jobs:
+            nbrs = indices[indptr[u] : indptr[u + 1]].tolist()
+            project_table_row(dist, tables[u], nbrs, u, cols)
+
+    def best_of_3(run, before):
+        best = float("inf")
+        for _ in range(3):
+            tables = before.copy()  # every round projects from the same state
+            sw = obs.Stopwatch()
+            run(tables)
+            best = min(best, sw.elapsed())
+        return best, tables
+
+    def measured(damage):
+        if damage.us.size:
+            g, dist, before = service.graph.freeze(), service._dist, service._tables
+            indptr, indices = g.numpy_arrays()
+            starts = np.flatnonzero(np.diff(damage.us, prepend=-1))
+            jobs = [(u, None) for u in damage.whole.tolist()] + list(
+                zip(damage.us[starts].tolist(), np.split(damage.cs, starts[1:]))
+            )
+            t_table, by_table = best_of_3(
+                lambda tab: per_table(dist, tab, indptr, indices, jobs), before
+            )
+            t_cells, by_cells = best_of_3(
+                lambda tab: RowOwner(DenseRows(dist), DenseRows(tab)).project(g, damage), before
+            )
+            assert np.array_equal(by_cells, by_table), "batched and per-table tables differ"
+            touched = project(damage)
+            assert np.array_equal(service._tables, by_cells), "served tables differ"
+            timings.append((t_table, t_cells, touched, int(damage.us.size)))
+            return touched
+        return project(damage)
+
+    service._project_tables = measured
+    events = list(sc.events)
+    for lo in range(0, len(events), REPAIR_TICK):
+        service.apply_batch(events[lo : lo + REPAIR_TICK])
+    h, g = service.advertised, service.graph
+    for u in range(0, g.num_nodes, 97):
+        assert service.table(u) == routing_table(h, g, u), f"table of {u} diverged"
+    assert timings
+    ticks = len(timings)
+    t_table = sum(t for t, _c, _n, _k in timings)
+    t_cells = sum(c for _t, c, _n, _k in timings)
+    speedup = t_table / t_cells
+    payload = {
+        "graph": {"n": sc.initial.num_nodes, "kind": "udg-nodechurn", "seed": DYN_SEED},
+        "events": REPAIR_EVENTS,
+        "tick": REPAIR_TICK,
+        "ticks_measured": ticks,
+        "tables_per_tick": round(sum(n for _t, _c, n, _k in timings) / ticks, 1),
+        "cells_per_tick": round(sum(k for _t, _c, _n, k in timings) / ticks, 1),
+        "ms_per_tick_per_table": round(t_table / ticks * 1e3, 2),
+        "ms_per_tick_cells": round(t_cells / ticks * 1e3, 2),
+        "speedup_cells_vs_per_table": round(speedup, 2),
+        "required_speedup": REQUIRED_CELL_SPEEDUP,
+    }
+    _merge_artifact(results_dir, "cell_projection", payload)
+    record(
+        "bench_routing_cell_projection",
+        f"table projection n={sc.initial.num_nodes} nodechurn, {REPAIR_TICK}-event ticks: "
+        f"{payload['tables_per_tick']} tables/tick, {payload['cells_per_tick']} cells/tick; "
+        f"batched cells {payload['ms_per_tick_cells']} ms/tick vs per table "
+        f"{payload['ms_per_tick_per_table']} ms/tick -> {speedup:.1f}x",
+    )
+    assert speedup >= REQUIRED_CELL_SPEEDUP, (
+        f"batched cell projection only {speedup:.2f}x faster than one pass per table "
+        f"(need ≥ {REQUIRED_CELL_SPEEDUP}x): {payload}"
     )

@@ -40,6 +40,11 @@ METRICS = [
         "incremental tables",
     ),
     ("BENCH_routing.json", ("row_repair", "speedup_repair_vs_bfs"), "row repair vs BFS"),
+    (
+        "BENCH_routing.json",
+        ("cell_projection", "speedup_cells_vs_per_table"),
+        "batched cell projection vs per table",
+    ),
     ("BENCH_parallel.json", ("sharded_repair", "speedup_4_vs_1"), "sharded repair 4v1"),
     ("BENCH_queries.json", ("query_throughput", "speedup_served_vs_bfs"), "served queries"),
     (

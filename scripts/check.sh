@@ -176,6 +176,11 @@ print(
     f"{r['row_repair']['speedup_repair_vs_bfs']}x "
     f"(required {r['row_repair']['required_speedup']}x)"
 )
+print(
+    f"batched cell projection speedup vs one pass per table: "
+    f"{r['cell_projection']['speedup_cells_vs_per_table']}x "
+    f"(required {r['cell_projection']['required_speedup']}x)"
+)
 sharded = p["sharded_repair"]
 curve = ", ".join(
     f"W={w}: {s['events_per_second']} ev/s" for w, s in sharded["workers"].items()

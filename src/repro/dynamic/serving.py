@@ -36,9 +36,10 @@ table damage decomposes exactly:
 * **tables** change only for sources with a dirty-row neighbor (their
   argmin inputs moved) or whose G-star itself changed (event endpoints,
   leavers and their former neighbors, joiners) — and within a table, only
-  at destinations whose neighbor-row entries actually changed (the
-  accumulated changed-column mask), recomputed by a masked vectorized
-  argmin.
+  at destinations whose neighbor-row entries actually changed.  A tick's
+  damage is a :class:`TableDamage`: the tables to re-project whole, plus
+  flat sorted ``(table, column)`` cells that one padded gather
+  (:func:`~repro.routing.tables.project_table_cells`) re-argmins at once.
 
 :class:`RoutingService` owns a :class:`~repro.dynamic.maintainer.\
 SpannerMaintainer` and applies events singly (:meth:`RoutingService.apply`)
@@ -86,7 +87,7 @@ from .. import obs
 from ..errors import NodeNotFound, ParameterError
 from ..graph import Graph, batched_bfs, repair_rows
 from ..graph.traversal import orphaned_far_ends, repairable_rows, row_changes
-from ..routing.tables import _FAR, project_table_row
+from ..routing.tables import _FAR, project_table_cells, project_table_row
 from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
 
@@ -98,8 +99,47 @@ __all__ = [
     "ServeDelta",
     "ServeReport",
     "MemoryStats",
+    "TableDamage",
     "dirty_rows",
 ]
+
+
+#: Cell keys :meth:`RowOwner.damage` builds per group of changed rows:
+#: bounds its scratch however many changed rows reach the same cells.
+_KEY_CHUNK = 1 << 13
+
+
+def _ranges(start: "np.ndarray", length: "np.ndarray") -> "np.ndarray":
+    """The concatenated integer ranges ``[start[i], start[i] + length[i])``."""
+    offsets = np.cumsum(length) - length
+    return np.repeat(start - offsets, length) + np.arange(int(length.sum()))
+
+
+def _cell_keys(indptr, indices, keep, n, rows, cols, ncols) -> "np.ndarray":
+    """``table * n + column`` for each kept reader (G-neighbor) of each of
+    *rows* and each column that row changed at: unsorted, with repeats."""
+    start = indptr[rows]
+    deg = indptr[rows + 1] - start
+    readers = indices[_ranges(start, deg)]
+    row_of = np.repeat(np.arange(rows.size), deg)
+    kept = keep[readers]
+    readers, row_of = readers[kept], row_of[kept]
+    per = ncols[row_of]
+    flat = np.concatenate(cols)
+    at = _ranges((np.cumsum(ncols) - ncols)[row_of], per)
+    return np.repeat(readers.astype(np.int64) * n, per) + flat[at]
+
+
+def _unique_sorted(keys: "np.ndarray") -> "np.ndarray":
+    """*keys* sorted (in place) with repeats dropped.
+
+    Sorts and masks rather than calling ``np.unique``, whose hash-table
+    path is an order of magnitude slower on these keys.
+    """
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 class RowDelta(NamedTuple):
@@ -133,6 +173,44 @@ def resized(matrix: "np.ndarray", n: int) -> "np.ndarray":
     out = np.full((n, n), -1, dtype=np.int32)
     out[:k, :k] = matrix[:k, :k]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class TableDamage:
+    """Which next-hop table entries one tick must re-argmin.
+
+    ``whole`` holds the sorted ids of tables re-projected at every column.
+    ``us``/``cs`` are the damaged cells of every other table: int32 arrays
+    of table ids and columns, unique and sorted by (table, column), with
+    no table of ``whole`` among them.  ``len()`` counts distinct tables.
+    """
+
+    whole: np.ndarray
+    us: np.ndarray
+    cs: np.ndarray
+
+    @classmethod
+    def of_whole(cls, tables: "Iterable[int]") -> "TableDamage":
+        """Every column of each of *tables* (sorted, duplicates dropped)."""
+        whole = np.unique(np.fromiter(tables, dtype=np.int32))
+        empty = np.empty(0, dtype=np.int32)
+        return cls(whole, empty, empty)
+
+    def __len__(self) -> int:
+        partial = int(np.count_nonzero(np.diff(self.us))) + 1 if self.us.size else 0
+        return int(self.whole.size) + partial
+
+    def table_ids(self) -> np.ndarray:
+        """Every damaged table, whole or partial, sorted."""
+        return np.union1d(self.whole, self.us)
+
+    def split(self, owners: int) -> "list[TableDamage]":
+        """The damage of the tables ``u % owners == k``, for each owner *k*."""
+        wk, ck = self.whole % owners, self.us % owners
+        return [
+            TableDamage(self.whole[wk == k], self.us[ck == k], self.cs[ck == k])
+            for k in range(owners)
+        ]
 
 
 class RowOwner:
@@ -207,46 +285,82 @@ class RowOwner:
         changed: "dict[int, np.ndarray | None]",
         whole: "Iterable[int]",
         owns: "np.ndarray | None" = None,
-    ) -> "dict[int, np.ndarray | None]":
+    ) -> TableDamage:
         """Which columns of which tables must be re-argmin'd.
 
         A table reads the rows of its G-neighbors (*g* is the frozen G),
         so it is damaged at the union of their *changed* columns; tables
         in *whole* (their G-star changed, or they are new) and readers of
-        a row changed everywhere are damaged at every column (``None``).
-        *owns*, a boolean mask over ids, keeps only the tables this owner
-        projects.
+        a row changed everywhere are damaged at every column.  *owns*, a
+        boolean mask over ids, keeps only the tables this owner projects.
+        Cells are ``table * n + column`` keys, built for groups of changed
+        rows of about :data:`_KEY_CHUNK` keys each, deduplicated per group
+        and merged into a running sorted set, so memory scales with the
+        damaged cells, not with n² nor with how many changed rows reach
+        each cell.
         """
         n = g.num_nodes
         indptr, indices = g.numpy_arrays()
-        skip = np.zeros(n, dtype=bool) if owns is None else ~owns
+        keep = np.ones(n, dtype=bool) if owns is None else owns.copy()
         whole = list(whole)
-        # One n-wide mask per table (an n×n bool scratch, an eighth of
-        # D + T, touched only at the readers' rows): bounded by the
-        # tables, however many columns the changed rows moved.
-        hit = np.zeros((n, n), dtype=bool)
-        for w, cols in changed.items():
-            readers = indices[indptr[w] : indptr[w + 1]]
-            if cols is None:
-                whole.extend(readers.tolist())
+        rows, cols = [], []
+        for w, moved in changed.items():
+            if moved is None:
+                whole.extend(indices[indptr[w] : indptr[w + 1]].tolist())
             else:
-                hit[readers[:, None], cols] = True
-        damage: "dict[int, np.ndarray | None]" = {u: None for u in whole if not skip[u]}
-        skip[list(damage)] = True
-        for u in np.flatnonzero(hit.any(axis=1) & ~skip).tolist():
-            damage[u] = np.flatnonzero(hit[u])
-        return damage
+                rows.append(w)
+                cols.append(moved)
+        whole = np.unique(np.asarray(whole, dtype=np.int32))
+        whole = whole[keep[whole]]
+        keep[whole] = False
+        cells = np.empty(0, dtype=np.int64)
+        if rows:
+            rows = np.asarray(rows, dtype=np.intp)
+            ncols = np.fromiter((c.size for c in cols), dtype=np.intp, count=len(cols))
+            # Cut the rows into groups of about _KEY_CHUNK keys (at most
+            # degree × changed columns per row).
+            group = np.cumsum((indptr[rows + 1] - indptr[rows]) * ncols) // _KEY_CHUNK
+            bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), rows.size]
+            pending: "list[np.ndarray]" = []
+            size = 0
+            for lo, hi in zip(bounds, bounds[1:]):
+                keys = _cell_keys(indptr, indices, keep, n, rows[lo:hi], cols[lo:hi], ncols[lo:hi])
+                pending.append(_unique_sorted(keys))
+                size += pending[-1].size
+                # Fold the groups into the running set once they are as
+                # large as it (and at the end): a merge before the last
+                # re-sorts no more of the set than it adds.
+                if size >= cells.size or hi == rows.size:
+                    cells = _unique_sorted(np.concatenate([cells, *pending]))
+                    pending, size = [], 0
+        us, cs = np.divmod(cells, n)
+        return TableDamage(whole, us.astype(np.int32), cs.astype(np.int32))
 
-    def project(self, g, damage: "dict[int, np.ndarray | None]") -> int:
-        """Re-argmin the table rows in *damage* (``None`` = every column)
-        on the frozen G *g*; returns how many table entries changed."""
+    def project(self, g, damage: TableDamage) -> int:
+        """Re-argmin the damaged table entries on the frozen G *g*; returns
+        how many entries changed.
+
+        Whole tables go through :func:`~repro.routing.tables.\
+project_table_row` one by one.  The cells are projected in one batched
+        gather (:func:`~repro.routing.tables.project_table_cells`); only
+        those whose hop moved are written, one ``row_write`` per table.
+        """
         dist = self.dist.array
         indptr, indices = g.numpy_arrays()
         entries = 0
-        for u, cols in damage.items():
+        for u in damage.whole.tolist():
             nbrs = indices[indptr[u] : indptr[u + 1]].tolist()  # sorted N_G(u)
             with self.tables.row_write(u) as row:
-                entries += project_table_row(dist, row, nbrs, u, cols)
+                entries += project_table_row(dist, row, nbrs, u, None)
+        hops = project_table_cells(dist, indptr, indices, damage.us, damage.cs)
+        moved = np.flatnonzero(hops != self.tables.array[damage.us, damage.cs])
+        hops = hops[moved]
+        us, cs = damage.us[moved].astype(np.intp), damage.cs[moved].astype(np.intp)
+        starts = np.flatnonzero(np.diff(us, prepend=-1)).tolist()  # one per table
+        for u, lo, hi in zip(us[starts].tolist(), starts, [*starts[1:], us.size]):
+            with self.tables.row_write(u) as row:
+                row[cs[lo:hi]] = hops[lo:hi]
+        entries += int(moved.size)
         obs.inc(f"{self.prefix}.tables_reprojected", len(damage))
         return entries
 
@@ -619,7 +733,7 @@ class RoutingService:
         with obs.span("serving.recompute_rows"):
             self._recompute_rows(range(n))
         with obs.span("serving.project_tables"):
-            self._project_tables(dict.fromkeys(range(n)))
+            self._project_tables(TableDamage.of_whole(range(n)))
         obs.inc("serve.full_refreshes")
         self.full_refreshes += 1
         self.rows_recomputed += n
@@ -686,8 +800,8 @@ class RoutingService:
         moved row (``{}`` for a refresh, *delta* ``None``)."""
         return self._owner().update_rows(self.advertised.freeze(), order, delta)
 
-    def _project_tables(self, damage: "dict[int, np.ndarray | None]") -> int:
-        """Re-argmin the damaged table rows (:meth:`RowOwner.project`);
+    def _project_tables(self, damage: TableDamage) -> int:
+        """Re-argmin the damaged table entries (:meth:`RowOwner.project`);
         returns how many tables were touched and adds every changed cell
         to ``entries_updated``."""
         self.entries_updated += self._owner().project(self.graph.freeze(), damage)
@@ -731,7 +845,8 @@ class RoutingService:
             self._refresh()
             return True, n, n, self.entries_updated - before
         new_nodes = range(old_dim, n)
-        dirty = dirty_rows(self._dist, self.advertised, h_added, h_removed)
+        with obs.span("serving.dirty_rows"):
+            dirty = dirty_rows(self._dist, self.advertised, h_added, h_removed)
         dirty.update(new_nodes)
         changed: "dict[int, np.ndarray | None]" = {}
         if dirty:
@@ -742,7 +857,8 @@ class RoutingService:
         self.rows_recomputed += len(dirty)
         # A table moves only if its argmin inputs did: a neighbor's row
         # changed, or its own G-star changed (then all destinations).
-        damage = RowOwner.damage(g.freeze(), changed, [*star_changed, *new_nodes])
+        with obs.span("serving.damage"):
+            damage = RowOwner.damage(g.freeze(), changed, [*star_changed, *new_nodes])
         entries_before = self.entries_updated
         with obs.span("serving.project_tables"):
             tables_touched = self._project_tables(damage)

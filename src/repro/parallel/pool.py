@@ -185,19 +185,20 @@ update_rows>` on the attached H snapshot and matrix, so every row is
 
 
 def _task_serve_tables(state: _WorkerState, payload):
-    """Re-project the next-hop table rows this worker's shard owns.
+    """Re-project the next-hop table entries this worker's shard owns.
 
-    ``payload = (g, dist, tables, jobs)`` with ``jobs = [(u, changed
-    columns | None)]`` — :meth:`RowOwner.project <repro.dynamic.serving.\
-RowOwner.project>` over the shared matrices, the serial service's code.
-    Returns the number of table entries that changed.
+    ``payload = (g, dist, tables, damage)`` with *damage* the
+    :class:`~repro.dynamic.serving.TableDamage` of this shard's tables
+    (whole tables plus flat cell arrays) — :meth:`RowOwner.project <repro.\
+dynamic.serving.RowOwner.project>` over the shared matrices, the serial
+    service's code.  Returns the number of table entries that changed.
     """
     from ..dynamic.serving import RowOwner
 
-    g_name, dist_name, tab_name, jobs = payload
+    g_name, dist_name, tab_name, damage = payload
     with obs.span("pool.shard_project"):
         owner = RowOwner(state.matrices[dist_name], state.matrices[tab_name])
-        return owner.project(state.csr(g_name), dict(jobs))
+        return owner.project(state.csr(g_name), damage)
 
 
 def _task_crash_in_write(state: _WorkerState, payload):

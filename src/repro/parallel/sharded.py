@@ -8,26 +8,30 @@ BFS rows, G for the argmin stars) live in shared memory
 (:mod:`repro.parallel.shm`), so the per-event protocol exchanges only
 summaries:
 
-1. the parent runs the damage analysis of the base class unchanged
-   (dirty-row certification against the old matrix, star damage, and
-   :meth:`RowOwner.damage <repro.dynamic.serving.RowOwner.damage>` over
-   the changed columns) — it reads the same shared ``D`` the workers
-   write;
+1. the parent certifies the dirty rows against the old shared ``D``
+   (:func:`~repro.dynamic.serving.dirty_rows`, the base class's code) and
+   sends each worker the row ids it owns plus the tick's net ΔH;
 2. dirty rows fan out **shard-local**: each worker runs
    :meth:`RowOwner.update_rows <repro.dynamic.serving.RowOwner.\
 update_rows>` — the serial service's code — over the rows it owns on the
    attached shared ``D`` (repair from the tick's net ΔH, BFS for joined
    ids and refreshes), and sends back just ``(row id, changed columns)``
-   for rows that moved;
-3. damaged tables fan out shard-local the same way, each worker running
-   :meth:`RowOwner.project <repro.dynamic.serving.RowOwner.project>` on
-   its own table rows in shared ``T`` and returning only the changed-entry
+   for rows that moved.  The parent folds those and the G-star changes
+   into one :class:`~repro.dynamic.serving.TableDamage`
+   (:meth:`RowOwner.damage <repro.dynamic.serving.RowOwner.damage>`):
+   the tables to re-project whole plus flat sorted ``(table, column)``
+   cell arrays;
+3. the damage is split by ``u % W`` with array masks and each worker is
+   sent its share — a few int32 arrays, no per-table objects.  Each
+   worker runs :meth:`RowOwner.project <repro.dynamic.serving.RowOwner.\
+project>` on its own table rows in shared ``T`` (whole tables one by one,
+   every cell in one batched gather) and returns only the changed-entry
    count.
 
 Only the fan-out policy lives here: sharding by owner, the over-repair
-after a worker crash (``sharded.crash_full_damage``) and the full
-re-projection retries.  Because every stage runs the serial
-implementation's code on the same bytes, the served tables are
+after a worker crash (``sharded.crash_full_damage``) and the retries
+that re-project every touched table whole.  Because every stage runs
+the serial implementation's code on the same bytes, the served tables are
 **bit-identical** to :class:`~repro.dynamic.serving.RoutingService` after
 every event — the property suite in ``tests/parallel/test_sharded.py``
 asserts it for W ∈ {1, 2, 4} across all four churn scenarios and every
@@ -66,7 +70,7 @@ import time
 import numpy as np
 
 from .. import obs
-from ..dynamic.serving import RoutingService
+from ..dynamic.serving import RoutingService, TableDamage
 from ..errors import NodeNotFound, ParameterError, TornReadError
 from ..graph import Graph
 from .pool import WorkerPool
@@ -216,13 +220,12 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         else:
             hint.update(rows)
 
-    def _shard(self, items) -> "tuple[list, list[int]]":
-        """Group *items* (ints or ``(u, ...)`` pairs) by owning worker."""
+    def _shard(self, rows) -> "tuple[list, list[int]]":
+        """Group *rows* by owning worker."""
         w = self._pool.workers
-        buckets: "list[list]" = [[] for _ in range(w)]
-        for item in items:
-            u = item if isinstance(item, int) else item[0]
-            buckets[u % w].append(item)
+        buckets: "list[list[int]]" = [[] for _ in range(w)]
+        for u in rows:
+            buckets[u % w].append(u)
         payload_items, to = [], []
         for wid, bucket in enumerate(buckets):
             if bucket:
@@ -285,29 +288,30 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             return dict.fromkeys(order)
         return {s: cols for chunk in results for s, cols in chunk}
 
-    def _project_tables(self, damage: "dict[int, np.ndarray | None]") -> int:
+    def _project_tables(self, damage: TableDamage) -> int:
         if not damage:
             return 0
         g_csr = self.graph.freeze()
         self._pool.publish_csr(_G, g_csr, dirty_rows=self._hints.pop(_G, None))
 
-        def run(jobs) -> int:
-            buckets, to = self._shard(jobs)
-            payloads = [(_G, _DIST, _TABLES, bucket) for bucket in buckets]
+        def run(damage: TableDamage) -> int:
+            parts = damage.split(self._pool.workers)
+            to = [k for k, part in enumerate(parts) if part]
+            payloads = [(_G, _DIST, _TABLES, parts[k]) for k in to]
             return sum(self._pool.run("serve_tables", payloads, to=to))
 
         respawns = self._pool.health.respawns
-        self.entries_updated += run(list(damage.items()))
+        self.entries_updated += run(damage)
         for _ in range(_REPROJECT_ATTEMPTS):
             if self._pool.health.respawns == respawns:
                 break
             # A crash mid-projection tears the table row being written; the
             # pool repairs it to all −1 before retrying, but the retried job
-            # honours its original columns — the others would stay −1.
+            # honours its original cells — the others would stay −1.
             # Re-project every damaged table in full to restore them.
             obs.inc("sharded.crash_full_reproject")
             respawns = self._pool.health.respawns
-            run([(u, None) for u in damage])
+            run(TableDamage.of_whole(damage.table_ids()))
         return len(damage)
 
     # ------------------------------------------------------------------ #

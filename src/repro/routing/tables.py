@@ -21,6 +21,12 @@ freeze>`), then one vectorized argmin per destination whose
 
 Both return identical tables — entries, omissions and tie-breaks
 (property-tested in ``tests/routing``).
+
+The serving layer keeps tables current with two projection kernels over
+a maintained distance matrix: :func:`project_table_row` re-argmins one
+whole table row, and :func:`project_table_cells` re-argmins a tick's
+scattered ``(table, column)`` cells in one padded gather.  They agree
+cell for cell (property-tested in ``tests/routing/test_cells.py``).
 """
 
 from __future__ import annotations
@@ -30,13 +36,25 @@ import numpy as np
 from ..errors import ParameterError
 from ..graph import AugmentedView, Graph, batched_bfs
 
-__all__ = ["next_hop", "routing_table", "routing_table_scan", "project_table_row"]
+__all__ = [
+    "next_hop",
+    "routing_table",
+    "routing_table_scan",
+    "project_table_cells",
+    "project_table_row",
+]
 
 #: Stand-in for "unreachable" in the vectorized argmins here and in the
 #: serving layer (:mod:`repro.dynamic.serving`).  Any value larger than
 #: every finite hop distance works (n is a strict upper bound); halving
 #: int32 max keeps ``_FAR + 1`` overflow-safe even in int32 arithmetic.
 _FAR = np.iinfo(np.int32).max // 2
+
+#: Cells per gather in :func:`project_table_cells`.  Bounds the padded
+#: ``cells × max degree`` scratch of one chunk, however many cells a tick
+#: damages.  A memory bound, not a dispatch choice: every input takes the
+#: same path, so it is a fixed constant rather than a tuning knob.
+_CELL_CHUNK = 1024  # reprolint: disable=RL004 -- a scratch bound, not a dispatch threshold
 
 
 def _argmin_hops(block: "np.ndarray", nbrs: "list[int]") -> "np.ndarray":
@@ -63,15 +81,15 @@ def project_table_row(
 ) -> int:
     """Re-argmin *u*'s next-hop *row* in place; returns how many entries changed.
 
-    The projection kernel of the serving layer, shared verbatim by the
-    single-process :class:`~repro.dynamic.serving.RoutingService`, the
-    shard actors and the worker processes of
-    :class:`~repro.parallel.sharded.ShardedRoutingService` — one
-    implementation is what makes them bit-identical by construction.
-    ``dist`` is the ``d_H`` matrix, ``row`` the writable table row of *u*
-    (``tables[u]``, or the row a shared matrix's ``row_write`` yields),
-    ``nbrs`` the sorted G-neighbors of *u*, ``cols`` the destinations to
-    refresh (``None`` = all).
+    The whole-table projection kernel of the serving layer: every backend's
+    :class:`~repro.dynamic.serving.RowOwner` runs it for tables whose
+    G-star changed, new ids and readers of a row that changed everywhere
+    (scattered cells go through :func:`project_table_cells` instead, which
+    must agree with this kernel cell for cell).  ``dist`` is the ``d_H``
+    matrix, ``row`` the writable table row of *u* (``tables[u]``, or the
+    row a shared matrix's ``row_write`` yields), ``nbrs`` the sorted
+    G-neighbors of *u*, ``cols`` the destinations to refresh (``None`` =
+    all).
     """
     if cols is None:
         old = row.copy()
@@ -90,6 +108,49 @@ def project_table_row(
     row[cols] = hops
     row[u] = -1
     return int((old != row[cols]).sum())
+
+
+def project_table_cells(
+    dist: "np.ndarray",
+    indptr: "np.ndarray",
+    indices: "np.ndarray",
+    us: "np.ndarray",
+    cs: "np.ndarray",
+) -> "np.ndarray":
+    """The next hop of table ``us[i]`` toward ``cs[i]``, for every cell *i*.
+
+    ``(indptr, indices)`` is the CSR of G with sorted rows, ``dist`` the
+    int32 ``d_H`` matrix (−1 = unreachable).  Cells are taken
+    :data:`_CELL_CHUNK` at a time.  Each chunk pads its tables' sorted
+    G-neighbors to the chunk's largest degree by repeating each table's
+    last neighbor, gathers ``dist[nbr, c]`` for every cell in one go and
+    takes one ``argmin`` per cell over the distances read as unsigned, so
+    −1 (unreachable) sorts after every real distance.  A repeated
+    neighbor never wins over its own first slot, so first occurrence over
+    the sorted neighbors is the smallest-id tie-break of
+    :func:`project_table_row`.  A cell gets −1 when its table has no
+    neighbor, when no neighbor reaches its column, or on the diagonal
+    ``c == u``.  Returns int32 hops aligned with the cells; writes nothing.
+    """
+    hops = np.empty(us.size, dtype=np.int32)
+    for lo in range(0, us.size, _CELL_CHUNK):
+        u = us[lo : lo + _CELL_CHUNK]
+        c = cs[lo : lo + _CELL_CHUNK]
+        tables, cell_table = np.unique(u, return_inverse=True)
+        start, end = indptr[tables], indptr[tables + 1]
+        width = int((end - start).max())
+        if width == 0:
+            hops[lo : lo + u.size] = -1
+            continue
+        slots = np.minimum(start[:, None] + np.arange(width), end[:, None] - 1)
+        nbr = indices[slots][cell_table]
+        far = dist[nbr, c[:, None]]
+        best = far.view(np.uint32).argmin(axis=1)
+        pick = np.arange(u.size)
+        hop = nbr[pick, best]
+        hop[(far[pick, best] < 0) | (c == u) | (end == start)[cell_table]] = -1
+        hops[lo : lo + u.size] = hop
+    return hops
 
 
 def next_hop(h: Graph, g: Graph, u: int, v: int) -> "int | None":

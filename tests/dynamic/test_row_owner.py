@@ -14,6 +14,8 @@ passed as *fresh* that hold stale garbage (diagonal 0, so they look
 repairable), and rows a crashed writer reset to −1.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.dynamic.serving import DenseRows, RowDelta, RowOwner, dirty_rows, resized
 from repro.graph import Graph, batched_bfs
+from repro.graph.generators import grid_graph
 from repro.routing.tables import routing_table
 
 
@@ -116,9 +119,13 @@ def test_owners_split_across_one_matrix_equal_scratch(case):
     assert np.array_equal(dist, bfs_matrix(h1, n))
     assert np.array_equal(tables, table_matrix(h1, g1, n))
     for k, damage in enumerate(damages):
-        assert all(u % workers == k for u in damage), "an owner projects only its tables"
-        for cols in damage.values():
-            assert cols is None or (cols.size and np.all(np.diff(cols) > 0))
+        ids = damage.table_ids()
+        assert np.all(ids % workers == k), "an owner projects only its tables"
+        assert len(damage) == ids.size
+        assert np.all(np.diff(damage.whole) > 0)
+        keys = damage.us.astype(np.int64) * n + damage.cs
+        assert np.all(np.diff(keys) > 0), "cells unique and sorted by (table, column)"
+        assert not np.isin(damage.us, damage.whole).any()
 
 
 def test_fresh_rows_count_as_changed_everywhere():
@@ -152,3 +159,32 @@ def test_counters_split_rows_into_repaired_and_bfsed():
     assert counters["actors.rows_recomputed"] == 4
     assert changed[0].tolist() == [3, 4] and changed[4].tolist() == [0, 1]
     assert changed[5].tolist() == [5] and changed[2] is None
+
+
+def test_damage_memory_scales_with_cells_not_n_squared():
+    # A 60 x 50 grid (n = 3000) loses one H edge in grid row 30.  Only
+    # rows of sources on that grid row move: any other pair has an
+    # equally short path crossing the cut on another grid row.
+    rows, cols = 60, 50
+    g = grid_graph(rows, cols)
+    cut = 30 * cols + 24
+    h = Graph(g.num_nodes, g.edges())
+    h.remove_edge(cut, cut + 1)
+    line = range(30 * cols, 31 * cols)
+    changed = {}
+    for (s, old), (_s, new) in zip(
+        batched_bfs(g.freeze(), line, arrays=True), batched_bfs(h.freeze(), line, arrays=True)
+    ):
+        changed[s] = np.flatnonzero(old != new)
+    frozen = g.freeze()
+    frozen.numpy_arrays()
+    n = g.num_nodes
+    tracemalloc.start()
+    try:
+        damage = RowOwner.damage(frozen, changed, [cut])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert damage.whole.tolist() == [cut]
+    assert damage.us.size > 0
+    assert peak < n * n / 8, f"damage peaked at {peak} bytes"

@@ -78,6 +78,21 @@ class TestServeCounters:
             assert snap["histograms"]["pool.shard_project.us"]["count"] > 0
         assert sum(s["counters"]["serve.rows_repaired"] for s in shards.values()) > 0
 
+    def test_churn_tick_records_each_serving_span_once(self):
+        sc = make_scenario("nodechurn", 60, 6, seed=4)
+        service = RoutingService(sc.initial, "kcover", rebuild_fraction=1.0)
+        before = obs.snapshot()
+        report = service.apply_batch(sc.events[:3])
+        histograms = obs.diff_snapshots(before, obs.snapshot())["histograms"]
+        assert report.changed and not report.refreshed and report.dirty_rows > 0
+        for name in (
+            "serving.dirty_rows",
+            "serving.recompute_rows",
+            "serving.damage",
+            "serving.project_tables",
+        ):
+            assert histograms[f"{name}.us"]["count"] == 1, name
+
     def test_cache_hit_and_miss_counters(self):
         g = random_connected_gnp(24, 0.2, seed=5)
         before = obs.snapshot()
