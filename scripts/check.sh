@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Repo check gate: collection -> tier-1 -> perf artifacts -> regression
-# guard -> static analysis -> runtime protocol sanitizer -> chaos corpus.
+# guard -> static analysis.
 #
 #   ./scripts/check.sh                 # full gate
 #   SKIP_BENCH=1 ./scripts/check.sh    # tests + static analysis (e.g. on battery)
 #   BENCH_GUARD_SKIP=1 ./scripts/check.sh   # record benches, skip the guard
 #
-# Step 2 runs perfbench's own smoke tests after tier-1 (`python -m
+# Step 2 is tier-1, which checks after every test that it left no
+# /dev/shm/repro-* segment behind (tests/conftest.py) — the parallel
+# suite and the chaos corpus (tests/faults/) included.  It then runs
+# perfbench's own smoke tests (`python -m
 # pytest perfbench`): they install every layer-tracer binding, so
 # renaming or dropping a traced module attribute fails here.  It ends
 # with the seven soak smokes (all on the one `repro.soak` loop): a
@@ -46,26 +49,15 @@
 # check` blocks, `ruff format --check` is advisory (formatting drift is
 # reported, not fatal), mypy blocks on the typed core subset from
 # pyproject.toml.
-#
-# Step 6 is the dynamic twin of step 5: the runtime protocol sanitizer
-# (REPRO_SANITIZE=1, see src/repro/analysis/sanitize.py) re-runs the
-# parallel suite plus its own corpus with the shm-leak/snapshot hooks
-# armed in raise mode, so a leaked segment or a double-shipped snapshot
-# aborts the run instead of silently corrupting shared state.
-#
-# Step 7 re-runs the chaos corpus (tests/faults/: injected crashes,
-# wedges, shm failures, degraded serving, reconvergence) under the same
-# sanitizer — supervisor recovery must not leak the segments it is
-# repairing.
 # CI (.github/workflows/check.yml) runs exactly this script.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/7] collection gate (every test module must import) =="
+echo "== [1/5] collection gate (every test module must import) =="
 python -m pytest --collect-only -q tests > /dev/null
 
-echo "== [2/7] tier-1 test suite =="
+echo "== [2/5] tier-1 test suite =="
 python -m pytest -q tests
 
 echo "-- perfbench smoke tests (the only run that installs every layer-tracer binding)"
@@ -90,7 +82,7 @@ PYTHONPATH=src python -m repro chaos --plan mayhem --scenario partition --n 100 
     --events 25 --tick 5 --queries 10 --workers 2 --seed 2009 --metrics OBS_chaos.json
 
 run_static_analysis() {
-    echo "== [5/7] static analysis (reprolint; ruff/mypy when installed) =="
+    echo "== [5/5] static analysis (reprolint; ruff/mypy when installed) =="
     PYTHONPATH=src python -m repro lint src benchmarks scripts
     if command -v ruff > /dev/null 2>&1; then
         ruff check .
@@ -106,26 +98,14 @@ run_static_analysis() {
     fi
 }
 
-run_sanitizer_suite() {
-    echo "== [6/7] runtime protocol sanitizer (REPRO_SANITIZE=1 over the parallel paths) =="
-    REPRO_SANITIZE=1 python -m pytest -q tests/parallel tests/analysis/test_sanitizer.py
-}
-
-run_chaos_corpus() {
-    echo "== [7/7] chaos corpus under the sanitizer (fault plans + self-healing + degraded serving) =="
-    REPRO_SANITIZE=1 python -m pytest -q tests/faults
-}
-
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
-    echo "== [3/7] perf benchmarks skipped (SKIP_BENCH=1) =="
-    echo "== [4/7] bench regression guard skipped (SKIP_BENCH=1) =="
+    echo "== [3/5] perf benchmarks skipped (SKIP_BENCH=1) =="
+    echo "== [4/5] bench regression guard skipped (SKIP_BENCH=1) =="
     run_static_analysis
-    run_sanitizer_suite
-    run_chaos_corpus
     exit 0
 fi
 
-echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,faults,wire,actors}.json) =="
+echo "== [3/5] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,faults,wire,actors}.json) =="
 python -m pytest -q benchmarks/test_bench_traversal.py benchmarks/test_bench_dynamic.py \
     benchmarks/test_bench_routing.py benchmarks/test_bench_parallel.py \
     benchmarks/test_bench_queries.py benchmarks/test_bench_obs.py \
@@ -245,9 +225,7 @@ print(
 )
 PYEOF
 
-echo "== [4/7] benchmark-regression guard (fresh vs committed, tolerance band) =="
+echo "== [4/5] benchmark-regression guard (fresh vs committed, tolerance band) =="
 python scripts/bench_guard.py
 
 run_static_analysis
-run_sanitizer_suite
-run_chaos_corpus

@@ -11,7 +11,7 @@ stops a refactor from quietly violating them — and a violated protocol
 does not fail a unit test, it deadlocks a reader three PRs later.
 reprolint encodes each
 protocol as a static-analysis rule over the AST, so the check gate
-(``scripts/check.sh`` step [5/7]) fails the moment a violation is
+(``scripts/check.sh`` step [5/5]) fails the moment a violation is
 *written*, not the day it is *scheduled*.
 
 Architecture

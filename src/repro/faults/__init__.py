@@ -20,8 +20,8 @@ message lost on the queue.  This module makes every one of those events
   the hooks-off overhead bar in ``BENCH_faults.json`` holds the plane to
   ≤ 2%).
 
-Installation follows the :mod:`repro.analysis.sanitize` template so a
-plan survives both ``fork`` and ``spawn``: arm via environment
+Installation is arranged so a plan survives both ``fork`` and
+``spawn``: arm via environment
 (``REPRO_FAULTS=1`` — the :mod:`repro.tuning` gate — plus
 ``REPRO_FAULT_PLAN=<spec>``) and :func:`maybe_install_from_env` installs
 at :mod:`repro.parallel` import time, which ``spawn`` workers re-run;

@@ -31,19 +31,15 @@ and :func:`~repro.routing.tables.routing_table`.
 -throughput curve and the publish costs as ``BENCH_parallel.json``
 (degrading to a W = 1 measurement on single-core runners).
 
-With ``REPRO_SANITIZE=1`` the runtime protocol sanitizer
-(:mod:`repro.analysis.sanitize`) installs before any shared state is
-touched — the import below runs in ``spawn`` workers too, since the task
-registry forces this package onto their import path.  The fault
--injection plane (:mod:`repro.faults`, ``REPRO_FAULTS=1`` +
-``REPRO_FAULT_PLAN=...``) arms itself through the same import hook, so a
-seeded chaos plan survives both start methods.
+The fault-injection plane (:mod:`repro.faults`, ``REPRO_FAULTS=1`` +
+``REPRO_FAULT_PLAN=...``) arms itself through the import hook below
+before any shared state is touched.  The hook runs in ``spawn`` workers
+too, since the task registry forces this package onto their import
+path, so a seeded chaos plan survives both start methods.
 """
 
-from ..analysis.sanitize import maybe_install_from_env as _maybe_install_sanitizer
 from ..faults import maybe_install_from_env as _maybe_install_faults
 
-_maybe_install_sanitizer()
 _maybe_install_faults()
 
 from .pool import TASKS, WorkerError, WorkerPool, resolve_workers  # noqa: E402

@@ -43,8 +43,7 @@ import numpy as np
 
 from .. import faults as _faults
 from .. import obs, tuning
-from ..analysis import sanitize as _sanitize
-from ..errors import ParameterError, ReproError
+from ..errors import ParameterError, ProtocolError, ReproError
 from ..rng import derive_seed, ensure_rng
 from .shm import AttachedCSR, AttachedMatrix, PublishStats, SharedCSR, SharedMatrix
 
@@ -258,18 +257,9 @@ TASKS = {
 #: already use -1).
 _OBS_TASK_ID = -2
 
-
-def _segment_names(owner) -> "list[str]":
-    """Block names an owner's picklable handle points at (leak check)."""
-    import dataclasses
-
-    handle = owner.handle
-    return [
-        value
-        for f in dataclasses.fields(handle)
-        for value in (getattr(handle, f.name),)
-        if isinstance(value, str) and (f.name == "name" or f.name.endswith("_name"))
-    ]
+#: Seconds :meth:`WorkerPool._drain_final_snapshots` waits for the final
+#: metric snapshots of gracefully stopped workers.
+_DRAIN_TIMEOUT = 1.0
 
 
 def _worker_main(
@@ -282,10 +272,6 @@ def _worker_main(
     # -merged; worker trace events are never shipped, so don't collect.
     obs.reset()
     obs.tracer().stop()
-    if _sanitize.active:
-        # Same reasoning: inherited segment/snapshot state describes the
-        # parent's actions, not this process's.
-        _sanitize.worker_reset()
     if _faults.active:
         # Re-seed the fault stream per (worker id, incarnation) so chaos
         # runs replay bit-identically under fork and spawn alike, and
@@ -424,6 +410,7 @@ class WorkerPool:
         self._next_task_id = 0
         self._closed = False
         self._worker_obs: dict[int, dict] = {}  # wid -> merged shipped snapshots
+        self._finals: set[int] = set()  # wids whose final snapshot this start absorbed
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -438,8 +425,7 @@ class WorkerPool:
             return
         if self._procs:  # a worker died (or was torn down): restart cleanly
             self._stop_workers(graceful=False)
-        if _sanitize.active:
-            _sanitize.note_pool_start(id(self))
+        self._finals.clear()
         self._result_q = self._ctx.Queue()
         self._task_qs = [self._ctx.Queue() for _ in range(self.workers)]
         self._procs = []
@@ -538,27 +524,28 @@ class WorkerPool:
                 p.terminate()
                 p.join(timeout=5.0)
                 stopped.clear()  # a wedged worker may never have shipped
-        self._drain_final_snapshots(stopped)
-        for q in (*self._task_qs, *( [self._result_q] if self._result_q else [] )):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover - already closed
-                pass
-        self._procs, self._task_qs, self._result_q = [], [], None
+        try:
+            self._drain_final_snapshots(stopped)
+        finally:
+            for q in (*self._task_qs, *([self._result_q] if self._result_q else [])):
+                try:
+                    q.close()
+                    q.cancel_join_thread()
+                except (OSError, ValueError):  # pragma: no cover - already closed
+                    pass
+            self._procs, self._task_qs, self._result_q = [], [], None
 
     def _drain_final_snapshots(self, expected: set) -> None:
         """Absorb the final metric snapshots stopped workers shipped.
 
-        Bounded wait (the ``drain_timeout`` tuning knob,
-        ``REPRO_DRAIN_TIMEOUT``): each gracefully-stopped worker sends
-        exactly one ``_OBS_TASK_ID`` message before exiting, but its
-        queue feeder may still be flushing as ``join`` returns.
+        Bounded wait (:data:`_DRAIN_TIMEOUT`): each gracefully-stopped
+        worker sends exactly one ``_OBS_TASK_ID`` message before exiting,
+        but its queue feeder may still be flushing as ``join`` returns.
         """
         if self._result_q is None:
             return
         expected = set(expected)
-        deadline = time.monotonic() + tuning.get().drain_timeout
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
         while True:
             try:
                 wid, task_id, ok, res = self._result_q.get_nowait()
@@ -568,10 +555,23 @@ class WorkerPool:
                 time.sleep(0.01)
                 continue
             if ok and task_id == _OBS_TASK_ID:
-                if _sanitize.active:
-                    _sanitize.note_final_snapshot(id(self), wid)
-                self._absorb_obs(wid, res)
+                self._absorb_final(wid, res)
                 expected.discard(wid)
+
+    def _absorb_final(self, wid: int, snap: dict) -> None:
+        """Fold in worker *wid*'s final snapshot — at most once per start.
+
+        A worker ships exactly one final snapshot when it stops; a second
+        one from the same start would merge its counters twice, so it is
+        refused before anything is merged.
+        """
+        if wid in self._finals:
+            raise ProtocolError(
+                f"worker {wid} shipped a second final snapshot since the pool "
+                "started — its counters would merge twice"
+            )
+        self._finals.add(wid)
+        self._absorb_obs(wid, snap)
 
     def _absorb_obs(self, wid: int, snap: dict) -> None:
         have = self._worker_obs.get(wid)
@@ -594,22 +594,17 @@ class WorkerPool:
         return {"shards": shards, "merged": merged}
 
     def close(self) -> None:
-        """Stop the workers and free every published shared-memory block."""
+        """Stop the workers and free every published shared-memory block
+        (also when stopping raises)."""
         if self._closed:
             return
-        self._stop_workers(graceful=True)
-        published = (
-            [seg for (_k, owner) in self._shared.values() for seg in _segment_names(owner)]
-            if _sanitize.active
-            else []
-        )
-        for _name, (_kind, owner) in self._shared.items():
-            owner.close()
-        self._shared.clear()
         self._closed = True
-        for seg in published:
-            if _sanitize.segment_open(seg):
-                _sanitize.report_pool_leak(seg)
+        try:
+            self._stop_workers(graceful=True)
+        finally:
+            for _name, (_kind, owner) in self._shared.items():
+                owner.close()
+            self._shared.clear()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -759,10 +754,8 @@ class WorkerPool:
             return WorkerError(f"{message} [{report}]")
 
         def take(wid: int, task_id: int, ok: bool, res) -> None:
-            if ok and task_id == _OBS_TASK_ID:  # final snapshot of a
-                if _sanitize.active:  # worker stopped earlier
-                    _sanitize.note_final_snapshot(id(self), wid)
-                self._absorb_obs(wid, res)
+            if ok and task_id == _OBS_TASK_ID:  # a worker stopped earlier
+                self._absorb_final(wid, res)
             elif not ok:
                 raise WorkerError(f"task failed in worker {wid}:\n{res}")
             elif task_id in outstanding:  # ignore strays from a prior failed gather

@@ -43,8 +43,17 @@ far too large to pickle per task, so they live in
 Both owners allocate **capacity slack** (~25%) and reallocate into fresh
 blocks only when outgrown; every publish bumps a ``version`` so the pool's
 control plane (:mod:`repro.parallel.pool`) can tell workers to re-wrap
-their views.  Block lifetime: the creating process ``unlink``s (POSIX
-semantics keep existing mappings valid), attachers only ``close``.
+their views.
+
+Block lifetime has one owner.  Only the three owner classes create
+blocks (:func:`_create_block`, every name starting with
+:data:`BLOCK_PREFIX`), and only :func:`_free_block` unlinks one — when an
+owner closes (``close()``, the end of a ``with`` block, or garbage
+collection as a safety net) and when a reallocation retires the blocks
+it outgrew.  POSIX semantics keep existing mappings valid after the
+unlink; attachers only ``close``.  ``tests/parallel/test_shm.py`` guards
+both call sites, and ``tests/conftest.py`` fails any test that leaves a
+``/dev/shm/repro-*`` segment behind.
 
 CPython ≤ 3.12 registers *attached* segments with the resource tracker,
 which would unlink them when the attaching worker exits (bpo-39959);
@@ -66,11 +75,11 @@ import numpy as np
 
 from .. import faults as _faults
 from .. import obs, tuning
-from ..analysis import sanitize as _sanitize
 from ..errors import ParameterError, ProtocolError, TornReadError
 from ..graph.csr import CSRGraph
 
 __all__ = [
+    "BLOCK_PREFIX",
     "SharedCSR",
     "SharedCSRHandle",
     "SharedMatrix",
@@ -167,6 +176,10 @@ def _headroom(size: int) -> int:
 #: on seeing that promptly.
 _TRANSIENT_TRIES = 3
 
+#: Name prefix of every block this package creates (on Linux each one is
+#: ``/dev/shm/<name>``).
+BLOCK_PREFIX = "repro-"
+
 
 def _create_block(nbytes: int) -> shared_memory.SharedMemory:
     """A fresh named block; the short random suffix keeps names collision-free.
@@ -176,7 +189,7 @@ def _create_block(nbytes: int) -> shared_memory.SharedMemory:
     """
     block = failure = None
     for _ in range(_TRANSIENT_TRIES):
-        name = f"repro-{secrets.token_hex(6)}"
+        name = f"{BLOCK_PREFIX}{secrets.token_hex(6)}"
         try:
             if _faults.active:
                 _faults.on_shm_create(name)  # simulated allocation failure (OSError)
@@ -187,18 +200,20 @@ def _create_block(nbytes: int) -> shared_memory.SharedMemory:
         break
     if block is None:
         raise failure
-    if _sanitize.active:
-        # Leak tracking: deregister on unlink (instance attribute shadows
-        # the method), so whatever survives at pool close is a leak.
-        _sanitize.note_segment_create(name)
-        original_unlink = block.unlink
-
-        def _tracked_unlink(_orig=original_unlink, _name=name):
-            _sanitize.note_segment_unlink(_name)
-            _orig()
-
-        block.unlink = _tracked_unlink  # type: ignore[method-assign]
     return block
+
+
+def _free_block(block: shared_memory.SharedMemory) -> None:
+    """Unmap a block this process created, then unlink its name.
+
+    The one place a block is unlinked.  A name already gone (another
+    process cleaned up after a crash) is not an error.
+    """
+    block.close()
+    try:
+        block.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def _attach_block(name: str) -> shared_memory.SharedMemory:
@@ -271,16 +286,55 @@ class SharedMatrixHandle:
     versions_name: "str | None" = None  # per-row seqlock block, when versioned
 
 
-class SharedCSR:
+class _BlockOwner:
+    """The lifetime every block owner shares: ``close`` frees the blocks
+    the owner holds at that moment (idempotent), ``with`` closes on exit,
+    and garbage collection closes as a safety net.  Subclasses list their
+    live blocks in :meth:`_blocks`."""
+
+    _closed = False
+
+    def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
+        raise NotImplementedError
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise ParameterError(f"{type(self).__name__} is closed")
+
+    def close(self) -> None:
+        """Free every block (idempotent; attached workers keep their maps)."""
+        if self._closed:
+            return
+        self._closed = True
+        for block in self._blocks():
+            if block is not None:
+                _free_block(block)
+
+    def __enter__(self: "_Owner") -> "_Owner":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+_Owner = TypeVar("_Owner", bound=_BlockOwner)
+
+
+class SharedCSR(_BlockOwner):
     """Parent-side owner of a CSR snapshot living in shared memory.
 
     Create via :meth:`CSRGraph.share`.  ``publish(new_csr, dirty_rows=...)``
     updates the blocks in place (delta when possible) and bumps
     ``version``; when the new snapshot outgrows the capacity the blocks are
     reallocated under fresh names (``reallocated=True`` in the returned
-    stats — the pool then rebroadcasts the handle).  Call :meth:`close`
-    (idempotent) to free the blocks; the owner also unlinks on GC as a
-    safety net.
+    stats — the pool then rebroadcasts the handle).  Use as a context
+    manager or call :meth:`close` to free the blocks.
     """
 
     def __init__(
@@ -302,7 +356,6 @@ class SharedCSR:
         self._shm_indptr = _create_block((cap_n + 1) * np.dtype(_PTR_DTYPE).itemsize)
         self._shm_indices = _create_block(cap_i * np.dtype(_IDX_DTYPE).itemsize)
         self._cap_n, self._cap_i = cap_n, cap_i
-        self._closed = False
         self.version = 0
         self._write_full(np_indptr, np_indices)
         self.n, self.num_indices = n, m2
@@ -365,9 +418,8 @@ class SharedCSR:
             written = self._write_full(np_indptr, np_indices)
             self.n, self.num_indices = n, m2
             self.version += 1
-            for shm in (old_ptr, old_idx):  # mappings stay valid until closed
-                shm.close()
-                shm.unlink()
+            for block in (old_ptr, old_idx):  # attached mappings stay valid
+                _free_block(block)
             return PublishStats(written, -1, True, self.version)
         old_n = self.n
         dirty = None if dirty_rows is None else sorted({int(u) for u in dirty_rows})
@@ -398,29 +450,8 @@ class SharedCSR:
         written += max(m2 - start, 0) * np.dtype(_IDX_DTYPE).itemsize
         return PublishStats(written, -1, False, self.version)
 
-    # -- lifetime -------------------------------------------------------- #
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ParameterError("SharedCSR is closed")
-
-    def close(self) -> None:
-        """Free both blocks (idempotent; attached workers keep their maps)."""
-        if self._closed:
-            return
-        self._closed = True
-        for shm in (self._shm_indptr, self._shm_indices):
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
+        return (self._shm_indptr, self._shm_indices)
 
 
 class AttachedCSR:
@@ -533,7 +564,7 @@ class _RowWriter:
             ver[u] += 1
 
 
-class SharedMatrix(_RowWriter):
+class SharedMatrix(_BlockOwner, _RowWriter):
     """Parent-side owner of a dense int32 matrix in shared memory.
 
     The logical shape is ``(rows, cols)`` inside a ``(cap_rows, cap_cols)``
@@ -545,7 +576,8 @@ class SharedMatrix(_RowWriter):
     shared block) so writer processes can publish row updates that
     concurrent readers observe atomically: rows are then written only
     through :meth:`row_write`, and :attr:`array` is read-only — see the
-    module docstring and :meth:`AttachedMatrix.read_row`.
+    module docstring and :meth:`AttachedMatrix.read_row`.  Use as a
+    context manager or call :meth:`close` to free the blocks.
     """
 
     def __init__(
@@ -572,7 +604,6 @@ class SharedMatrix(_RowWriter):
             ver[:] = 0
         self.rows, self.cols = rows, cols
         self.version = 0
-        self._closed = False
         self.fill = fill  # remembered: repair_torn_rows resets rows to it
         if fill is not None:
             self._writable()[:] = fill
@@ -626,8 +657,7 @@ class SharedMatrix(_RowWriter):
         blocks are allocated and the overlapping content copied.  *fill*
         initializes any newly exposed cells (also on shrink-then-grow).
         """
-        if self._closed:
-            raise ParameterError("SharedMatrix is closed")
+        self._ensure_open()
         if fill is not None:
             self.fill = fill
         old_rows, old_cols = self.rows, self.cols
@@ -654,13 +684,10 @@ class SharedMatrix(_RowWriter):
                 a[:] = fill
             keep_r, keep_c = min(old_rows, rows), min(old_cols, cols)
             a[:keep_r, :keep_c] = old_view[:keep_r, :keep_c]
-            del old_view  # drop the buffer export so the mmap can close
-            del old_ver
-            old_shm.close()
-            old_shm.unlink()
-            if old_ver_shm is not None:
-                old_ver_shm.close()
-                old_ver_shm.unlink()
+            del old_view, old_ver  # drop the buffer exports so the mmaps can close
+            for block in (old_shm, old_ver_shm):
+                if block is not None:
+                    _free_block(block)
         else:
             self.rows, self.cols = rows, cols
             if fill is not None:
@@ -697,23 +724,8 @@ class SharedMatrix(_RowWriter):
                 repaired.append(u)
         return repaired
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        blocks = [self._shm] if self._shm_ver is None else [self._shm, self._shm_ver]
-        for shm in blocks:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
+        return (self._shm, self._shm_ver)
 
 
 class AttachedMatrix(_RowWriter):
@@ -826,14 +838,15 @@ class AttachedMatrix(_RowWriter):
                 pass
 
 
-class SharedDirectory:
+class SharedDirectory(_BlockOwner):
     """A tiny seqlock-published control block naming the live shared state.
 
     The owning service :meth:`post`\\ s a small picklable payload (the
     current :class:`SharedMatrixHandle`\\ s) after every mutation; detached
     reader processes poll :meth:`AttachedDirectory.generation` and re-read
     the payload only when it moved — which is how readers follow matrix
-    resizes and reallocations without any channel to the owner.
+    resizes and reallocations without any channel to the owner.  Use as a
+    context manager or call :meth:`close` to free the block.
     """
 
     _SIZE = 4096  # plenty for a pickled pair of handles
@@ -841,7 +854,6 @@ class SharedDirectory:
 
     def __init__(self) -> None:
         self._shm = _create_block(self._SIZE)
-        self._closed = False
         self._header()[:] = 0
 
     def _header(self) -> np.ndarray:
@@ -854,8 +866,7 @@ class SharedDirectory:
 
     def post(self, payload: object) -> int:
         """Publish *payload* (pickled) atomically; returns the generation."""
-        if self._closed:
-            raise ParameterError("SharedDirectory is closed")
+        self._ensure_open()
         data = pickle.dumps(payload)
         if len(data) > self._SIZE - self._HEADER:
             raise ParameterError(
@@ -869,21 +880,8 @@ class SharedDirectory:
         hdr[0] += 1  # even: committed
         return int(hdr[0])
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
+        return (self._shm,)
 
 
 class AttachedDirectory:

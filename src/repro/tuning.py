@@ -34,12 +34,9 @@ strings ``off``/``false``/``no`` mean ``0``, ``on``/``true``/``yes`` mean
 (``REPRO_FAULTS``, see :mod:`repro.faults`) — both are allowed to be
 zero, and ``faults`` *defaults* to zero: injection is strictly opt-in.
 
-``drain_timeout`` (``REPRO_DRAIN_TIMEOUT``, seconds, float) bounds how
-long :class:`~repro.parallel.pool.WorkerPool` waits for the final
-metric snapshots of stopped workers, and ``read_retries``
-(``REPRO_READ_RETRIES``) is the seqlock reader retry budget before
-:class:`~repro.errors.TornReadError` — both were hard-coded constants
-before the fault plane made tightening them under test necessary.
+``read_retries`` (``REPRO_READ_RETRIES``) is the seqlock reader retry
+budget before :class:`~repro.errors.TornReadError` — a hard-coded
+constant before the fault plane made tightening it under test necessary.
 
 ``python -m repro tune`` measures the crossovers on the current hardware
 (:func:`calibrate`) and prints recommended values plus the matching
@@ -69,7 +66,6 @@ __all__ = [
     "DEFAULT_SMALL_FRONTIER",
     "DEFAULT_OBS",
     "DEFAULT_FAULTS",
-    "DEFAULT_DRAIN_TIMEOUT",
     "DEFAULT_READ_RETRIES",
 ]
 
@@ -100,10 +96,6 @@ DEFAULT_OBS = 1
 #: :mod:`repro.faults` (the plan itself comes from ``REPRO_FAULT_PLAN``).
 DEFAULT_FAULTS = 0
 
-#: Seconds :class:`~repro.parallel.pool.WorkerPool` waits for the final
-#: metric snapshots of gracefully stopped workers.
-DEFAULT_DRAIN_TIMEOUT = 1.0
-
 #: Seqlock reader retry budget (see :mod:`repro.parallel.shm`) — generous
 #: enough to ride out any live writer, small enough to surface a dead one.
 DEFAULT_READ_RETRIES = 200_000
@@ -116,16 +108,11 @@ _ENV_VARS = {
     "small_frontier": "REPRO_SMALL_FRONTIER",
     "obs": "REPRO_OBS",
     "faults": "REPRO_FAULTS",
-    "drain_timeout": "REPRO_DRAIN_TIMEOUT",
     "read_retries": "REPRO_READ_RETRIES",
 }
 
 #: Knobs allowed to be zero (everything else must be >= 1).
 _ZERO_OK = frozenset({"obs", "faults"})
-
-#: Knobs carrying a duration in seconds — validated and parsed as floats
-#: (every other knob is a strict int).
-_FLOAT_KNOBS = frozenset({"drain_timeout"})
 
 #: String spellings accepted for boolean-flavoured env knobs.
 _ENV_WORDS = {"off": 0, "false": 0, "no": 0, "on": 1, "true": 1, "yes": 1}
@@ -142,16 +129,11 @@ class Tuning:
     small_frontier: int = DEFAULT_SMALL_FRONTIER
     obs: int = DEFAULT_OBS
     faults: int = DEFAULT_FAULTS
-    drain_timeout: float = DEFAULT_DRAIN_TIMEOUT
     read_retries: int = DEFAULT_READ_RETRIES
 
     def __post_init__(self) -> None:
         for name in _ENV_VARS:
             value = getattr(self, name)
-            if name in _FLOAT_KNOBS:
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    raise ParameterError(f"{name} must be a positive number, got {value!r}")
-                continue
             floor = 0 if name in _ZERO_OK else 1
             if not isinstance(value, int) or value < floor:
                 kind = "non-negative" if floor == 0 else "positive"
@@ -159,7 +141,7 @@ class Tuning:
 
 
 def _from_env() -> Tuning:
-    kwargs: "dict[str, float]" = {}
+    kwargs: "dict[str, int]" = {}
     for field, var in _ENV_VARS.items():
         raw = os.environ.get(var)
         if raw is None:
@@ -168,10 +150,9 @@ def _from_env() -> Tuning:
             kwargs[field] = _ENV_WORDS[raw.strip().lower()]
             continue
         try:
-            kwargs[field] = float(raw) if field in _FLOAT_KNOBS else int(raw)
+            kwargs[field] = int(raw)
         except ValueError:
-            kind = "a number" if field in _FLOAT_KNOBS else "an int"
-            raise ParameterError(f"{var} must be {kind}, got {raw!r}") from None
+            raise ParameterError(f"{var} must be an int, got {raw!r}") from None
     return Tuning(**kwargs)
 
 

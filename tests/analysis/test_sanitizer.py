@@ -1,37 +1,43 @@
-"""Runtime sanitizer + the shared injected-violation corpus.
+"""The shared injected-violation corpus.
 
 The corpus is the contract of the layered design: every deliberately
 injected protocol violation is either still *caught* — by a static check
-over the source (``static``), the runtime sanitizer (``runtime``), or
-both — or can no longer be written (``structural``): the API raises the
-moment it is attempted.  A parametrized test asserts exactly that per
-case.  The seqlock write violations are all structural: ``row_write`` is
-the only way to write a versioned row, versioned ``array`` views are
-read-only, a nested write raises, and there is no public "end a write"
-call to misuse.  Shm leaks and snapshot shipping stay runtime checks.
-Seed flow is reprolint's RL002; blocking in a seqlock retry loop is
-caught by the read-loop guard in ``tests/parallel/test_shm.py``, which
-pins every seqlock read to the one ``shm._read_stable`` loop.
+over the source (``static``) or by the shared-memory leak check that runs
+after every test (``leak``) — or can no longer be written
+(``structural``): the API raises the moment it is attempted.  A
+parametrized test asserts exactly that per case.  The seqlock write
+violations are all structural: ``row_write`` is the only way to write a
+versioned row, versioned ``array`` views are read-only, a nested write
+raises, and there is no public "end a write" call to misuse.  So is a
+worker's final metrics snapshot arriving twice: the pool refuses the
+second one.  A leaked segment is whatever the ``/dev/shm`` listing of
+``tests/conftest.py`` still shows after the test; the ownership guard in
+``tests/parallel/test_shm.py`` keeps every create and unlink inside the
+owners of ``parallel/shm.py``.  Seed flow is reprolint's RL002; blocking
+in a seqlock retry loop is caught by the read-loop guard, which pins
+every seqlock read to the one ``shm._read_stable`` loop.
 """
 
 import ast
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import sanitize
+from repro import obs
 from repro.analysis.lint import lint_file
 from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
 from repro.parallel import shm as shm_mod
+from repro.parallel.pool import _OBS_TASK_ID
 from repro.parallel.shm import AttachedMatrix, SharedMatrix
+from tests.conftest import shm_segments
 from tests.parallel.test_shm import (
     read_loop_violations,
     repro_modules,
-    repro_modules_with_shm,
+    repro_modules_with,
     shm_source,
 )
 
@@ -42,105 +48,40 @@ START_METHODS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _sanitizer_off_after():
-    yield
-    sanitize.uninstall()
-
-
-# --------------------------------------------------------------------- #
-# sanitizer mechanics
-# --------------------------------------------------------------------- #
-
-
-class TestInstall:
-    def test_env_parsing(self):
-        assert sanitize.enabled_in_env({}) is None
-        for off in ("", "0", "off", "false", "no", "OFF"):
-            assert sanitize.enabled_in_env({"REPRO_SANITIZE": off}) is None
-        assert sanitize.enabled_in_env({"REPRO_SANITIZE": "1"}) == "raise"
-        assert sanitize.enabled_in_env({"REPRO_SANITIZE": "record"}) == "record"
-
-    def test_install_uninstall_roundtrip(self):
-        assert not sanitize.active
-        sanitize.install("record")
-        assert sanitize.active and sanitize.installed_mode() == "record"
-        sanitize.uninstall()
-        assert not sanitize.active and sanitize.installed_mode() is None
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            sanitize.install("explode")
-
-    def test_suspended_restores_the_flag(self):
-        sanitize.install("record")
-        with sanitize.suspended():
-            assert not sanitize.active
-        assert sanitize.active
-
-    def test_raise_mode_raises_and_records(self):
-        sanitize.install("raise")
-        sanitize.note_final_snapshot(7, 0)
-        with pytest.raises(sanitize.SanitizeError, match="absorbed twice"):
-            sanitize.note_final_snapshot(7, 0)
-        assert [v.kind for v in sanitize.violations()] == ["obs.double_final_snapshot"]
-
-    def test_worker_reset_clears_inherited_state(self):
-        sanitize.install("record")
-        sanitize.note_segment_create("seg-a")
-        sanitize.note_final_snapshot(7, 0)
-        sanitize.worker_reset()
-        assert sanitize.open_segments() == set()
-        sanitize.note_final_snapshot(7, 0)  # the parent's shipment is forgotten
-        assert sanitize.violations() == []
-
-
 # --------------------------------------------------------------------- #
 # the shared injected-violation corpus
 # --------------------------------------------------------------------- #
 
 
-def _runtime_segment_leak():
+def _leak_segment():
+    """A block created outside any owner and never unlinked."""
     block = shm_mod._create_block(64)
-    try:
-        assert sanitize.segment_open(block.name)
-        sanitize.assert_no_leaks()  # records shm.leak for the open block
-    finally:
-        block.close()
-        block.unlink()
+    block.close()
+    return [block.name]
 
 
-def _runtime_leak_at_pool_close():
+def _leak_at_pool_close():
+    """A pool whose matrix owner skips its own close."""
     with WorkerPool(workers=1, seed=3, start_method=START_METHODS[0]) as pool:
         pool.matrix("d", 4, 4, versioned=True, fill=0)
         owner = pool.matrix_owner("d")
-        real_close = owner.close
         owner.close = lambda: None  # the injected leak
-        try:
-            pool.close()
-        finally:
-            owner.close = real_close
-    with sanitize.suspended():
-        real_close()
+        return [owner.handle.name, owner.handle.versions_name]
 
 
-def _runtime_double_final_snapshot():
-    import time
-
-    from repro import obs
-
+def _structural_double_final_snapshot():
+    """A worker's final snapshot arrives twice in one pool start."""
     pool = WorkerPool(workers=1, seed=3, start_method=START_METHODS[0])
-    try:
-        pool.run("echo", [None], to=[0])  # force a start
-        # Forge a duplicated final snapshot (task id -2) on the result
-        # queue — the exact-once shipping protocol violated in transit.
-        pool._result_q.put((0, -2, True, obs.empty_snapshot()))
-        pool._result_q.put((0, -2, True, obs.empty_snapshot()))
-        time.sleep(0.3)
-        pool._drain_final_snapshots({0})
-    finally:
-        with sanitize.suspended():
-            pool.close()
+    pool.matrix("d", 4, 4, fill=0)
+    pool.run("echo", [None], to=[0])  # force a start
+    # Forge a duplicated final snapshot on the result queue — the
+    # exact-once shipping protocol violated in transit.  close() drains
+    # it, refuses it, and still frees the matrix (the leak check sees to
+    # that).
+    forged = (0, _OBS_TASK_ID, True, obs.empty_snapshot())
+    pool._result_q.put(forged)
+    pool._result_q.put(forged)
+    pool.close()
 
 
 def _write_row(dest, u, value):
@@ -149,31 +90,24 @@ def _write_row(dest, u, value):
 
 
 def _structural_unbracketed_write_in_callee():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    att = AttachedMatrix(m.handle)
-    try:
-        _write_row(att, 1, 5)  # what a worker holds: an attachment
-    finally:
-        att.close()
-        m.close()
+    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
+        att = AttachedMatrix(m.handle)
+        try:
+            _write_row(att, 1, 5)  # what a worker holds: an attachment
+        finally:
+            att.close()
 
 
 def _structural_nested_row_write():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    try:
+    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
         with m.row_write(1):
             with m.row_write(1):
                 pass
-    finally:
-        m.close()
 
 
 def _structural_unmatched_end():
-    m = SharedMatrix(4, 4, versioned=True, fill=0)
-    try:
+    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
         m.end_row_write(2)
-    finally:
-        m.close()
 
 
 def _static_literal_reseed():
@@ -188,7 +122,7 @@ def _static_blocking_in_retry_loop():
     fixture = ast.parse((FIXTURES / "rl011_bad.py").read_text(encoding="utf-8"))
     return [
         read_loop_violations([*repro_modules(), ("src/repro/under_test.py", fixture)]),
-        read_loop_violations(repro_modules_with_shm(shm_source(sleep_in_read_loop=True))),
+        read_loop_violations(repro_modules_with(shm_source(sleep_in_read_loop=True))),
     ]
 
 
@@ -197,10 +131,9 @@ class Case:
     """One injected violation and how it is stopped."""
 
     name: str
-    layers: "frozenset[str]"  # "static" / "runtime" catch it; "structural": unwritable
+    layers: "frozenset[str]"  # "static" / "leak" catch it; "structural": unwritable
     static: "object" = None  # callable: one findings list per violating input
-    runtime: "object" = None  # callable run under record mode
-    runtime_kinds: "frozenset[str]" = field(default_factory=frozenset)
+    leak: "object" = None  # callable: leaks blocks, returns their names
     attempt: "object" = None  # structural: the callable that must raise ...
     raises: "type[BaseException] | None" = None  # ... this
 
@@ -218,21 +151,19 @@ CORPUS = [
     ),
     Case(
         name="leaked_shm_segment",
-        layers=frozenset({"runtime"}),
-        runtime=_runtime_segment_leak,
-        runtime_kinds=frozenset({"shm.leak"}),
+        layers=frozenset({"leak"}),
+        leak=_leak_segment,
     ),
     Case(
         name="leak_at_pool_close",
-        layers=frozenset({"runtime"}),
-        runtime=_runtime_leak_at_pool_close,
-        runtime_kinds=frozenset({"shm.leak_at_pool_close"}),
+        layers=frozenset({"leak"}),
+        leak=_leak_at_pool_close,
     ),
     Case(
         name="double_final_snapshot",
-        layers=frozenset({"runtime"}),
-        runtime=_runtime_double_final_snapshot,
-        runtime_kinds=frozenset({"obs.double_final_snapshot"}),
+        layers=frozenset({"structural"}),
+        attempt=_structural_double_final_snapshot,
+        raises=ProtocolError,
     ),
     Case(
         name="unbracketed_write_in_callee",
@@ -261,11 +192,11 @@ class TestCorpus:
     def test_every_case_declares_at_least_one_layer(self):
         for case in CORPUS:
             assert case.layers, case.name
-            assert case.layers <= {"static", "runtime", "structural"}, case.name
+            assert case.layers <= {"static", "leak", "structural"}, case.name
             if "static" in case.layers:
                 assert case.static is not None, case.name
-            if "runtime" in case.layers:
-                assert case.runtime is not None and case.runtime_kinds, case.name
+            if "leak" in case.layers:
+                assert case.leak is not None, case.name
             if "structural" in case.layers:
                 assert case.layers == {"structural"}, case.name
                 assert case.attempt is not None and case.raises is not None, case.name
@@ -278,43 +209,41 @@ class TestCorpus:
         assert per_input and all(per_input), f"{case.name}: {per_input}"
 
     @pytest.mark.parametrize(
-        "case", [c for c in CORPUS if "runtime" in c.layers], ids=lambda c: c.name
+        "case", [c for c in CORPUS if "leak" in c.layers], ids=lambda c: c.name
     )
     def test_runtime_layer_catches(self, case):
-        sanitize.install("record")
-        sanitize.clear_violations()
-        case.runtime()
-        kinds = {v.kind for v in sanitize.violations()}
-        assert case.runtime_kinds <= kinds, f"{case.name}: {kinds}"
+        """The leak layer: the listing the after-test leak check diffs
+        reports exactly the injected blocks.  They are freed here, so the
+        check itself stays green."""
+        before = shm_segments()
+        names = case.leak()
+        try:
+            assert names and shm_segments() - before == set(names), case.name
+        finally:
+            for name in names:
+                shm_mod._free_block(shm_mod._attach_block(name))
+        assert shm_segments() - before == set()
 
     @pytest.mark.parametrize(
         "case", [c for c in CORPUS if "structural" in c.layers], ids=lambda c: c.name
     )
     def test_unwritable_case_raises(self, case):
-        """No sanitizer needed: the API itself refuses the violation."""
-        with sanitize.suspended(), pytest.raises(case.raises):
+        """The API itself refuses the violation."""
+        with pytest.raises(case.raises):
             case.attempt()
-
-    @pytest.mark.parametrize(
-        "case", [c for c in CORPUS if c.layers == {"static"}], ids=lambda c: c.name
-    )
-    def test_static_only_cases_are_invisible_to_the_sanitizer(self, case):
-        """The layer split is real: static-only corpus entries have no
-        runtime scenario because no hook fires for them (the violating
-        code never executes in a hook-instrumented path)."""
-        assert case.runtime is None
 
 
 # --------------------------------------------------------------------- #
-# worker-side traffic under the sanitizer
+# worker-side traffic
 # --------------------------------------------------------------------- #
 
 
 class TestWorkerSide:
     def test_clean_parallel_traffic_records_no_violations(self):
         """Negative control: real row writes into versioned and plain
-        shared matrices under the sanitizer produce zero violations."""
-        sanitize.install("record")
+        shared matrices leave no segment behind, and each worker's final
+        snapshot is absorbed exactly once."""
+        before = shm_segments()
         csr = path_graph(6).freeze()
         with WorkerPool(workers=2, seed=5, start_method=START_METHODS[0]) as pool:
             pool.publish_csr("g", csr)
@@ -326,4 +255,19 @@ class TestWorkerSide:
             owner = pool.matrix_owner("d")
             assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
             assert all(int(v) == 2 for v in owner.row_versions[:6])
-        assert sanitize.violations() == []
+            assert len(shm_segments() - before) == 5  # CSR: 2 blocks, d: 2, s: 1
+        assert shm_segments() - before == set()
+        assert pool._finals == {0, 1}
+
+    def test_restart_accepts_a_fresh_final_snapshot(self):
+        """Exactly once is per start: after a restart each worker ships
+        one more final snapshot, and the pool absorbs it."""
+        with WorkerPool(workers=1, seed=5, start_method=START_METHODS[0]) as pool:
+            pool.run("obs_record", [[("inc", "pool.test.ticks", 2)]], to=[0])
+            pool.restart()  # final snapshot #1 of worker 0
+            assert pool._finals == {0}
+            pool.run("obs_record", [[("inc", "pool.test.ticks", 3)]], to=[0])
+        # close() drained final snapshot #2 of worker 0 without refusing it
+        assert pool._finals == {0}
+        counters = pool.metrics()["merged"]["counters"]
+        assert counters["pool.test.ticks"] == 5

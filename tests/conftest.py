@@ -4,15 +4,21 @@ The strategies produce small random graphs (and sub-graph pairs) — the
 regime where brute-force oracles (path enumeration, exhaustive set cover,
 networkx cross-checks) stay instant, which is what lets the property tests
 assert *exact* agreement rather than loose sanity.
+
+Every test also runs under a shared-memory leak check: a block the test
+created (in any process) and left unlinked fails it.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.graph import Graph
+from repro.parallel.shm import BLOCK_PREFIX
 from repro.rng import derive_seed, ensure_rng
 from repro.graph.generators import (
     cycle_graph,
@@ -92,3 +98,27 @@ def rng(request) -> np.random.Generator:
     """A deterministic per-test generator (stream keyed by the test id),
     routed through ``repro.rng``."""
     return ensure_rng(derive_seed(TEST_SEED, request.node.nodeid))
+
+
+# --------------------------------------------------------------------- #
+# shared-memory leak check, after every test
+# --------------------------------------------------------------------- #
+
+_SHM_DIR = Path("/dev/shm")
+
+
+def shm_segments() -> "set[str]":
+    """Names of the package's shared-memory blocks that exist right now,
+    from any process (empty where ``/dev/shm`` does not exist)."""
+    if not _SHM_DIR.is_dir():
+        return set()
+    return {path.name for path in _SHM_DIR.glob(f"{BLOCK_PREFIX}*")}
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_segments():
+    """Fail the test if it leaves a block behind that was not there before."""
+    before = shm_segments()
+    yield
+    leaked = shm_segments() - before
+    assert not leaked, f"shared-memory segments leaked: {sorted(leaked)}"

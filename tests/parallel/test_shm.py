@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import sanitize
 from repro.errors import ParameterError, ProtocolError
 from repro.graph import CSRGraph, Graph, bfs_distances
 from repro.graph.generators import gnp_random_graph, path_graph, random_connected_gnp
@@ -331,9 +330,9 @@ def _nested_write_child(handle, out_q) -> None:
             with att.row_write(3):
                 pass
     except ProtocolError as exc:
-        out_q.put(("ProtocolError", str(exc), sanitize.active))
+        out_q.put(("ProtocolError", str(exc)))
     else:  # pragma: no cover - surfaced by the assert
-        out_q.put(("no error", "", sanitize.active))
+        out_q.put(("no error", ""))
     finally:
         att.close()
 
@@ -435,9 +434,50 @@ def shm_source(*, sleep_in_read_loop: bool = False) -> str:
     return source
 
 
-def repro_modules_with_shm(source: str) -> "list[tuple[str, ast.Module]]":
-    """:func:`repro_modules` with ``shm.py`` replaced by *source*."""
-    return [(label, ast.parse(source) if label == SHM_PATH else tree) for label, tree in repro_modules()]
+#: The classes that own shared-memory blocks; only their methods create one.
+_BLOCK_OWNERS = frozenset({"SharedCSR", "SharedMatrix", "SharedDirectory"})
+
+
+def ownership_violations(modules) -> "list[str]":
+    """Breaches of single block ownership over *modules*, the ``(label,
+    ast)`` pairs standing for ``src/repro``: exactly one ``_free_block``,
+    in ``shm.py``, holding the only ``.unlink()`` call (``os.unlink`` of a
+    file path is not a block), and ``_create_block`` called only from
+    methods of :data:`_BLOCK_OWNERS` in ``shm.py``."""
+    out = []
+    helpers = 0
+    for label, tree in modules:
+        in_helper, in_owner = set(), set()
+        for node in tree.body if label == SHM_PATH else ():
+            if isinstance(node, ast.FunctionDef) and node.name == "_free_block":
+                helpers += 1
+                in_helper |= {id(sub) for sub in ast.walk(node)}
+            if isinstance(node, ast.ClassDef) and node.name in _BLOCK_OWNERS:
+                in_owner |= {
+                    id(sub)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    for sub in ast.walk(method)
+                }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func.endswith(".unlink") and func != "os.unlink" and id(node) not in in_helper:
+                out.append(f"{label}:{node.lineno}: {func}() outside _free_block")
+            if func.split(".")[-1] == "_create_block" and id(node) not in in_owner:
+                out.append(f"{label}:{node.lineno}: _create_block() outside an owner method")
+    if helpers != 1:
+        out.append(f"expected one _free_block in {SHM_PATH}, found {helpers}")
+    return out
+
+
+def repro_modules_with(source: str, label: str = SHM_PATH) -> "list[tuple[str, ast.Module]]":
+    """:func:`repro_modules` with module *label* (``shm.py`` by default)
+    replaced by, or joined by, *source*."""
+    modules = dict(repro_modules())
+    modules[label] = ast.parse(source)
+    return sorted(modules.items())
 
 
 @functools.lru_cache(maxsize=1)
@@ -514,30 +554,25 @@ class TestRowWrite:
             m.close()
 
     @pytest.mark.parametrize("method", START_METHODS)
-    def test_nested_row_write_raises_inside_worker_processes(self, method, monkeypatch):
-        # The check is part of row_write itself, not the sanitizer: it
-        # fires in fresh fork and spawn processes with REPRO_SANITIZE unset.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        sanitize.uninstall()
+    def test_nested_row_write_raises_inside_worker_processes(self, method):
+        # The check is part of row_write itself: it fires in fresh fork
+        # and spawn processes alike.
         ctx = multiprocessing.get_context(method)
         m = SharedMatrix(8, 8, versioned=True, fill=0)
         try:
             out_q = ctx.SimpleQueue()
             proc = ctx.Process(target=_nested_write_child, args=(m.handle, out_q))
             proc.start()
-            kind, message, sanitizer_on = out_q.get()
+            kind, message = out_q.get()
             proc.join(timeout=30)
             assert kind == "ProtocolError" and "already mid-write" in message
-            assert sanitizer_on is False
             assert proc.exitcode == 0
             assert int(m.row_versions[3]) == 2  # the outer write committed
         finally:
             m.close()
 
     @pytest.mark.parametrize("method", START_METHODS)
-    def test_pool_worker_refuses_a_row_already_mid_write(self, method, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        sanitize.uninstall()
+    def test_pool_worker_refuses_a_row_already_mid_write(self, method):
         with WorkerPool(1, start_method=method) as pool:
             pool.matrix("d", 8, 8, versioned=True, fill=0)
             owner = pool.matrix_owner("d")
@@ -590,10 +625,10 @@ class TestReadLoop:
         assert read_loop_violations(modules) == []
 
     def test_guard_flags_each_breach(self):
-        found = read_loop_violations(repro_modules_with_shm(shm_source(sleep_in_read_loop=True)))
+        found = read_loop_violations(repro_modules_with(shm_source(sleep_in_read_loop=True)))
         assert any("time.sleep()" in v for v in found)
         lambda_cast = shm_source().replace("(u, v), int, self)", "(u, v), lambda x: int(x), self)")
-        found = read_loop_violations(repro_modules_with_shm(lambda_cast))
+        found = read_loop_violations(repro_modules_with(lambda_cast))
         assert any("cast not in" in v for v in found)
         hand_rolled = ast.parse(
             "from .shm import _spin\n"
@@ -608,6 +643,33 @@ class TestReadLoop:
             "src/repro/other.py:1: _spin outside _read_stable",
             "src/repro/other.py:6: _spin outside _read_stable",
         ]
+
+
+class TestOwnership:
+    """Only the owners create blocks, and only ``_free_block`` unlinks one."""
+
+    def test_blocks_have_one_owner_and_one_release(self):
+        assert ownership_violations(repro_modules()) == []
+        creates = [
+            n
+            for n in ast.walk(dict(repro_modules())[SHM_PATH])
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "_create_block"
+        ]
+        assert len(creates) >= 5  # the scan sees the owners' allocations
+
+    def test_guard_flags_each_breach(self):
+        stray_unlink = "def close(pool, owner):\n    owner._shm.unlink()\n"
+        found = ownership_violations(
+            repro_modules_with(stray_unlink, "src/repro/parallel/pool.py")
+        )
+        assert found == ["src/repro/parallel/pool.py:2: owner._shm.unlink() outside _free_block"]
+        free_side_door = shm_source() + "\ndef scratch(n):\n    return _create_block(n)\n"
+        found = ownership_violations(repro_modules_with(free_side_door))
+        assert len(found) == 1 and "_create_block() outside an owner method" in found[0]
+        no_helper = shm_source().replace("def _free_block(", "def _release_block(")
+        found = ownership_violations(repro_modules_with(no_helper))
+        assert any(v.startswith("expected one _free_block") for v in found)
+        assert any(".unlink() outside _free_block" in v for v in found)
 
 
 def _post_changing_lengths(directory, stop):

@@ -25,7 +25,6 @@ class TestOverrides:
         assert t.small_frontier == tuning.DEFAULT_SMALL_FRONTIER
         assert t.obs == tuning.DEFAULT_OBS
         assert t.faults == tuning.DEFAULT_FAULTS == 0  # injection is opt-in
-        assert t.drain_timeout == tuning.DEFAULT_DRAIN_TIMEOUT
         assert t.read_retries == tuning.DEFAULT_READ_RETRIES
 
     def test_obs_may_be_zero_but_not_negative(self):
@@ -40,15 +39,6 @@ class TestOverrides:
         assert tuning.configure(faults=1).faults == 1
         with pytest.raises(ParameterError):
             tuning.configure(faults=-1)
-
-    def test_drain_timeout_is_a_float_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "0.25")
-        tuning.reset()
-        assert tuning.get().drain_timeout == 0.25
-        monkeypatch.setenv("REPRO_DRAIN_TIMEOUT", "soon")
-        tuning.reset()
-        with pytest.raises(ParameterError):
-            tuning.get()
 
     def test_read_retries_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_READ_RETRIES", "512")
