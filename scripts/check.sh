@@ -40,9 +40,10 @@
 # fails loudly on a structural perf regression.
 #
 # Step 5 is static analysis: the repo's own AST linter (`python -m repro
-# lint`, the RNG/seed-flow, shm, tuning, task, exception, timing,
-# fault-hook and async invariants, see src/repro/analysis/lint/), zero
-# baseline and blocking.  The seqlock needs no rule: row_write is the
+# lint`, the RNG/seed-flow, shm, task, exception, timing, fault-hook
+# and async invariants, see src/repro/analysis/lint/), zero baseline
+# and blocking; a suppression naming a retired or unknown rule code is
+# itself a finding.  The seqlock needs no rule: row_write is the
 # only way to write a row, and every read goes through the one
 # shm._read_stable loop (a tier-1 test guards both).  ruff
 # and mypy run when installed (`pip install -e ".[lint]"`) — `ruff

@@ -18,10 +18,10 @@ Architecture
 ------------
 * :class:`Rule` — one invariant; subclasses implement ``check(ctx)`` and
   register themselves in :data:`REGISTRY` via the :func:`register`
-  decorator (the codes ``RL002``–``RL007``, ``RL012`` and ``RL013`` live
-  in :mod:`repro.analysis.lint.rules`).  Every rule sees one file; a
-  per-function fact such as "does this function take a seed?" comes
-  from :meth:`FileContext.enclosing_function`.
+  decorator (the codes ``RL002``, ``RL003``, ``RL005``–``RL007``,
+  ``RL012`` and ``RL013`` live in :mod:`repro.analysis.lint.rules`).
+  Every rule sees one file; a per-function fact such as "does this
+  function take a seed?" comes from :meth:`FileContext.enclosing_function`.
 * :class:`FileContext` — one parsed file: source, AST, a lazily built
   parent map (for ancestor queries like "which function encloses this
   handler?"), and the parsed suppression comments.
@@ -39,7 +39,9 @@ because findings anchor to the statement's first line while formatters
 push trailing comments to the last.  A comment on its own line scopes to
 that line only.  Suppressions are deliberately line-scoped — a protocol
 exemption should be visible exactly where it applies, next to the
-justification comment.
+justification comment.  A suppression naming a code no rule registers
+(a typo, or a retired rule) is itself an ``RL000`` finding at its line:
+a dead exemption must not outlive the rule it once silenced.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ __all__ = [
     "lint_paths",
 ]
 
-#: Rule code reserved for files the engine cannot parse at all.
+#: Rule code reserved for the engine's own findings: files it cannot
+#: parse at all, and suppressions naming a code no rule registers.
 PARSE_ERROR_CODE = "RL000"
 
 _SUPPRESS_RE = re.compile(
@@ -120,7 +123,17 @@ def parse_suppressions(source: str) -> "dict[int, frozenset[str] | None]":
     call's first line.  A comment on a line of its own scopes to exactly
     that line.
     """
+    return _scan_suppressions(source)[0]
+
+
+def _scan_suppressions(
+    source: str,
+) -> "tuple[dict[int, frozenset[str] | None], list[tuple[int, int, frozenset[str]]]]":
+    """:func:`parse_suppressions`' map, plus ``(line, col, codes)`` for each
+    ``disable=`` comment that names codes, where it was written — what the
+    stale-code check reports against."""
     out: "dict[int, frozenset[str] | None]" = {}
+    comments: "list[tuple[int, int, frozenset[str]]]" = []
 
     def add(line: int, codes: "frozenset[str] | None") -> None:
         have = out.get(line, frozenset())
@@ -140,6 +153,8 @@ def parse_suppressions(source: str) -> "dict[int, frozenset[str] | None]":
                     if codes is None
                     else frozenset(c.strip() for c in codes.split(","))
                 )
+                if parsed is not None:
+                    comments.append((tok.start[0], tok.start[1], parsed))
                 if logical_start is None:
                     add(tok.start[0], parsed)  # own-line comment: that line only
                 else:
@@ -158,7 +173,7 @@ def parse_suppressions(source: str) -> "dict[int, frozenset[str] | None]":
         # A malformed tail (unterminated string) already surfaces as a
         # parse-error finding; suppressions seen so far still apply.
         pass
-    return out
+    return out, comments
 
 
 class FileContext:
@@ -168,7 +183,7 @@ class FileContext:
         self.path = Path(path)
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
-        self.suppressions = parse_suppressions(source)
+        self.suppressions, self.suppression_comments = _scan_suppressions(source)
         self._parents: "dict[int, ast.AST] | None" = None
 
     @property
@@ -319,7 +334,27 @@ def lint_file(
                 findings.append(f)
             elif keep_suppressed:
                 findings.append(replace(f, suppressed=True))
+    findings.extend(_stale_suppressions(ctx))
     return sorted(findings)
+
+
+def _stale_suppressions(ctx: FileContext) -> Iterator[Finding]:
+    """An ``RL000`` finding per suppressed code that no rule registers.
+
+    Judged against every registered rule, not just the active ones: a
+    run with a rule subset must not call a live code stale.
+    """
+    from . import rules as _rules  # noqa: F401  (import populates REGISTRY)
+
+    for line, col, codes in ctx.suppression_comments:
+        for code in sorted(codes - REGISTRY.keys()):
+            yield Finding(
+                path=str(ctx.path),
+                line=line,
+                col=col,
+                rule=PARSE_ERROR_CODE,
+                message=f"suppression names {code}, which no rule registers — delete it",
+            )
 
 
 def lint_paths(

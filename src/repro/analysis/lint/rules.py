@@ -1,4 +1,4 @@
-"""The reprolint rules (``RL002``–``RL007``, ``RL012``, ``RL013``).
+"""The reprolint rules (``RL002``, ``RL003``, ``RL005``–``RL007``, ``RL012``, ``RL013``).
 
 Each rule encodes one protocol of the concurrency / reproducibility
 layers; the docstring of each class states the invariant, why it matters,
@@ -17,7 +17,6 @@ from .engine import FileContext, Finding, Rule, register
 __all__ = [
     "RngDisciplineRule",
     "ShmLifecycleRule",
-    "TuningConstantsRule",
     "WorkerTaskSafetyRule",
     "ExceptionHygieneRule",
     "TimingDisciplineRule",
@@ -205,88 +204,6 @@ class ShmLifecycleRule(Rule):
                         f"access to {node.attr} outside the shm/csr pinning "
                         "implementation — attachments must be pinned only via "
                         "attach_csr/attach_matrix",
-                    )
-
-
-@register
-class TuningConstantsRule(Rule):
-    """RL004 — dispatch thresholds live in :mod:`repro.tuning`, not inline.
-
-    Backend/parallel/batch dispatch decisions (set-vs-CSR crossover, worker
-    fan-out gate, batch chunk size) are hardware-dependent.  Inlining the
-    threshold as a numeric literal in the dispatch module makes it
-    untunable — no ``REPRO_*`` env var, no ``tuning.overridden`` in tests,
-    no ``python -m repro tune`` recalibration.  The rule fires inside the
-    dispatch modules on (a) module-level ALL-CAPS threshold constants and
-    (b) comparisons of ``num_nodes``/``cpu_count`` against an int literal.
-    """
-
-    code = "RL004"
-    name = "tuning-constants"
-    description = "dispatch thresholds must come from repro.tuning, not literals"
-
-    #: Modules that make backend/parallel/batch dispatch decisions.
-    _DISPATCH_MODULES = (
-        "repro/graph/traversal.py",
-        "repro/graph/distances.py",
-        "repro/routing/tables.py",
-        "repro/parallel/pool.py",
-        "repro/parallel/fanout.py",
-    )
-
-    _NAME_RE = re.compile(r"(CHUNK|MIN|MAX|BATCH|WORKERS|NODES|FRONTIER|THRESHOLD)")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_module(*self._DISPATCH_MODULES):
-            return
-        # (a) module-level ALL-CAPS threshold constants.
-        for stmt in ctx.tree.body:
-            target: "ast.expr | None" = None
-            value: "ast.expr | None" = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                target, value = stmt.target, stmt.value
-            if (
-                isinstance(target, ast.Name)
-                and target.id.isupper()
-                and self._NAME_RE.search(target.id)
-                and isinstance(value, ast.Constant)
-                and isinstance(value.value, int)
-                and not isinstance(value.value, bool)
-                and value.value >= 2
-            ):
-                yield self.finding(
-                    ctx,
-                    stmt,
-                    f"inlined dispatch constant {target.id} = {value.value} — move it "
-                    "to a repro.tuning knob with a REPRO_* env var",
-                )
-        # (b) literal thresholds compared against num_nodes / cpu_count.
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            sides = [node.left, *node.comparators]
-            literals = [
-                s
-                for s in sides
-                if isinstance(s, ast.Constant)
-                and isinstance(s.value, int)
-                and not isinstance(s.value, bool)
-                and s.value >= 2
-            ]
-            gated = any(
-                not isinstance(s, ast.Constant)
-                and re.search(r"num_nodes|cpu_count", ast.unparse(s))
-                for s in sides
-            )
-            for lit in literals:
-                if gated:
-                    yield self.finding(
-                        ctx,
-                        lit,
-                        f"dispatch gate compares num_nodes/cpu_count against inline "
-                        f"literal {lit.value} — read the threshold from repro.tuning",
                     )
 
 

@@ -13,7 +13,6 @@
     python -m repro distserve --transport uds  # actor tier over a real socket
     python -m repro traffic                # route-request soak between churn ticks
     python -m repro chaos --plan mayhem    # fault-injection soak, self-healing pool
-    python -m repro tune                   # calibrate traversal tuning knobs
     python -m repro demo --n 250 --seed 7  # one-off build + verify + stats
 
 Each subcommand prints the same artifacts the benchmark suite records, so
@@ -168,15 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=float, default=5.0,
                    help="seconds before unanswered shard tasks count as wedged")
 
-    p = sub.add_parser(
-        "tune",
-        help="measure traversal tuning crossovers on this hardware "
-        "(repro.tuning: batch chunk, sets-vs-CSR threshold)",
-    )
-    p.add_argument("--n", type=int, default=1500, help="APSP calibration size")
-    p.add_argument("--quick", action="store_true", help="smaller, faster sweep")
-    p.add_argument("--seed", type=int, default=2009)
-
     p = sub.add_parser("demo", help="build + verify a spanner on one UDG")
     p.add_argument("--n", type=int, default=250)
     p.add_argument("--degree", type=float, default=12.0)
@@ -187,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run reprolint, the project-invariant AST checker "
-        "(RNG discipline, shm lifecycle, tuning knobs, ...)",
+        "(RNG discipline, shm lifecycle, worker tasks, ...)",
     )
     p.add_argument(
         "paths",
@@ -624,44 +614,6 @@ def _cmd_chaos(args, shards) -> int:
     return rc
 
 
-def _cmd_tune(args) -> int:
-    from . import tuning
-
-    result = tuning.calibrate(n=args.n, seed=args.seed, quick=args.quick)
-    cross = result["auto_min_nodes"]
-    print(
-        render_table(
-            ["n", "sets ms", "csr ms"],
-            [
-                [r["n"], round(r["sets_s"] * 1e3, 3), round(r["csr_s"] * 1e3, 3)]
-                for r in cross["rows"]
-            ],
-            title="sets vs CSR backend — one BFS per 4th node",
-        )
-    )
-    print()
-    chunk = result["batch_chunk"]
-    print(
-        render_table(
-            ["chunk", "APSP s"],
-            [[r["chunk"], round(r["apsp_s"], 3)] for r in chunk["rows"]],
-            title=f"batched_bfs chunk sweep — full APSP at n={chunk['n']}",
-        )
-    )
-    active = result["active"]
-    print()
-    print(
-        f"recommended: auto_min_nodes={cross['recommended']} "
-        f"(active {active.auto_min_nodes}), batch_chunk={chunk['recommended']} "
-        f"(active {active.batch_chunk})"
-    )
-    print("apply with:")
-    print(f"  export REPRO_AUTO_MIN_NODES={cross['recommended']}")
-    print(f"  export REPRO_BATCH_CHUNK={chunk['recommended']}")
-    print("or repro.tuning.configure(batch_chunk=..., auto_min_nodes=...)")
-    return 0
-
-
 def _cmd_demo(args) -> int:
     from .core import (
         build_k_connecting_spanner,
@@ -766,7 +718,6 @@ _COMMANDS = {
     "distserve": _cmd_distserve,
     "traffic": _cmd_traffic,
     "chaos": _cmd_chaos,
-    "tune": _cmd_tune,
     "demo": _cmd_demo,
     "lint": _cmd_lint,
     "obs": _cmd_obs,

@@ -22,7 +22,7 @@ message lost on the queue.  This module makes every one of those events
 
 Installation is arranged so a plan survives both ``fork`` and
 ``spawn``: arm via environment
-(``REPRO_FAULTS=1`` — the :mod:`repro.tuning` gate — plus
+(``REPRO_FAULTS=1`` — any non-falsey spelling — plus
 ``REPRO_FAULT_PLAN=<spec>``) and :func:`maybe_install_from_env` installs
 at :mod:`repro.parallel` import time, which ``spawn`` workers re-run;
 ``fork`` workers inherit the installed state directly and re-seed their
@@ -284,8 +284,9 @@ _fires: "dict[str, int]" = {}
 
 _FALSEY = frozenset({"", "0", "off", "false", "no"})
 
-#: Environment protocol: the gate is the ``faults`` tuning knob, the plan
-#: itself rides a second variable (a spec string is not an int knob).
+#: Environment protocol: a gate (any spelling outside :data:`_FALSEY`
+#: arms), and the plan itself as a second variable — this module is the
+#: only reader of either.
 ENV_GATE = "REPRO_FAULTS"
 ENV_PLAN = "REPRO_FAULT_PLAN"
 

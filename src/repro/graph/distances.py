@@ -24,26 +24,20 @@ __all__ = [
 ]
 
 
-def all_pairs_distances(g: Graph, workers=None) -> list[list[int]]:
+def all_pairs_distances(g: Graph) -> list[list[int]]:
     """APSP by n batched BFS runs; ``dist[u][v] == -1`` when unreachable.
 
     O(n·m) — fine for the n ≤ a few thousand graphs of the experiments.
-    Runs on the CSR backend via :func:`~repro.graph.traversal.batched_bfs`;
-    ``workers`` (int, ``"auto"`` or a :class:`~repro.parallel.pool.\
-WorkerPool`) fans the sources out across processes on a shared-memory
-    snapshot — same rows, computed in parallel.
+    Runs on the CSR backend via :func:`~repro.graph.traversal.batched_bfs`.
     """
-    return [dist for _u, dist in batched_bfs(g, workers=workers)]
+    return [dist for _u, dist in batched_bfs(g)]
 
 
-def distance_matrix(g: Graph, workers=None) -> np.ndarray:
-    """APSP as an ``(n, n)`` int32 numpy array (``-1`` = unreachable).
-
-    ``workers`` fans out exactly like :func:`all_pairs_distances`.
-    """
+def distance_matrix(g: Graph) -> np.ndarray:
+    """APSP as an ``(n, n)`` int32 numpy array (``-1`` = unreachable)."""
     n = g.num_nodes
     out = np.empty((n, n), dtype=np.int32)
-    for u, dist in batched_bfs(g, arrays=True, workers=workers):
+    for u, dist in batched_bfs(g, arrays=True):
         out[u] = dist
     return out
 

@@ -41,7 +41,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .. import tuning
 from ..errors import ParameterError
 from .csr import CSRGraph
 from .graph import Graph, canonical_edge
@@ -68,33 +67,22 @@ __all__ = [
 #: Sentinel distance for unreachable nodes in the arrays returned below.
 UNREACHED = -1
 
-def _small_frontier() -> int:
-    """Frontier size at or below which the vectorized engine expands in
-    pure Python — numpy call overhead dominates on tiny frontiers (deep,
-    skinny graphs like paths degenerate to one node per level).  Tunable
-    via :mod:`repro.tuning` (``REPRO_SMALL_FRONTIER``).
-    """
-    return tuning.get().small_frontier
+#: Frontier size at or below which the vectorized engine expands in pure
+#: Python — numpy call overhead dominates on tiny frontiers (deep, skinny
+#: graphs like paths degenerate to one node per level).
+_SMALL_FRONTIER = 16
 
+#: Sources per chunk in :func:`batched_bfs` (``None`` chunk argument).
+#: Small enough that the flat ``chunk * n`` distance buffer stays
+#: cache-friendly, large enough to amortize per-level numpy call overhead
+#: across sources (64 measured best on the 2200-node UDG of
+#: ``benchmarks/test_bench_traversal.py``).
+_BATCH_CHUNK = 64
 
-def _batch_chunk() -> int:
-    """Sources per chunk in :func:`batched_bfs` (``None`` chunk argument).
-
-    Small enough that the flat ``chunk * n`` distance buffer stays
-    cache-friendly, large enough to amortize per-level numpy call overhead
-    across sources.  Tunable via :mod:`repro.tuning` (``REPRO_BATCH_CHUNK``
-    or ``python -m repro tune`` to calibrate).
-    """
-    return tuning.get().batch_chunk
-
-
-def _auto_min_nodes() -> int:
-    """Below this node count the ``auto`` backend stays on sets: numpy call
-    overhead exceeds the whole BFS on toy graphs (the property-test regime).
-    ``backend="csr"`` overrides, and a ``CSRGraph`` argument is always CSR.
-    Tunable via :mod:`repro.tuning` (``REPRO_AUTO_MIN_NODES``).
-    """
-    return tuning.get().auto_min_nodes
+#: Below this node count the ``auto`` backend stays on sets: numpy call
+#: overhead exceeds the whole BFS on toy graphs (the property-test regime).
+#: ``backend="csr"`` overrides, and a ``CSRGraph`` argument is always CSR.
+_AUTO_MIN_NODES = 64
 
 
 # --------------------------------------------------------------------- #
@@ -123,7 +111,7 @@ def _csr_of(g, backend: str) -> "CSRGraph | None":
         raise ParameterError(
             f"backend='csr' needs a Graph or CSRGraph, got {type(g).__name__}"
         )
-    if isinstance(g, Graph) and g.num_nodes >= _auto_min_nodes():
+    if isinstance(g, Graph) and g.num_nodes >= _AUTO_MIN_NODES:
         return g._csr  # fresh cached snapshot or None
     return None
 
@@ -157,13 +145,12 @@ def _expand_levels(
     rows = memoryview(csr._indices)  # sliced per node, no copies
     np_indptr, np_indices = csr.numpy_arrays()
     np_frontier: "np.ndarray | None" = None
-    small_frontier = _small_frontier()  # read the knob once per expansion
     while True:
         size = len(frontier) if np_frontier is None else int(np_frontier.size)
         if size == 0 or (cutoff is not None and d >= cutoff):
             return
         d += 1
-        if size <= small_frontier:
+        if size <= _SMALL_FRONTIER:
             if np_frontier is not None:
                 frontier = np_frontier.tolist()
                 np_frontier = None
@@ -471,7 +458,6 @@ def batched_bfs(
     chunk: "int | None" = None,
     backend: str = "auto",
     arrays: bool = False,
-    workers=None,
 ) -> Iterator["tuple[int, list[int]]"]:
     """Yield ``(source, dist)`` for each source — the amortized per-node loop.
 
@@ -494,16 +480,9 @@ def batched_bfs(
     On graphs below the auto threshold (``backend="auto"``) the engine is
     skipped entirely and each source runs a plain set-backend BFS — the
     vectorized machinery only pays off past toy sizes.
-
-    ``workers`` fans the sources out across a :class:`~repro.parallel.pool.\
-WorkerPool` of processes attached to a shared-memory copy of the CSR
-    snapshot — pass an int, ``"auto"`` (engages only past
-    ``tuning.parallel_min_nodes``, resolved from the CPU count), or an
-    existing pool to reuse.  Results are identical to the serial engine's
-    in every mode (the workers run this very engine).
     """
     if chunk is None:
-        chunk = _batch_chunk()
+        chunk = _BATCH_CHUNK
     if chunk < 1:
         raise ParameterError(f"chunk must be ≥ 1, got {chunk}")
     if backend not in ("auto", "sets", "csr"):
@@ -511,7 +490,7 @@ WorkerPool` of processes attached to a shared-memory copy of the CSR
     if backend == "sets" or (
         backend == "auto"
         and not isinstance(g, CSRGraph)
-        and g.num_nodes < _auto_min_nodes()
+        and g.num_nodes < _AUTO_MIN_NODES
     ):
         src_iter = range(g.num_nodes) if sources is None else sources
         for s in src_iter:
@@ -523,14 +502,6 @@ WorkerPool` of processes attached to a shared-memory copy of the CSR
     src_list = list(range(n)) if sources is None else list(sources)
     for s in src_list:
         csr._check(s)
-    if workers is not None:
-        from ..parallel.fanout import maybe_parallel_bfs
-
-        rows = maybe_parallel_bfs(csr, src_list, cutoff, workers)
-        if rows is not None:
-            for i, s in enumerate(src_list):
-                yield int(s), (rows[i] if arrays else rows[i].tolist())
-            return
     np_indptr, np_indices = csr.numpy_arrays()
     for lo in range(0, len(src_list), chunk):
         srcs = np.asarray(src_list[lo : lo + chunk], dtype=np.int64)
@@ -592,7 +563,7 @@ def batched_bfs_parents(
     back to per-source :func:`bfs_parents`, exactly like :func:`batched_bfs`.
     """
     if chunk is None:
-        chunk = _batch_chunk()
+        chunk = _BATCH_CHUNK
     if chunk < 1:
         raise ParameterError(f"chunk must be ≥ 1, got {chunk}")
     if backend not in ("auto", "sets", "csr"):
@@ -600,7 +571,7 @@ def batched_bfs_parents(
     if backend == "sets" or (
         backend == "auto"
         and not isinstance(g, CSRGraph)
-        and g.num_nodes < _auto_min_nodes()
+        and g.num_nodes < _AUTO_MIN_NODES
     ):
         src_iter = range(g.num_nodes) if sources is None else sources
         for s in src_iter:
@@ -900,7 +871,7 @@ def _repair_deletions(patch: _RowPatch, csr: CSRGraph, mid, rows, h_removed, plu
     # unaffected neighbor, then settle level by level inside the set.
     affected = np.sort(np.concatenate(found))
     tent = np.full(affected.size, _NEVER, dtype=np.int64)
-    cuts = np.searchsorted(affected, rows[:: _batch_chunk()] * n).tolist()
+    cuts = np.searchsorted(affected, rows[:: _BATCH_CHUNK] * n).tolist()
     for lo, hi in zip(cuts, cuts[1:] + [affected.size]):  # a chunk of rows at a time
         nbrs, owner = patch.expand(mid, affected[lo:hi])
         vals = patch.old(nbrs)
@@ -926,8 +897,8 @@ def _repair_insertions(patch: _RowPatch, full, rows, plus: "list[tuple[int, int]
     """Phase 2: propagate the decreases the ΔH⁺ edges cause, on *g*."""
     base = rows[:, None] * patch.n
     keys, vals = [], []
-    for lo in range(0, len(plus), _batch_chunk()):
-        ends = np.asarray(plus[lo : lo + _batch_chunk()], dtype=np.int64)
+    for lo in range(0, len(plus), _BATCH_CHUNK):
+        ends = np.asarray(plus[lo : lo + _BATCH_CHUNK], dtype=np.int64)
         kx = (base + ends[:, 0]).ravel()
         ky = (base + ends[:, 1]).ravel()
         vx, vy = patch.cur(kx), patch.cur(ky)

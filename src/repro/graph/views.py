@@ -105,7 +105,7 @@ class AugmentedView:
             source == self._u
             and isinstance(self._h, Graph)
             and self._h._csr is not None
-            and self._h.num_nodes >= traversal._auto_min_nodes()
+            and self._h.num_nodes >= traversal._AUTO_MIN_NODES
         ):
             return self._csr_distances_from_u(cutoff)
         n = self.num_nodes

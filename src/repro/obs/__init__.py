@@ -2,10 +2,11 @@
 
 One process-local :class:`MetricsRegistry` (counters, gauges, exact-merge
 histograms) plus a nesting :func:`span` tracer, cheap enough to leave on.
-The ``obs`` tuning knob (env ``REPRO_OBS``, ``off``/``0`` to disable)
-gates the module-level helpers to near-zero cost; worker processes
-snapshot their registries and ship them back over the pool's result
-queue, where :func:`merge_snapshots` folds them into one tree.
+The ``obs`` switch of :mod:`repro.tuning` (env ``REPRO_OBS``,
+``off``/``0`` to disable) gates the module-level helpers to near-zero
+cost; worker processes snapshot their registries and ship them back over
+the pool's result queue, where :func:`merge_snapshots` folds them into
+one tree.
 
 Usage::
 
@@ -84,7 +85,7 @@ def tracer() -> Tracer:
 
 
 def enabled() -> bool:
-    """Whether the gated helpers record (``obs`` tuning knob / REPRO_OBS)."""
+    """Whether the gated helpers record (``obs`` switch / REPRO_OBS)."""
     return tuning.get().obs != 0
 
 

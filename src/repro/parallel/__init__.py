@@ -23,10 +23,6 @@ serving" item calls for, in three tiers:
   -versioned shared matrices to serve ``next_hop``/``route`` lookups
   *while* the shards repair (torn-read-free, property-tested).
 
-One-shot fan-outs (:mod:`repro.parallel.fanout`) back the ``workers=``
-parameter of :func:`~repro.graph.traversal.batched_bfs`, the APSP helpers
-and :func:`~repro.routing.tables.routing_table`.
-
 ``benchmarks/test_bench_parallel.py`` records the W = 1, 2, 4 repair
 -throughput curve and the publish costs as ``BENCH_parallel.json``
 (degrading to a W = 1 measurement on single-core runners).
@@ -55,7 +51,6 @@ from .shm import (
     SharedMatrixHandle,
     attach_csr,
 )
-from .fanout import maybe_parallel_bfs
 from .sharded import RouteReader, ShardedRoutingService
 
 __all__ = [
@@ -73,7 +68,6 @@ __all__ = [
     "SharedMatrix",
     "SharedMatrixHandle",
     "attach_csr",
-    "maybe_parallel_bfs",
     "RouteReader",
     "ShardedRoutingService",
 ]

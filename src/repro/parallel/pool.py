@@ -22,12 +22,11 @@ summaries.
   :func:`repro.rng.derive_seed`, so randomized tasks stay reproducible
   per ``(pool seed, worker id)``.
 
-``workers="auto"`` resolves from the CPU count (and the
-``tuning.parallel_min_nodes`` gate, applied by callers such as
-:func:`~repro.graph.traversal.batched_bfs`); a single-core host resolves
-to one worker, which keeps every code path exercised while adding no
-parallelism — the graceful-degradation mode the benchmark gate records on
-such runners.
+``workers="auto"`` resolves from the CPU count, capped at
+:data:`_AUTO_MAX_WORKERS`; a single-core host resolves to one worker,
+which keeps every code path exercised while adding no parallelism —
+the graceful-degradation mode the benchmark gate records on such
+runners.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import faults as _faults
-from .. import obs, tuning
+from .. import obs
 from ..errors import ParameterError, ProtocolError, ReproError
 from ..rng import derive_seed, ensure_rng
 from .shm import AttachedCSR, AttachedMatrix, PublishStats, SharedCSR, SharedMatrix
@@ -85,23 +84,22 @@ class PoolHealth:
         }
 
 
+#: Cap for ``workers="auto"`` — beyond this the serving fan-out is queue
+#: -bound, and benchmark boxes rarely give more truly-free cores.
+_AUTO_MAX_WORKERS = 4
+
+
 def resolve_workers(workers, *, cpu_count: "int | None" = None) -> int:
     """Resolve a ``workers`` spec to a concrete count.
 
-    ``None``/``1`` → 1 (serial), ``"auto"`` →
-    ``min(tuning.auto_max_workers, cpu_count)``, an int is validated and
-    passed through.  A :class:`WorkerPool` instance resolves to its own
-    size.
+    ``"auto"`` → ``min(_AUTO_MAX_WORKERS, cpu_count)``; an int is
+    validated and passed through.
     """
-    if workers is None:
-        return 1
-    if isinstance(workers, WorkerPool):
-        return workers.workers
     if workers == "auto":
         cpus = os.cpu_count() or 1 if cpu_count is None else cpu_count
-        return max(1, min(tuning.get().auto_max_workers, cpus))
+        return max(1, min(_AUTO_MAX_WORKERS, cpus))
     if isinstance(workers, bool) or not isinstance(workers, int):
-        raise ParameterError(f"workers must be an int, 'auto', None or a WorkerPool, got {workers!r}")
+        raise ParameterError(f"workers must be an int or 'auto', got {workers!r}")
     if workers < 1:
         raise ParameterError(f"workers must be ≥ 1, got {workers}")
     return workers
@@ -137,25 +135,6 @@ class _WorkerState:
 def _task_echo(state: _WorkerState, payload):
     """Liveness/identity probe used by the tests."""
     return (state.worker_id, os.getpid(), payload)
-
-
-def _task_bfs_rows(state: _WorkerState, payload):
-    """Multi-source BFS rows into a shared output matrix.
-
-    ``payload = (graph, out, sources, slots, cutoff)`` — run the batched
-    engine on the attached snapshot and write row *slots[i]* of the shared
-    *out* matrix with the distances from ``sources[i]``.
-    """
-    from ..graph.traversal import batched_bfs
-
-    graph, out, sources, slots, cutoff = payload
-    g = state.csr(graph)
-    attached = state.matrices[out]
-    slot_of = dict(zip(sources, slots))
-    for s, row in batched_bfs(g, sources, cutoff, arrays=True):
-        with attached.row_write(slot_of[s]) as dest:
-            dest[:] = row
-    return len(sources)
 
 
 def _task_serve_rows(state: _WorkerState, payload):
@@ -244,7 +223,6 @@ def _task_obs_record(state: _WorkerState, payload):
 #: survive both ``fork`` and ``spawn``.
 TASKS = {
     "echo": _task_echo,
-    "bfs_rows": _task_bfs_rows,
     "serve_rows": _task_serve_rows,
     "serve_tables": _task_serve_tables,
     "crash_in_write": _task_crash_in_write,

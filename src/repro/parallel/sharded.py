@@ -97,7 +97,7 @@ class ShardedRoutingService(RoutingService):
     g, method, k, epsilon, r, rebuild_fraction:
         Exactly as :class:`~repro.dynamic.serving.RoutingService`.
     workers:
-        Pool size spec (int, ``"auto"`` or ``None``) — ignored when *pool*
+        Pool size spec (int or ``"auto"``) — ignored when *pool*
         is given.
     start_method:
         Forwarded to :class:`~repro.parallel.pool.WorkerPool` (``fork`` /

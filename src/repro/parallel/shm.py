@@ -74,7 +74,7 @@ from typing import Any, Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .. import faults as _faults
-from .. import obs, tuning
+from .. import obs
 from ..errors import ParameterError, ProtocolError, TornReadError
 from ..graph.csr import CSRGraph
 
@@ -100,12 +100,10 @@ _VER_DTYPE = np.int64
 _T = TypeVar("_T")
 
 
-def _max_tries() -> int:
-    """Retry budget for seqlock reads (the ``read_retries`` tuning knob,
-    ``REPRO_READ_RETRIES``) — generous enough to ride out any live writer
-    (writers hold a row for microseconds; the reader yields the CPU while
-    spinning), small enough to surface a dead writer within seconds."""
-    return tuning.get().read_retries
+#: Retry budget for seqlock reads — generous enough to ride out any live
+#: writer (writers hold a row for microseconds; the reader yields the CPU
+#: while spinning), small enough to surface a dead writer within seconds.
+_READ_RETRIES = 200_000
 
 
 def _spin(attempt: int) -> None:
@@ -157,7 +155,7 @@ def _read_stable(
         if owner is not None:
             owner.torn_retries += 1
             obs.inc(metric)
-        if attempt + 1 >= _max_tries():
+        if attempt + 1 >= _READ_RETRIES:
             break
         _spin(attempt)
         attempt += 1

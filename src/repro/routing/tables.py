@@ -53,8 +53,8 @@ _FAR = np.iinfo(np.int32).max // 2
 #: Cells per gather in :func:`project_table_cells`.  Bounds the padded
 #: ``cells × max degree`` scratch of one chunk, however many cells a tick
 #: damages.  A memory bound, not a dispatch choice: every input takes the
-#: same path, so it is a fixed constant rather than a tuning knob.
-_CELL_CHUNK = 1024  # reprolint: disable=RL004 -- a scratch bound, not a dispatch threshold
+#: same path.
+_CELL_CHUNK = 1024
 
 
 def _argmin_hops(block: "np.ndarray", nbrs: "list[int]") -> "np.ndarray":
@@ -177,7 +177,7 @@ def next_hop(h: Graph, g: Graph, u: int, v: int) -> "int | None":
     return best
 
 
-def routing_table(h: Graph, g: Graph, u: int, *, workers=None) -> dict:
+def routing_table(h: Graph, g: Graph, u: int) -> dict:
     """Full next-hop table for *u*: destination -> closest neighbor.
 
     Runs ``deg_G(u)`` neighbor-sourced batched BFS runs on the frozen CSR
@@ -187,17 +187,13 @@ def routing_table(h: Graph, g: Graph, u: int, *, workers=None) -> dict:
     neighbor order, so ``np.argmin``'s first-occurrence rule *is* the
     smallest-neighbor-id tie-break of :func:`next_hop`.  Destinations
     unreachable from every neighbor (and *u* itself) are omitted.
-
-    ``workers`` forwards to :func:`~repro.graph.traversal.batched_bfs` —
-    the neighbor-sourced BFS block fans out across a worker pool (worth it
-    for high-degree sources on large advertised graphs).
     """
     view = AugmentedView(h, g, u)
     nbrs = sorted(g.neighbors(u))
     if not nbrs:
         return {}
     csr = view.freeze()
-    block = np.array([row for _s, row in batched_bfs(csr, nbrs, arrays=True, workers=workers)])
+    block = np.array([row for _s, row in batched_bfs(csr, nbrs, arrays=True)])
     hops = _argmin_hops(block, nbrs)
     table: dict[int, int] = {}
     for v in range(g.num_nodes):

@@ -15,4 +15,4 @@ def swallow(fn):
 
 
 def wrong_code_does_not_silence():
-    return random.Random(1)  # reprolint: disable=RL001
+    return random.Random(1)  # reprolint: disable=RL006

@@ -3,7 +3,7 @@
 The fixture files in ``tests/analysis/fixtures/`` are deliberately
 non-compliant (that is the test); they are excluded from ruff in
 pyproject.toml and are never imported — only parsed.  Module-scoped rules
-(RL002/RL003/RL004) are exercised by linting fixture *source* under a
+(RL002/RL003/RL012/RL013) are exercised by linting fixture *source* under a
 fake in-scope path via ``lint_file(path, source=...)``.
 """
 
@@ -30,7 +30,6 @@ from repro.analysis.lint.rules import (
     RngDisciplineRule,
     ShmLifecycleRule,
     TimingDisciplineRule,
-    TuningConstantsRule,
     WorkerTaskSafetyRule,
 )
 from repro.cli import main
@@ -64,10 +63,10 @@ class TestEngine:
     def test_suppression_silences_only_its_code(self):
         findings = lint_file(FIXTURES / "suppressed.py")
         # RL002 and RL006 sites with matching disables are silent; the
-        # RL002 site carrying a disable=RL001 comment still fires.
+        # RL002 site carrying a disable=RL006 comment still fires.
         assert [f.rule for f in findings] == ["RL002"]
         lines = (FIXTURES / "suppressed.py").read_text(encoding="utf-8").splitlines()
-        assert "disable=RL001" in lines[findings[0].line - 1]  # wrong code kept it alive
+        assert "disable=RL006" in lines[findings[0].line - 1]  # wrong code kept it alive
 
     def test_suppression_applies_to_the_whole_logical_line(self):
         # A disable trailing ANY physical line of a wrapped statement —
@@ -77,10 +76,10 @@ class TestEngine:
             "result = frobnicate(\n"
             "    alpha,\n"
             "    beta,\n"
-            ")  # reprolint: disable=RL004\n"
+            ")  # reprolint: disable=RL006\n"
         )
         sup = parse_suppressions(source)
-        assert all(sup.get(line) == frozenset({"RL004"}) for line in (1, 2, 3, 4))
+        assert all(sup.get(line) == frozenset({"RL006"}) for line in (1, 2, 3, 4))
 
     def test_own_line_comment_scopes_to_its_line_only(self):
         source = "# reprolint: disable=RL001\nx = 1\ny = 2\n"
@@ -114,6 +113,24 @@ class TestEngine:
         )
         assert [(f.rule, f.suppressed) for f in kept] == [("RL002", True)]
 
+    def test_unknown_suppression_code_becomes_rl000(self):
+        # A disable naming a code no rule registers (a retired RL004, a
+        # typo) is a finding at the comment, whichever rules run; the
+        # live code beside it still silences its own finding.
+        source = (
+            "import random\n"
+            "x = random.Random(0)  # reprolint: disable=RL002,RL004\n"
+            "# reprolint: disable=RL999\n"
+            "y = 1  # reprolint: disable\n"
+        )
+        for rules in (None, [RngDisciplineRule()]):
+            findings = lint_file("tests/x.py", rules, source=source)
+            assert [(f.rule, f.line) for f in findings] == [
+                (PARSE_ERROR_CODE, 2),
+                (PARSE_ERROR_CODE, 3),
+            ]
+            assert "RL004" in findings[0].message and "RL999" in findings[1].message
+
     def test_syntax_error_becomes_rl000(self):
         findings = lint_file(FIXTURES / "rl000_syntax_error.py")
         assert len(findings) == 1
@@ -122,7 +139,8 @@ class TestEngine:
 
     def test_registry_has_the_ast_local_rules(self):
         rules = default_rules()
-        assert [r.code for r in rules] == [f"RL00{i}" for i in range(2, 8)] + ["RL012", "RL013"]
+        codes = ["RL002", "RL003", "RL005", "RL006", "RL007", "RL012", "RL013"]
+        assert [r.code for r in rules] == codes
         assert all(r.name and r.description for r in rules)
         assert set(REGISTRY) == {r.code for r in rules}
 
@@ -245,27 +263,6 @@ class TestShmLifecycleRule:
         assert findings == []
 
 
-class TestTuningConstantsRule:
-    def test_bad_fixture_at_dispatch_path(self):
-        findings = fixture_findings(
-            "rl004_bad.py", TuningConstantsRule(), "src/repro/graph/traversal.py"
-        )
-        hits = " | ".join(f.message for f in findings)
-        assert "AUTO_MIN_NODES" in hits
-        assert "48" in hits and "8" in hits  # both literal gates
-        assert len(findings) == 3
-
-    def test_good_fixture_at_dispatch_path(self):
-        findings = fixture_findings(
-            "rl004_good.py", TuningConstantsRule(), "src/repro/graph/traversal.py"
-        )
-        assert findings == []
-
-    def test_rule_is_scoped_to_dispatch_modules(self):
-        # The same bad source is fine in a non-dispatch module.
-        assert fixture_findings("rl004_bad.py", TuningConstantsRule()) == []
-
-
 class TestWorkerTaskSafetyRule:
     def test_bad_fixture_flags_lambda_nested_and_calls(self):
         findings = fixture_findings("rl005_bad.py", WorkerTaskSafetyRule())
@@ -368,9 +365,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL012", "RL013"):
+        for code in ("RL002", "RL003", "RL005", "RL006", "RL007", "RL012", "RL013"):
             assert code in out
-        assert "RL001" not in out
+        for retired in ("RL001", "RL004"):
+            assert retired not in out
 
     def test_list_rules_drops_the_deep_section(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

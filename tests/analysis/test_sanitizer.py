@@ -250,8 +250,8 @@ class TestWorkerSide:
             pool.matrix("d", 6, 6, versioned=True, fill=-1)
             pool.matrix("s", 6, 6, fill=-1)
             for out in ("d", "s"):
-                payloads = [("g", out, rows, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
-                assert pool.run("bfs_rows", payloads, to=[0, 1]) == [3, 3]
+                payloads = [("g", out, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
+                assert pool.run("serve_rows", payloads, to=[0, 1]) == [[], []]
             owner = pool.matrix_owner("d")
             assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
             assert all(int(v) == 2 for v in owner.row_versions[:6])

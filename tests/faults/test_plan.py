@@ -1,10 +1,10 @@
 """FaultPlan/FaultRule spec protocol, env gating, and seeded determinism.
 
-The fault plane's contract is the same as the tuning layer's: everything
-crosses process boundaries through strings (``REPRO_FAULTS`` gate +
-``REPRO_FAULT_PLAN`` spec), every plan round-trips through its spec, and
-a ``(plan seed, worker id, incarnation)`` triple names a bit-for-bit
-reproducible fault stream — chaos runs replay.
+The fault plane's contract: everything crosses process boundaries
+through strings (``REPRO_FAULTS`` gate + ``REPRO_FAULT_PLAN`` spec),
+every plan round-trips through its spec, and a ``(plan seed, worker id,
+incarnation)`` triple names a bit-for-bit reproducible fault stream —
+chaos runs replay.
 """
 
 import pytest
@@ -103,6 +103,20 @@ class TestEnvProtocol:
         assert faults.current_plan() == PLANS["quiet"]
         faults.uninstall()
         assert not faults.active and faults.current_plan() is None
+
+    def test_word_gate_arms_without_breaking_obs(self, monkeypatch):
+        # Any non-falsey spelling arms the plane, and the gate is read by
+        # repro.faults alone: the obs switch must not choke on it.
+        from repro import obs, tuning
+
+        monkeypatch.setenv(faults.ENV_GATE, "armed")
+        monkeypatch.setenv(faults.ENV_PLAN, "crashy")
+        tuning.reset()
+        try:
+            obs.inc("x")
+        finally:
+            tuning.reset()
+        assert faults.enabled_in_env() == PLANS["crashy"]
 
     def test_maybe_install_respects_existing_plan(self, monkeypatch):
         faults.install(PLANS["quiet"])

@@ -170,17 +170,18 @@ def test_raise_inside_row_write_commits_the_row():
         m.close()
 
 
-def test_unbalanced_bracket_reaches_torn_read_error():
+def test_unbalanced_bracket_reaches_torn_read_error(monkeypatch):
     """The counter-factual: a row left odd must *terminate* readers.
 
-    With the retry budget shrunk via the ``read_retries`` tuning knob (the
-    production 200k takes ~20s of backoff), a reader of a row whose writer
-    died inside ``row_write`` raises TornReadError instead of spinning
-    forever — the state ``row_write``'s commit-on-exit never leaves behind.
+    With the retry budget ``shm._READ_RETRIES`` shrunk (the production
+    200k takes ~20s of backoff), a reader of a row whose writer died
+    inside ``row_write`` raises TornReadError instead of spinning forever
+    — the state ``row_write``'s commit-on-exit never leaves behind.
     """
-    from repro import tuning
+    from repro.parallel import shm
 
-    with tuning.overridden(read_retries=2048), WorkerPool(1) as pool:
+    monkeypatch.setattr(shm, "_READ_RETRIES", 2048)
+    with WorkerPool(1) as pool:
         pool.matrix("m", 4, 4, fill=7, versioned=True)
         owner = pool.matrix_owner("m")
         owner.row_versions[2] += 1  # simulate a writer that died mid-write

@@ -8,8 +8,10 @@ are written only through ``row_write`` (:class:`TestRowWrite`).
 """
 
 import ast
+import dataclasses
 import functools
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,19 +293,19 @@ class TestVersionedMatrix:
         finally:
             m.close()
 
-    def test_dead_writer_surfaces_as_torn_read_error(self):
-        from repro import tuning
+    def test_dead_writer_surfaces_as_torn_read_error(self, monkeypatch):
         from repro.errors import TornReadError
+        from repro.parallel import shm
 
         m = SharedMatrix(3, 3, versioned=True, fill=0)
         try:
             att = AttachedMatrix(m.handle)
             m.row_versions[0] += 1  # a writer that died inside row_write
-            with tuning.overridden(read_retries=50):
-                with pytest.raises(TornReadError):
-                    att.read_row(0)
-                with pytest.raises(TornReadError):
-                    att.read_cell(0, 0)
+            monkeypatch.setattr(shm, "_READ_RETRIES", 50)
+            with pytest.raises(TornReadError):
+                att.read_row(0)
+            with pytest.raises(TornReadError):
+                att.read_cell(0, 0)
             att.close()
         finally:
             m.close()
@@ -373,7 +375,7 @@ def _bracket_uses(tree: ast.AST) -> "list[int]":
 #: What the one seqlock read loop (``shm._read_stable``) may call besides
 #: the conversion its caller passes, and the conversions callers may pass.
 #: None of them can park the reader, so the loop stays a bounded spin.
-_READ_LOOP_CALLS = frozenset({"int", "range", "_max_tries", "_spin", "obs.inc"})
+_READ_LOOP_CALLS = frozenset({"int", "range", "_spin", "obs.inc"})
 _READ_CASTS = frozenset({"int", "bytes", "np.array"})
 _CAST_ARG = 4  # _read_stable(ver, i, data, key, cast, owner=None)
 
@@ -672,6 +674,47 @@ class TestOwnership:
         assert any(".unlink() outside _free_block" in v for v in found)
 
 
+#: The only environment variables library code may read: the obs switch
+#: and the fault plane's gate and plan.  Dispatch thresholds are module
+#: constants, not knobs.
+_ENV_VARS = frozenset({"REPRO_OBS", "REPRO_FAULTS", "REPRO_FAULT_PLAN"})
+
+
+def env_var_names(modules) -> "set[str]":
+    """Every ``REPRO_*`` name in a string constant of *modules*, skipping
+    docstrings and other bare string statements."""
+    names: "set[str]" = set()
+    for _label, tree in modules:
+        bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in bare:
+                    names.update(re.findall(r"\bREPRO_[A-Z0-9_]+", node.value))
+    return names
+
+
+class TestNoKnobCreep:
+    """The runtime switches stay the three above; everything else is a
+    constant where it is used."""
+
+    def test_library_reads_only_the_three_switches(self):
+        assert env_var_names(repro_modules()) == _ENV_VARS
+
+    def test_tuning_holds_only_the_obs_switch(self):
+        from repro import tuning
+
+        assert [f.name for f in dataclasses.fields(tuning.Tuning)] == ["obs"]
+        assert dataclasses.asdict(tuning.get()) == {"obs": 1}
+
+    def test_guard_flags_a_new_knob_but_not_a_docstring(self):
+        knob = (
+            '"""REPRO_DOC in a docstring is prose."""\n'
+            'import os\nX = os.environ.get("REPRO_CHUNK")\n'
+        )
+        found = env_var_names(repro_modules_with(knob, "src/repro/other.py"))
+        assert found == _ENV_VARS | {"REPRO_CHUNK"}
+
+
 def _post_changing_lengths(directory, stop):
     """Forked child: post payloads whose length keeps changing until *stop*."""
     k = 0
@@ -710,19 +753,18 @@ class TestSharedDirectory:
         finally:
             d.close()
 
-    def test_odd_header_raises_torn_read_error(self):
-        from repro import tuning
+    def test_odd_header_raises_torn_read_error(self, monkeypatch):
         from repro.errors import TornReadError
-        from repro.parallel import AttachedDirectory, SharedDirectory
+        from repro.parallel import AttachedDirectory, SharedDirectory, shm
 
         d = SharedDirectory()
         att = AttachedDirectory(d.name)
         try:
             d.post("committed")
             np.ndarray((2,), dtype=np.int64, buffer=d._shm.buf)[0] += 1  # owner died mid-post
-            with tuning.overridden(read_retries=50):
-                with pytest.raises(TornReadError):
-                    att.read()
+            monkeypatch.setattr(shm, "_READ_RETRIES", 50)
+            with pytest.raises(TornReadError):
+                att.read()
         finally:
             att.close()
             d.close()
