@@ -7,7 +7,12 @@ throughput over a sampled pair population on a churned-in service, with
 journey-for-journey agreement asserted on the side (speed means nothing if
 the answers differ).
 
-The second experiment measures the concurrency story: a
+The second experiment times the hop-synchronous batch path,
+:func:`repro.routing.route_served_batch`, against the per-query
+``route_served`` loop on the same pairs (identical journeys asserted): it
+must be ≥ 2.5× the loop.
+
+The third experiment measures the concurrency story: a
 :class:`~repro.parallel.sharded.RouteReader` in a separate process serves
 ``next_hop`` lookups *while* the sharded service repairs a churn stream,
 recording read latency percentiles, sustained read rate, and the seqlock
@@ -15,8 +20,8 @@ retry count.
 
 Degradation contract: on a single-core runner the reader and the repair
 workers time-share one CPU, so neither number reflects what concurrent
-hardware can do — both payloads then carry a ``"degraded"`` marker with
-the reason and the throughput bar is not asserted, exactly as
+hardware can do — the payloads then carry a ``"degraded"`` marker with
+the reason and the throughput bars are not asserted, exactly as
 ``scripts/check.sh`` expects.
 """
 
@@ -33,13 +38,16 @@ from repro.dynamic import RoutingService, failure_recovery_scenario
 from repro.graph import sample_pairs
 from repro.parallel import ShardedRoutingService
 from repro.rng import derive_seed
-from repro.routing import route, route_served
+from repro.routing import route, route_served, route_served_batch
 
 REQUIRED_QUERY_SPEEDUP = 5.0  # served route queries vs per-hop-BFS routing
+REQUIRED_BATCH_SPEEDUP = 2.5  # hop-synchronous batch vs the per-query loop
 N_Q = 1500
 NUM_EVENTS = 40
 NUM_PAIRS = 60
 SERVED_ROUNDS = 40  # extra passes so the fast path's timing is stable
+BATCH_ROUNDS = 20  # passes per batch-vs-loop timing sample
+BATCH_TIMING_ROUNDS = 5  # interleaved best-of samples per side
 Q_SEED = 20090525
 CPU_COUNT = os.cpu_count() or 1
 
@@ -61,16 +69,23 @@ def _merge_artifact(results_dir, key, payload):
     artifact.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
-def test_query_throughput_served_vs_bfs(record, results_dir):
+@pytest.fixture(scope="module")
+def churned_service():
+    """The n≈1500 service after a churn stream, and the sampled pairs."""
     sc = failure_recovery_scenario(N_Q, NUM_EVENTS, seed=Q_SEED)
     assert sc.initial.num_nodes >= 1200, "query bench must keep n ≈ 1500"
     service = RoutingService(sc.initial, "kcover")
     for ev in sc.events:  # churn in: tables are post-repair, not pristine
         service.apply(ev)
-    h, g = service.advertised, service.graph
     pairs = sample_pairs(
-        g, NUM_PAIRS, seed=derive_seed(Q_SEED, "query-pairs"), require_nonadjacent=False
+        service.graph, NUM_PAIRS, seed=derive_seed(Q_SEED, "query-pairs"), require_nonadjacent=False
     )
+    return service, pairs
+
+
+def test_query_throughput_served_vs_bfs(churned_service, record, results_dir):
+    service, pairs = churned_service
+    h, g = service.advertised, service.graph
 
     sw = obs.Stopwatch()
     reference = [route(h, g, s, t) for s, t in pairs]
@@ -131,6 +146,74 @@ def test_query_throughput_served_vs_bfs(record, results_dir):
         assert speedup >= REQUIRED_QUERY_SPEEDUP, (
             f"served routing only {speedup}x faster than per-hop BFS "
             f"(need ≥ {REQUIRED_QUERY_SPEEDUP}x): {payload}"
+        )
+
+
+def test_batch_vs_per_query_loop(churned_service, record, results_dir):
+    """``route_served_batch`` against the per-query ``route_served`` loop:
+    the same 60 journeys, hop-synchronous vs one at a time."""
+    service, pairs = churned_service
+    sources = [s for s, _ in pairs]
+    targets = [t for _, t in pairs]
+    reference = [route_served(service, s, t) for s, t in pairs]
+    batch = route_served_batch(service, sources, targets)
+    assert batch.results() == reference, "the batch must make the loop's journeys exactly"
+
+    def loop_rounds():
+        for _ in range(BATCH_ROUNDS):
+            for s, t in pairs:
+                route_served(service, s, t)
+
+    def batch_rounds():
+        for _ in range(BATCH_ROUNDS):
+            route_served_batch(service, sources, targets)
+
+    # Interleaved best-of-rounds, as in the obs overhead bench.
+    t_loop = t_batch = float("inf")
+    for _ in range(BATCH_TIMING_ROUNDS):
+        t_loop = min(t_loop, obs.time_best(loop_rounds, repeats=1) / BATCH_ROUNDS)
+        t_batch = min(t_batch, obs.time_best(batch_rounds, repeats=1) / BATCH_ROUNDS)
+    speedup = round(t_loop / t_batch, 2)
+    degraded = CPU_COUNT < 2
+    delivered = batch.hops[batch.delivered]
+    payload = {
+        "n": service.num_nodes,
+        "pairs": len(pairs),
+        "cpu_count": CPU_COUNT,
+        "steps": len(batch.steps),
+        "hops_mean": round(float(delivered.mean()), 2),
+        "hops_max": int(batch.hops.max()),
+        "per_query_loop": {
+            "seconds_per_pass": round(t_loop, 7),
+            "queries_per_second": round(len(pairs) / t_loop, 1),
+        },
+        "batch": {
+            "seconds_per_pass": round(t_batch, 7),
+            "queries_per_second": round(len(pairs) / t_batch, 1),
+        },
+        "timed_rounds": BATCH_ROUNDS,
+        "speedup_batch_vs_loop": speedup,
+        "required_speedup": REQUIRED_BATCH_SPEEDUP,
+        "degraded": (
+            f"host has {CPU_COUNT} CPU(s) < 2: recorded measurement only, "
+            "speedup bar not asserted"
+            if degraded
+            else None
+        ),
+    }
+    _merge_artifact(results_dir, "batch_vs_loop", payload)
+    record(
+        "bench_query_batch_vs_loop",
+        f"batched route queries n={service.num_nodes} ({len(pairs)} pairs, "
+        f"{len(batch.steps)} steps): per-query loop {len(pairs) / t_loop:.0f} q/s, "
+        f"batch {len(pairs) / t_batch:.0f} q/s -> {speedup}x "
+        f"(required {REQUIRED_BATCH_SPEEDUP}x"
+        + (", degraded: bar not asserted)" if degraded else ")"),
+    )
+    if not degraded:
+        assert speedup >= REQUIRED_BATCH_SPEEDUP, (
+            f"batched routing only {speedup}x the per-query loop "
+            f"(need ≥ {REQUIRED_BATCH_SPEEDUP}x): {payload}"
         )
 
 

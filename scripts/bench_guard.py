@@ -48,6 +48,11 @@ METRICS = [
     ("BENCH_parallel.json", ("sharded_repair", "speedup_4_vs_1"), "sharded repair 4v1"),
     ("BENCH_queries.json", ("query_throughput", "speedup_served_vs_bfs"), "served queries"),
     (
+        "BENCH_queries.json",
+        ("batch_vs_loop", "speedup_batch_vs_loop"),
+        "batched queries vs per-query loop",
+    ),
+    (
         "BENCH_faults.json",
         ("crash_recovery", "recovery_events_per_second"),
         "fault recovery throughput",

@@ -180,6 +180,13 @@ line = (
     f"{qt['route_served']['queries_per_second']} q/s served)"
 )
 print(line + (f" [{qt['degraded']}]" if qt.get("degraded") else ""))
+bq = q["batch_vs_loop"]
+print(
+    f"batched route queries vs per-query loop: {bq['speedup_batch_vs_loop']}x "
+    f"(required {bq['required_speedup']}x; {bq['batch']['queries_per_second']} q/s "
+    f"over {bq['steps']} hop steps)"
+    + (f" [{bq['degraded']}]" if bq.get("degraded") else "")
+)
 rd = q["read_during_repair"]
 print(
     f"concurrent reads during repair: {rd['reads_per_second']}/s, "

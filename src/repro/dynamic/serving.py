@@ -87,6 +87,7 @@ from .. import obs
 from ..errors import NodeNotFound, ParameterError
 from ..graph import Graph, batched_bfs, repair_rows
 from ..graph.traversal import orphaned_far_ends, repairable_rows, row_changes
+from ..routing.greedy_routing import check_lookups
 from ..routing.tables import _FAR, project_table_cells, project_table_row
 from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
@@ -525,6 +526,29 @@ class RoutingService:
             raise NodeNotFound(v, g.num_nodes)
         hop = int(self._tables[u, v])
         return hop if hop >= 0 else None
+
+    def next_hops(self, us, vs) -> "np.ndarray":
+        """:meth:`next_hop` for every pair ``(us[i], vs[i])`` in one gather
+        on T (−1 where that lookup answers ``None``)."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        check_lookups(us, vs, self.graph.num_nodes, distinct=True)
+        return self._gather_hops(us, vs)
+
+    def distances(self, us, vs) -> "np.ndarray":
+        """:meth:`distance` for every pair ``(us[i], vs[i])`` in one gather
+        on D (−1 where that lookup answers ``None``)."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        check_lookups(us, vs, self.graph.num_nodes, distinct=False)
+        return self._gather_dists(us, vs)
+
+    # The batch router's per-step gathers, unchecked: it checks its batch
+    # once, and every later id is a hop the table gave (int64 arrays of
+    # known ids, and us[i] != vs[i] for the hops).
+    def _gather_hops(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return self._tables[us, vs]
+
+    def _gather_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return self._dist[us, vs]
 
     def memory_stats(self) -> MemoryStats:
         """Current matrix footprint + dormant-id count.

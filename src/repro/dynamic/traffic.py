@@ -27,6 +27,12 @@ partition is exactly :meth:`Scenario.ticks <repro.dynamic.events.\
 Scenario.ticks>` — replaying every tick's events reproduces
 ``scenario.final`` (self-checked at generation time).
 
+:func:`serve_queries` serves one tick's requests as a batch, hop-
+synchronously (:func:`~repro.routing.greedy_routing.route_served_batch`),
+and records it in the obs histograms: ``traffic.hops`` per delivered
+request, and ``traffic.request.us`` per request as the time from batch
+start to the end of the hop step at which that request finished.
+
 ``python -m repro traffic`` soaks a :class:`~repro.dynamic.serving.\
 RoutingService` with a workload from the shell;
 ``benchmarks/test_bench_queries.py`` records the served-vs-per-hop-BFS
@@ -36,6 +42,7 @@ query throughput as ``BENCH_queries.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +51,7 @@ from .. import obs
 from ..errors import ParameterError
 from ..graph import Graph, ball
 from ..rng import derive_seed, ensure_rng
+from ..routing.greedy_routing import route_served_batch
 from .events import EdgeEvent, NodeEvent, Scenario, apply_events
 
 __all__ = [
@@ -123,42 +131,37 @@ def serve_queries(
 ) -> QueryBatchReport:
     """Serve a batch of route requests off *endpoint*, instrumented.
 
-    *endpoint* is anything :func:`~repro.routing.greedy_routing.\
-route_served` accepts (a :class:`~repro.dynamic.serving.RoutingService`,
-    a :class:`~repro.parallel.sharded.RouteReader`, ...).  When
-    observability is on, each request feeds the ``traffic.request.us``
-    latency and ``traffic.hops`` histograms (plus a
-    ``traffic.unroutable`` counter); with ``REPRO_OBS=off`` the loop is
-    the bare serving loop — this shared helper is what the overhead
-    benchmark measures.  ``hop_fallback`` is forwarded to
-    :func:`~repro.routing.greedy_routing.route_served` (the chaos soak
-    passes ``True`` so dormant/stale table entries degrade to committed
-    -distance hops instead of dropping the packet).
+    The whole batch rides :func:`~repro.routing.greedy_routing.\
+route_served_batch` — every in-flight request takes its hop in the same
+    table gather — so *endpoint* is anything that router accepts (a
+    :class:`~repro.dynamic.serving.RoutingService`, a
+    :class:`~repro.parallel.sharded.RouteReader`, ...), and each journey
+    is exactly :func:`~repro.routing.greedy_routing.route_served`'s.  When
+    observability is on, the batch feeds the ``traffic.request.us``
+    latency and ``traffic.hops`` histograms in one ``observe_many`` each
+    (plus the ``traffic.unroutable`` and ``traffic.requests`` counters);
+    with ``REPRO_OBS=off`` it is the bare serving batch — this shared
+    helper is what the overhead benchmark measures.  A request's
+    ``traffic.request.us`` latency is the time from batch start to the end
+    of the hop step at which that request finished (arrived, turned out
+    unroutable, or ran out of hop budget).  ``hop_fallback`` is forwarded
+    to the batch router (``True`` lets dormant or stale table entries
+    degrade to committed-distance hops instead of dropping the packet).
     """
-    from ..routing.greedy_routing import route_served
-
-    on = obs.enabled()
-    registry = obs.metrics()
-    served = delivered = hops_total = 0
-    sw_batch = obs.Stopwatch()
     sw = obs.Stopwatch()
-    for s, t in queries:
-        if on:
-            sw.restart()
-        res = route_served(endpoint, s, t, hop_fallback=hop_fallback)
-        served += 1
-        if res.delivered:
-            delivered += 1
-            hops_total += res.hops
-            if on:
-                registry.observe("traffic.request.us", sw.elapsed() * 1e6)
-                registry.observe("traffic.hops", res.hops, HOP_BOUNDS)
-        elif on:
-            registry.observe("traffic.request.us", sw.elapsed() * 1e6)
-            registry.inc("traffic.unroutable")
-    if on:
+    pairs = np.fromiter(chain.from_iterable(queries), dtype=np.int64).reshape(-1, 2)
+    batch = route_served_batch(endpoint, pairs[:, 0], pairs[:, 1], hop_fallback=hop_fallback)
+    served = len(pairs)
+    hops = batch.hops[batch.delivered]
+    delivered = len(hops)
+    if obs.enabled():
+        registry = obs.metrics()
+        registry.observe_many("traffic.request.us", batch.latencies * 1e6)
+        registry.observe_many("traffic.hops", hops, HOP_BOUNDS)
+        if served > delivered:
+            registry.inc("traffic.unroutable", served - delivered)
         registry.inc("traffic.requests", served)
-    return QueryBatchReport(served, delivered, hops_total, sw_batch.elapsed())
+    return QueryBatchReport(served, delivered, int(hops.sum()), sw.elapsed())
 
 
 def _zipf_weights(count: int, exponent: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""repro.obs — zero-dependency observability for the serving stack.
+"""repro.obs — lightweight observability for the serving stack.
 
 One process-local :class:`MetricsRegistry` (counters, gauges, exact-merge
 histograms) plus a nesting :func:`span` tracer, cheap enough to leave on.
@@ -62,6 +62,7 @@ __all__ = [
     "metrics_document",
     "now",
     "observe",
+    "observe_many",
     "reset",
     "snapshot",
     "snapshot_and_reset",
@@ -111,6 +112,12 @@ def observe(name: str, value: float, bounds: Sequence[float] | None = None) -> N
     """Gated histogram observation into the default registry."""
     if tuning.get().obs != 0:
         _registry.observe(name, value, bounds)
+
+
+def observe_many(name: str, values, bounds: Sequence[float] | None = None) -> None:
+    """Gated batch of histogram observations into the default registry."""
+    if tuning.get().obs != 0:
+        _registry.observe_many(name, values, bounds)
 
 
 def span(name: str, bounds: Sequence[float] | None = None) -> Span:

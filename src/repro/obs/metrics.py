@@ -12,7 +12,11 @@ Design constraints, in order:
   :mod:`repro.obs` (the package façade), not here — registry methods are
   unconditional so that always-on consumers (``SimStats``) keep counting
   regardless of the knob.
-* **Zero dependencies.** Snapshots are plain dict/list/float JSON, the
+* **Batches.** :meth:`Histogram.observe_many` buffers an array and folds
+  the buffered batches in with one sort + ``searchsorted`` over the same
+  bounds, so a histogram fed by batches is bucket-for-bucket the one a
+  loop of ``observe`` gives, at an append per batch.
+* **Plain snapshots.** Snapshots are plain dict/list/float JSON, the
   wire format workers ship back through the pool's result queue.
 """
 
@@ -21,11 +25,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import ParameterError
 
 __all__ = [
     "BYTE_BOUNDS",
     "COUNT_BOUNDS",
+    "FOLD_AT",
     "SCHEMA",
     "TIME_BOUNDS_US",
     "Histogram",
@@ -80,45 +87,128 @@ COUNT_BOUNDS: tuple[float, ...] = (
 BYTE_BOUNDS: tuple[float, ...] = tuple(float(1 << k) for k in range(6, 23))
 
 
+#: Values :meth:`Histogram.observe_many` buffers before folding them in:
+#: one fold (a sort and a ``searchsorted`` over every buffered batch) costs
+#: about what folding a single batch would, so a request batch pays an
+#: append, not a fold.
+FOLD_AT = 1024
+
+
 class Histogram:
     """Fixed-boundary histogram; bucket i counts values <= bounds[i].
 
     ``counts`` has ``len(bounds) + 1`` cells — the last is the overflow
     bucket.  ``sum``/``min``/``max`` ride along so merged snapshots keep
-    exact totals and extrema.
+    exact totals and extrema.  Batches from :meth:`observe_many` are
+    buffered and folded in once :data:`FOLD_AT` values wait or the
+    histogram is read — every reader (the properties, :meth:`snapshot`)
+    sees them folded.
     """
 
-    __slots__ = ("bounds", "counts", "count", "total", "vmin", "vmax")
+    __slots__ = (
+        "bounds",
+        "_edges",
+        "_counts",
+        "_count",
+        "_total",
+        "_vmin",
+        "_vmax",
+        "_pending",
+        "_pending_size",
+    )
 
     def __init__(self, bounds: Sequence[float] = TIME_BOUNDS_US) -> None:
         bounds = tuple(float(b) for b in bounds)
         if not bounds or any(b >= c for b, c in zip(bounds, bounds[1:])):
             raise ParameterError("histogram bounds must be non-empty and strictly increasing")
         self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.vmin: float | None = None
-        self.vmax: float | None = None
+        self._edges = np.array(bounds)
+        self._counts = [0] * (len(bounds) + 1)
+        self._count = 0
+        self._total = 0.0
+        self._vmin: float | None = None
+        self._vmax: float | None = None
+        self._pending: "list[np.ndarray]" = []
+        self._pending_size = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.vmin is None or value < self.vmin:
-            self.vmin = value
-        if self.vmax is None or value > self.vmax:
-            self.vmax = value
+        self._counts[bisect_left(self.bounds, value)] += 1
+        self._count += 1
+        self._total += value
+        if self._vmin is None or value < self._vmin:
+            self._vmin = value
+        if self._vmax is None or value > self._vmax:
+            self._vmax = value
+
+    def observe_many(self, values: "Sequence[float] | np.ndarray") -> None:
+        """:meth:`observe` every value of *values* (copied, then buffered)."""
+        batch = np.array(values, ndmin=1)
+        if batch.size:
+            self._pending.append(batch)
+            self._pending_size += batch.size
+            if self._pending_size >= FOLD_AT:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the buffered batches in: one sort, then one ``searchsorted``
+        of the bounds into it.  Bucket *i* takes the values in
+        ``(bounds[i-1], bounds[i]]`` — :meth:`observe`'s ``bisect_left``
+        bucket — so ``counts``/``count``/``min``/``max`` equal a loop of
+        :meth:`observe`, and ``sum`` equals it up to float rounding."""
+        if not self._pending:
+            return
+        ordered = np.sort(np.concatenate(self._pending, axis=None).astype(np.float64))
+        self._pending.clear()
+        self._pending_size = 0
+        counts = self._counts
+        below = 0
+        for i, upto in enumerate(ordered.searchsorted(self._edges, side="right").tolist()):
+            counts[i] += upto - below
+            below = upto
+        counts[-1] += ordered.size - below
+        self._count += ordered.size
+        self._total += float(ordered.sum())
+        lo, hi = float(ordered[0]), float(ordered[-1])
+        if self._vmin is None or lo < self._vmin:
+            self._vmin = lo
+        if self._vmax is None or hi > self._vmax:
+            self._vmax = hi
+
+    @property
+    def counts(self) -> "list[int]":
+        self._fold()
+        return self._counts
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        self._fold()
+        return self._total
+
+    @property
+    def vmin(self) -> "float | None":
+        self._fold()
+        return self._vmin
+
+    @property
+    def vmax(self) -> "float | None":
+        self._fold()
+        return self._vmax
 
     def snapshot(self) -> dict:
+        self._fold()
         return {
             "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
+            "counts": list(self._counts),
+            "count": self._count,
+            "sum": self._total,
+            "min": self._vmin,
+            "max": self._vmax,
         }
 
 
@@ -152,6 +242,19 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[name] = Histogram(TIME_BOUNDS_US if bounds is None else bounds)
         hist.observe(value)
+
+    def observe_many(
+        self, name: str, values: "Sequence[float] | np.ndarray", bounds: Sequence[float] | None = None
+    ) -> None:
+        """Record every value of *values* into histogram ``name`` (one
+        :meth:`Histogram.observe_many`; *bounds* as in :meth:`observe`).
+        An empty batch records nothing, not even the histogram."""
+        if not len(values):
+            return
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram(TIME_BOUNDS_US if bounds is None else bounds)
+        hist.observe_many(values)
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)

@@ -73,6 +73,7 @@ from .. import obs
 from ..dynamic.serving import RoutingService, TableDamage
 from ..errors import NodeNotFound, ParameterError, TornReadError
 from ..graph import Graph
+from ..routing.greedy_routing import check_lookups
 from .pool import WorkerPool
 from .shm import AttachedDirectory, AttachedMatrix, SharedDirectory
 
@@ -405,7 +406,12 @@ class RouteReader:
       generation (one int64 load) and re-wraps its views when the service
       resized or reallocated, so node churn is followed automatically;
     * between directory posts the reader serves the *previous* committed
-      state — lookups never block on an in-flight repair.
+      state — lookups never block on an in-flight repair;
+    * :meth:`next_hops` / :meth:`distances` answer a whole batch of pairs
+      after one resync with one seqlocked gather
+      (:meth:`AttachedMatrix.read_cells
+      <repro.parallel.shm.AttachedMatrix.read_cells>`), refusing exactly
+      the lookups the scalar calls would refuse.
 
     Readers hold no locks and write nothing: any number of them may run
     against one service.  Close the reader before the service goes away to
@@ -469,7 +475,8 @@ class RouteReader:
                     self._dist, self._tables, self._stamps = fresh
                 else:
                     for attached, handle in zip((self._dist, self._tables, self._stamps), handles):
-                        attached.refresh(handle)
+                        if handle != attached.handle:  # most posts leave a matrix as it was
+                            attached.refresh(handle)
             except FileNotFoundError:
                 time.sleep(0.001 * min(attempt + 1, 10))
                 continue
@@ -538,14 +545,7 @@ class RouteReader:
         if self._too_stale(u):
             obs.inc("reader.stale_refusals")
             return None
-        try:
-            hop = self._tables.read_cell(u, v)
-        except TornReadError:
-            # Writer died mid-write and its row awaits repair: degrade to
-            # "unroutable" rather than crash the serving path — the caller
-            # falls back or drops the packet, and a resync heals the row.
-            obs.inc("reader.torn_refusals")
-            return None
+        hop = self._read_one(self._tables, u, v)
         return hop if hop >= 0 else None
 
     def distance(self, u: int, v: int) -> "int | None":
@@ -558,12 +558,81 @@ class RouteReader:
         if self._too_stale(u):
             obs.inc("reader.stale_refusals")
             return None
-        try:
-            d = self._dist.read_cell(u, v)
-        except TornReadError:
-            obs.inc("reader.torn_refusals")
-            return None
+        d = self._read_one(self._dist, u, v)
         return d if d >= 0 else None
+
+    @staticmethod
+    def _read_one(matrix: AttachedMatrix, u: int, v: int) -> int:
+        try:
+            return matrix.read_cell(u, v)
+        except TornReadError:
+            # Writer died mid-write and its row awaits repair: degrade to
+            # "unroutable" rather than crash the serving path — the caller
+            # falls back or drops the packet, and a resync heals the row.
+            obs.inc("reader.torn_refusals")
+            return -1
+
+    def next_hops(self, us, vs) -> np.ndarray:
+        """:meth:`next_hop` for every pair ``(us[i], vs[i])`` after one
+        resync: one seqlocked gather on T, −1 where that lookup answers
+        ``None`` (unroutable, too stale, or torn — each refusal counted
+        once, as the scalar lookup counts it)."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        check_lookups(us, vs, self.num_nodes, distinct=True)
+        return self._gather_hops(us, vs)
+
+    def distances(self, us, vs) -> np.ndarray:
+        """:meth:`distance` for every pair, batched as :meth:`next_hops`."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        check_lookups(us, vs, self.num_nodes, distinct=False)
+        return self._gather_dists(us, vs)
+
+    # The batch router's per-step gathers: its ids were checked once per
+    # batch and later ones are hops the table gave, but a resync onto a
+    # compacted service can shrink n under them.  Such an id raises
+    # NodeNotFound, as _check_pair does: the gather itself finds it (an
+    # IndexError, free on the hot path), or the staleness path's range
+    # test, where the stale mask could hide it.
+    def _gather_hops(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        self._sync()
+        return self._read_batch(self._tables, us, vs)
+
+    def _gather_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        self._sync()
+        return self._read_batch(self._dist, us, vs)
+
+    def _read_batch(self, matrix: AttachedMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        if self.max_staleness is None:
+            return self._read_cells(matrix, us, vs)
+        if np.count_nonzero(np.maximum(us, vs) >= matrix.rows):
+            check_lookups(us, vs, matrix.rows, distinct=False)
+        # The staleness bound as a mask over one stamp gather; rows beyond
+        # the stamp matrix (a resize race) count as never committed,
+        # exactly as in _too_stale.
+        stamps = np.zeros(len(us), dtype=np.int64)
+        known = us < self._stamps.rows
+        stamps[known] = self._stamps.read_cells(us[known], np.zeros(int(known.sum()), np.intp))
+        fresh = self._pending - stamps <= self.max_staleness
+        stale = len(us) - np.count_nonzero(fresh)
+        if stale:
+            obs.inc("reader.stale_refusals", stale)
+        cells = np.full(len(us), -1, dtype=np.int64)
+        cells[fresh] = self._read_cells(matrix, us[fresh], vs[fresh])
+        return cells
+
+    def _read_cells(self, matrix: AttachedMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        try:
+            return matrix.read_cells(us, vs)
+        except IndexError:  # an id past the id space
+            check_lookups(us, vs, matrix.rows, distinct=False)
+            raise
+        except TornReadError:
+            # Some row never stabilized: answer cell by cell, refusing
+            # exactly the torn lookups as the scalar path does.
+            return np.array(
+                [self._read_one(matrix, u, v) for u, v in zip(us.tolist(), vs.tolist())],
+                dtype=np.int64,
+            )
 
     def hop_fallback(self, u: int, v: int) -> "int | None":
         """A degraded next hop for *u* toward *v* from committed D rows.

@@ -811,6 +811,34 @@ class AttachedMatrix(_RowWriter):
             return int(self._arr[u, v])
         return _read_stable(ver, u, self._arr, (u, v), int, self)
 
+    def read_cells(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Stable reads of the cells ``(us[i], vs[i])``, as a private array.
+
+        The batched seqlock read: capture the row versions of *us*, gather
+        every cell in one pass, re-load the versions.  A cell whose row
+        version was odd or moved across the gather is re-read alone
+        through :meth:`read_cell` — the one ``_read_stable`` loop — so
+        every returned cell is a state some writer committed, and a row
+        that never stabilizes raises :class:`~repro.errors.TornReadError`.
+        """
+        ver = self._ver
+        if ver is None:
+            return self._arr[us, vs]
+        v0 = ver[us]
+        out = self._arr[us, vs]
+        # Versions only grow, so the re-load equals the capture with its
+        # low bit cleared only when the capture was even and nothing moved.
+        moved = ver[us] != (v0 & ~1)
+        if np.count_nonzero(moved):
+            for i in np.flatnonzero(moved).tolist():
+                out[i] = self.read_cell(int(us[i]), int(vs[i]))
+        return out
+
+    @property
+    def handle(self) -> SharedMatrixHandle:
+        """The handle this attachment currently wraps."""
+        return self._handle
+
     def refresh(self, handle: SharedMatrixHandle) -> None:
         if handle.name != self._handle.name:
             # Attach the new blocks *before* releasing the old ones: if the
@@ -887,10 +915,11 @@ class AttachedDirectory:
 
     def __init__(self, name: str) -> None:
         self._shm = _attach_block(name)
+        self._hdr = np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)
 
     def generation(self) -> int:
         """The current publish generation (cheap: one int64 load)."""
-        return int(np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)[0])
+        return int(self._hdr[0])
 
     def read(self) -> "tuple[object, int]":
         """The latest committed payload and its generation (seqlock read).
@@ -899,13 +928,13 @@ class AttachedDirectory:
         generation and payload length come from the same committed post
         as the payload bytes.
         """
-        hdr = np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)
-        block = _read_stable(hdr, 0, self._shm.buf, slice(None), bytes)
+        block = _read_stable(self._hdr, 0, self._shm.buf, slice(None), bytes)
         gen, length = np.frombuffer(block, dtype=np.int64, count=2).tolist()
         start = SharedDirectory._HEADER
         return pickle.loads(block[start : start + length]), gen
 
     def close(self) -> None:
+        self._hdr = None  # type: ignore[assignment]  # drop the export before unmapping
         try:
             self._shm.close()
         except (BufferError, OSError):  # pragma: no cover - exports/teardown

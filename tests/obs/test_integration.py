@@ -118,6 +118,36 @@ class TestServeQueries:
         assert delta["histograms"]["traffic.request.us"]["count"] == len(pairs)
         assert delta["histograms"]["traffic.hops"]["count"] == report.delivered
 
+    def test_batch_metrics_match_the_per_query_journeys(self):
+        from repro.dynamic import EdgeEvent
+        from repro.dynamic.traffic import HOP_BOUNDS
+        from repro.graph.generators import path_graph
+        from repro.routing import route_served
+
+        service, _sc = _small_service()
+        pairs = sample_pairs(service.graph, 20, seed=5, require_nonadjacent=False)
+        cut = RoutingService(path_graph(6), "kcover")
+        cut.apply(EdgeEvent.remove(2, 3))
+        for endpoint, batch in ((service, pairs), (cut, [(0, 5), (1, 2), (4, 0), (5, 3)])):
+            journeys = [route_served(endpoint, s, t) for s, t in batch]
+            before = obs.snapshot()
+            report = serve_queries(endpoint, batch)
+            after = obs.snapshot()
+            delta = obs.diff_snapshots(before, after)
+            delivered = [r.hops for r in journeys if r.delivered]
+            assert (report.delivered, report.hops_total) == (len(delivered), sum(delivered))
+            assert delta["counters"].get("traffic.unroutable", 0) == len(batch) - len(delivered)
+            expected = obs.Histogram(HOP_BOUNDS)
+            for h in delivered:
+                expected.observe(h)
+            hops = after["histograms"]["traffic.hops"]
+            was = before["histograms"].get("traffic.hops", {"counts": [0] * len(hops["counts"])})
+            assert [a - b for a, b in zip(hops["counts"], was["counts"])] == expected.counts
+            # Latency: batch start to the finishing step, never beyond the batch.
+            latency = delta["histograms"]["traffic.request.us"]
+            assert latency["count"] == len(batch)
+            assert 0 < latency["sum"] <= len(batch) * report.seconds * 1e6
+
     def test_disabled_obs_still_serves_and_counts_nothing(self):
         from repro import tuning
 

@@ -14,6 +14,7 @@ from repro.obs.metrics import (
     format_snapshot,
     merge_snapshots,
 )
+from repro.rng import ensure_rng
 
 
 class TestRegistry:
@@ -134,3 +135,98 @@ class TestMergeAndDiff:
         assert format_snapshot(empty_snapshot()) == "(empty snapshot)"
         assert format_diff(snap, snap) == "(no differences)"
         assert "+1" in format_diff(_filled([2.0]).snapshot(), snap)
+
+
+class TestObserveMany:
+    """Batched observations: the buckets a loop of ``observe`` fills."""
+
+    VALUES = [0.0, 1.0, 10.0, 10.5, 25.0, 3.3, 7e6, 2e7, 999.9, 1_000.0, 0.5, 10.0]
+
+    def _loop(self, values, bounds=TIME_BOUNDS_US):
+        h = Histogram(bounds)
+        for v in values:
+            h.observe(v)
+        return h
+
+    @pytest.mark.parametrize("bounds", [TIME_BOUNDS_US, COUNT_BOUNDS, (1.0, 2.0, 3.0)])
+    def test_equals_a_loop_of_observe(self, bounds):
+        import numpy as np
+
+        rng = ensure_rng(7)
+        values = self.VALUES + list(rng.uniform(0, 2 * bounds[-1], 300)) + list(bounds)
+        loop = self._loop(values, bounds)
+        batched = Histogram(bounds)
+        batched.observe_many(np.array(values[:5]))
+        batched.observe_many(values[5:])
+        assert batched.counts == loop.counts
+        assert batched.count == loop.count
+        assert (batched.vmin, batched.vmax) == (loop.vmin, loop.vmax)
+        assert batched.total == pytest.approx(loop.total, rel=1e-12)
+        assert batched.snapshot()["counts"] == loop.snapshot()["counts"]
+
+    def test_integer_and_empty_batches(self):
+        import numpy as np
+
+        h = Histogram(COUNT_BOUNDS)
+        h.observe_many(np.array([], dtype=np.int64))
+        assert h.count == 0 and h.vmin is None and h.vmax is None
+        h.observe_many(np.array([3, 1, 64, 5000]))
+        assert h.snapshot() == self._loop([3, 1, 64, 5000], COUNT_BOUNDS).snapshot()
+        assert all(type(c) is int for c in h.snapshot()["counts"])
+
+    def test_registry_batches_merge_exactly(self):
+        import numpy as np
+
+        values = np.array(self.VALUES * 3)
+        a, b, whole = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        a.observe_many("lat", values[:7])
+        b.observe_many("lat", values[7:])
+        b.observe_many("hops", [1, 2, 2, 9], COUNT_BOUNDS)
+        for v in values:
+            whole.observe("lat", v)
+        for v in (1, 2, 2, 9):
+            whole.observe("hops", v, COUNT_BOUNDS)
+        merged = merge_snapshots(a.snapshot(), b.snapshot())
+        expected = whole.snapshot()
+        for name in ("lat", "hops"):
+            got, want = merged["histograms"][name], expected["histograms"][name]
+            assert got["counts"] == want["counts"] and got["count"] == want["count"]
+            assert (got["min"], got["max"]) == (want["min"], want["max"])
+            assert got["sum"] == pytest.approx(want["sum"], rel=1e-12)
+
+    def test_buffer_folds_at_the_threshold_and_on_read(self):
+        from repro.obs.metrics import FOLD_AT
+
+        h = Histogram(COUNT_BOUNDS)
+        batch = [1.0, 3.0, 70.0]
+        for _ in range(FOLD_AT):
+            h.observe_many(batch)
+            assert h._pending_size < FOLD_AT  # the buffer stays bounded
+        h.observe(5.0)
+        assert h.count == 3 * FOLD_AT + 1 and h._pending_size == 0
+        assert h.snapshot() == self._loop(batch * FOLD_AT + [5.0], COUNT_BOUNDS).snapshot()
+
+    def test_batches_are_copied(self):
+        import numpy as np
+
+        values = np.array([1.0, 2.0])
+        h = Histogram((1.0, 2.0))
+        h.observe_many(values)
+        values[:] = 9.0  # the caller reuses its array before the fold
+        assert h.counts == [1, 1, 0] and h.vmax == 2.0
+
+    def test_empty_batch_creates_no_histogram(self):
+        r = MetricsRegistry()
+        r.observe_many("h", [], (1.0, 2.0))
+        assert r.histogram("h") is None
+        r.observe_many("h", [1.5], (1.0, 2.0))
+        assert r.histogram("h").bounds == (1.0, 2.0)
+
+    def test_gated_facade(self):
+        from repro import obs, tuning
+
+        obs.observe_many("batch.h", [1.0, 2.0])
+        assert obs.metrics().histogram("batch.h").count == 2
+        with tuning.overridden(obs=0):
+            obs.observe_many("batch.h", [1.0, 2.0])
+        assert obs.metrics().histogram("batch.h").count == 2

@@ -324,6 +324,112 @@ class TestVersionedMatrix:
             m.close()
 
 
+class _WriterDuringGather:
+    """Stands in for an attachment's array: the first gather finds a
+    writer that entered row *u* after the reader captured the versions —
+    it half-writes the row and, with ``commit``, finishes the write before
+    the gather returns (the version then moved by two, even to even)."""
+
+    def __init__(self, att, u, *, commit):
+        self.arr, self.ver, self.u, self.commit = att._arr, att.versions, u, commit
+        self.fired = False
+
+    def __getitem__(self, key):
+        if not self.fired:
+            self.fired = True
+            self.ver[self.u] += 1  # row_write entered: odd
+            self.arr[self.u, :2] = -7  # half-written
+            torn = self.arr[key].copy()
+            if self.commit:
+                self.arr[self.u] = 5
+                self.ver[self.u] += 1  # committed: even again
+            return torn
+        return self.arr[key]
+
+
+class TestReadCells:
+    """``AttachedMatrix.read_cells``: one capture, gather, re-load pass, and
+    only committed cells out."""
+
+    def test_gathers_committed_cells(self):
+        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        try:
+            for u in range(4):
+                with m.row_write(u) as row:
+                    row[:] = 10 * u + np.arange(4)
+            att = AttachedMatrix(m.handle)
+            us, vs = np.array([3, 0, 2, 3]), np.array([1, 0, 3, 1])
+            assert att.read_cells(us, vs).tolist() == [31, 0, 23, 31]
+            assert att.read_cells(us[:0], vs[:0]).tolist() == []
+            assert att.torn_retries == 0
+            plain = SharedMatrix(2, 2, fill=4)
+            try:
+                assert AttachedMatrix(plain.handle).read_cells(us[:1] - 2, vs[:1]).tolist() == [4]
+            finally:
+                plain.close()
+            att.close()
+        finally:
+            m.close()
+
+    def test_never_returns_a_cell_of_a_row_held_open(self, monkeypatch):
+        from repro.errors import TornReadError
+        from repro.parallel import shm
+
+        monkeypatch.setattr(shm, "_READ_RETRIES", 50)
+        m = SharedMatrix(3, 3, versioned=True, fill=1)
+        try:
+            att = AttachedMatrix(m.handle)
+            with m.row_write(1) as row:  # held open for the whole read
+                row[:] = -7
+                with pytest.raises(TornReadError):
+                    att.read_cells(np.array([0, 1]), np.array([2, 0]))
+            assert att.read_cells(np.array([0, 1]), np.array([2, 0])).tolist() == [1, -7]
+            att.close()
+        finally:
+            m.close()
+
+    @pytest.mark.parametrize("commit", [False, True])
+    def test_a_write_entering_mid_gather_is_reread(self, commit, monkeypatch):
+        # The re-load is what catches this: the captured versions were all
+        # even, and only the second load sees the row moved.
+        from repro.errors import TornReadError
+        from repro.parallel import shm
+
+        monkeypatch.setattr(shm, "_READ_RETRIES", 50)
+        m = SharedMatrix(3, 3, versioned=True, fill=1)
+        try:
+            att = AttachedMatrix(m.handle)
+            att._arr = _WriterDuringGather(att, 1, commit=commit)
+            us, vs = np.array([0, 1, 2]), np.array([1, 0, 2])
+            if commit:
+                assert att.read_cells(us, vs).tolist() == [1, 5, 1]  # the committed row
+            else:
+                with pytest.raises(TornReadError):
+                    att.read_cells(us, vs)
+            att.close()
+        finally:
+            m.close()
+
+    def test_reader_answers_a_torn_refusal(self, monkeypatch):
+        from repro import obs
+        from repro.dynamic import make_scenario
+        from repro.parallel import RouteReader, ShardedRoutingService, shm
+
+        sc = make_scenario("failure", 20, 4, seed=2)
+        with ShardedRoutingService(sc.initial, "kcover", workers=1) as service:
+            owner = service._pool.matrix_owner("serve:tables")
+            with RouteReader(service.reader_handle()) as reader:
+                us, vs = np.array([2, 0, 2]), np.array([5, 3, 7])
+                served = reader.next_hops(us, vs)
+                monkeypatch.setattr(shm, "_READ_RETRIES", 50)
+                before = obs.metrics().counter("reader.torn_refusals")
+                with owner.row_write(2):  # row 2's writer is mid-write throughout
+                    hops = reader.next_hops(us, vs)
+                    assert reader.next_hop(2, 5) is None
+                assert hops.tolist() == [-1, served[1], -1]
+                assert obs.metrics().counter("reader.torn_refusals") - before == 3
+
+
 def _nested_write_child(handle, out_q) -> None:
     """Worker-process body: a nested ``row_write`` on one attached row."""
     att = AttachedMatrix(handle)
