@@ -20,8 +20,8 @@ import json
 import pytest
 
 from repro import obs
-from repro.core.remote_spanner import build_from_trees
-from repro.dynamic import SpannerMaintainer, failure_recovery_scenario, resolve_construction
+from repro.core.remote_spanner import build_from_trees, resolve_construction
+from repro.dynamic import SpannerMaintainer, failure_recovery_scenario
 from repro.graph.csr import CSRGraph
 
 #: Acceptance bar: incremental maintenance vs full rebuild per event.

@@ -28,6 +28,7 @@ import sys
 
 from .analysis import render_table
 from .analysis.plot import ascii_loglog, ascii_series
+from .core.remote_spanner import CONSTRUCTION_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -78,12 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=4)
 
     # Literal twins of repro.dynamic.SCENARIO_NAMES, FAULT_SCENARIO_NAMES and
-    # WORKLOAD_NAMES, the maintainer's constructions and repro.faults.PLANS:
-    # importing the real tuples would pull numpy into every `repro --help`
-    # invocation (tests assert each stays in sync).
+    # WORKLOAD_NAMES and repro.faults.PLANS, kept literal so `repro --help`
+    # imports none of those subsystems (tests assert each stays in sync).
     scenarios = ("mobility", "failure", "growth", "nodechurn")
     fault_scenarios = ("outage", "partition")
-    methods = ("kcover", "kmis", "mis", "greedy")
     workloads = ("uniform", "zipf", "locality")
     plans = "quiet crashy torn-writer wedge lossy-queue flaky-shm mayhem lsa-lossy lsa-slow".split()
 
@@ -94,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="event stream model (default: %(default)s)")
         p.add_argument("--n", type=int, default=n)
         p.add_argument("--events", type=int, default=events)
-        p.add_argument("--method", choices=methods, default="kcover")
-        p.add_argument("--k", type=int, default=None, help="connectivity k: kcover needs "
-                       "k ≥ 1 (default 1), kmis needs k ≥ 2 (default 2)")
+        p.add_argument("--method", choices=CONSTRUCTION_NAMES, default="kcover")
+        p.add_argument("--k", type=int, default=None, help="connectivity k ≥ 1 for kcover "
+                       "(default 1) and kmis (default 2)")
         p.add_argument("--epsilon", type=float, default=None, help="ε for mis/greedy")
         p.add_argument("--rebuild-fraction", type=float, default=0.25)
         p.add_argument("--seed", type=int, default=2009)

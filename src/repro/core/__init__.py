@@ -5,7 +5,8 @@ Public surface:
 * dominating trees — :class:`DomTree`, the four constructions
   (Algorithms 1, 2, 4, 5) and the definition-level predicates;
 * remote-spanner builders — Theorems 1, 2, 3 (:func:`build_remote_spanner`,
-  :func:`build_k_connecting_spanner`, :func:`build_biconnecting_spanner`);
+  :func:`build_k_connecting_spanner`, :func:`build_biconnecting_spanner`),
+  over the one construction table (:func:`resolve_construction`);
 * stretch verification — exact checkers for the (α, β) and k-connecting
   remote-spanner conditions;
 * characterizations — executable Propositions 1 and 5;
@@ -34,6 +35,7 @@ from .remote_spanner import (
     build_remote_spanner,
     effective_epsilon,
     epsilon_to_radius,
+    resolve_construction,
 )
 from .stretch import (
     KConnectingStats,
@@ -87,6 +89,7 @@ __all__ = [
     "build_remote_spanner",
     "effective_epsilon",
     "epsilon_to_radius",
+    "resolve_construction",
     "KConnectingStats",
     "RemoteStretchStats",
     "is_k_connecting_remote_spanner",

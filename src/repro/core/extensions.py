@@ -32,20 +32,17 @@ the benches can probe them empirically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..errors import NotASubgraphError, ParameterError
 from ..graph import AugmentedView, Graph
 from ..paths.edge_disjoint import k_edge_connecting_profile
-from .domtree_kmis import dom_tree_kmis
-from .domtree_mis import dom_tree_mis
 from .remote_spanner import (
     RemoteSpanner,
     StretchGuarantee,
     build_from_trees,
-    effective_epsilon,
-    epsilon_to_radius,
+    resolve_construction,
 )
 
 __all__ = [
@@ -185,14 +182,12 @@ def build_k_connecting_eps_spanner(g: Graph, k: int, epsilon: float) -> RemoteSp
     the union is an open question; :func:`evaluate_k_connecting_eps`
     measures it.
     """
-    if k < 1:
-        raise ParameterError(f"k must be ≥ 1, got {k}")
-    r = epsilon_to_radius(epsilon)
-    eps_eff = effective_epsilon(r)
+    eps_trees = resolve_construction("mis", epsilon=epsilon)
+    eps_tree, k_tree_fn = eps_trees.tree_fn, resolve_construction("kmis", k=k).tree_fn
 
     def both_trees(graph: Graph, u: int):
-        tree = dom_tree_mis(graph, u, r)
-        k_tree = dom_tree_kmis(graph, u, k)
+        tree = eps_tree(graph, u)
+        k_tree = k_tree_fn(graph, u)
         # Merge the k-tree into the ε-tree's parent map where compatible;
         # nodes already present keep their (shallower or equal) parents.
         for path_node in k_tree.nodes() - tree.nodes():
@@ -200,9 +195,9 @@ def build_k_connecting_eps_spanner(g: Graph, k: int, epsilon: float) -> RemoteSp
             tree.add_root_path(root_path)
         return tree
 
-    guarantee = StretchGuarantee(1.0 + eps_eff, 1.0 - 2.0 * eps_eff, k)
+    guarantee = replace(eps_trees.guarantee, k=k)
     return build_from_trees(
-        g, both_trees, guarantee, method=f"kconn-eps-candidate(k={k}, r={r})"
+        g, both_trees, guarantee, method=f"kconn-eps-candidate(k={k}, r={eps_trees.r})"
     )
 
 

@@ -16,14 +16,17 @@ edges.  The three theorem-level products:
 
 Every builder returns a :class:`RemoteSpanner` carrying the spanner graph,
 the per-node trees (the objects a router would actually advertise), and the
-stretch guarantee the construction certifies.
+stretch guarantee the construction certifies.  They, the incremental
+maintainer and the distributed protocols all take their trees from one
+table of the four constructions, through :func:`resolve_construction`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
 from ..errors import ParameterError
@@ -35,8 +38,11 @@ from .domtree_kmis import dom_tree_kmis
 from .domtree_mis import dom_tree_mis
 
 __all__ = [
+    "CONSTRUCTION_NAMES",
+    "Construction",
     "StretchGuarantee",
     "RemoteSpanner",
+    "resolve_construction",
     "epsilon_to_radius",
     "effective_epsilon",
     "build_remote_spanner",
@@ -120,6 +126,99 @@ def effective_epsilon(r: int) -> float:
 
 
 # --------------------------------------------------------------------- #
+# the construction table
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One row of the table: a family of (r, β)-dominating trees at fixed
+    (r, β, k), from which everything else derives.
+
+    ``tree`` takes the ``params`` after ``(g, u)``.  ``info_radius`` is
+    Algorithm 3's flood radius D = r − 1 + β: what a node must learn to
+    build its own tree.  ``dirty_radius`` = max(r, D) is the ball a tree
+    reads (``dom_tree_greedy``'s BFS horizon), so an edit farther than that
+    from u leaves ``T_u`` alone.  ``guarantee`` is (1, 0) for β = 0 and
+    Proposition 1's (1 + ε′, 1 − 2ε′), ε′ = 1/(r − 1), for β = 1: (2, −1)
+    for kmis, at r = 2.
+    """
+
+    name: str
+    tree: "Callable[..., DomTree]"
+    params: "tuple[str, ...]"
+    r: int
+    beta: int
+    k: int
+
+    @property
+    def tree_fn(self) -> "Callable[[Graph, int], DomTree]":
+        return partial(self.tree, **{p: getattr(self, p) for p in self.params})
+
+    @property
+    def label(self) -> str:
+        if "k" in self.params:
+            return f"{self.name}(k={self.k})"
+        return f"{self.name}(r={self.r}, beta={self.beta})"
+
+    @property
+    def info_radius(self) -> int:
+        return self.r - 1 + self.beta
+
+    @property
+    def dirty_radius(self) -> int:
+        return max(self.r, self.info_radius)
+
+    @property
+    def guarantee(self) -> StretchGuarantee:
+        eps = effective_epsilon(self.r) if self.beta else 0.0
+        return StretchGuarantee(alpha=1.0 + eps, beta=self.beta - 2.0 * eps, k=self.k)
+
+
+#: The four constructions at their defaults; a row's ``params`` are what a
+#: caller may change.
+_TABLE = {
+    "kcover": Construction("kcover", dom_tree_kcover, ("k",), r=2, beta=0, k=1),  # Alg. 4, Th. 2
+    "kmis": Construction("kmis", dom_tree_kmis, ("k",), r=2, beta=1, k=2),  # Alg. 5, Th. 3
+    "mis": Construction("mis", dom_tree_mis, ("r",), r=3, beta=1, k=1),  # Alg. 2, Th. 1
+    "greedy": Construction("greedy", dom_tree_greedy, ("r", "beta"), r=3, beta=1, k=1),  # Alg. 1
+}
+#: Every construction the package builds, maintains and runs distributed.
+CONSTRUCTION_NAMES: "tuple[str, ...]" = tuple(_TABLE)
+
+
+def resolve_construction(
+    name: str = "kcover",
+    *,
+    k: "int | None" = None,
+    epsilon: "float | None" = None,
+    r: "int | None" = None,
+    beta: "int | None" = None,
+) -> Construction:
+    """Resolve a construction name and its parameters against the table.
+
+    ``None`` keeps the row's default, and a row ignores what it fixes:
+    kcover and kmis take k (defaults 1 and 2); mis and greedy take r,
+    given or set by ε through Proposition 1 (default ε = 0.5, r = 3);
+    greedy also takes β (default 1).  An unknown name, k < 1, r < 2 or
+    β ∉ {0, 1} raises :class:`~repro.errors.ParameterError`: at β ≥ 2
+    Proposition 1's stretch fails, so no row offers it.
+    """
+    row = _TABLE.get(name)
+    if row is None:
+        raise ParameterError(f"unknown construction {name!r} (want one of {CONSTRUCTION_NAMES})")
+    if "r" in row.params and r is None and epsilon is not None:
+        r = epsilon_to_radius(epsilon)
+    given = {"k": k, "r": r, "beta": beta}
+    c = replace(row, **{p: given[p] for p in row.params if given[p] is not None})
+    if c.k < 1 or c.r < 2 or c.beta not in (0, 1):
+        raise ParameterError(
+            f"{name} needs k ≥ 1, r ≥ 2, β ∈ {{0, 1}}; got k={c.k}, r={c.r}, β={c.beta}"
+        )
+    return c
+
+
+# --------------------------------------------------------------------- #
 # builders
 # --------------------------------------------------------------------- #
 
@@ -153,16 +252,10 @@ def build_remote_spanner(
     The recorded guarantee uses the *effective* ε' = 1/(r−1) ≤ ε that the
     radius actually certifies.
     """
-    r = epsilon_to_radius(epsilon)
-    eps_eff = effective_epsilon(r)
-    guarantee = StretchGuarantee(alpha=1.0 + eps_eff, beta=1.0 - 2.0 * eps_eff, k=1)
-    if method == "mis":
-        fn = lambda graph, u: dom_tree_mis(graph, u, r)  # noqa: E731
-    elif method == "greedy":
-        fn = lambda graph, u: dom_tree_greedy(graph, u, r, 1)  # noqa: E731
-    else:
+    if method not in ("mis", "greedy"):
         raise ParameterError(f"unknown method {method!r} (want 'mis' or 'greedy')")
-    return build_from_trees(g, fn, guarantee, method=f"{method}(r={r}, beta=1)")
+    c = resolve_construction(method, epsilon=epsilon)
+    return build_from_trees(g, c.tree_fn, c.guarantee, c.label)
 
 
 def build_k_connecting_spanner(g: Graph, k: int = 1) -> RemoteSpanner:
@@ -173,12 +266,8 @@ def build_k_connecting_spanner(g: Graph, k: int = 1) -> RemoteSpanner:
     ``k = 1`` preserves exact distances (a (1, 0)-remote-spanner — the
     object a (1, 0)-*spanner* can never be sparse for).
     """
-    if k < 1:
-        raise ParameterError(f"k must be ≥ 1, got {k}")
-    guarantee = StretchGuarantee(alpha=1.0, beta=0.0, k=k)
-    return build_from_trees(
-        g, lambda graph, u: dom_tree_kcover(graph, u, k), guarantee, method=f"kcover(k={k})"
-    )
+    c = resolve_construction("kcover", k=k)
+    return build_from_trees(g, c.tree_fn, c.guarantee, c.label)
 
 
 def build_biconnecting_spanner(g: Graph) -> RemoteSpanner:
@@ -186,9 +275,11 @@ def build_biconnecting_spanner(g: Graph) -> RemoteSpanner:
 
     Union of Algorithm 5's 2-connecting (2, 1)-dominating trees
     (Proposition 4 supplies the stretch; Proposition 7 the O(n) size on
-    doubling unit ball graphs).
+    doubling unit ball graphs).  The table records the trees' own k as
+    the guarantee's connectivity, so ``resolve_construction("kmis", k=3)``
+    records a 3-connecting (2, −1) guarantee: the stretch oracle certifies
+    it on seeded graphs, though Theorem 3 states only k = 2.  k = 1 is
+    Proposition 1 at r = 2 (ε = 1), which gives the same (2, −1).
     """
-    guarantee = StretchGuarantee(alpha=2.0, beta=-1.0, k=2)
-    return build_from_trees(
-        g, lambda graph, u: dom_tree_kmis(graph, u, 2), guarantee, method="kmis(k=2)"
-    )
+    c = resolve_construction("kmis", k=2)
+    return build_from_trees(g, c.tree_fn, c.guarantee, c.label)

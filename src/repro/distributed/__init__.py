@@ -52,7 +52,6 @@ from .protocols import (
     run_hello,
     run_remspan,
     run_scoped_flood,
-    tree_algorithm,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "run_hello",
     "run_remspan",
     "run_scoped_flood",
-    "tree_algorithm",
     # actor tier
     "ActorSystem",
     "ShardActor",

@@ -7,7 +7,7 @@ the periodic steady-state regime with the T+2F stabilization bound.
 
 from .hello import HelloNode, run_hello
 from .flood import FloodState, ScopedFloodNode, run_scoped_flood
-from .remspan import DistributedResult, RemSpanNode, run_remspan, tree_algorithm
+from .remspan import DistributedResult, RemSpanNode, run_remspan
 from .link_state import PeriodicLinkState, StabilizationReport
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "DistributedResult",
     "RemSpanNode",
     "run_remspan",
-    "tree_algorithm",
     "PeriodicLinkState",
     "StabilizationReport",
 ]

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ...core.domtree import DomTree
+from ...core.remote_spanner import build_from_trees, resolve_construction
 from ...errors import ParameterError, ProtocolError
 from ...graph import Graph
-from .remspan import tree_algorithm
 
 __all__ = ["PeriodicLinkState", "StabilizationReport"]
 
@@ -73,7 +73,7 @@ class PeriodicLinkState:
     g:
         Initial topology (mutated in place by :meth:`apply_change`).
     kind, r, beta, k:
-        Tree construction selector, as :func:`~.remspan.tree_algorithm`.
+        Tree construction selector, as :func:`~.remspan.run_remspan`.
     period:
         The advertisement period T (steps).
     phases:
@@ -94,7 +94,8 @@ class PeriodicLinkState:
         if period < 1:
             raise ParameterError(f"period must be ≥ 1, got {period}")
         self.graph = g
-        self.algo, self.radius, self.guarantee = tree_algorithm(kind, r=r, beta=beta, k=k)
+        c = resolve_construction(kind, r=r, beta=beta, k=k)
+        self.algo, self.radius, self.guarantee = c.tree_fn, c.info_radius, c.guarantee
         self.period = period
         self.flood_time = max(1, self.radius)
         if phases is None:
@@ -238,11 +239,7 @@ class PeriodicLinkState:
     def converged_spanner(self, g: "Graph | None" = None) -> Graph:
         """The centralized union-of-trees for the (current) topology."""
         g = g if g is not None else self.graph
-        h = Graph(g.num_nodes)
-        for u in g.nodes():
-            for a, b in self.algo(g, u).edges():
-                h.add_edge(a, b)
-        return h
+        return build_from_trees(g, self.algo, self.guarantee, "converged").graph
 
     # ------------------------------------------------------------------ #
 

@@ -10,7 +10,8 @@ The four steps, per node u:
 Total communication time ``2r − 1 + 2β`` — the constant the paper reports
 in §2.3; the runner asserts it.  The remote-spanner is the union of all
 T_u, and every node additionally learns the trees of its r−1+β
-neighborhood (what it needs to route, §1).
+neighborhood (what it needs to route, §1).  That radius D = r − 1 + β is
+the construction's ``info_radius`` in :mod:`repro.core.remote_spanner`'s table.
 
 The crucial reproduction point is **locality**: step 3 runs the *same*
 centralized construction code (Algorithms 1/2/4/5 from :mod:`repro.core`)
@@ -24,15 +25,10 @@ executable form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ...core.domtree import DomTree
-from ...core.domtree_greedy import dom_tree_greedy
-from ...core.domtree_kcover import dom_tree_kcover
-from ...core.domtree_kmis import dom_tree_kmis
-from ...core.domtree_mis import dom_tree_mis
-from ...core.remote_spanner import RemoteSpanner, StretchGuarantee
-from ...errors import ParameterError
+from ...core.remote_spanner import RemoteSpanner, build_from_trees, resolve_construction
 from ...graph import Graph
 from ..messages import Hello, NeighborAdvert, TreeAdvert
 from ..metrics import SimStats
@@ -40,36 +36,7 @@ from ..node import ProtocolNode
 from ..simulator import SyncNetwork
 from .flood import FloodState
 
-__all__ = ["RemSpanNode", "DistributedResult", "run_remspan", "tree_algorithm"]
-
-#: Signature of a local tree construction: (local graph, root) -> DomTree.
-TreeAlgorithm = "Callable[[Graph, int], DomTree]"
-
-
-def tree_algorithm(
-    kind: str, r: int = 2, beta: int = 0, k: int = 1
-) -> "tuple[Callable[[Graph, int], DomTree], int, StretchGuarantee]":
-    """Resolve a named construction to (fn, flood radius D, guarantee).
-
-    ``kind`` ∈ {"greedy", "mis", "kcover", "kmis"} maps to Algorithms
-    1, 2, 4, 5.  D = r − 1 + β is the information/advertisement radius.
-    """
-    if kind == "greedy":
-        if r < 2 or beta < 0:
-            raise ParameterError(f"greedy needs r ≥ 2, β ≥ 0 (got {r}, {beta})")
-        eps = 1.0 / (r - 1)
-        guar = StretchGuarantee(1.0 + eps, 1.0 - 2.0 * eps, 1) if beta >= 1 else StretchGuarantee(1.0, 0.0, 1)
-        return (lambda g, u: dom_tree_greedy(g, u, r, beta)), r - 1 + beta, guar
-    if kind == "mis":
-        if r < 2:
-            raise ParameterError(f"mis needs r ≥ 2 (got {r})")
-        eps = 1.0 / (r - 1)
-        return (lambda g, u: dom_tree_mis(g, u, r)), r, StretchGuarantee(1.0 + eps, 1.0 - 2.0 * eps, 1)
-    if kind == "kcover":
-        return (lambda g, u: dom_tree_kcover(g, u, k)), 1, StretchGuarantee(1.0, 0.0, k)
-    if kind == "kmis":
-        return (lambda g, u: dom_tree_kmis(g, u, k)), 2, StretchGuarantee(2.0, -1.0, min(k, 2))
-    raise ParameterError(f"unknown tree algorithm {kind!r}")
+__all__ = ["RemSpanNode", "DistributedResult", "run_remspan"]
 
 
 class RemSpanNode(ProtocolNode):
@@ -85,9 +52,8 @@ class RemSpanNode(ProtocolNode):
       TreeAdvert (TTL = D)
     * rounds D+2..2D+1: relay tree adverts; halt at 2D+2 (nothing left)
 
-    For D = 0 (the k-cover star with its 1-hop information needs — wait,
-    kcover has D = 1; D = 0 never occurs since r ≥ 2) the phases collapse
-    gracefully anyway.
+    D is the construction's ``info_radius``; it is at least 1 (kcover's
+    D = r − 1 + β = 1), since every row has r ≥ 2.
     """
 
     def __init__(self, ident: int, algo, ttl: int) -> None:
@@ -179,22 +145,20 @@ class DistributedResult:
 def run_remspan(
     g: Graph, kind: str = "greedy", r: int = 2, beta: int = 0, k: int = 1
 ) -> DistributedResult:
-    """Execute RemSpan on *g* and assemble the spanner from the node trees."""
-    algo, ttl, guarantee = tree_algorithm(kind, r=r, beta=beta, k=k)
+    """Execute RemSpan on *g* and assemble the spanner from the node trees.
+
+    *kind* and its parameters resolve through ``resolve_construction``,
+    which ignores those a row fixes (r and β for ``kcover``/``kmis``).
+    """
+    construction = resolve_construction(kind, r=r, beta=beta, k=k)
+    algo, ttl = construction.tree_fn, construction.info_radius
     net = SyncNetwork(g, lambda u: RemSpanNode(u, algo, ttl))
     stats = net.run()
-    h = Graph(g.num_nodes)
-    trees: dict[int, DomTree] = {}
-    for u, node in net.nodes.items():
-        assert node.tree is not None, "protocol quiesced without computing a tree"
-        trees[u] = node.tree
-        for a, b in node.tree.edges():
-            h.add_edge(a, b)
-    spanner = RemoteSpanner(
-        graph=h, trees=trees, guarantee=guarantee, method=f"distributed-{kind}"
-    )
     return DistributedResult(
-        spanner=spanner,
+        # The union of the trees the nodes computed themselves.
+        spanner=build_from_trees(
+            g, lambda _g, u: net.nodes[u].tree, construction.guarantee, f"distributed-{kind}"
+        ),
         stats=stats,
         communication_rounds=stats.rounds - 1,
         expected_rounds=1 + 2 * ttl,

@@ -52,7 +52,6 @@ from .maintainer import (
     EventReport,
     SpannerMaintainer,
     locality_radius,
-    resolve_construction,
 )
 from .serving import MemoryStats, RoutingService, ServeReport
 from .traffic import (
@@ -83,7 +82,6 @@ __all__ = [
     "EventReport",
     "SpannerMaintainer",
     "locality_radius",
-    "resolve_construction",
     "MemoryStats",
     "RoutingService",
     "ServeReport",

@@ -2,9 +2,9 @@
 
 Every construction in the paper is a union of per-node trees, and every
 tree ``T_u`` is a deterministic function of the *induced ball*
-``B_G(u, R)`` for a construction-specific locality radius R
-(:func:`locality_radius`): Algorithm 4/5 never look past the 2-ball,
-Algorithm 2 past the r-ball, Algorithm 1 past ``max(r, r−1+β)``.  So when
+``B_G(u, R)``, where R (:func:`locality_radius`) is the construction's
+``dirty_radius`` in the one construction table of
+:mod:`repro.core.remote_spanner`.  So when
 the edge ``ab`` is inserted or deleted, only roots whose R-ball contains
 the edge — equivalently ``min(d(u,a), d(u,b)) ≤ R``, measured in the old
 *or* the new graph (deletions grow distances, insertions shrink them) —
@@ -41,104 +41,22 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .. import obs
-from ..core.domtree_greedy import dom_tree_greedy
 from ..core.domtree_kcover import dom_tree_kcover
-from ..core.domtree_kmis import dom_tree_kmis
-from ..core.domtree_mis import dom_tree_mis
 from ..core.remote_spanner import (
     RemoteSpanner,
-    StretchGuarantee,
     build_from_trees,
-    effective_epsilon,
-    epsilon_to_radius,
+    resolve_construction,
 )
 from ..errors import ParameterError
 from ..graph import Graph, canonical_edge, multi_source_distances
 from .events import ADD, JOIN, EdgeEvent, NodeEvent, apply_event
 
 __all__ = [
-    "CONSTRUCTION_NAMES",
     "BatchReport",
     "EventReport",
     "SpannerMaintainer",
     "locality_radius",
-    "resolve_construction",
-    "wire_delta",
 ]
-
-#: Constructions the maintainer knows how to keep valid incrementally.
-CONSTRUCTION_NAMES: "tuple[str, ...]" = ("kcover", "kmis", "mis", "greedy")
-
-
-@dataclass(frozen=True)
-class _Construction:
-    """A resolved construction: tree factory + guarantee + locality radius."""
-
-    label: str
-    tree_fn: object  # Callable[[Graph, int], DomTree]
-    guarantee: StretchGuarantee
-    radius: int
-
-
-def resolve_construction(
-    method: str = "kcover",
-    *,
-    k: "int | None" = None,
-    epsilon: "float | None" = None,
-    r: "int | None" = None,
-) -> _Construction:
-    """Resolve a construction name to its tree factory and locality radius.
-
-    ``kcover``/``kmis`` are the Theorem 2/3 builders (2-ball local);
-    ``mis``/``greedy`` are the Theorem 1 builders, parameterized by *r*
-    directly or by *epsilon* through Proposition 1 (``r = ⌈1/ε⌉ + 1``,
-    default ε = 0.5).  ``k`` defaults per method — 1 for ``kcover``
-    (valid range ``k ≥ 1``), 2 for ``kmis`` (valid range ``k ≥ 2``:
-    Algorithm 5's trees are k-connecting for ``k ≥ 2`` only) — and an
-    explicit out-of-range value raises :class:`~repro.errors.\
-ParameterError` instead of being silently rewritten.
-    """
-    if method == "kcover":
-        kk = 1 if k is None else k
-        if kk < 1:
-            raise ParameterError(f"kcover needs k ≥ 1, got {kk}")
-        return _Construction(
-            label=f"kcover(k={kk})",
-            tree_fn=lambda g, u: dom_tree_kcover(g, u, kk),
-            guarantee=StretchGuarantee(alpha=1.0, beta=0.0, k=kk),
-            radius=2,
-        )
-    if method == "kmis":
-        kk = 2 if k is None else k
-        if kk < 2:
-            raise ParameterError(f"kmis needs k ≥ 2, got {kk}")
-        return _Construction(
-            label=f"kmis(k={kk})",
-            tree_fn=lambda g, u: dom_tree_kmis(g, u, kk),
-            guarantee=StretchGuarantee(alpha=2.0, beta=-1.0, k=kk),
-            radius=2,
-        )
-    if method in ("mis", "greedy"):
-        if r is None:
-            r = epsilon_to_radius(0.5 if epsilon is None else epsilon)
-        if r < 2:
-            raise ParameterError(f"r must be ≥ 2, got {r}")
-        eps_eff = effective_epsilon(r)
-        guarantee = StretchGuarantee(alpha=1.0 + eps_eff, beta=1.0 - 2.0 * eps_eff, k=1)
-        if method == "mis":
-            return _Construction(
-                label=f"mis(r={r})",
-                tree_fn=lambda g, u: dom_tree_mis(g, u, r),
-                guarantee=guarantee,
-                radius=r,
-            )
-        return _Construction(
-            label=f"greedy(r={r}, beta=1)",
-            tree_fn=lambda g, u: dom_tree_greedy(g, u, r, 1),
-            guarantee=guarantee,
-            radius=max(r, r - 1 + 1),
-        )
-    raise ParameterError(f"unknown method {method!r} (want one of {CONSTRUCTION_NAMES})")
 
 
 def locality_radius(
@@ -149,7 +67,7 @@ def locality_radius(
     r: "int | None" = None,
 ) -> int:
     """The radius R such that ``T_u`` depends only on the induced R-ball."""
-    return resolve_construction(method, k=k, epsilon=epsilon, r=r).radius
+    return resolve_construction(method, k=k, epsilon=epsilon, r=r).dirty_radius
 
 
 @dataclass(frozen=True)
@@ -200,7 +118,8 @@ class SpannerMaintainer:
         replay events through :meth:`apply` / :meth:`apply_batch`, never by
         mutating *g*.
     method, k, epsilon, r:
-        Construction selection (see :func:`resolve_construction`).
+        Construction selection (see
+        :func:`~repro.core.remote_spanner.resolve_construction`).
     rebuild_fraction:
         Dirty-region size (as a fraction of n) beyond which incremental
         repair is abandoned for one full rebuild.
@@ -223,7 +142,11 @@ class SpannerMaintainer:
             raise ParameterError(
                 f"rebuild_fraction must be in (0, 1], got {rebuild_fraction}"
             )
-        self._construction = resolve_construction(method, k=k, epsilon=epsilon, r=r)
+        c = self._construction = resolve_construction(method, k=k, epsilon=epsilon, r=r)
+        # kcover calls look `dom_tree_kcover` up here at call time: perfbench's
+        # layer tracer times tree construction by patching this binding.
+        kcover = c.name == "kcover"
+        self._tree_fn = (lambda g, u: dom_tree_kcover(g, u, c.k)) if kcover else c.tree_fn
         self.graph = g.copy()
         self.rebuild_fraction = rebuild_fraction
         self.events_applied = 0
@@ -250,24 +173,16 @@ class SpannerMaintainer:
     @property
     def radius(self) -> int:
         """The dirty-ball radius R of the active construction."""
-        return self._construction.radius
+        return self._construction.dirty_radius
 
     def rebuilt_from_scratch(self) -> RemoteSpanner:
         """A fresh from-scratch build on the current graph (for checking)."""
-        return build_from_trees(
-            self.graph.copy(),
-            self._construction.tree_fn,
-            self._construction.guarantee,
-            self._construction.label,
-        )
+        c = self._construction
+        return build_from_trees(self.graph.copy(), self._tree_fn, c.guarantee, c.label)
 
     def _rebuild(self) -> None:
-        rs = build_from_trees(
-            self.graph,
-            self._construction.tree_fn,
-            self._construction.guarantee,
-            self._construction.label,
-        )
+        c = self._construction
+        rs = build_from_trees(self.graph, self._tree_fn, c.guarantee, c.label)
         self._trees = dict(rs.trees)
         self._h = rs.graph
         self._edge_refs = Counter()
@@ -453,7 +368,7 @@ class SpannerMaintainer:
     def _ball(self, snapshot, seeds: Iterable[int]) -> set[int]:
         """``{u : d(u, seeds) ≤ R}`` on a (frozen) snapshot."""
         with obs.span("maintainer.ball"):
-            dist = multi_source_distances(snapshot, seeds, cutoff=self._construction.radius)
+            dist = multi_source_distances(snapshot, seeds, cutoff=self._construction.dirty_radius)
             return {u for u, d in enumerate(dist) if d >= 0}
 
     def _repair(
@@ -479,7 +394,7 @@ class SpannerMaintainer:
                 tuple(sorted(new_edges - old_edges)),
                 tuple(sorted(old_edges - new_edges)),
             )
-        tree_fn = self._construction.tree_fn
+        tree_fn = self._tree_fn
         refs = self._edge_refs
         h = self._h
         h_added: set[tuple[int, int]] = set()
@@ -511,65 +426,3 @@ class SpannerMaintainer:
         self.trees_recomputed += len(dirty)
         return False, tuple(sorted(h_added)), tuple(sorted(h_removed))
 
-
-def wire_delta(
-    report: "EventReport | BatchReport",
-    seq: int,
-    *,
-    num_nodes: int,
-    origin: int = 0,
-    leave_star: "tuple[tuple[int, int], ...]" = (),
-) -> dict:
-    """Project a repair report onto the distributed wire schema.
-
-    Returns exactly the payload fields of
-    :class:`repro.distributed.wire.LsaUpdate` (as a plain dict — this
-    module stays import-free of the distributed tier): net ΔG, ΔH, the
-    joined ids, the post-tick id-space size and the rebuild flag.  Net
-    deltas are correct *even for rebuilds* — ``_repair`` diffs the old
-    and new spanner edge sets either way — which is why the actor tier
-    can feed on deltas alone and never needs a full re-flood after a
-    rebuild.
-
-    :class:`BatchReport` carries its net ΔG; an :class:`EventReport`
-    does not, so the single-event G delta is derived from the event —
-    a leave's severed star is gone by reporting time, so the caller
-    passes it in as *leave_star* (pre-application).
-    """
-    if isinstance(report, BatchReport):
-        return {
-            "origin": origin,
-            "seq": seq,
-            "g_added": report.g_added,
-            "g_removed": report.g_removed,
-            "h_added": report.h_added,
-            "h_removed": report.h_removed,
-            "nodes_joined": report.nodes_joined,
-            "num_nodes": num_nodes,
-            "rebuilt": report.rebuilt,
-        }
-    event = report.event
-    g_added: "tuple[tuple[int, int], ...]" = ()
-    g_removed: "tuple[tuple[int, int], ...]" = ()
-    joined: "tuple[int, ...]" = ()
-    if report.changed:
-        if isinstance(event, NodeEvent):
-            if event.kind == JOIN:
-                joined = (event.node,)
-            else:
-                g_removed = tuple(sorted(canonical_edge(*e) for e in leave_star))
-        elif event.kind == ADD:
-            g_added = (canonical_edge(event.u, event.v),)
-        else:
-            g_removed = (canonical_edge(event.u, event.v),)
-    return {
-        "origin": origin,
-        "seq": seq,
-        "g_added": g_added,
-        "g_removed": g_removed,
-        "h_added": report.h_added,
-        "h_removed": report.h_removed,
-        "nodes_joined": joined,
-        "num_nodes": num_nodes,
-        "rebuilt": report.rebuilt,
-    }

@@ -30,7 +30,11 @@ from statistics import mean
 
 from ..core import build_from_trees, dom_tree_greedy, dom_tree_mis
 from ..core.domtree import DomTree, dominating_tree_violations
-from ..core.remote_spanner import StretchGuarantee
+from ..core.remote_spanner import (
+    StretchGuarantee,
+    build_k_connecting_spanner,
+    resolve_construction,
+)
 from ..graph import Graph
 from ..graph.traversal import bfs_layers, bfs_parents, path_to_root
 from ..rng import derive_seed
@@ -64,11 +68,9 @@ def _instance(seed: int, n: int = 220, degree: float = 12.0) -> Graph:
 def ablate_greedy_vs_mis(r: int = 3, seed: int = 11, n: int = 220) -> AblationReport:
     """Knob 1: Algorithm 1 vs Algorithm 2 at identical (r, 1)."""
     g = _instance(seed, n)
-    guar = StretchGuarantee(1.0 + 1.0 / (r - 1), 1.0 - 2.0 / (r - 1), 1)
-    rs_greedy = build_from_trees(
-        g, lambda gg, u: dom_tree_greedy(gg, u, r, 1), guar, "greedy"
-    )
-    rs_mis = build_from_trees(g, lambda gg, u: dom_tree_mis(gg, u, r), guar, "mis")
+    greedy, mis = (resolve_construction(name, r=r) for name in ("greedy", "mis"))
+    rs_greedy = build_from_trees(g, greedy.tree_fn, greedy.guarantee, "greedy")
+    rs_mis = build_from_trees(g, mis.tree_fn, mis.guarantee, "mis")
     return AblationReport(
         name=f"greedy vs MIS (r={r}, beta=1)",
         variants={
@@ -123,14 +125,11 @@ def first_fit_star(g: Graph, u: int, k: int = 1) -> DomTree:
 
 def ablate_first_fit(seed: int = 13, n: int = 220) -> AblationReport:
     """Knob 3: max-gain greedy vs first-fit MPR selection."""
-    from ..core.domtree_kcover import dom_tree_kcover
-
     g = _instance(seed, n)
-    greedy_sizes = [dom_tree_kcover(g, u, 1).num_edges for u in g.nodes()]
+    mpr = build_k_connecting_spanner(g, 1)
+    greedy_sizes = [t.num_edges for t in mpr.trees.values()]
     ff_sizes = [first_fit_star(g, u, 1).num_edges for u in g.nodes()]
-    union_greedy = build_from_trees(
-        g, lambda gg, u: dom_tree_kcover(gg, u, 1), StretchGuarantee(1, 0, 1), "g"
-    ).num_edges
+    union_greedy = mpr.num_edges
     union_ff = build_from_trees(
         g, lambda gg, u: first_fit_star(gg, u, 1), StretchGuarantee(1, 0, 1), "ff"
     ).num_edges

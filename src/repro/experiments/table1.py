@@ -44,6 +44,7 @@ from ..core import (
     is_k_connecting_remote_spanner,
     is_remote_spanner,
     k_connecting_spanner_lower_bound,
+    resolve_construction,
 )
 from ..distributed import run_remspan
 from ..graph import sample_pairs
@@ -208,7 +209,6 @@ def build_table1(
     ok7 = is_remote_spanner(
         rs_eps.graph, g_udg, rs_eps.guarantee.alpha, rs_eps.guarantee.beta
     )
-    r = 1 + round(1.0 / (rs_eps.guarantee.alpha - 1.0))
     rows.append(
         Table1Row(
             7,
@@ -216,7 +216,7 @@ def build_table1(
             f"(1+{epsilon:g}, {1-2*epsilon:g})-rem.-span.",
             rs_eps.num_edges,
             round(rs_eps.num_edges / g_udg.num_nodes, 2),
-            2 * r + 1,  # 2r−1+2β with β=1
+            1 + 2 * resolve_construction("mis", epsilon=epsilon).info_radius,
             ok7,
             "Th. 1: O(n) edges on doubling UBG",
         )
@@ -247,7 +247,7 @@ def build_table1(
             "2-conn. (2,-1)-rem.-span.",
             rs_2c.num_edges,
             round(rs_2c.num_edges / g_udg.num_nodes, 2),
-            5,  # 2r−1+2β with r=2, β=1
+            1 + 2 * resolve_construction("kmis").info_radius,
             ok9,
             "Th. 3: O(n) edges on doubling UBG",
         )

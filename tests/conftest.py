@@ -101,6 +101,104 @@ def rng(request) -> np.random.Generator:
 
 
 # --------------------------------------------------------------------- #
+# one validator: the construction parameter grid
+# --------------------------------------------------------------------- #
+
+#: ``(name, params, valid)``: every entry point that builds trees must
+#: accept or reject each set alike, as ``resolve_construction`` does.
+CONSTRUCTION_GRID = [
+    ("kcover", {}, True),
+    ("kcover", {"k": 3}, True),
+    ("kcover", {"k": 0}, False),
+    ("kmis", {}, True),
+    ("kmis", {"k": 1}, True),
+    ("kmis", {"k": 3}, True),
+    ("kmis", {"k": 0}, False),
+    ("mis", {"r": 3}, True),
+    ("mis", {"epsilon": 0.5}, True),
+    ("mis", {"r": 1}, False),
+    ("mis", {"epsilon": 1.5}, False),
+    ("greedy", {}, True),
+    ("greedy", {"r": 3, "beta": 1}, True),
+    ("greedy", {"r": 4, "beta": 0}, True),
+    ("greedy", {"r": 1}, False),
+    ("greedy", {"r": 3, "beta": -1}, False),
+    ("greedy", {"r": 3, "beta": 2}, False),
+    ("voronoi", {}, False),
+]
+CONSTRUCTION_GRID_IDS = ["-".join([name, *(f"{k}={v}" for k, v in params.items())])
+                         for name, params, _valid in CONSTRUCTION_GRID]
+
+
+def _via_builders(g, name, params):
+    from repro.core import (
+        build_biconnecting_spanner,
+        build_k_connecting_spanner,
+        build_remote_spanner,
+    )
+
+    if name == "kcover" and set(params) <= {"k"}:
+        return lambda: build_k_connecting_spanner(g, **params)
+    if name == "kmis" and params in ({}, {"k": 2}):
+        return lambda: build_biconnecting_spanner(g)
+    if name not in ("kcover", "kmis") and set(params) <= {"epsilon"}:
+        return lambda: build_remote_spanner(g, params.get("epsilon", 0.5), method=name)
+    return None
+
+
+def _via_maintainer(g, name, params):
+    from repro.dynamic import SpannerMaintainer
+
+    if params.get("beta", 1) != 1:  # the maintainer keeps greedy's default β = 1
+        return None
+    kwargs = {key: v for key, v in params.items() if key != "beta"}
+    return lambda: SpannerMaintainer(g, name, **kwargs)
+
+
+def _via_remspan(g, name, params):
+    from repro.distributed import run_remspan
+
+    return None if "epsilon" in params else lambda: run_remspan(g, name, **params)
+
+
+def _via_link_state(g, name, params):
+    from repro.distributed import PeriodicLinkState
+
+    if "epsilon" in params:
+        return None
+    return lambda: PeriodicLinkState(g.copy(), name, **params)
+
+
+ENTRY_POINTS = {
+    "builders": _via_builders,
+    "maintainer": _via_maintainer,
+    "remspan": _via_remspan,
+    "link_state": _via_link_state,
+}
+
+
+def assert_validates_like_the_table(name, params, valid, entry_points):
+    """Each of *entry_points* that can express *params* accepts them iff
+    *valid*, and so does ``resolve_construction`` itself."""
+    from repro.core import resolve_construction
+    from repro.errors import ParameterError
+
+    g = cycle_graph(6)
+    calls = {"resolve_construction": lambda: resolve_construction(name, **params)}
+    for entry in entry_points:
+        call = ENTRY_POINTS[entry](g, name, params)
+        if call is not None:
+            calls[entry] = call
+    for entry, call in calls.items():
+        try:
+            call()
+        except ParameterError:
+            assert not valid, f"{entry} rejected a valid set"
+        else:
+            assert valid, f"{entry} accepted an invalid set"
+
+
+# --------------------------------------------------------------------- #
 # shared-memory leak check, after every test
 # --------------------------------------------------------------------- #
 

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import dom_tree_greedy, dom_tree_kcover, dom_tree_kmis, dom_tree_mis
+from repro.core import (
+    build_from_trees,
+    dom_tree_greedy,
+    dom_tree_kcover,
+    dom_tree_kmis,
+    dom_tree_mis,
+    StretchGuarantee,
+    is_k_connecting_remote_spanner,
+    resolve_construction,
+)
 from repro.distributed import (
     Hello,
     NeighborAdvert,
@@ -15,7 +24,6 @@ from repro.distributed import (
     run_hello,
     run_remspan,
     run_scoped_flood,
-    tree_algorithm,
 )
 from repro.errors import ParameterError, ProtocolError
 from repro.graph import ball
@@ -27,7 +35,13 @@ from repro.graph.generators import (
     star_graph,
 )
 
-from ..conftest import connected_graphs, small_graphs
+from ..conftest import (
+    CONSTRUCTION_GRID,
+    CONSTRUCTION_GRID_IDS,
+    assert_validates_like_the_table,
+    connected_graphs,
+    small_graphs,
+)
 
 
 class TestSimulator:
@@ -79,24 +93,64 @@ class TestScopedFlood:
 
 
 class TestTreeAlgorithmRegistry:
+    """RemSpan and the periodic regime resolve through the one table."""
+
     def test_known_kinds(self):
-        for kind, kwargs in (
-            ("greedy", dict(r=3, beta=1)),
-            ("mis", dict(r=3)),
-            ("kcover", dict(k=2)),
-            ("kmis", dict(k=2)),
+        # Flood radius D = r − 1 + β: 3, 3, 1 and 2 (Algorithm 3).
+        for kind, kwargs, info_radius in (
+            ("greedy", dict(r=3, beta=1), 3),
+            ("mis", dict(r=3), 3),
+            ("kcover", dict(k=2), 1),
+            ("kmis", dict(k=2), 2),
         ):
-            fn, ttl, guar = tree_algorithm(kind, **kwargs)
-            assert ttl >= 1
-            assert guar.alpha >= 1.0
+            c = resolve_construction(kind, **kwargs)
+            assert c.info_radius == info_radius
+            assert c.guarantee.alpha >= 1.0
+        greedy_beta0 = resolve_construction("greedy", r=3, beta=0)
+        assert greedy_beta0.guarantee == StretchGuarantee(1.0, 0.0, 1)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            tree_algorithm("nope")
+            resolve_construction("nope")
         with pytest.raises(ParameterError):
-            tree_algorithm("greedy", r=1)
+            resolve_construction("greedy", r=1)
         with pytest.raises(ParameterError):
-            tree_algorithm("mis", r=1)
+            resolve_construction("mis", r=1)
+
+    @pytest.mark.parametrize("name,params,valid", CONSTRUCTION_GRID, ids=CONSTRUCTION_GRID_IDS)
+    def test_remspan_and_link_state_validate_like_the_table(self, name, params, valid):
+        assert_validates_like_the_table(name, params, valid, ("remspan", "link_state"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("kcover", {"k": 1}),
+            ("kcover", {"k": 2}),
+            ("kcover", {"k": 3}),
+            ("kmis", {"k": 1}),
+            ("kmis", {"k": 2}),
+            ("kmis", {"k": 3}),
+            ("mis", {"r": 2}),
+            ("mis", {"r": 3}),
+            ("greedy", {"r": 3, "beta": 0}),
+            ("greedy", {"r": 3, "beta": 1}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()),
+    )
+    def test_every_row_certifies(self, name, params, seed):
+        # The stretch oracle certifies the declared guarantee; RemSpan's
+        # trees from D-hop knowledge equal the centralized ones.  mis and
+        # greedy take no k (it is fixed at 1).
+        g = random_connected_gnp(14, 0.3, seed=seed)
+        c = resolve_construction(name, **params)
+        ref = build_from_trees(g, c.tree_fn, c.guarantee, c.label)
+        gu = ref.guarantee
+        assert is_k_connecting_remote_spanner(ref.graph, g, gu.k, gu.alpha, gu.beta)
+        res = run_remspan(g, name, **params)
+        assert res.spanner.trees == ref.trees
+        assert res.spanner.guarantee == gu
+        assert res.communication_rounds == 1 + 2 * c.info_radius
 
 
 class TestRemSpanProtocol:

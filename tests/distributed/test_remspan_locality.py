@@ -7,13 +7,15 @@ exactly the edges incident to the flood ball, no more.
 """
 
 from repro.distributed import SyncNetwork
-from repro.distributed.protocols.remspan import RemSpanNode, tree_algorithm
+from repro.core import resolve_construction
+from repro.distributed.protocols.remspan import RemSpanNode
 from repro.graph import ball
 from repro.graph.generators import cycle_graph, grid_graph, random_connected_gnp
 
 
 def _run_nodes(g, kind, **kwargs):
-    algo, ttl, _g = tree_algorithm(kind, **kwargs)
+    construction = resolve_construction(kind, **kwargs)
+    algo, ttl = construction.tree_fn, construction.info_radius
     net = SyncNetwork(g, lambda u: RemSpanNode(u, algo, ttl))
     net.run()
     return net, ttl

@@ -17,11 +17,13 @@ from repro.dynamic import (
     SpannerMaintainer,
     locality_radius,
     make_scenario,
-    resolve_construction,
 )
+from repro.core import StretchGuarantee, resolve_construction
 from repro.errors import GraphError, ParameterError
 from repro.graph import Graph
 from repro.graph.generators import gnp_random_graph, random_connected_gnp
+
+from ..conftest import CONSTRUCTION_GRID, CONSTRUCTION_GRID_IDS, assert_validates_like_the_table
 
 
 def assert_matches_scratch(maintainer, context=""):
@@ -268,11 +270,28 @@ class TestConstructionRegistry:
         with pytest.raises(ParameterError):
             SpannerMaintainer(Graph(4), "kcover", rebuild_fraction=0.0)
 
-    def test_kmis_rejects_k_below_two(self):
-        # k=1 used to be silently rewritten to 2; now it is a loud error.
-        with pytest.raises(ParameterError, match="k ≥ 2"):
-            resolve_construction("kmis", k=1)
-        with pytest.raises(ParameterError):
-            SpannerMaintainer(Graph(4), "kmis", k=1)
-        # The per-method default is still the valid k=2.
+    def test_kmis_accepts_k_one(self):
+        # Algorithm 5's k=1 trees are (2, 1)-dominating: Proposition 1 at
+        # r = 2 gives (2, −1), and the stretch oracle certifies it.
+        kmis = resolve_construction("kmis", k=1)
+        assert (kmis.label, kmis.guarantee) == ("kmis(k=1)", StretchGuarantee(2.0, -1.0, 1))
+        m = SpannerMaintainer(random_connected_gnp(12, 0.3, seed=5), "kmis", k=1)
+        assert m.spanner.guarantee == kmis.guarantee
+        assert_matches_scratch(m, "kmis k=1")
+        with pytest.raises(ParameterError, match="k ≥ 1"):
+            resolve_construction("kmis", k=0)
+        # The per-method default is still k=2.
         assert resolve_construction("kmis").label == "kmis(k=2)"
+
+    @pytest.mark.parametrize("name,params,valid", CONSTRUCTION_GRID, ids=CONSTRUCTION_GRID_IDS)
+    def test_builders_and_maintainer_validate_like_the_table(self, name, params, valid):
+        assert_validates_like_the_table(name, params, valid, ("builders", "maintainer"))
+
+    def test_maintainer_reads_the_table(self):
+        m = SpannerMaintainer(random_connected_gnp(12, 0.3, seed=5), "greedy", r=4)
+        c = resolve_construction("greedy", r=4)
+        assert (m.radius, m.spanner.guarantee, m.spanner.method) == (
+            c.dirty_radius, c.guarantee, c.label
+        )
+        assert m.spanner.method == "greedy(r=4, beta=1)"
+        assert resolve_construction("mis", r=3).label == "mis(r=3, beta=1)"

@@ -1,4 +1,7 @@
-"""Tests for package-level plumbing: version, errors, rng discipline."""
+"""Tests for package-level plumbing: version, errors, rng discipline, layering."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +52,42 @@ class TestVersionAndExports:
         ):
             for name in pkg.__all__:
                 assert hasattr(pkg, name), f"{pkg.__name__}.{name}"
+
+
+class TestLayering:
+    """Outside ``core/``, ``experiments/`` and ``baselines/``, trees come
+    from the one construction table (``repro.core.remote_spanner``), never
+    from a tree function imported and wrapped by hand."""
+
+    TREE_NAMES = {
+        "dom_tree_kcover", "dom_tree_kmis", "dom_tree_mis", "dom_tree_greedy",
+        "domtree_kcover", "domtree_kmis", "domtree_mis", "domtree_greedy",
+    }
+    FREE_DIRS = {"core", "experiments", "baselines"}
+    #: perfbench's layer tracer times tree construction by patching this
+    #: module binding, so the maintainer keeps it (and calls through it).
+    TRACE_SEAM = ("dynamic/maintainer.py", "dom_tree_kcover")
+
+    def tree_imports(self, root):
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            if rel.parts[0] in self.FREE_DIRS or rel == Path("__init__.py"):
+                continue  # the package __init__ only re-exports
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                names = [alias.name for alias in node.names]
+                parts = {p for name in [getattr(node, "module", None) or "", *names]
+                         for p in name.split(".")}
+                if parts & self.TREE_NAMES:
+                    found.append((rel.as_posix(), ", ".join(names)))
+        return found
+
+    def test_only_the_table_builds_trees(self):
+        root = Path(repro.__file__).parent
+        assert [hit for hit in self.tree_imports(root) if hit != self.TRACE_SEAM] == []
+        assert self.TRACE_SEAM in self.tree_imports(root)
 
 
 class TestErrors:
