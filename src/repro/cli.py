@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=2009)
         if tick:
             p.add_argument("--tick", type=_positive_int, default=tick,
-                           help="events per coalesced tick (1: apply singly)")
+                           help="events per coalesced tick")
         p.add_argument("--metrics", default=None, metavar="OUT.json",
                        help="write the run's merged repro.obs metrics snapshot "
                        "(per-shard breakdown included) to this JSON file")

@@ -8,7 +8,9 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   RoutingService` (the ground truth) and republishes its per-tick
   :class:`~repro.dynamic.serving.ServeDelta` as sequence-numbered
   :class:`~repro.distributed.wire.LsaUpdate` floods — net maintainer
-  deltas on the wire.  A :class:`~repro.distributed.wire.FullTopology`
+  deltas on the wire.  Events enter only through
+  :meth:`ActorSystem.apply_tick` (the service's ``apply_batch``; one
+  event is a one-event tick).  A :class:`~repro.distributed.wire.FullTopology`
   goes out only for the cold-start bootstrap, a ``resync`` delta
   (compaction), a resend of seqs already trimmed from the driver's
   bounded log, and the benchmark's naive baseline;
@@ -490,11 +492,6 @@ class ActorSystem:
         entry = message.seq % self.shards
         armed = message.ttl if message.ttl else max(1, self.shards)
         await self.transport.send(self.driver_id, entry, replace(message, ttl=armed))
-
-    def apply(self, event) -> None:
-        """Apply one event through the serial service; flood its delta."""
-        self.service.apply(event)
-        self.quiesce()
 
     def apply_tick(self, events) -> None:
         """Apply one coalesced tick; flood its delta and converge."""

@@ -49,7 +49,6 @@ from .events import (
 )
 from .maintainer import (
     BatchReport,
-    EventReport,
     SpannerMaintainer,
     locality_radius,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "FAULT_SCENARIO_NAMES",
     "BatchReport",
-    "EventReport",
     "SpannerMaintainer",
     "locality_radius",
     "MemoryStats",

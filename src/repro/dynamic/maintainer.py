@@ -19,10 +19,13 @@ Node churn rides the same machinery: a :class:`~repro.dynamic.events.\
 NodeEvent` leave is the simultaneous deletion of every incident edge (the
 ball is seeded with the node and its former neighbors), and a join adds an
 isolated node whose only dirty root is itself.  :meth:`SpannerMaintainer.\
-apply_batch` coalesces a whole tick of events into **one** dirty region:
-the net edge diff of the tick seeds one old-snapshot and one new-snapshot
-bounded BFS, and each dirty root is recomputed once — events that cancel
-within the tick (a link flapping down and back up) cost nothing.
+apply_batch` is the one write path: it coalesces a whole tick of events
+into **one** dirty region — the net edge diff of the tick seeds one
+old-snapshot and one new-snapshot bounded BFS, and each dirty root is
+recomputed once, so events that cancel within the tick (a link flapping
+down and back up) cost nothing.  :meth:`SpannerMaintainer.apply` is the
+smallest tick: the dirty region of one event is that of a batch holding
+only it.
 
 The union is kept exact under recomputation with per-edge reference
 counts: an edge leaves the spanner only when the last tree contributing it
@@ -49,11 +52,10 @@ from ..core.remote_spanner import (
 )
 from ..errors import ParameterError
 from ..graph import Graph, canonical_edge, multi_source_distances
-from .events import ADD, JOIN, EdgeEvent, NodeEvent, apply_event
+from .events import JOIN, EdgeEvent, NodeEvent, apply_event
 
 __all__ = [
     "BatchReport",
-    "EventReport",
     "SpannerMaintainer",
     "locality_radius",
 ]
@@ -68,20 +70,6 @@ def locality_radius(
 ) -> int:
     """The radius R such that ``T_u`` depends only on the induced R-ball."""
     return resolve_construction(method, k=k, epsilon=epsilon, r=r).dirty_radius
-
-
-@dataclass(frozen=True)
-class EventReport:
-    """What one :meth:`SpannerMaintainer.apply` call did."""
-
-    event: "EdgeEvent | NodeEvent"
-    dirty: int  # roots whose tree was recomputed (n when rebuilt)
-    rebuilt: bool  # True when the full-rebuild fallback fired
-    changed: bool  # False for a no-op event (graph already in target state)
-    seconds: float
-    #: Net spanner delta: edges that entered / left H in this repair.
-    h_added: "tuple[tuple[int, int], ...]" = ()
-    h_removed: "tuple[tuple[int, int], ...]" = ()
 
 
 @dataclass(frozen=True)
@@ -193,88 +181,9 @@ class SpannerMaintainer:
     # event application
     # ------------------------------------------------------------------ #
 
-    def apply(self, event: "EdgeEvent | NodeEvent") -> EventReport:
-        """Apply one event and repair the spanner's dirty region."""
-        sw = obs.Stopwatch()
-        if isinstance(event, NodeEvent):
-            return self._apply_node(event, sw)
-        g = self.graph
-        present = g.has_edge(event.u, event.v)
-        if (event.kind == ADD) == present:  # already in the target state
-            self.events_applied += 1
-            return EventReport(
-                event,
-                dirty=0,
-                rebuilt=False,
-                changed=False,
-                seconds=sw.elapsed(),
-            )
-        seeds = (event.u, event.v)
-        # Roots seeing the edge through *old* distances (deletion may then
-        # push them out of range — they must still be repaired)...
-        dirty = self._ball(g.freeze(), seeds)
-        apply_event(g, event)
-        # ... and through *new* distances (insertion pulls new roots in).
-        dirty |= self._ball(g.freeze(), seeds)  # delta-patched: 2 rows changed
-        self.events_applied += 1
-        rebuilt, h_added, h_removed = self._repair(dirty)
-        return EventReport(
-            event,
-            dirty=g.num_nodes if rebuilt else len(dirty),
-            rebuilt=rebuilt,
-            changed=True,
-            seconds=sw.elapsed(),
-            h_added=h_added,
-            h_removed=h_removed,
-        )
-
-    def _apply_node(self, event: NodeEvent, sw: obs.Stopwatch) -> EventReport:
-        """Node churn through the :meth:`Graph.add_node`/``remove_node`` mutators."""
-        g = self.graph
-        if event.kind == JOIN:
-            apply_event(g, event)  # validates the dense-id contract
-            self._h.add_node()
-            self.events_applied += 1
-            # The newcomer is isolated: no existing R-ball gains it, so the
-            # only dirty root is the new node itself (its trivial tree).
-            rebuilt, h_added, h_removed = self._repair({event.node})
-            return EventReport(
-                event,
-                dirty=g.num_nodes if rebuilt else 1,
-                rebuilt=rebuilt,
-                changed=True,
-                seconds=sw.elapsed(),
-                h_added=h_added,
-                h_removed=h_removed,
-            )
-        former = sorted(g.neighbors(event.node))
-        if not former:  # leave of an already isolated node: no-op
-            self.events_applied += 1
-            return EventReport(
-                event,
-                dirty=0,
-                rebuilt=False,
-                changed=False,
-                seconds=sw.elapsed(),
-            )
-        # A leave deletes every incident edge at once; the dirty region is
-        # the union of the per-edge balls, i.e. one bounded BFS seeded with
-        # the node and all its former neighbors, on both snapshots.
-        seeds = (event.node, *former)
-        dirty = self._ball(g.freeze(), seeds)
-        g.remove_node(event.node)
-        dirty |= self._ball(g.freeze(), seeds)
-        self.events_applied += 1
-        rebuilt, h_added, h_removed = self._repair(dirty)
-        return EventReport(
-            event,
-            dirty=g.num_nodes if rebuilt else len(dirty),
-            rebuilt=rebuilt,
-            changed=True,
-            seconds=sw.elapsed(),
-            h_added=h_added,
-            h_removed=h_removed,
-        )
+    def apply(self, event: "EdgeEvent | NodeEvent") -> BatchReport:
+        """Apply one event: a tick that holds only *event*."""
+        return self.apply_batch((event,))
 
     def apply_batch(self, events: "Sequence[EdgeEvent | NodeEvent]") -> BatchReport:
         """Apply one tick's events with a single coalesced repair.
@@ -282,15 +191,14 @@ class SpannerMaintainer:
         The tick is replayed onto the graph first, tracking each touched
         edge's presence at tick start vs end; the *net* diff (flaps cancel)
         seeds one old-snapshot and one new-snapshot bounded BFS, and each
-        dirty root is recomputed exactly once — instead of per-event ball
-        detection and tree churn.  No-op events inside the tick are
-        tolerated (the per-event stream contract is the caller's business);
-        a join with a non-dense id is always an error.
+        dirty root is recomputed exactly once.  No-op events are tolerated
+        (counted, reported ``changed=False`` when the whole tick is one); a
+        join with a non-dense id or an out-of-range endpoint is an error.
         """
         sw = obs.Stopwatch()
         events = list(events)
         g = self.graph
-        old_n = g.num_nodes
+        old_n, version = g.num_nodes, g.version
         old_csr = g.freeze() if events else None
         touched: "dict[tuple[int, int], bool]" = {}
         joined: list[int] = []
@@ -314,13 +222,15 @@ class SpannerMaintainer:
                     if apply_event(g, ev, strict=False):
                         applied += 1
         except Exception:
-            # A malformed mid-batch event (non-dense join id, out-of-range
-            # endpoint) already mutated the graph; restore the spanner ==
-            # from-scratch invariant over whatever got applied, then let
-            # the caller see the error.
-            obs.inc("maintainer.full_rebuilds")
-            self._rebuild()
-            self.full_rebuilds += 1
+            # A malformed event (non-dense join id, out-of-range endpoint)
+            # after a valid prefix leaves the graph mutated: restore the
+            # spanner == from-scratch invariant over whatever got applied,
+            # then let the caller see the error.  An untouched graph needs
+            # nothing restored.
+            if g.version != version:
+                obs.inc("maintainer.full_rebuilds")
+                self._rebuild()
+                self.full_rebuilds += 1
             raise
         self.events_applied += len(events)
         self.batches_applied += 1
@@ -357,8 +267,8 @@ class SpannerMaintainer:
 
     def apply_stream(
         self, events: "Sequence[EdgeEvent | NodeEvent] | Iterable[EdgeEvent | NodeEvent]"
-    ) -> "list[EventReport]":
-        """Apply a whole stream event by event; returns the per-event reports."""
+    ) -> "list[BatchReport]":
+        """Apply a whole stream as one-event ticks; returns their reports."""
         return [self.apply(ev) for ev in events]
 
     # ------------------------------------------------------------------ #

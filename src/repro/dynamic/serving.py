@@ -42,10 +42,10 @@ table damage decomposes exactly:
   (:func:`~repro.routing.tables.project_table_cells`) re-argmins at once.
 
 :class:`RoutingService` owns a :class:`~repro.dynamic.maintainer.\
-SpannerMaintainer` and applies events singly (:meth:`RoutingService.apply`)
-or as coalesced ticks (:meth:`RoutingService.apply_batch` →
-:meth:`SpannerMaintainer.apply_batch`).  After every event the served
-tables are bit-identical to a from-scratch
+SpannerMaintainer` and has one write path, :meth:`RoutingService.\
+apply_batch` → :meth:`SpannerMaintainer.apply_batch`: every tick is one
+coalesced repair, and :meth:`RoutingService.apply` is the one-event tick.
+After every tick the served tables are bit-identical to a from-scratch
 :func:`~repro.routing.tables.routing_table` on the live (H, G) — the
 property suite in ``tests/dynamic/test_serving.py`` asserts exactly this,
 entry for entry, across edge *and* node churn.
@@ -89,8 +89,8 @@ from ..graph import Graph, batched_bfs, repair_rows
 from ..graph.traversal import orphaned_far_ends, repairable_rows, row_changes
 from ..routing.greedy_routing import check_lookups
 from ..routing.tables import _FAR, project_table_cells, project_table_row
-from .events import ADD, LEAVE, EdgeEvent, NodeEvent
-from .maintainer import SpannerMaintainer
+from .events import EdgeEvent, NodeEvent
+from .maintainer import BatchReport, SpannerMaintainer
 
 __all__ = [
     "DenseRows",
@@ -376,8 +376,11 @@ class ServeDelta:
     the event stream itself.  Deltas are *net* — in-tick flaps cancel,
     and they stay net even when the repair was a full rebuild
     (``rebuilt`` is advisory: the receiver may resync bigger structures,
-    but applying the deltas alone is already exact).  Matches the
-    :class:`~repro.distributed.wire.LsaUpdate` payload field-for-field,
+    but applying the deltas alone is already exact).  Every field but
+    ``seq``, ``num_nodes`` and ``resync`` is copied from the tick's
+    :class:`~repro.dynamic.maintainer.BatchReport` (one built per
+    :meth:`RoutingService.apply_batch`, one-event ticks included).  Matches
+    the :class:`~repro.distributed.wire.LsaUpdate` payload field-for-field,
     which is what keeps the wire schema a projection of this one.
 
     A ``resync`` delta carries no edges: the service changed state in a
@@ -435,8 +438,8 @@ class RoutingService:
 
     Parameters mirror :class:`~repro.dynamic.maintainer.SpannerMaintainer`
     (construction selection + ``rebuild_fraction``); the service owns its
-    maintainer and must be driven exclusively through :meth:`apply` /
-    :meth:`apply_batch`.
+    maintainer and must be driven exclusively through :meth:`apply_batch`
+    (:meth:`apply` is its one-event tick).
 
     State is two dense int32 matrices: ``D[w, v] = d_H(w, v)`` (−1 for
     unreachable) and ``T[u, v] =`` next hop of *u* toward *v* (−1 for
@@ -582,7 +585,8 @@ class RoutingService:
     def subscribe(self, callback):
         """Register *callback* to receive a :class:`ServeDelta` per tick.
 
-        Called synchronously after each :meth:`apply`/:meth:`apply_batch`
+        Called synchronously after each :meth:`apply_batch` (so after each
+        :meth:`apply`, a one-event tick) and each direct :meth:`refresh`
         — the service's own tables are already updated when the callback
         runs, so a subscriber that mirrors the deltas can immediately
         compare its replica against the serial truth.  Returns *callback*
@@ -594,106 +598,56 @@ class RoutingService:
     def unsubscribe(self, callback) -> None:
         self._subscribers.remove(callback)
 
-    def _publish(
-        self,
-        events: int,
-        changed: bool,
-        rebuilt: bool,
-        g_added: "tuple[tuple[int, int], ...]",
-        g_removed: "tuple[tuple[int, int], ...]",
-        h_added: "tuple[tuple[int, int], ...]",
-        h_removed: "tuple[tuple[int, int], ...]",
-        nodes_joined: "tuple[int, ...]",
-        resync: bool = False,
-    ) -> None:
+    def _publish(self, report: BatchReport, resync: bool = False) -> None:
         if not self._subscribers:
             return
         self.feed_seq += 1
         delta = ServeDelta(
             seq=self.feed_seq,
-            events=events,
-            changed=changed,
-            rebuilt=rebuilt,
-            g_added=g_added,
-            g_removed=g_removed,
-            h_added=h_added,
-            h_removed=h_removed,
-            nodes_joined=nodes_joined,
+            events=report.events,
+            changed=report.changed,
+            rebuilt=report.rebuilt,
+            g_added=report.g_added,
+            g_removed=report.g_removed,
+            h_added=report.h_added,
+            h_removed=report.h_removed,
+            nodes_joined=report.nodes_joined,
             num_nodes=self.num_nodes,
             resync=resync,
         )
         for callback in list(self._subscribers):
             callback(delta)
 
-    def _event_g_delta(
-        self, event: "EdgeEvent | NodeEvent"
-    ) -> "tuple[tuple, tuple, tuple]":
-        """Net (g_added, g_removed, nodes_joined) *event* will cause.
-
-        Evaluated pre-application (a leave's severed star is only
-        readable before the maintainer applies it); edges in the
-        canonical sorted shape the batch reports use.
-        """
-        if isinstance(event, NodeEvent):
-            if event.kind == LEAVE:
-                star = tuple(
-                    tuple(sorted((event.node, w)))
-                    for w in sorted(self.maintainer.graph.neighbors(event.node))
-                )
-                return (), star, ()
-            return (), (), (event.node,)
-        edge = tuple(sorted((event.u, event.v)))
-        if event.kind == ADD:
-            return (edge,), (), ()
-        return (), (edge,), ()
-
     # ------------------------------------------------------------------ #
     # write side
     # ------------------------------------------------------------------ #
 
     def apply(self, event: "EdgeEvent | NodeEvent") -> ServeReport:
-        """Apply one event; repair spanner, distance rows and tables."""
-        sw = obs.Stopwatch()
-        star_changed = self._star_damage(event)
-        g_added, g_removed, joined = self._event_g_delta(event)
-        report = self.maintainer.apply(event)
-        self.events_applied += 1
-        if not report.changed:
-            out = self._report(1, False, (False, 0, 0, 0), sw)
-            self._publish(1, False, False, (), (), (), (), ())
-            return out
-        stats = self._ingest(report.h_added, report.h_removed, star_changed, report.rebuilt)
-        out = self._report(1, True, stats, sw)
-        self._publish(
-            1, True, report.rebuilt, g_added, g_removed,
-            report.h_added, report.h_removed, joined,
-        )
-        return out
+        """Apply one event: a tick that holds only *event*."""
+        return self.apply_batch((event,))
 
     def apply_batch(self, events: "Sequence[EdgeEvent | NodeEvent]") -> ServeReport:
         """Apply one tick of events with a single coalesced repair."""
         sw = obs.Stopwatch()
         events = list(events)
+        version = self.graph.version
         try:
             report = self.maintainer.apply_batch(events)
         except Exception:
-            # A malformed mid-batch event made the maintainer rebuild over
-            # the partially-applied tick; resync (and resize) the matrices
-            # to the rebuilt spanner before surfacing the error.
-            self.refresh()
+            # A malformed event after a valid prefix made the maintainer
+            # rebuild over the partially-applied tick; resync (and resize)
+            # the matrices to the rebuilt spanner before surfacing the
+            # error.  An untouched graph left nothing to resync.
+            if self.graph.version != version:
+                self.refresh()
             raise
         self.events_applied += len(events)
-        if not report.changed:
-            out = self._report(len(events), False, (False, 0, 0, 0), sw)
-            self._publish(len(events), False, False, (), (), (), (), ())
-            return out
-        star_changed = {x for e in (*report.g_added, *report.g_removed) for x in e}
-        stats = self._ingest(report.h_added, report.h_removed, star_changed, report.rebuilt)
-        out = self._report(len(events), True, stats, sw)
-        self._publish(
-            len(events), True, report.rebuilt, report.g_added, report.g_removed,
-            report.h_added, report.h_removed, report.nodes_joined,
-        )
+        stats = (False, 0, 0, 0)
+        if report.changed:
+            star_changed = {x for e in (*report.g_added, *report.g_removed) for x in e}
+            stats = self._ingest(report.h_added, report.h_removed, star_changed, report.rebuilt)
+        out = self._report(len(events), report.changed, stats, sw)
+        self._publish(report)
         return out
 
     def _report(
@@ -716,24 +670,20 @@ class RoutingService:
     def apply_stream(
         self, events: "Iterable[EdgeEvent | NodeEvent]", tick: int = 1
     ) -> "list[ServeReport]":
-        """Apply a stream, singly (``tick=1``) or in coalesced ticks.
+        """Apply a stream in coalesced ticks of *tick* events each.
 
         Each report's ``wall_seconds`` is the full per-tick wall clock —
         unlike ``seconds`` it includes work a subclass does around the
-        ``apply`` proper (matrix freezing, shared-memory publishing), so
+        ``apply_batch`` proper (matrix freezing, shared-memory publishing), so
         ``wall_seconds >= seconds`` always.
         """
         if tick < 1:
             raise ParameterError(f"tick must be ≥ 1, got {tick}")
         events = list(events)
         reports: "list[ServeReport]" = []
-        if tick == 1:
-            ticks: "list[list[EdgeEvent | NodeEvent]]" = [[ev] for ev in events]
-        else:
-            ticks = [list(events[lo : lo + tick]) for lo in range(0, len(events), tick)]
-        for batch in ticks:
+        for lo in range(0, len(events), tick):
             with obs.span("serving.tick") as sp:
-                report = self.apply(batch[0]) if tick == 1 else self.apply_batch(batch)
+                report = self.apply_batch(events[lo : lo + tick])
             reports.append(replace(report, wall_seconds=sp.seconds))
         return reports
 
@@ -747,7 +697,7 @@ class RoutingService:
         reload the whole (G, H) rather than trust their delta stream.
         """
         self._refresh()
-        self._publish(0, True, True, (), (), (), (), (), resync=True)
+        self._publish(BatchReport(0, 0, changed=True, rebuilt=True), resync=True)
 
     def _refresh(self) -> None:
         """:meth:`refresh` without the feed (the rebuilt-tick path, whose
@@ -834,19 +784,6 @@ class RoutingService:
     # ------------------------------------------------------------------ #
     # incremental machinery
     # ------------------------------------------------------------------ #
-
-    def _star_damage(self, event: "EdgeEvent | NodeEvent") -> set[int]:
-        """Sources whose G-neighborhood this event edits (pre-application).
-
-        A leave severs every incident G edge, so the leaver *and all its
-        former neighbors* lose an argmin candidate — even when H never
-        carried those edges and no distance row moves.
-        """
-        if isinstance(event, NodeEvent):
-            if event.kind == LEAVE:
-                return {event.node, *self.maintainer.graph.neighbors(event.node)}
-            return set()  # a joined node is covered as a fresh row/table
-        return {event.u, event.v}
 
     def _ingest(
         self,

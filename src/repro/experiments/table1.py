@@ -253,8 +253,3 @@ def build_table1(
         )
     )
     return rows
-
-
-def _self_check(rows: list[Table1Row]) -> None:  # pragma: no cover - debug aid
-    for row in rows:
-        assert row.stretch_ok in (True, "-"), f"row {row.row} failed verification"

@@ -364,28 +364,32 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             self._stamps[:, 0] = self.generation
             self._directory.post(self._payload(self.generation))
 
-    def _post_degraded(self) -> None:
+    def _post_degraded(self, degraded: bool = True) -> None:
         """Mark a repair as started: the payload's *pending* generation now
         exceeds every row stamp by one.  If the repair completes, the next
         :meth:`_publish_directory` closes the gap; if the service crashes or
         wedges mid-repair, readers keep serving the last committed state at
         a measurable staleness of 1 — the hook ``max_staleness=`` bounds.
+        ``degraded=False`` closes the gap without a new generation, for a
+        repair that never started.
         """
         if not self._shared_ready or self._closed:
             return
-        self._directory.post(self._payload(self.generation + 1))
-
-    def apply(self, event):
-        self._post_degraded()
-        report = super().apply(event)
-        self._publish_directory()
-        return report
+        self._directory.post(self._payload(self.generation + int(degraded)))
 
     def apply_batch(self, events):
         # The mid-batch error path refreshes (and therefore republishes)
-        # before the exception surfaces, so readers never see the resync gap.
+        # before the exception surfaces, so readers never see the resync
+        # gap.  A malformed event that touched nothing refreshes nothing:
+        # the committed state is still current, so re-post it as such.
         self._post_degraded()
-        report = super().apply_batch(events)
+        version = self.graph.version
+        try:
+            report = super().apply_batch(events)
+        except Exception:
+            if self.graph.version == version:
+                self._post_degraded(False)
+            raise
         self._publish_directory()
         return report
 

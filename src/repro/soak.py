@@ -51,12 +51,11 @@ class Backend:
     """An open backend and what a soak over it saw."""
 
     maintainer: SpannerMaintainer
-    tick: int = 1  # events per apply_stream batch (1: apply singly)
     service: "RoutingService | None" = None
     system: object = None  # the ActorSystem, for the actors backend
     endpoint: object = None  # what the tick's queries are served from
     plan: "faults.FaultPlan | None" = None
-    reports: list = field(default_factory=list)  # per-event or per-tick reports
+    reports: list = field(default_factory=list)  # one report per applied tick
     seconds: float = 0.0  # time spent applying ticks, verification excluded
     problems: "list[str]" = field(default_factory=list)  # what verification found
     errors: "list[str]" = field(default_factory=list)  # faults survived
@@ -68,12 +67,13 @@ class Backend:
         return self.healthy and not self.problems
 
     def apply(self, events) -> None:
+        """Apply one tick: one ``apply_batch`` on the layer this backend drives."""
         if self.system is not None:
             self.system.apply_tick(events)
         elif self.service is not None:
-            self.reports += self.service.apply_stream(events, tick=self.tick)
+            self.reports += self.service.apply_stream(events, tick=len(events))
         else:
-            self.reports += self.maintainer.apply_stream(events)
+            self.reports.append(self.maintainer.apply_batch(events))
 
 
 def scenarios(args) -> "Iterator[tuple[str, object]]":
@@ -138,13 +138,12 @@ def open_backend(kind: str, g, args, *, plan=None, shards=None) -> Iterator[Back
     workers' metric snapshots are merged into *shards* before it closes.
     """
     ctor = dict(k=args.k, epsilon=args.epsilon, rebuild_fraction=args.rebuild_fraction)
-    tick = getattr(args, "tick", 1)
     with ExitStack() as stack:
         if kind == "maintainer":
             b = Backend(SpannerMaintainer(g, args.method, **ctor))
         elif kind == "service":
             s = RoutingService(g, args.method, **ctor)
-            b = Backend(s.maintainer, tick, service=s, endpoint=s)
+            b = Backend(s.maintainer, service=s, endpoint=s)
         elif kind == "actors":
             from .distributed import ActorSystem, make_transport
 
@@ -152,7 +151,7 @@ def open_backend(kind: str, g, args, *, plan=None, shards=None) -> Iterator[Back
             system = ActorSystem(g.copy(), args.method, shards=args.shards, transport=wire, **ctor)
             stack.enter_context(system)
             s = system.service
-            b = Backend(s.maintainer, tick, service=s, system=system, endpoint=system)
+            b = Backend(s.maintainer, service=s, system=system, endpoint=system)
         else:
             errors: "list[str]" = []
             if plan is not None:
@@ -163,7 +162,7 @@ def open_backend(kind: str, g, args, *, plan=None, shards=None) -> Iterator[Back
             s = stack.enter_context(_build_pool(build, plan, errors))
             staleness = getattr(args, "max_staleness", None)
             reader = stack.enter_context(RouteReader(s.reader_handle(), max_staleness=staleness))
-            b = Backend(s.maintainer, tick, service=s, endpoint=reader, plan=plan, errors=errors)
+            b = Backend(s.maintainer, service=s, endpoint=reader, plan=plan, errors=errors)
         yield b
         if kind == "pool" and shards is not None:
             for wid, snap in s.metrics()["shards"].items():

@@ -235,6 +235,21 @@ class TestBatchedApplication:
         assert m.graph.has_edge(u, v)  # the valid prefix was applied
         assert_matches_scratch(m, "after failed batch")
 
+    @pytest.mark.parametrize("bad", [NodeEvent.join(999), EdgeEvent.add(0, 999)])
+    def test_malformed_event_alone_costs_nothing(self, bad):
+        # Nothing was applied, so nothing needs restoring: no rebuild, no
+        # counter moves, through apply_batch and through apply alike.
+        m = SpannerMaintainer(random_connected_gnp(60, 0.08, seed=2), "kcover")
+        before = (m.full_rebuilds, m.incremental_repairs, m.trees_recomputed,
+                  m.events_applied, m.batches_applied, m.graph.version)
+        h = m.spanner.graph.copy()
+        for apply in (lambda: m.apply_batch([bad]), lambda: m.apply(bad)):
+            with pytest.raises(GraphError):
+                apply()
+            assert (m.full_rebuilds, m.incremental_repairs, m.trees_recomputed,
+                    m.events_applied, m.batches_applied, m.graph.version) == before
+            assert m.spanner.graph == h
+
     def test_batch_fallback_stays_exact(self):
         sc = make_scenario("failure", 50, 40, seed=8)
         m = SpannerMaintainer(sc.initial, "kcover", rebuild_fraction=0.01)

@@ -18,7 +18,7 @@ from repro.dynamic import (
     SCENARIO_NAMES,
     make_scenario,
 )
-from repro.errors import NodeNotFound, ParameterError
+from repro.errors import GraphError, NodeNotFound, ParameterError
 from repro.graph.generators import random_connected_gnp
 from repro.routing import routing_table
 
@@ -102,6 +102,26 @@ class TestBatchedTicks:
         assert service.graph.num_nodes == n + 1  # the valid prefix landed
         assert_tables_match_scratch(service, "after failed batch")
         assert service.table(n) != {}  # the joined node is served too
+
+    @pytest.mark.parametrize("bad", [NodeEvent.join(999), EdgeEvent.add(0, 999)])
+    def test_malformed_event_alone_costs_nothing(self, bad):
+        # A malformed event that touched nothing must not pay a rebuild, a
+        # refresh or a resync delta — through apply_batch or apply.
+        service = RoutingService(random_connected_gnp(60, 0.08, seed=2), "kcover")
+        published = []
+        service.subscribe(published.append)
+
+        def counters():
+            return (service.maintainer.full_rebuilds, service.full_refreshes,
+                    service.rows_recomputed, service.tables_recomputed,
+                    service.events_applied, service.feed_seq)
+
+        before = counters()
+        for apply in (lambda: service.apply_batch([bad]), lambda: service.apply(bad)):
+            with pytest.raises(GraphError):
+                apply()
+            assert counters() == before
+        assert published == []
 
     def test_flapping_tick_is_noop(self):
         g = random_connected_gnp(25, 0.12, seed=3)

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.dynamic import RoutingService, make_scenario
-from repro.errors import ParameterError
+from repro.dynamic import NodeEvent, RoutingService, make_scenario
+from repro.errors import GraphError, ParameterError
 from repro.faults import EXIT_TASK_CRASH, FaultPlan, FaultRule
 from repro.parallel import RouteReader, ShardedRoutingService
 
@@ -70,6 +70,25 @@ class TestMaxStalenessValidation:
                     for v in sc.initial.nodes():
                         if u != v:
                             assert reader.next_hop(u, v) == serial.next_hop(u, v)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
+    def test_malformed_event_leaves_no_staleness(self, batched):
+        # A malformed event is refused before anything is repaired, so the
+        # degraded post it opened must be closed: a max_staleness=0 reader
+        # keeps serving every row.
+        sc = make_scenario("mobility", 25, 5, seed=3)
+        with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
+            with RouteReader(service.reader_handle(), max_staleness=0) as reader:
+                generation = service.generation
+                with pytest.raises(GraphError):
+                    if batched:
+                        service.apply_batch([NodeEvent.join(999)])
+                    else:
+                        service.apply(NodeEvent.join(999))
+                assert all(reader.staleness(u) == 0 for u in range(reader.num_nodes))
+                u, v = next(iter(sc.initial.edges()))
+                assert reader.next_hop(u, v) == v  # served, not refused
+                assert service.generation == generation
 
 
 class TestHopFallback:

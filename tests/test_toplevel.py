@@ -57,7 +57,8 @@ class TestVersionAndExports:
 class TestLayering:
     """Outside ``core/``, ``experiments/`` and ``baselines/``, trees come
     from the one construction table (``repro.core.remote_spanner``), never
-    from a tree function imported and wrapped by hand."""
+    from a tree function imported and wrapped by hand; and every write
+    layer has one repair path, ``apply_batch``."""
 
     TREE_NAMES = {
         "dom_tree_kcover", "dom_tree_kmis", "dom_tree_mis", "dom_tree_greedy",
@@ -88,6 +89,62 @@ class TestLayering:
         root = Path(repro.__file__).parent
         assert [hit for hit in self.tree_imports(root) if hit != self.TRACE_SEAM] == []
         assert self.TRACE_SEAM in self.tree_imports(root)
+
+    # One write path: every event is a one-event tick, so each write layer
+    # repairs through ``apply_batch`` alone and ``apply`` only delegates.
+    WRITE_DIRS = {"dynamic", "parallel", "distributed"}
+
+    def methods(self):
+        """``(path, class, method node)`` for every method in ``src/repro``."""
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root)
+            for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(cls, ast.ClassDef):
+                    for fn in cls.body:
+                        if isinstance(fn, ast.FunctionDef):
+                            yield rel, cls.name, fn
+
+    def callers(self, attr, classes):
+        """``(class.method, receiver)`` of every ``<receiver>.<attr>(...)``
+        call in a method of *classes*; any other class may call its own
+        *attr* only (receiver ``self``), never reach into theirs."""
+        found = []
+        for _rel, cls, fn in self.methods():
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == attr):
+                    continue
+                receiver = ast.unparse(node.func.value)
+                if cls in classes:
+                    found.append((f"{cls}.{fn.name}", receiver))
+                else:
+                    assert receiver == "self", f"{cls}.{fn.name} calls {receiver}.{attr}"
+        return sorted(found)
+
+    def test_maintainer_repairs_only_in_apply_batch(self):
+        assert self.callers("_repair", {"SpannerMaintainer"}) == [
+            ("SpannerMaintainer.apply_batch", "self"),
+        ]
+
+    def test_service_ingests_only_in_apply_batch(self):
+        assert self.callers("_ingest", {"RoutingService", "ShardedRoutingService"}) == [
+            ("RoutingService.apply_batch", "self"),
+            ("ShardedRoutingService._ingest", "super()"),
+        ]
+
+    def test_apply_only_delegates(self):
+        seen = []
+        for rel, cls, fn in self.methods():
+            if rel.parts[0] not in self.WRITE_DIRS or fn.name != "apply":
+                continue
+            seen.append(cls)
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            assert len(body) == 1, f"{cls}.apply has {len(body)} statements"
+            (stmt,) = body
+            assert isinstance(stmt, (ast.Return, ast.Expr)), f"{cls}.apply does not delegate"
+            assert isinstance(stmt.value, ast.Call), f"{cls}.apply does not delegate"
+        assert sorted(seen) == ["RoutingService", "SpannerMaintainer"]
 
 
 class TestErrors:
