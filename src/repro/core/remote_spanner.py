@@ -136,10 +136,13 @@ class Construction:
     (r, β, k), from which everything else derives.
 
     ``tree`` takes the ``params`` after ``(g, u)``.  ``info_radius`` is
-    Algorithm 3's flood radius D = r − 1 + β: what a node must learn to
-    build its own tree.  ``dirty_radius`` = max(r, D) is the ball a tree
-    reads (``dom_tree_greedy``'s BFS horizon), so an edit farther than that
-    from u leaves ``T_u`` alone.  ``guarantee`` is (1, 0) for β = 0 and
+    Algorithm 3's flood radius D = r − 1 + β, the one radius of a row: T_u
+    reads only the edges incident to ``B_G(u, D)``, so a node builds its
+    own tree from a D-flood and an edit with both endpoints farther than D
+    from u, before and after it, leaves ``T_u`` alone.  A tree's BFS to
+    depth r discovers its depth-r layer through edges that leave depth
+    r − 1 ≤ D, so an edge between two nodes at distance ≥ D + 1 is never
+    read.  ``guarantee`` is (1, 0) for β = 0 and
     Proposition 1's (1 + ε′, 1 − 2ε′), ε′ = 1/(r − 1), for β = 1: (2, −1)
     for kmis, at r = 2.
     """
@@ -164,10 +167,6 @@ class Construction:
     @property
     def info_radius(self) -> int:
         return self.r - 1 + self.beta
-
-    @property
-    def dirty_radius(self) -> int:
-        return max(self.r, self.info_radius)
 
     @property
     def guarantee(self) -> StretchGuarantee:

@@ -1,19 +1,21 @@
 """Incremental remote-spanner maintenance over an event stream.
 
 Every construction in the paper is a union of per-node trees, and every
-tree ``T_u`` is a deterministic function of the *induced ball*
-``B_G(u, R)``, where R (:func:`locality_radius`) is the construction's
-``dirty_radius`` in the one construction table of
-:mod:`repro.core.remote_spanner`.  So when
-the edge ``ab`` is inserted or deleted, only roots whose R-ball contains
-the edge — equivalently ``min(d(u,a), d(u,b)) ≤ R``, measured in the old
-*or* the new graph (deletions grow distances, insertions shrink them) —
-can see their tree change.  That **dirty ball** is found with two bounded
-multi-source BFS runs (one on the pre-event CSR snapshot, one on the
-post-event patched snapshot), and only its trees are recomputed; everyone
-else's tree is provably bit-identical, so the maintained spanner equals a
-from-scratch build after every event (the property suite asserts exactly
-this, tree-for-tree).
+tree ``T_u`` is a deterministic function of the edges incident to
+``B_G(u, D)``, where D (:func:`locality_radius`) is the construction's
+``info_radius`` in the one construction table of
+:mod:`repro.core.remote_spanner`: Algorithm 3's flood radius, the
+information footprint a node needs to build its own tree (1 for kcover,
+the 2-hop MPR view).  So when the edge ``ab`` is inserted or deleted, only
+roots with ``min(d(u,a), d(u,b)) ≤ D``, measured in the old *or* the new
+graph (deletions grow distances, insertions shrink them), can see their
+tree change.  That **dirty ball** is found with two bounded multi-source
+BFS runs (one on the pre-event CSR snapshot, one on the post-event patched
+snapshot), and only its trees are recomputed; everyone else's tree is
+provably bit-identical, so the maintained spanner equals a from-scratch
+build after every event (the property suite asserts exactly this,
+tree-for-tree, and ``tests/dynamic/test_footprint.py`` checks that an edit
+outside the D-ball leaves ``T_u`` alone).
 
 Node churn rides the same machinery: a :class:`~repro.dynamic.events.\
 NodeEvent` leave is the simultaneous deletion of every incident edge (the
@@ -68,8 +70,9 @@ def locality_radius(
     epsilon: "float | None" = None,
     r: "int | None" = None,
 ) -> int:
-    """The radius R such that ``T_u`` depends only on the induced R-ball."""
-    return resolve_construction(method, k=k, epsilon=epsilon, r=r).dirty_radius
+    """The radius D such that ``T_u`` depends only on the edges incident to
+    ``B_G(u, D)``: the construction's ``info_radius``."""
+    return resolve_construction(method, k=k, epsilon=epsilon, r=r).info_radius
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,8 @@ class SpannerMaintainer:
 
     @property
     def radius(self) -> int:
-        """The dirty-ball radius R of the active construction."""
-        return self._construction.dirty_radius
+        """The dirty-ball radius D (``info_radius``) of the active construction."""
+        return self._construction.info_radius
 
     def rebuilt_from_scratch(self) -> RemoteSpanner:
         """A fresh from-scratch build on the current graph (for checking)."""
@@ -276,9 +279,9 @@ class SpannerMaintainer:
     # ------------------------------------------------------------------ #
 
     def _ball(self, snapshot, seeds: Iterable[int]) -> set[int]:
-        """``{u : d(u, seeds) ≤ R}`` on a (frozen) snapshot."""
+        """``{u : d(u, seeds) ≤ D}`` on a (frozen) snapshot."""
         with obs.span("maintainer.ball"):
-            dist = multi_source_distances(snapshot, seeds, cutoff=self._construction.dirty_radius)
+            dist = multi_source_distances(snapshot, seeds, cutoff=self._construction.info_radius)
             return {u for u, d in enumerate(dist) if d >= 0}
 
     def _repair(

@@ -37,6 +37,7 @@ import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -147,8 +148,9 @@ def _task_serve_rows(state: _WorkerState, payload):
 update_rows>` on the attached H snapshot and matrix, so every row is
     written inside ``row_write`` and concurrent readers
     (:class:`~repro.parallel.sharded.RouteReader`) never observe a torn
-    one.  Returns ``[(source, changed columns)]`` for rows that moved —
-    the only bytes that cross the queue; a refresh returns nothing.
+    one.  Returns the rows that moved and their changed columns as
+    :func:`flat_row_changes` — the only bytes that cross the queue; a
+    refresh returns nothing.
 
     Safe to re-run after a crash: a row the failed attempt already
     committed holds the new distances, and repairing exact rows again
@@ -159,7 +161,45 @@ update_rows>` on the attached H snapshot and matrix, so every row is
     h_name, dist_name, sources, delta = payload
     with obs.span("pool.shard_repair"):
         owner = RowOwner(state.matrices[dist_name])
-        return list(owner.update_rows(state.csr(h_name), sources, delta).items())
+        return flat_row_changes(owner.update_rows(state.csr(h_name), sources, delta))
+
+
+def flat_row_changes(
+    changed: "dict[int, np.ndarray | None]",
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``{row: changed columns}`` as three flat int64 arrays: the rows,
+    their column counts (−1 = every column) and the columns end to end.
+
+    Three arrays pickle in one small message where a tuple per row
+    costs a pickled object each; :func:`fold_row_changes` is the inverse.
+    """
+    cols = [c for c in changed.values() if c is not None]
+    return (
+        np.fromiter(changed, dtype=np.int64, count=len(changed)),
+        np.fromiter(
+            (-1 if c is None else c.size for c in changed.values()),
+            dtype=np.int64,
+            count=len(changed),
+        ),
+        np.concatenate(cols).astype(np.int64, copy=False) if cols else np.empty(0, np.int64),
+    )
+
+
+def fold_row_changes(
+    flat: "Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]",
+) -> "dict[int, np.ndarray | None]":
+    """Merge :func:`flat_row_changes` results back into ``{row: changed
+    columns}``, each row's columns a slice of the flat array."""
+    changed: "dict[int, np.ndarray | None]" = {}
+    for rows, counts, cols in flat:
+        start = 0
+        for s, k in zip(rows.tolist(), counts.tolist()):
+            if k < 0:
+                changed[s] = None
+            else:
+                changed[s] = cols[start : start + k]
+                start += k
+    return changed
 
 
 def _task_serve_tables(state: _WorkerState, payload):

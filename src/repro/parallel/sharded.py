@@ -74,7 +74,7 @@ from ..dynamic.serving import RoutingService, TableDamage
 from ..errors import NodeNotFound, ParameterError, TornReadError
 from ..graph import Graph
 from ..routing.greedy_routing import check_lookups
-from .pool import WorkerPool
+from .pool import WorkerPool, fold_row_changes
 from .shm import AttachedDirectory, AttachedMatrix, SharedDirectory
 
 __all__ = ["ShardedRoutingService", "RouteReader"]
@@ -136,7 +136,7 @@ class ShardedRoutingService(RoutingService):
         self._shared_ready = False
         self._closed = False
         self._directory = SharedDirectory()
-        #: Completed-state counter, posted with every directory payload.
+        #: Completed-state counter, a header word of every directory post.
         #: A repair in flight posts ``pending = generation + 1`` first, so
         #: readers can bound how far behind the served rows are.
         self.generation = 0
@@ -287,7 +287,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             # stays bit-identical, only this event costs more.
             obs.inc("sharded.crash_full_damage")
             return dict.fromkeys(order)
-        return {s: cols for chunk in results for s, cols in chunk}
+        return fold_row_changes(results)
 
     def _project_tables(self, damage: TableDamage) -> int:
         if not damage:
@@ -338,14 +338,11 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
     # concurrent-read directory
     # ------------------------------------------------------------------ #
 
-    def _payload(self, pending: int) -> tuple:
-        return (
-            self._pool.matrix_owner(_DIST).handle,
-            self._pool.matrix_owner(_TABLES).handle,
-            self._pool.matrix_owner(_STAMPS).handle,
-            self.generation,
-            pending,
-        )
+    def _post(self, pending: int) -> None:
+        """Post the matrix handles with the committed and *pending*
+        generations as the directory's two header words."""
+        handles = tuple(self._pool.matrix_owner(m).handle for m in (_DIST, _TABLES, _STAMPS))
+        self._directory.post(handles, (self.generation, pending))
 
     def _publish_directory(self) -> None:
         """Post the current matrix handles for detached readers.
@@ -362,10 +359,10 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         with obs.span("sharded.publish_directory"):
             self.generation += 1
             self._stamps[:, 0] = self.generation
-            self._directory.post(self._payload(self.generation))
+            self._post(self.generation)
 
     def _post_degraded(self, degraded: bool = True) -> None:
-        """Mark a repair as started: the payload's *pending* generation now
+        """Mark a repair as started: the posted *pending* generation now
         exceeds every row stamp by one.  If the repair completes, the next
         :meth:`_publish_directory` closes the gap; if the service crashes or
         wedges mid-repair, readers keep serving the last committed state at
@@ -375,7 +372,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         """
         if not self._shared_ready or self._closed:
             return
-        self._directory.post(self._payload(self.generation + int(degraded)))
+        self._post(self.generation + int(degraded))
 
     def apply_batch(self, events):
         # The mid-batch error path refreshes (and therefore republishes)
@@ -422,7 +419,7 @@ class RouteReader:
     release the mappings promptly (a closed service's blocks stay readable
     until detached, POSIX semantics).
 
-    **Bounded staleness.**  Every directory payload carries the service's
+    **Bounded staleness.**  Every directory post carries the service's
     committed generation, the generation of the repair currently in flight
     (``pending``), and a per-row stamp matrix marking the generation each
     row was last committed at.  ``max_staleness=k`` makes :meth:`next_hop`
@@ -443,6 +440,7 @@ class RouteReader:
         self.max_staleness = max_staleness
         self._dir = AttachedDirectory(directory)
         self._gen = -1
+        self._version = -1  # of the handles we are attached to
         self._committed = 0
         self._pending = 0
         self._dist: "AttachedMatrix | None" = None
@@ -451,8 +449,11 @@ class RouteReader:
         self._sync()
 
     def _sync(self) -> None:
-        """Re-wrap the matrix views when the service posted a new state.
+        """Follow the service's latest post: its committed and pending
+        generations always, the matrix views only when the handles moved.
 
+        Most posts move only the generations (header words), so the
+        handles are re-read and unpickled only when their version changed.
         A posted handle can go stale in the instant between the service
         unlinking a reallocated block and reposting (or if we raced a
         newer reallocation): attaching then raises ``FileNotFoundError``.
@@ -460,34 +461,38 @@ class RouteReader:
         reposts immediately after every reallocation, so the window is
         transient by construction.
         """
-        gen = self._dir.generation()
-        if gen == self._gen:
+        if self._dir.generation() == self._gen:
             return
         for attempt in range(64):
-            payload, gen = self._dir.read()
-            *handles, committed, pending = payload  # dist, tables, stamps
+            post = self._dir.poll(self._version)
             try:
-                if self._dist is None:
-                    fresh: "list[AttachedMatrix]" = []
-                    try:
-                        for handle in handles:
-                            fresh.append(AttachedMatrix(handle))
-                    except FileNotFoundError:
-                        for attached in fresh:
-                            attached.close()
-                        raise
-                    self._dist, self._tables, self._stamps = fresh
-                else:
-                    for attached, handle in zip((self._dist, self._tables, self._stamps), handles):
-                        if handle != attached.handle:  # most posts leave a matrix as it was
-                            attached.refresh(handle)
+                if post.payload is not None:  # dist, tables, stamps moved
+                    self._attach(post.payload)
             except FileNotFoundError:
                 time.sleep(0.001 * min(attempt + 1, 10))
                 continue
-            self._gen = gen
-            self._committed, self._pending = int(committed), int(pending)
+            self._gen, self._version = post.generation, post.version
+            self._committed, self._pending = post.words
             return
         raise TornReadError("directory kept naming freed blocks (service died mid-resize?)")
+
+    def _attach(self, handles) -> None:
+        """Wrap the posted dist, tables and stamps handles (first post) or
+        re-wrap the ones that changed."""
+        if self._dist is None:
+            fresh: "list[AttachedMatrix]" = []
+            try:
+                for handle in handles:
+                    fresh.append(AttachedMatrix(handle))
+            except FileNotFoundError:
+                for attached in fresh:
+                    attached.close()
+                raise
+            self._dist, self._tables, self._stamps = fresh
+            return
+        for attached, handle in zip((self._dist, self._tables, self._stamps), handles):
+            if handle != attached.handle:  # a post often moves one matrix only
+                attached.refresh(handle)
 
     @property
     def num_nodes(self) -> int:

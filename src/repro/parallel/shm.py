@@ -69,7 +69,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -868,30 +868,39 @@ class SharedDirectory(_BlockOwner):
     """A tiny seqlock-published control block naming the live shared state.
 
     The owning service :meth:`post`\\ s a small picklable payload (the
-    current :class:`SharedMatrixHandle`\\ s) after every mutation; detached
-    reader processes poll :meth:`AttachedDirectory.generation` and re-read
-    the payload only when it moved — which is how readers follow matrix
-    resizes and reallocations without any channel to the owner.  Use as a
-    context manager or call :meth:`close` to free the block.
+    current :class:`SharedMatrixHandle`\\ s) and two int64 *words* after
+    every mutation; detached reader processes poll
+    :meth:`AttachedDirectory.generation` and re-read only when it moved —
+    which is how readers follow matrix resizes and reallocations without
+    any channel to the owner.  The payload carries its own version, bumped
+    only when its pickled bytes change, so a post that moves only the
+    words costs a reader one header copy (:meth:`AttachedDirectory.poll`),
+    not an unpickle.  Use as a context manager or call :meth:`close` to
+    free the block.
     """
 
-    _SIZE = 4096  # plenty for a pickled pair of handles
-    _HEADER = 16  # int64 generation + int64 payload length
+    _SIZE = 4096  # plenty for a pickled triple of handles
+    #: int64 header words: generation, payload length, payload version, the two words.
+    _WORDS = 5
+    _HEADER = 8 * _WORDS
 
     def __init__(self) -> None:
         self._shm = _create_block(self._SIZE)
         self._header()[:] = 0
+        self._data = b""
 
     def _header(self) -> np.ndarray:
-        return np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)
+        return np.ndarray((self._WORDS,), dtype=np.int64, buffer=self._shm.buf)
 
     @property
     def name(self) -> str:
         """The block name — the picklable address readers attach to."""
         return self._shm.name
 
-    def post(self, payload: object) -> int:
-        """Publish *payload* (pickled) atomically; returns the generation."""
+    def post(self, payload: object, words: "tuple[int, int]" = (0, 0)) -> int:
+        """Publish *payload* (pickled) and *words* atomically; returns the
+        generation.  The payload bytes are rewritten, and its version
+        bumped, only when they differ from the last post's."""
         self._ensure_open()
         data = pickle.dumps(payload)
         if len(data) > self._SIZE - self._HEADER:
@@ -901,8 +910,12 @@ class SharedDirectory(_BlockOwner):
             )
         hdr = self._header()
         hdr[0] += 1  # odd: write in progress
-        self._shm.buf[self._HEADER : self._HEADER + len(data)] = data
-        hdr[1] = len(data)
+        if data != self._data:
+            self._shm.buf[self._HEADER : self._HEADER + len(data)] = data
+            hdr[1] = len(data)
+            hdr[2] += 1
+            self._data = data
+        hdr[3:] = words
         hdr[0] += 1  # even: committed
         return int(hdr[0])
 
@@ -910,28 +923,48 @@ class SharedDirectory(_BlockOwner):
         return (self._shm,)
 
 
+class DirectoryPost(NamedTuple):
+    """One committed :class:`SharedDirectory` post, as a reader saw it."""
+
+    generation: int
+    version: int  # the payload's version
+    words: "tuple[int, int]"
+    payload: object  # None when :meth:`AttachedDirectory.poll` skipped it
+
+
 class AttachedDirectory:
     """Reader-side attachment of a :class:`SharedDirectory`."""
 
     def __init__(self, name: str) -> None:
         self._shm = _attach_block(name)
-        self._hdr = np.ndarray((2,), dtype=np.int64, buffer=self._shm.buf)
+        self._hdr = np.ndarray((SharedDirectory._WORDS,), dtype=np.int64, buffer=self._shm.buf)
 
     def generation(self) -> int:
         """The current publish generation (cheap: one int64 load)."""
         return int(self._hdr[0])
 
     def read(self) -> "tuple[object, int]":
-        """The latest committed payload and its generation (seqlock read).
+        """The latest committed payload and its generation (seqlock read)."""
+        post = self.poll(-1)
+        return post.payload, post.generation
 
-        The whole block is copied under the generation check, so the
-        generation and payload length come from the same committed post
-        as the payload bytes.
+    def poll(self, version: int) -> DirectoryPost:
+        """The latest committed post; its payload only if its version is
+        not *version* (else ``payload`` is None).
+
+        Both paths are one seqlock read: the header alone when the payload
+        is already known, else the whole block, so the generation, words
+        and payload bytes always come from the same committed post.
         """
+        hdr = _read_stable(self._hdr, 0, self._hdr, slice(None), np.array).tolist()
+        if hdr[2] == version:
+            return DirectoryPost(hdr[0], hdr[2], (hdr[3], hdr[4]), None)
         block = _read_stable(self._hdr, 0, self._shm.buf, slice(None), bytes)
-        gen, length = np.frombuffer(block, dtype=np.int64, count=2).tolist()
+        gen, length, version, *words = np.frombuffer(
+            block, dtype=np.int64, count=SharedDirectory._WORDS
+        ).tolist()
         start = SharedDirectory._HEADER
-        return pickle.loads(block[start : start + length]), gen
+        return DirectoryPost(gen, version, tuple(words), pickle.loads(block[start : start + length]))
 
     def close(self) -> None:
         self._hdr = None  # type: ignore[assignment]  # drop the export before unmapping

@@ -31,7 +31,7 @@ from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
 from repro.parallel import shm as shm_mod
-from repro.parallel.pool import _OBS_TASK_ID
+from repro.parallel.pool import _OBS_TASK_ID, fold_row_changes
 from repro.parallel.shm import AttachedMatrix, SharedMatrix
 from tests.conftest import shm_segments
 from tests.parallel.test_shm import (
@@ -251,7 +251,7 @@ class TestWorkerSide:
             pool.matrix("s", 6, 6, fill=-1)
             for out in ("d", "s"):
                 payloads = [("g", out, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
-                assert pool.run("serve_rows", payloads, to=[0, 1]) == [[], []]
+                assert fold_row_changes(pool.run("serve_rows", payloads, to=[0, 1])) == {}
             owner = pool.matrix_owner("d")
             assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
             assert all(int(v) == 2 for v in owner.row_versions[:6])

@@ -259,13 +259,26 @@ class TestBatchedApplication:
         assert m.full_rebuilds > 0
         assert_matches_scratch(m, "after fallback-heavy batches")
 
+    def test_mobility_ticks_repair_within_the_footprint(self):
+        # kcover's dirty ball is its 1-hop footprint: on a 400-node
+        # mobility stream in 3-event ticks it stays under rebuild_fraction
+        # · n, where a 2-hop ball tripped the full rebuild on 10 ticks.
+        sc = make_scenario("mobility", 400, 75, seed=0)
+        m = SpannerMaintainer(sc.initial, "kcover")
+        events = list(sc.events)
+        for lo in range(0, len(events), 3):
+            m.apply_batch(events[lo : lo + 3])
+        assert (m.radius, m.full_rebuilds, m.incremental_repairs) == (1, 0, 25)
+        assert_matches_scratch(m, "after the mobility ticks")
+
 
 class TestConstructionRegistry:
     def test_locality_radii(self):
-        assert locality_radius("kcover") == 2
+        assert locality_radius("kcover") == 1
         assert locality_radius("kmis", k=2) == 2
         assert locality_radius("mis", r=4) == 4
         assert locality_radius("greedy", r=3) == 3
+        assert resolve_construction("greedy", r=3, beta=0).info_radius == 2  # r − 1
         assert locality_radius("mis", epsilon=0.5) == 3  # r = ceil(1/eps)+1
 
     def test_resolved_guarantees(self):
@@ -306,7 +319,7 @@ class TestConstructionRegistry:
         m = SpannerMaintainer(random_connected_gnp(12, 0.3, seed=5), "greedy", r=4)
         c = resolve_construction("greedy", r=4)
         assert (m.radius, m.spanner.guarantee, m.spanner.method) == (
-            c.dirty_radius, c.guarantee, c.label
+            c.info_radius, c.guarantee, c.label
         )
         assert m.spanner.method == "greedy(r=4, beta=1)"
         assert resolve_construction("mis", r=3).label == "mis(r=3, beta=1)"

@@ -91,6 +91,24 @@ class TestMaxStalenessValidation:
                 assert service.generation == generation
 
 
+    def test_generation_only_posts_skip_the_handles(self, monkeypatch):
+        # A tick that resizes nothing posts the same handles: the reader
+        # follows the committed generation from the header words alone.
+        from repro.parallel import shm
+
+        sc = make_scenario("failure", 25, 6, seed=3)
+        with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
+            with RouteReader(service.reader_handle()) as reader:
+                loads = []
+                real = shm.pickle.loads
+                monkeypatch.setattr(shm.pickle, "loads", lambda b: loads.append(1) or real(b))
+                for ev in sc.events:
+                    service.apply(ev)
+                    assert reader.generation == service.generation
+                    assert reader.staleness(0) == 0
+                assert loads == []
+
+
 class TestHopFallback:
     def test_fallback_walks_are_journey_valid_and_deliver(self):
         sc = make_scenario("mobility", 30, 5, seed=11)

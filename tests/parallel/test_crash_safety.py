@@ -51,17 +51,17 @@ def _crash(pool, name, row):
 
 
 def _post(pool, directory):
-    """Post the directory payload :class:`ShardedRoutingService` posts:
-    ``(dist, tables, stamps, generation, pending)``, quiescent."""
+    """Post what :class:`ShardedRoutingService` posts: the ``(dist,
+    tables, stamps)`` handles with words ``(generation, pending)``,
+    quiescent."""
     pool.matrix("stamps", 4, 1, fill=1)
     directory.post(
         (
             pool.matrix_owner("dist").handle,
             pool.matrix_owner("tables").handle,
             pool.matrix_owner("stamps").handle,
-            1,
-            1,
-        )
+        ),
+        (1, 1),
     )
 
 

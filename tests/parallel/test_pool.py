@@ -21,6 +21,7 @@ from repro.errors import ParameterError
 from repro.graph import bfs_distances
 from repro.graph.generators import random_connected_gnp
 from repro.parallel import WorkerError, WorkerPool, resolve_workers
+from repro.parallel.pool import flat_row_changes, fold_row_changes
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -85,6 +86,24 @@ class TestDispatch:
     def test_empty_run_is_noop(self):
         with WorkerPool(1) as pool:
             assert pool.run("echo", []) == []
+
+
+class TestFlatRowChanges:
+    def test_round_trip_keeps_rows_order_and_whole_rows(self):
+        changed = {
+            7: np.array([0, 3, 5]),
+            2: None,
+            4: np.array([], dtype=np.int64),
+            9: np.array([1]),
+        }
+        flat = flat_row_changes(changed)
+        assert [a.dtype for a in flat] == [np.int64] * 3
+        assert flat[1].tolist() == [3, -1, 0, 1]
+        back = fold_row_changes([flat, flat_row_changes({1: None}), flat_row_changes({})])
+        assert list(back) == [7, 2, 4, 9, 1]
+        assert back[2] is None and back[1] is None
+        for s in (7, 4, 9):
+            assert back[s].tolist() == changed[s].tolist()
 
 
 class TestSharedObjectsThroughPool:

@@ -849,6 +849,27 @@ class TestSharedDirectory:
         finally:
             d.close()
 
+    def test_words_only_post_skips_the_payload(self):
+        from repro.parallel import AttachedDirectory, SharedDirectory
+
+        d = SharedDirectory()
+        try:
+            att = AttachedDirectory(d.name)
+            d.post(("handles", 1), (3, 4))
+            first = att.poll(-1)
+            assert (first.payload, first.words) == (("handles", 1), (3, 4))
+            d.post(("handles", 1), (5, 6))  # same bytes: the version holds
+            same = att.poll(first.version)
+            assert (same.payload, same.version, same.words) == (None, first.version, (5, 6))
+            assert same.generation > first.generation
+            d.post(("handles", 2), (5, 6))
+            moved = att.poll(first.version)
+            assert (moved.payload, moved.version) == (("handles", 2), first.version + 1)
+            assert att.read() == (("handles", 2), moved.generation)
+            att.close()
+        finally:
+            d.close()
+
     def test_oversized_payload_is_rejected(self):
         from repro.parallel import SharedDirectory
 

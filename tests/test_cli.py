@@ -379,16 +379,16 @@ PINNED = [
         "churn --n 40 --events 12 --check-every 5 --seed 3",
         {"scenario": (("scenario", "events", "incremental", "rebuilds", "mean dirty ball",
                        "spanner edges", "matches rebuild"),
-                      ["mobility 12 0 12 40 80 yes", "failure 12 0 12 40 101 yes",
-                       "growth 12 12 0 5.2 9 yes", "nodechurn 12 5 7 26.2 59 yes"])},
+                      ["mobility 12 4 8 29.9 80 yes", "failure 12 3 9 32.5 101 yes",
+                       "growth 12 12 0 4.2 9 yes", "nodechurn 12 9 3 15 59 yes"])},
         [],
     ),
     (
         "serve --n 40 --events 12 --tick 3 --check-every 4 --seed 3",
         {"scenario": (SERVE_COLS, ["mobility 12 40 40 432 4 0.01 0 yes",
-                                   "failure 12 40 40 193 4 0.01 0 yes",
+                                   "failure 12 31.8 34 193 3 0.01 0 yes",
                                    "growth 12 6.2 6.2 70 0 0.01 32 yes",
-                                   "nodechurn 12 40.2 40.2 601 3 0.01 4 yes"])},
+                                   "nodechurn 12 29.2 30 601 1 0.01 4 yes"])},
         ["mobility: routed 60/60 sampled pairs (max stretch 1.00); distance cache 39/256 "
          "entries, 768 hits / 39 misses / 0 evictions;",
          "growth: routed 28/28 sampled pairs (max stretch 1.00); distance cache 39/256 "
