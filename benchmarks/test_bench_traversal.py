@@ -10,7 +10,9 @@ against.
 Timings here are best-of-rounds minima via :func:`repro.obs.time_best`
 rather than pytest-benchmark calibration: the quantity of interest is the
 *ratio* between two code paths over an identical workload, and taking the
-minimum of paired rounds is the most noise-robust way to get it.
+minimum of paired rounds is the most noise-robust way to get it.  The two
+arms of that ratio run in alternating rounds (sets, batched, sets, ...), so
+a drift in host speed during the test lands on both arms alike.
 """
 
 from __future__ import annotations
@@ -62,8 +64,10 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
         for s in sources:
             bfs_distances(g, s, backend="csr")
 
-    t_sets = _best_of(set_loop)
-    t_batched = _best_of(batched)
+    t_sets = t_batched = float("inf")
+    for _ in range(ROUNDS):
+        t_sets = min(t_sets, _best_of(set_loop, rounds=1))
+        t_batched = min(t_batched, _best_of(batched, rounds=1))
     t_csr_single = _best_of(csr_single_loop)
     # One cold conversion, measured separately: batched_bfs amortizes it.
     g._csr = None

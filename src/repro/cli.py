@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="request model between churn ticks")
     p.add_argument("--queries", type=_positive_int, default=30)
     p.add_argument("--max-staleness", type=int, default=None, metavar="K",
-                   help="reader refuses rows more than K committed generations stale "
-                   "(default: serve any committed state)")
+                   help="reader refuses rows more than K committed generations stale; "
+                   "staleness is 0 or 1 (default: serve any committed state)")
     p.add_argument("--flash-crowd-at", type=int, nargs="*", default=None, metavar="TICK",
                    help="permute the zipf hotspot ranking at these tick indices")
     p.add_argument("--task-timeout", type=float, default=5.0,
@@ -429,7 +429,7 @@ def _cmd_churn(args, shards) -> int:
 @_soak
 def _cmd_serve(args, shards) -> int:
     from . import soak
-    from .graph import distance_cache_info, sample_pairs
+    from .graph import sample_pairs
     from .rng import derive_seed
     from .routing import route_all_pairs_stats
 
@@ -444,21 +444,18 @@ def _cmd_serve(args, shards) -> int:
             apply_s = sum(r.seconds for r in b.reports)
             wall_s = sum(r.wall_seconds for r in b.reports)
             mem = s.memory_stats()
-            # Route sampled live traffic over the final (H, G) through the
-            # distance cache whose counters are surfaced below.
+            # Route sampled live traffic over the final (H, G).
             seed = derive_seed(args.seed, "serve-sample", name)
             pairs = sample_pairs(s.graph, 60, seed=seed, require_nonadjacent=False)
             routed = route_all_pairs_stats(s.advertised, s.graph, pairs=pairs)
-            cache = distance_cache_info(s.graph)
             rows.append([name, events, round(s.rows_recomputed / per_tick, 1),
                          round(s.tables_recomputed / per_tick, 1), s.entries_updated,
                          s.full_refreshes, round(apply_s * 1e3 / max(events, 1), 2),
                          round(mem.total_bytes / 1e6, 2), mem.dormant, b.ok])
         lines.append(
             f"  {name}: routed {routed.delivered}/{routed.pairs} sampled pairs (max stretch "
-            f"{routed.max_stretch:.2f}); distance cache {cache.entries}/{cache.capacity} "
-            f"entries, {cache.hits} hits / {cache.misses} misses / {cache.evictions} "
-            f"evictions; apply {apply_s * 1e3:.1f} ms / wall {wall_s * 1e3:.1f} ms"
+            f"{routed.max_stretch:.2f}); apply {apply_s * 1e3:.1f} ms / wall "
+            f"{wall_s * 1e3:.1f} ms"
         )
     rc = _table(["scenario", "events", "rows/tick", "tables/tick", "entries upd", "refreshes",
                  "ms/event", "matrix MB", "dormant ids", "matches scratch"], rows,

@@ -24,12 +24,6 @@ from .traversal import (
     repair_rows,
     ring,
 )
-from .cache import (
-    CacheInfo,
-    cached_bfs_distances,
-    distance_cache_info,
-    set_distance_cache_capacity,
-)
 from .distances import (
     all_pairs_distances,
     diameter,
@@ -51,10 +45,6 @@ __all__ = [
     "batched_bfs",
     "batched_bfs_parents",
     "bounded_distance",
-    "CacheInfo",
-    "cached_bfs_distances",
-    "distance_cache_info",
-    "set_distance_cache_capacity",
     "bfs_distances",
     "bfs_layers",
     "bfs_parents",

@@ -26,8 +26,7 @@ The flat layout enables three access styles, all used by
 
 Obtain one with :meth:`Graph.freeze` (cached, invalidated on mutation) or
 :meth:`CSRGraph.from_graph` (always rebuilds).  A ``CSRGraph`` is
-immutable: its :attr:`version` is a constant 0, which is what makes it a
-valid key component for the distance cache in :mod:`repro.graph.cache`.
+immutable: its :attr:`version` is a constant 0.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class CSRGraph:
         "_indices",
         "_np_indptr",
         "_np_indices",
-        "_dist_cache",
         "_pin",
     )
 
@@ -87,7 +85,6 @@ class CSRGraph:
     _indices: Any
     _np_indptr: np.ndarray
     _np_indices: np.ndarray
-    _dist_cache: Any
     _pin: Any
 
     def __init__(self, n: int, indptr: array, indices: array) -> None:
@@ -105,7 +102,6 @@ class CSRGraph:
             if len(indices)
             else np.empty(0, dtype=np.intc)
         )
-        self._dist_cache = None  # lazily created by repro.graph.cache
         self._pin = None  # keeps a shared-memory attachment alive (repro.parallel)
 
     # ------------------------------------------------------------------ #
@@ -244,7 +240,6 @@ publish>`).  Capacity headroom (defaulting to ~25% slack) lets churn grow
         self._indices = np_indices
         self._np_indptr = np_indptr
         self._np_indices = np_indices
-        self._dist_cache = None
         self._pin = None
         return self
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import ensure_rng
-from .cache import cached_bfs_distances
 from .graph import Graph
-from .traversal import batched_bfs, bfs_distances
+from .traversal import batched_bfs, bfs_distances, connected_components
 
 __all__ = [
     "all_pairs_distances",
@@ -76,25 +75,28 @@ def sample_pairs(
 ) -> list["tuple[int, int]"]:
     """Sample up to *count* distinct node pairs, optionally non-adjacent.
 
-    ``require_connected`` drops pairs with no path in ``G``.  Sampling is
-    rejection-based with a deterministic fallback to full enumeration when
-    the graph is small or very dense, so it always terminates.
+    ``require_connected`` drops pairs with no path in ``G``, i.e. pairs in
+    different connected components (checked by component label).  Sampling
+    is rejection-based with a deterministic fallback to full enumeration
+    when the graph is small or very dense, so it always terminates.
     """
     rng = ensure_rng(seed)
     n = g.num_nodes
     if n < 2:
         return []
+    label: list[int] = []
     if require_connected:
-        g.freeze()  # connectivity probes below ride the CSR snapshot
+        label = [0] * n
+        for i, comp in enumerate(connected_components(g)):
+            for v in comp:
+                label[v] = i
     # Dense/small graphs: enumerate and choose.
     if n * (n - 1) // 2 <= 4 * count or n <= 64:
         pool = nonadjacent_pairs(g) if require_nonadjacent else [
             (u, v) for u in range(n) for v in range(u + 1, n)
         ]
         if require_connected:
-            # Consecutive pool entries share their first endpoint, so the
-            # LRU distance cache turns this from O(|pool|·m) into O(n·m).
-            pool = [p for p in pool if cached_bfs_distances(g, p[0])[p[1]] >= 0]
+            pool = [(u, v) for u, v in pool if label[u] == label[v]]
         if len(pool) <= count:
             return pool
         idx = rng.choice(len(pool), size=count, replace=False)
@@ -114,7 +116,7 @@ def sample_pairs(
             continue
         if require_nonadjacent and g.has_edge(u, v):
             continue
-        if require_connected and cached_bfs_distances(g, u)[v] < 0:
+        if require_connected and label[u] != label[v]:
             continue
         out.add((u, v))
     return sorted(out)

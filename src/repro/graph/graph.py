@@ -83,7 +83,6 @@ class Graph:
         "_csr",
         "_csr_base",
         "_csr_dirty",
-        "_dist_cache",
     )
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]] | None" = None) -> None:
@@ -96,7 +95,6 @@ class Graph:
         self._csr = None  # cached CSRGraph snapshot, dropped on mutation
         self._csr_base = None  # previous snapshot kept as a patch base
         self._csr_dirty = None  # rows mutated since _csr_base was current
-        self._dist_cache = None  # LRU distance cache (repro.graph.cache)
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -120,9 +118,9 @@ class Graph:
         """Mutation counter: bumped by every successful edge add/remove.
 
         Together with :meth:`freeze` this gives cheap cache invalidation:
-        anything derived from the graph (the CSR snapshot, the LRU distance
-        cache in :mod:`repro.graph.cache`) is keyed by ``version`` and
-        silently expires when the graph changes.
+        anything derived from the graph (the CSR snapshot, the serving
+        memory report) is keyed by ``version`` and silently expires when the
+        graph changes.
         """
         return self._version
 

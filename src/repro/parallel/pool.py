@@ -279,6 +279,14 @@ _OBS_TASK_ID = -2
 #: metric snapshots of gracefully stopped workers.
 _DRAIN_TIMEOUT = 1.0
 
+#: Respawns one supervised :meth:`WorkerPool.run` may spend before giving up.
+_MAX_RESPAWNS = 8
+
+#: Supervised respawn backoff: ``_BACKOFF_BASE · 2^(k−1)`` seconds before
+#: the k-th respawn of a run, capped at ``_BACKOFF_CAP``.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+
 
 def _worker_main(
     worker_id: int, num_workers: int, seed: int, incarnation: int, task_q, result_q
@@ -374,12 +382,13 @@ class WorkerPool:
         wedged (dead workers are detected sooner).
     supervise:
         Self-healing (default on): a dead or wedged worker is respawned
-        with exponential backoff, its published objects replayed, torn
-        seqlock rows repaired, and its unanswered tasks re-dispatched —
-        all inside :meth:`run`, invisible to the caller.  A task that
+        with exponential backoff (:data:`_BACKOFF_BASE` doubling up to
+        :data:`_BACKOFF_CAP` seconds), its published objects replayed,
+        torn seqlock rows repaired, and its unanswered tasks re-dispatched
+        — all inside :meth:`run`, invisible to the caller.  A task that
         kills *poison_threshold* workers in a row is quarantined (fails
         loudly instead of respawn-looping), and a run spends at most
-        *max_respawns* respawns before giving up.  With ``supervise=
+        :data:`_MAX_RESPAWNS` respawns before giving up.  With ``supervise=
         False`` failures raise :class:`WorkerError` immediately (the
         error names each dead worker's exitcode and whether a task was
         in flight); either way the pool auto-resets, so the *next*
@@ -401,10 +410,7 @@ class WorkerPool:
         seed: int = 0,
         task_timeout: float = 300.0,
         supervise: bool = True,
-        max_respawns: int = 8,
         poison_threshold: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
     ) -> None:
         self.workers = resolve_workers(workers)
         if start_method is None:
@@ -414,10 +420,7 @@ class WorkerPool:
         self.seed = seed
         self.task_timeout = task_timeout
         self.supervise = supervise
-        self.max_respawns = max_respawns
         self.poison_threshold = poison_threshold
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.health = PoolHealth()
         self._incarnations = [0] * self.workers  # respawn count per worker id
         self._ctx = multiprocessing.get_context(start_method)
@@ -814,13 +817,11 @@ class WorkerPool:
                         f"{kills[slot]} workers in a row — quarantined "
                         "instead of respawn-looping",
                     ) from None
-            if respawned + len(wids) > self.max_respawns:
-                raise fail(
-                    wids, f"respawn budget exhausted ({self.max_respawns} per run)"
-                ) from None
+            if respawned + len(wids) > _MAX_RESPAWNS:
+                raise fail(wids, f"respawn budget exhausted ({_MAX_RESPAWNS} per run)") from None
             backoff = 0.0
             if respawned:
-                backoff = min(self.backoff_cap, self.backoff_base * (2 ** (respawned - 1)))
+                backoff = min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** (respawned - 1)))
                 time.sleep(backoff)
                 self.health.backoff_seconds += backoff
                 obs.observe("pool.supervision.backoff_s", backoff)

@@ -83,7 +83,6 @@ _EMPTY = np.empty((0, 0), dtype=np.int32)
 
 #: Shared-object names used by one service on its pool.
 _H, _G, _DIST, _TABLES = "serve:h", "serve:g", "serve:dist", "serve:tables"
-_STAMPS = "serve:stamps"
 
 #: How many times a full table re-projection is retried when workers keep
 #: crashing *during the retry itself* before the error surfaces.
@@ -140,7 +139,6 @@ class ShardedRoutingService(RoutingService):
         #: A repair in flight posts ``pending = generation + 1`` first, so
         #: readers can bound how far behind the served rows are.
         self.generation = 0
-        self._stamps = _EMPTY
         super().__init__(
             g, method, k=k, epsilon=epsilon, r=r, rebuild_fraction=rebuild_fraction
         )
@@ -184,12 +182,12 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         if self._closed:
             return
         self._closed = True
-        self._dist = self._tables = self._stamps = _EMPTY  # drop exports first
+        self._dist = self._tables = _EMPTY  # drop exports first
         self._directory.close()
         if self._owns_pool:
             self._pool.close()
         else:
-            for name in (_H, _G, _DIST, _TABLES, _STAMPS):
+            for name in (_H, _G, _DIST, _TABLES):
                 self._pool.drop(name)
 
     def __enter__(self) -> "ShardedRoutingService":
@@ -246,22 +244,17 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             (
                 self._pool.matrix_owner(_DIST).handle.name,
                 self._pool.matrix_owner(_TABLES).handle.name,
-                self._pool.matrix_owner(_STAMPS).handle.name,
             )
             if had_shared
             else None
         )
-        self._dist = self._tables = self._stamps = _EMPTY  # release exports
+        self._dist = self._tables = _EMPTY  # release exports
         self._dist = self._pool.matrix(_DIST, n, n, fill=-1, versioned=True)
         self._tables = self._pool.matrix(_TABLES, n, n, fill=-1, versioned=True)
-        # Per-row freshness stamps for bounded-stale readers: written only
-        # by the parent at quiescent points, so they stay unversioned.
-        self._stamps = self._pool.matrix(_STAMPS, n, 1, fill=0)
         self._shared_ready = True
         new_names = (
             self._pool.matrix_owner(_DIST).handle.name,
             self._pool.matrix_owner(_TABLES).handle.name,
-            self._pool.matrix_owner(_STAMPS).handle.name,
         )
         if old_names != new_names:
             # The resize reallocated — the old blocks are unlinked, so the
@@ -341,7 +334,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
     def _post(self, pending: int) -> None:
         """Post the matrix handles with the committed and *pending*
         generations as the directory's two header words."""
-        handles = tuple(self._pool.matrix_owner(m).handle for m in (_DIST, _TABLES, _STAMPS))
+        handles = tuple(self._pool.matrix_owner(m).handle for m in (_DIST, _TABLES))
         self._directory.post(handles, (self.generation, pending))
 
     def _publish_directory(self) -> None:
@@ -351,19 +344,18 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         refresh or compaction — so a reader that re-syncs mid-event keeps
         reading the previous committed shape; individual row updates within
         an event are covered by the per-row seqlock counters instead.  Each
-        post advances :attr:`generation` and stamps every row with it: the
-        whole matrix *is* that committed state, so every row is current.
+        post advances :attr:`generation`: the whole matrix *is* that
+        committed state, so every row a reader can address is current.
         """
         if not self._shared_ready or self._closed:
             return
         with obs.span("sharded.publish_directory"):
             self.generation += 1
-            self._stamps[:, 0] = self.generation
             self._post(self.generation)
 
     def _post_degraded(self, degraded: bool = True) -> None:
         """Mark a repair as started: the posted *pending* generation now
-        exceeds every row stamp by one.  If the repair completes, the next
+        exceeds the committed one by one.  If the repair completes, the next
         :meth:`_publish_directory` closes the gap; if the service crashes or
         wedges mid-repair, readers keep serving the last committed state at
         a measurable staleness of 1 — the hook ``max_staleness=`` bounds.
@@ -420,16 +412,18 @@ class RouteReader:
     until detached, POSIX semantics).
 
     **Bounded staleness.**  Every directory post carries the service's
-    committed generation, the generation of the repair currently in flight
-    (``pending``), and a per-row stamp matrix marking the generation each
-    row was last committed at.  ``max_staleness=k`` makes :meth:`next_hop`
-    and :meth:`distance` answer ``None`` for any row more than *k*
-    committed generations behind the newest started repair — ``0`` refuses
-    everything mid-repair, ``None`` (default) serves whatever committed
-    state is available.  :meth:`hop_fallback` then recovers a usable hop
-    from the committed distance rows alone (see its docstring), which is
-    how :func:`~repro.routing.greedy_routing.route_served` keeps routing
-    around dormant or stale table entries.
+    committed generation and the generation of the repair currently in
+    flight (``pending``).  Each post commits the whole matrix at once, so
+    every row lags the newest started repair by the same ``pending −
+    committed`` generations: 0 when quiescent, 1 while a repair is in
+    flight (or died mid-flight).  ``max_staleness=k`` makes
+    :meth:`next_hop` and :meth:`distance` answer ``None`` when that lag
+    exceeds *k* — ``0`` refuses everything mid-repair, ``None`` (default)
+    serves whatever committed state is available.  :meth:`hop_fallback`
+    then recovers a usable hop from the committed distance rows alone (see
+    its docstring), which is how
+    :func:`~repro.routing.greedy_routing.route_served` keeps routing around
+    dormant or stale table entries.
     """
 
     def __init__(self, directory: str, *, max_staleness: "int | None" = None) -> None:
@@ -445,7 +439,6 @@ class RouteReader:
         self._pending = 0
         self._dist: "AttachedMatrix | None" = None
         self._tables: "AttachedMatrix | None" = None
-        self._stamps: "AttachedMatrix | None" = None
         self._sync()
 
     def _sync(self) -> None:
@@ -466,7 +459,7 @@ class RouteReader:
         for attempt in range(64):
             post = self._dir.poll(self._version)
             try:
-                if post.payload is not None:  # dist, tables, stamps moved
+                if post.payload is not None:  # dist or tables moved
                     self._attach(post.payload)
             except FileNotFoundError:
                 time.sleep(0.001 * min(attempt + 1, 10))
@@ -477,7 +470,7 @@ class RouteReader:
         raise TornReadError("directory kept naming freed blocks (service died mid-resize?)")
 
     def _attach(self, handles) -> None:
-        """Wrap the posted dist, tables and stamps handles (first post) or
+        """Wrap the posted dist and tables handles (first post) or
         re-wrap the ones that changed."""
         if self._dist is None:
             fresh: "list[AttachedMatrix]" = []
@@ -488,9 +481,9 @@ class RouteReader:
                 for attached in fresh:
                     attached.close()
                 raise
-            self._dist, self._tables, self._stamps = fresh
+            self._dist, self._tables = fresh
             return
-        for attached, handle in zip((self._dist, self._tables, self._stamps), handles):
+        for attached, handle in zip((self._dist, self._tables), handles):
             if handle != attached.handle:  # a post often moves one matrix only
                 attached.refresh(handle)
 
@@ -518,22 +511,21 @@ class RouteReader:
     def staleness(self, u: int) -> int:
         """How many committed generations row *u* lags the newest repair.
 
-        ``0`` when quiescent; ``pending − stamp`` while a repair is in
-        flight (or died mid-flight) — the quantity ``max_staleness=``
-        bounds.
+        ``0`` when quiescent, ``1`` while a repair is in flight (or died
+        mid-flight) — the same for every row, since each post commits the
+        whole matrix.  The quantity ``max_staleness=`` bounds.
         """
         self._sync()
-        if not (0 <= u < self._stamps.rows):
-            raise NodeNotFound(u, self._stamps.rows)
-        return max(0, self._pending - int(self._stamps.read_cell(u, 0)))
+        if not (0 <= u < self._dist.rows):
+            raise NodeNotFound(u, self._dist.rows)
+        return self._lag()
 
-    def _too_stale(self, u: int) -> bool:
-        # Callers have already synced; rows beyond the stamp matrix (a
-        # resize race) count as never committed.
-        if self.max_staleness is None:
-            return False
-        stamp = int(self._stamps.read_cell(u, 0)) if u < self._stamps.rows else 0
-        return self._pending - stamp > self.max_staleness
+    def _lag(self) -> int:
+        return max(0, self._pending - self._committed)
+
+    def _too_stale(self) -> bool:
+        # Callers have already synced.
+        return self.max_staleness is not None and self._lag() > self.max_staleness
 
     def _check_pair(self, u: int, v: int) -> None:
         if u == v:
@@ -551,7 +543,7 @@ class RouteReader:
         """
         self._sync()
         self._check_pair(u, v)
-        if self._too_stale(u):
+        if self._too_stale():
             obs.inc("reader.stale_refusals")
             return None
         hop = self._read_one(self._tables, u, v)
@@ -564,7 +556,7 @@ class RouteReader:
         for node in (u, v):
             if not (0 <= node < n):
                 raise NodeNotFound(node, n)
-        if self._too_stale(u):
+        if self._too_stale():
             obs.inc("reader.stale_refusals")
             return None
         d = self._read_one(self._dist, u, v)
@@ -600,8 +592,8 @@ class RouteReader:
     # batch and later ones are hops the table gave, but a resync onto a
     # compacted service can shrink n under them.  Such an id raises
     # NodeNotFound, as _check_pair does: the gather itself finds it (an
-    # IndexError, free on the hot path), or the staleness path's range
-    # test, where the stale mask could hide it.
+    # IndexError, free on the hot path), or the stale path's range test,
+    # where refusing the whole batch could hide it.
     def _gather_hops(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         self._sync()
         return self._read_batch(self._tables, us, vs)
@@ -611,23 +603,14 @@ class RouteReader:
         return self._read_batch(self._dist, us, vs)
 
     def _read_batch(self, matrix: AttachedMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        if self.max_staleness is None:
+        if not self._too_stale():
             return self._read_cells(matrix, us, vs)
+        # Every row lags alike, so the whole batch is refused.
         if np.count_nonzero(np.maximum(us, vs) >= matrix.rows):
             check_lookups(us, vs, matrix.rows, distinct=False)
-        # The staleness bound as a mask over one stamp gather; rows beyond
-        # the stamp matrix (a resize race) count as never committed,
-        # exactly as in _too_stale.
-        stamps = np.zeros(len(us), dtype=np.int64)
-        known = us < self._stamps.rows
-        stamps[known] = self._stamps.read_cells(us[known], np.zeros(int(known.sum()), np.intp))
-        fresh = self._pending - stamps <= self.max_staleness
-        stale = len(us) - np.count_nonzero(fresh)
-        if stale:
-            obs.inc("reader.stale_refusals", stale)
-        cells = np.full(len(us), -1, dtype=np.int64)
-        cells[fresh] = self._read_cells(matrix, us[fresh], vs[fresh])
-        return cells
+        if len(us):
+            obs.inc("reader.stale_refusals", len(us))
+        return np.full(len(us), -1, dtype=np.int64)
 
     def _read_cells(self, matrix: AttachedMatrix, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         try:
@@ -702,7 +685,7 @@ class RouteReader:
         return self._dist.read_row(u)
 
     def close(self) -> None:
-        for attached in (self._dist, self._tables, self._stamps):
+        for attached in (self._dist, self._tables):
             if attached is not None:
                 attached.close()
         self._dir.close()

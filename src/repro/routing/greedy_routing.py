@@ -36,7 +36,7 @@ import numpy as np
 
 from .. import obs
 from ..errors import NodeNotFound, ParameterError
-from ..graph import AugmentedView, Graph
+from ..graph import AugmentedView, Graph, bfs_distances
 
 __all__ = [
     "RouteResult",
@@ -409,8 +409,6 @@ def route_all_pairs_stats(
     same statistics, query-rate cost.  In served mode ``h``/``g`` default
     to the service's live advertised/topology graphs.
     """
-    from ..graph import cached_bfs_distances
-
     if service is not None:
         if h is None:
             h = service.advertised
@@ -424,14 +422,12 @@ def route_all_pairs_stats(
     stats = RoutingStats()
     stretch_total = 0.0
     g.freeze()  # the per-source BFS probes below ride the CSR snapshot
-    # Local memo keeps the per-pair lookup O(1); the shared LRU layer
-    # underneath persists the vectors (and its hit/miss accounting) across
-    # calls on the same graph version.
-    dist_cache: dict[int, list[int]] = {}
+    # One BFS per distinct source; the per-pair lookup is then O(1).
+    dist_from: dict[int, list[int]] = {}
     for s, t in pairs:
-        if s not in dist_cache:
-            dist_cache[s] = cached_bfs_distances(g, s)
-        d_g = dist_cache[s][t]
+        if s not in dist_from:
+            dist_from[s] = bfs_distances(g, s)
+        d_g = dist_from[s][t]
         if d_g < 1:
             continue
         stats.pairs += 1

@@ -22,8 +22,6 @@ from repro.graph import (
     bfs_layers,
     bfs_parents,
     bounded_distance,
-    cached_bfs_distances,
-    distance_cache_info,
     multi_source_distances,
     ring,
 )
@@ -232,7 +230,7 @@ class TestBatchedBfs:
 
 
 # --------------------------------------------------------------------- #
-# bounded_distance and the LRU distance cache
+# bounded_distance
 # --------------------------------------------------------------------- #
 
 
@@ -249,48 +247,6 @@ class TestBoundedDistance:
     def test_rejects_negative_cap(self):
         with pytest.raises(ParameterError):
             bounded_distance(path_graph(3), 0, 2, -1)
-
-
-class TestDistanceCache:
-    def test_hit_returns_equal_fresh_list(self):
-        g = random_connected_gnp(30, 0.2, seed=7)
-        a = cached_bfs_distances(g, 0)
-        b = cached_bfs_distances(g, 0)
-        assert a == b == bfs_distances(g, 0)
-        assert a is not b  # caller owns the result
-        info = distance_cache_info(g)
-        assert info.entries == 1 and info.capacity >= 1
-        assert info.hits == 1 and info.misses == 1
-
-    def test_mutation_invalidates_by_version(self):
-        g = path_graph(6)
-        assert cached_bfs_distances(g, 0)[5] == 5
-        g.add_edge(0, 5)
-        assert cached_bfs_distances(g, 0)[5] == 1
-        g.remove_edge(0, 5)
-        assert cached_bfs_distances(g, 0)[5] == 5
-
-    def test_cutoff_keys_are_distinct(self):
-        g = path_graph(6)
-        assert cached_bfs_distances(g, 0, cutoff=2) == [0, 1, 2, -1, -1, -1]
-        assert cached_bfs_distances(g, 0) == [0, 1, 2, 3, 4, 5]
-
-    def test_eviction_keeps_cache_bounded(self):
-        from repro.graph.cache import DISTANCE_CACHE_SIZE
-
-        g = gnp_random_graph(DISTANCE_CACHE_SIZE + 40, 0.01, seed=3)
-        for u in g.nodes():
-            cached_bfs_distances(g, u)
-        info = distance_cache_info(g)
-        assert info.entries == info.capacity == DISTANCE_CACHE_SIZE
-
-    def test_duck_typed_graph_falls_through(self):
-        g = random_connected_gnp(20, 0.2, seed=1)
-        h = g.spanning_subgraph(sorted(g.edges())[:10])
-        from repro.graph import AugmentedView
-
-        view = AugmentedView(h, g, 0)
-        assert cached_bfs_distances(view, 0) == view.distances_from(0)
 
 
 # --------------------------------------------------------------------- #

@@ -1,14 +1,14 @@
 """Churn mutators: ``add_node`` / ``remove_node`` and invalidation contracts.
 
-Every mutator must bump ``Graph.version`` (once per successful call), drop
-the cached CSR snapshot, and thereby invalidate the distance cache (keyed
-on version) — the invariants the dynamic subsystem leans on.
+Every mutator must bump ``Graph.version`` (once per successful call) and
+drop the cached CSR snapshot — the invariants the dynamic subsystem leans
+on.
 """
 
 import pytest
 
 from repro.errors import GraphError, NodeNotFound
-from repro.graph import Graph, bfs_distances, cached_bfs_distances
+from repro.graph import Graph, bfs_distances
 from repro.graph.generators import random_connected_gnp
 
 
@@ -104,11 +104,13 @@ class TestInvalidation:
             assert g.freeze().edge_set() == g.edge_set()
             assert g.freeze().num_nodes == g.num_nodes
 
-    def test_distance_cache_invalidated_by_node_mutators(self):
+    @pytest.mark.parametrize("backend", ["sets", "csr"])
+    def test_distances_follow_node_mutators(self, backend):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert cached_bfs_distances(g, 0) == [0, 1, 2, 3]
-        g.remove_node(2)  # cache key (version, ...) rolls over
-        assert cached_bfs_distances(g, 0) == [0, 1, -1, -1]
+        assert bfs_distances(g, 0, backend=backend) == [0, 1, 2, 3]
+        g.freeze()
+        g.remove_node(2)  # drops the snapshot: no query may see the old rows
+        assert bfs_distances(g, 0, backend=backend) == [0, 1, -1, -1]
         u = g.add_node()
         g.add_edge(1, u)
-        assert cached_bfs_distances(g, 0) == bfs_distances(g, 0) == [0, 1, -1, -1, 2]
+        assert bfs_distances(g, 0, backend=backend) == [0, 1, -1, -1, 2]

@@ -1,12 +1,14 @@
 """Tests for graph ops, distance aggregates, and serialization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import (
     Graph,
     all_pairs_distances,
+    bfs_distances,
     diameter,
     difference,
     distance_matrix,
@@ -104,6 +106,54 @@ class TestDistances:
     def test_sample_pairs_deterministic(self):
         g = gnp_random_graph(40, 0.1, seed=5)
         assert sample_pairs(g, 12, seed=9) == sample_pairs(g, 12, seed=9)
+
+
+def _sparse_graph(n: int, seed: int, degree: float) -> Graph:
+    """G(n, degree/n): below degree 1 it is usually split into many components."""
+    return gnp_random_graph(n, min(degree / n, 1.0), seed=seed)
+
+
+class TestSamplePairsConnectivity:
+    """``require_connected`` keeps exactly the pairs G connects, on both paths."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 10**6),
+           degree=st.floats(0.3, 3.0), count=st.integers(1, 300),
+           nonadjacent=st.booleans())
+    def test_enumerate_path_is_exact(self, n, seed, degree, count, nonadjacent):
+        g = _sparse_graph(n, seed, degree)
+        dist = [bfs_distances(g, u) for u in range(n)]
+        connected = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if dist[u][v] >= 0 and not (nonadjacent and g.has_edge(u, v))]
+        pairs = sample_pairs(g, count, seed=seed, require_nonadjacent=nonadjacent)
+        assert all(dist[u][v] >= 0 for u, v in pairs)
+        if count >= len(connected):
+            assert pairs == connected
+        else:
+            assert len(pairs) == count and set(pairs) <= set(connected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(65, 200), seed=st.integers(0, 10**6),
+           degree=st.floats(0.3, 3.0), count=st.integers(1, 20),
+           nonadjacent=st.booleans())
+    def test_rejection_path_keeps_connected_pairs(self, n, seed, degree, count, nonadjacent):
+        g = _sparse_graph(n, seed, degree)
+        pairs = sample_pairs(g, count, seed=seed, require_nonadjacent=nonadjacent)
+        assert len(pairs) <= count and pairs == sorted(set(pairs))
+        for u, v in pairs:
+            assert 0 <= u < v < n and bfs_distances(g, u)[v] >= 0
+            assert not (nonadjacent and g.has_edge(u, v))
+
+    def test_seeded_draws_are_pinned(self):
+        # One seeded call per path, pinned literally: the connectivity
+        # filter must never move an rng draw.
+        enumerated = _sparse_graph(40, 2, 2.0)  # 13 components, pool path
+        assert sample_pairs(enumerated, 8, seed=4) == [
+            (2, 5), (11, 30), (16, 25), (21, 22), (23, 28), (23, 31), (25, 31), (25, 36)]
+        rejected = _sparse_graph(150, 6, 1.8)  # 32 components, rejection path
+        assert sample_pairs(rejected, 8, seed=4) == [
+            (20, 118), (26, 87), (32, 81), (42, 56), (76, 132), (101, 130), (108, 141),
+            (141, 146)]
 
 
 class TestIO:

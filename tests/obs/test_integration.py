@@ -14,7 +14,6 @@ from repro.dynamic import (
     serve_queries,
 )
 from repro.graph import sample_pairs
-from repro.graph.cache import cached_bfs_distances
 from repro.graph.generators import random_connected_gnp
 from repro.parallel import ShardedRoutingService
 
@@ -92,15 +91,6 @@ class TestServeCounters:
             "serving.project_tables",
         ):
             assert histograms[f"{name}.us"]["count"] == 1, name
-
-    def test_cache_hit_and_miss_counters(self):
-        g = random_connected_gnp(24, 0.2, seed=5)
-        before = obs.snapshot()
-        cached_bfs_distances(g, 0)
-        cached_bfs_distances(g, 0)
-        delta = obs.diff_snapshots(before, obs.snapshot())
-        assert delta["counters"]["cache.misses"] == 1
-        assert delta["counters"]["cache.hits"] == 1
 
 
 class TestServeQueries:

@@ -52,15 +52,9 @@ def _crash(pool, name, row):
 
 def _post(pool, directory):
     """Post what :class:`ShardedRoutingService` posts: the ``(dist,
-    tables, stamps)`` handles with words ``(generation, pending)``,
-    quiescent."""
-    pool.matrix("stamps", 4, 1, fill=1)
+    tables)`` handles with words ``(generation, pending)``, quiescent."""
     directory.post(
-        (
-            pool.matrix_owner("dist").handle,
-            pool.matrix_owner("tables").handle,
-            pool.matrix_owner("stamps").handle,
-        ),
+        (pool.matrix_owner("dist").handle, pool.matrix_owner("tables").handle),
         (1, 1),
     )
 

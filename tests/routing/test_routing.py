@@ -164,6 +164,25 @@ class TestRouteStats:
         stats = route_all_pairs_stats(rs.graph, g, pairs=[(0, 8), (8, 0)])
         assert stats.pairs == 2
 
+    def test_stats_skip_disconnected_pairs(self):
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+        stats = route_all_pairs_stats(g, g)
+        assert stats.pairs == 4 * 3 + 3 * 2  # ordered pairs inside each component
+        assert stats.delivered == stats.pairs and stats.max_stretch == 1.0
+
+    def test_stats_follow_graph_mutation(self):
+        # Each call measures d_G on the graph as it is now, not as it was.
+        g = path_graph(6)
+        pairs = [(0, 5), (5, 0), (1, 4)]
+        assert route_all_pairs_stats(g, g, pairs=pairs).pairs == 3
+        g.remove_edge(2, 3)
+        assert route_all_pairs_stats(g, g, pairs=pairs).pairs == 0
+        g.add_edge(2, 3)
+        g.add_edge(0, 5)
+        stats = route_all_pairs_stats(g, g, pairs=pairs)
+        assert stats.pairs == stats.delivered == 3
+        assert stats.max_overhead == 0 and stats.max_stretch == 1.0
+
 
 class TestOverhead:
     def test_full_link_state_counts_degrees(self):

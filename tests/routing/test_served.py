@@ -239,17 +239,35 @@ class TestBatchEqualsPerQuery:
         sc = make_scenario("mobility", 30, 5, seed=3)
         with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
             service._post_degraded()  # a repair started: every row lags by one
-            fresh = list(range(0, service.num_nodes, 3))
-            service._stamps[fresh, 0] = service.generation + 1  # ... but these
             pairs = sample_pairs_all(service.num_nodes, stride=5)
             with RouteReader(service.reader_handle(), max_staleness=0) as reader:
+                assert {reader.staleness(u) for u in range(reader.num_nodes)} == {1}
                 before = refusals()
                 refs = assert_batch_matches(reader, pairs)
                 assert refusals()[0] > before[0]  # rows really were refused
-                assert any(r.delivered for r in refs) and not all(r.delivered for r in refs)
+                assert not any(r.delivered for r in refs)
                 assisted = assert_batch_matches(reader, pairs, hop_fallback=True)
                 assert sum(r.delivered for r in assisted) > sum(r.delivered for r in refs)
             service._publish_directory()
+
+    def test_staleness_is_uniform_and_clears_on_commit(self):
+        sc = make_scenario("mobility", 30, 5, seed=3)
+        with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
+            with RouteReader(service.reader_handle()) as reader:
+                rows = range(reader.num_nodes)
+                assert {reader.staleness(u) for u in rows} == {0}
+                service._post_degraded()  # a repair started: every row lags by one
+                assert {reader.staleness(u) for u in rows} == {1}
+                service._publish_directory()  # ... and committed
+                assert {reader.staleness(u) for u in rows} == {0}
+
+    def test_staleness_rejects_rows_outside_the_matrix(self):
+        sc = make_scenario("mobility", 30, 5, seed=3)
+        with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
+            with RouteReader(service.reader_handle()) as reader:
+                for u in (-1, reader.num_nodes):
+                    with pytest.raises(NodeNotFound):
+                        reader.staleness(u)
 
     def test_fallback_over_crash_dormant_entries(self):
         sc = make_scenario("mobility", 30, 5, seed=5)

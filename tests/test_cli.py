@@ -389,18 +389,14 @@ PINNED = [
                                    "failure 12 31.8 34 193 3 0.01 0 yes",
                                    "growth 12 6.2 6.2 70 0 0.01 32 yes",
                                    "nodechurn 12 29.2 30 601 1 0.01 4 yes"])},
-        ["mobility: routed 60/60 sampled pairs (max stretch 1.00); distance cache 39/256 "
-         "entries, 768 hits / 39 misses / 0 evictions;",
-         "growth: routed 28/28 sampled pairs (max stretch 1.00); distance cache 39/256 "
-         "entries, 748 hits / 39 misses / 0 evictions;",
-         "nodechurn: routed 60/60 sampled pairs (max stretch 1.00); distance cache 41/256 "
-         "entries, 847 hits / 41 misses / 0 evictions;"],
+        ["mobility: routed 60/60 sampled pairs (max stretch 1.00); apply ",
+         "growth: routed 28/28 sampled pairs (max stretch 1.00); apply ",
+         "nodechurn: routed 60/60 sampled pairs (max stretch 1.00); apply "],
     ),
     (
         "serve --scenario nodechurn --n 40 --events 10 --tick 5 --workers 2 --seed 3",
         {"scenario": (SERVE_COLS, ["nodechurn 10 41 41 141 2 0.03 0 yes"])},
-        ["nodechurn: routed 60/60 sampled pairs (max stretch 1.00); distance cache 40/256 "
-         "entries, 810 hits / 40 misses / 0 evictions;"],
+        ["nodechurn: routed 60/60 sampled pairs (max stretch 1.00); apply "],
     ),
     (
         "traffic --n 40 --events 8 --tick 4 --queries 5 --compare-bfs 4 --seed 3",
