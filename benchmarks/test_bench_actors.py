@@ -11,7 +11,11 @@ records:
   service, which feeds the LSAs) and their ratio;
 * the actors' BFS sources per tick, against the from-scratch count — the
   rows every actor held, which is what each tick BFSed before the
-  incremental repair.
+  incremental repair;
+* the rows each actor owns (its BFS region) and holds (the region plus
+  its G-neighbors), and the ``RouteQuery`` frames per routed query (one
+  injection plus one per region crossing) over sampled pairs on the final
+  graph.  These three are recorded, never guarded.
 
 Guarded headline: ``bfs_reduction_vs_scratch`` (from-scratch sources per
 actual source, a count ratio, so it does not move with host speed).  The
@@ -26,12 +30,14 @@ import json
 from repro import obs
 from repro.distributed import ActorSystem
 from repro.dynamic import RoutingService, make_scenario
+from repro.graph import sample_pairs
 
 N_ACTORS = 1500
 NUM_EVENTS = 100
 TICK = 10
 SHARDS = 4
 ACTORS_SEED = 20090525
+QUERIES = 50
 
 
 def _ticks(sc):
@@ -65,6 +71,13 @@ def test_actor_tier_repairs_incrementally(record, results_dir):
             scratch.append(sum(int(a.held.sum()) for a in system.actors))
         assert system.mismatches() == [], "actors must stay bit-identical to serial"
         full = [a.full_recomputes - 1 for a in system.actors]  # minus bootstrap
+        held = [int(a.held.sum()) for a in system.actors]
+        owned = [len(system.owned_nodes(a.ident)) for a in system.actors]
+        pairs = sample_pairs(system.service.graph, QUERIES, seed=ACTORS_SEED)
+        before = system.route_messages
+        for s, t in pairs:
+            system.route(s, t)
+        route_messages = (system.route_messages - before) / len(pairs)
 
     nticks = len(ticks)
     actor_ms = sum(actor_seconds) / nticks * 1e3
@@ -88,6 +101,9 @@ def test_actor_tier_repairs_incrementally(record, results_dir):
             "bfs_reduction_vs_scratch": None if reduction is None else round(reduction, 2),
             "rebuilt_ticks": sum(rebuilt),
             "full_recomputes_per_actor": full,
+            "held_rows_per_actor": held,
+            "owned_rows_per_actor": owned,
+            "route_messages_per_query": round(route_messages, 2),
         }
     }
     artifact = results_dir / "BENCH_actors.json"
@@ -97,7 +113,8 @@ def test_actor_tier_repairs_incrementally(record, results_dir):
         f"actor tier n={N_ACTORS} failure, {TICK}-event ticks, {SHARDS} shards on loopback: "
         f"{actor_ms:.0f} ms/tick vs serial {serial_ms:.0f} ms/tick "
         f"({actor_ms / serial_ms:.1f}x); actor BFS sources {sources_per_tick:.0f}/tick "
-        f"vs {scratch_per_tick:.0f} from scratch",
+        f"vs {scratch_per_tick:.0f} from scratch; rows held per actor {held} "
+        f"for {owned} owned; {route_messages:.1f} route frames per query",
     )
     assert sources_per_tick < scratch_per_tick, (
         f"actors BFSed {sources_per_tick:.0f} sources per tick, no fewer than the "

@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "sequence-numbered incremental LSA floods over a transport",
                     (*scenarios, "all"), "mobility", n=120, events=48, tick=6)
     p.add_argument("--shards", type=_positive_int, default=4,
-                   help="table actors in the tier (owner(u) = u mod shards)")
+                   help="table actors in the tier, each owning one balanced BFS "
+                   "region of the ids")
     p.add_argument("--transport", choices=("loop", "tcp", "uds"), default="loop",
                    help="wire: deterministic in-process loopback, localhost TCP, "
                    "or a Unix-domain socket")

@@ -9,12 +9,14 @@ Two tiers share one message vocabulary and one accounting ruler
   topology, and flood the trees back — so the paper's round-complexity
   and locality claims are *measured*, not assumed;
 * the asyncio actor tier (:mod:`~repro.distributed.actors`) serves the
-  *maintained tables* for real: shard actors replicate (G, H) from
+  *maintained tables* for real: shard actors, each owning a balanced BFS
+  region of the ids, replicate (G, H) from
   sequence-numbered incremental LSA floods
   (:mod:`~repro.distributed.wire`) over a pluggable
   :class:`~repro.distributed.transport.Transport` — deterministic
   in-process loopback, TCP or Unix-domain sockets — and forward
-  ``route_served`` journeys hop-by-hop.
+  ``route_served`` journeys hop-by-hop, crossing the wire only between
+  regions.
 """
 
 from .actors import ActorSystem, ShardActor

@@ -14,10 +14,19 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   goes out only for the cold-start bootstrap, a ``resync`` delta
   (compaction), a resend of seqs already trimmed from the driver's
   bounded log, and the benchmark's naive baseline;
-* **shard actors** (``owner(u) = u % shards``) each keep one persistent
-  (G, H) replica, patched in place by every applied LSA, and hold only
-  the distance rows their tables read — owned sources and their
-  G-neighbors — plus the owned next-hop tables.  At quiescence the rows
+* **shard actors** each own one **region** of the ids and keep one
+  persistent (G, H) replica, patched in place by every applied LSA, and
+  hold only the distance rows their tables read — owned sources and their
+  G-neighbors — plus the owned next-hop tables.  The driver grows the
+  regions at bootstrap (:func:`grow_regions`: balanced BFS regions, so an
+  actor's held rows follow the cut, not the whole graph) and the region
+  map travels as replicated state: a :class:`~repro.distributed.wire.\
+  FullTopology` carries the whole map, an
+  :class:`~repro.distributed.wire.LsaUpdate` the region of each joined id
+  (that of its lowest-id placed G-neighbor, else ``id % shards``); a
+  resync (compaction renumbers the ids) regrows the map on the driver's
+  current graph and ships it in its snapshot.  Every replica's map is the
+  driver's, never re-derived from its own G.  At quiescence the rows
   are *repaired from the net delta* accumulated since the last repair
   (link-state style: LSDB update → partial SPF → next-hop table): the
   certified :func:`~repro.dynamic.serving.dirty_rows` test the serial
@@ -47,7 +56,9 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   :class:`~repro.distributed.wire.RouteQuery`), and the finished
   journey returns as a standard
   :class:`~repro.routing.greedy_routing.RouteResult` — identical path,
-  delivery and potentials to the serial call (property-tested).
+  delivery and potentials to the serial call (property-tested).  Hops
+  inside a region are forwarded in place; a ``RouteQuery`` crosses the
+  wire only where the journey crosses into another region.
 
 The public surface is synchronous (``start``/``apply_tick``/``quiesce``/
 ``route``/``close`` drive a private event loop) so the CLI, tests and
@@ -58,6 +69,7 @@ and inside the RL013 lint boundary — no blocking primitives.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -73,7 +85,7 @@ from ..dynamic.serving import (
     resized,
 )
 from ..errors import NodeNotFound, ParameterError, ProtocolError
-from ..graph import Graph
+from ..graph import Graph, multi_source_distances
 from ..routing.greedy_routing import RouteResult
 from .transport import LoopbackTransport, Transport
 from .wire import (
@@ -92,7 +104,7 @@ from .wire import (
 from ..graph import batched_bfs  # noqa: F401
 from ..routing.tables import project_table_row  # noqa: F401
 
-__all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor"]
+__all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor", "grow_regions"]
 
 #: Newest seqs the driver's resend log keeps beyond what every live actor
 #: has applied: a laggard within the window catches up from deltas, one
@@ -100,18 +112,87 @@ __all__ = ["LOG_WINDOW", "ActorSystem", "ShardActor"]
 LOG_WINDOW = 8
 
 
+def grow_regions(g: Graph, parts: int) -> np.ndarray:
+    """Balanced BFS regions of *g*: the region (0..parts−1) of each node.
+
+    Seeds are farthest-point: node 0, then each next seed the node farthest
+    from every seed so far (an unreached node counts as farthest; lowest id
+    on ties).  The regions then grow round-robin, one node per turn in
+    region order, each claiming the next unclaimed node in its own BFS
+    order (neighbors in ascending id), until every region is at the cap
+    ⌈n/parts⌉ or reaches nothing more.  Leftovers — components without a
+    seed, or nodes walled in by full regions — go one BFS piece at a time,
+    lowest id first, to the smallest region (lowest region id on ties),
+    which grows over them up to the cap.  So no region exceeds the cap, and
+    the map is a function of *g* alone.
+    """
+    n = g.num_nodes
+    region = np.full(n, -1, dtype=np.int32)
+    if n == 0:
+        return region
+    cap = -(-n // parts)
+    csr = g.freeze()
+    seeds = [0]
+    while len(seeds) < min(parts, n):
+        far = np.asarray(multi_source_distances(csr, seeds), dtype=np.int64)
+        far[far < 0] = n
+        far[seeds] = -1
+        seeds.append(int(np.argmax(far)))
+    sizes = [0] * parts
+    queues = [deque() for _ in range(parts)]
+
+    def claim(r: int, u: int) -> None:
+        region[u] = r
+        sizes[r] += 1
+        queues[r].extend(csr.neighbors_csr(u))
+
+    def grow(r: int) -> bool:
+        """Claim region *r*'s next unclaimed BFS node; False when none."""
+        queue = queues[r]
+        while queue:
+            u = queue.popleft()
+            if region[u] < 0:
+                claim(r, u)
+                return True
+        return False
+
+    for r, seed in enumerate(seeds):
+        claim(r, seed)
+    growing = list(range(len(seeds)))
+    while growing:
+        growing = [r for r in growing if sizes[r] < cap and grow(r)]
+    for u in np.flatnonzero(region < 0).tolist():
+        if region[u] >= 0:
+            continue  # claimed by an earlier leftover piece
+        r = sizes.index(min(sizes))
+        queues[r].clear()
+        claim(r, u)
+        while sizes[r] < cap and grow(r):
+            pass
+    return region
+
+
+def _extended(region: np.ndarray, n: int) -> np.ndarray:
+    """*region* grown to *n* ids, the new ones unplaced (−1)."""
+    if n <= len(region):
+        return region
+    return np.concatenate((region, np.full(n - len(region), -1, dtype=np.int32)))
+
+
 class ShardActor:
     """One table shard: a persistent (G, H) replica plus the rows it holds.
 
-    ``g``/``h`` are the replica, patched in place by every applied LSA.
-    ``dist`` holds valid ``d_H`` rows exactly where ``held`` is set (the
-    owned sources and their G-neighbors, as of the last repair);
-    ``tables`` holds the owned next-hop rows.  Both are n×n arrays that
-    only a change of the id space resizes (−1-padded, with the serial
-    service's :func:`~repro.dynamic.serving.resized`).  Between repairs
-    the actor accumulates the net ΔH (a flap cancels) and the G-star
-    endpoints of every applied update, which is all :meth:`recompute`
-    needs.
+    ``g``/``h`` are the replica, patched in place by every applied LSA;
+    ``region`` is the replicated region map (``region[u]`` owns *u*),
+    set whole by a :class:`FullTopology` and grown by each joined id's
+    ``(node, region)`` pair.  ``dist`` holds valid ``d_H`` rows exactly
+    where ``held`` is set (the owned sources and their G-neighbors, as of
+    the last repair); ``tables`` holds the owned next-hop rows.  Both are
+    n×n arrays that only a change of the id space resizes (−1-padded,
+    with the serial service's :func:`~repro.dynamic.serving.resized`).
+    Between repairs the actor accumulates the net ΔH (a flap cancels) and
+    the G-star endpoints of every applied update, which is all
+    :meth:`recompute` needs.
     """
 
     def __init__(self, ident: int, system: "ActorSystem") -> None:
@@ -120,6 +201,7 @@ class ShardActor:
         self.db = LsaDb()
         self.g = Graph(0)
         self.h = Graph(0)
+        self.region = np.empty(0, dtype=np.int32)
         self.dist = np.empty((0, 0), dtype=np.int32)
         self.tables = np.empty((0, 0), dtype=np.int32)
         self.held = np.zeros(0, dtype=bool)
@@ -145,6 +227,7 @@ class ShardActor:
             # The whole state, possibly renumbered (compaction): reload.
             self.g = Graph(update.num_nodes, update.g_edges)
             self.h = Graph(update.num_nodes, update.h_edges)
+            self.region = np.array(update.regions, dtype=np.int32)
             self._full = True
         else:
             g, h = self.g, self.h
@@ -152,6 +235,9 @@ class ShardActor:
             for graph in (g, h):
                 if n > graph.num_nodes:
                     graph.add_nodes(n - graph.num_nodes)
+            self.region = _extended(self.region, n)
+            for x, r in update.regions:
+                self.region[x] = r
             for x, y in update.g_removed:
                 if g.remove_edge(x, y):
                     self._star.update((x, y))
@@ -213,7 +299,7 @@ class ShardActor:
     def _repair(self) -> None:
         n, old_n = self.num_nodes, self.dist.shape[0]
         self.dist, self.tables = resized(self.dist, n), resized(self.tables, n)
-        owns = np.arange(n) % self.system.shards == self.ident
+        owns = self.region == self.ident
         # Joins grow the id space; new rows start unheld.
         was_held = np.zeros(n, dtype=bool)
         if not self._full:
@@ -299,42 +385,43 @@ class ShardActor:
     # -- hop-by-hop route forwarding ------------------------------------- #
 
     async def _handle_query(self, q: RouteQuery) -> None:
-        """One actor's leg of ``route_served``'s loop, verbatim.
+        """This region's stretch of ``route_served``'s loop, verbatim.
 
-        The ``pending_hop`` leg appends the hop's potential (this actor
-        owns the hop's distance row); the forwarding leg makes the next
-        table decision (this actor owns ``path[-1]``).  Both may run in
-        one call when the hop's owner is also the next decision's owner.
+        Each step appends the hop's potential (this actor owns the hop, so
+        it holds the hop's distance row) and makes the next table decision
+        (this actor owns the hop, now ``path[-1]``).  The steps repeat in
+        place while the journey stays in the region — a loop, not
+        recursion, since a journey runs up to n hops — and the query goes
+        on the wire, as ``pending_hop``, only to the next hop's region.
         """
-        system = self.system
-        path = q.path
-        potentials = q.potentials
-        if q.pending_hop is not None:
-            hop = q.pending_hop
-            d_hop = self.distance(hop, q.target)
-            potentials = (*potentials, d_hop + 1 if d_hop is not None else None)
-            path = (*path, hop)
-            if hop == q.target:
-                await self._reply(q.qid, path, potentials, True, final_zero=True)
+        target, hops_left, hop = q.target, q.hops_left, q.pending_hop
+        path, potentials = list(q.path), list(q.potentials)
+        while True:
+            if hop is not None:
+                d_hop = self.distance(hop, target)
+                potentials.append(d_hop + 1 if d_hop is not None else None)
+                path.append(hop)
+                if hop == target:
+                    await self._reply(q.qid, path, [*potentials, 0], True)
+                    return
+            if hops_left <= 0:
+                await self._reply(q.qid, path, potentials, False)
                 return
-            q = RouteQuery(q.qid, q.target, q.hops_left, path, potentials, None)
-        current = q.path[-1]
-        if q.hops_left <= 0:
-            await self._reply(q.qid, q.path, q.potentials, False)
-            return
-        hop = self.next_hop(current, q.target)
-        if hop is None:
-            await self._reply(q.qid, q.path, (*q.potentials, None), False)
-            return
-        forwarded = RouteQuery(
-            q.qid, q.target, q.hops_left - 1, q.path, q.potentials, pending_hop=hop
-        )
-        await system.transport.send(self.ident, system.owner(hop), forwarded)
+            hop = self.next_hop(path[-1], target)
+            if hop is None:
+                await self._reply(q.qid, path, [*potentials, None], False)
+                return
+            hops_left -= 1
+            owner = int(self.region[hop])
+            if owner != self.ident:
+                forwarded = RouteQuery(
+                    q.qid, target, hops_left, tuple(path), tuple(potentials), pending_hop=hop
+                )
+                await self.system._send_query(self.ident, owner, forwarded)
+                return
 
-    async def _reply(self, qid, path, potentials, delivered, final_zero=False) -> None:
-        if final_zero:
-            potentials = (*potentials, 0)
-        reply = RouteReply(qid, path, potentials, delivered)
+    async def _reply(self, qid, path, potentials, delivered) -> None:
+        reply = RouteReply(qid, tuple(path), tuple(potentials), delivered)
         await self.system.transport.send(
             self.ident, self.system.driver_id, reply
         )
@@ -344,7 +431,10 @@ class ActorSystem:
     """Driver + shard actors over one transport; synchronous facade.
 
     Construction mirrors :class:`~repro.dynamic.serving.RoutingService`
-    (it owns one, as the feed source and serial truth).  ``mode`` picks
+    (it owns one, as the feed source and serial truth).  ``region`` is the
+    driver's region map — :func:`grow_regions` of the initial graph, grown
+    by joins and regrown on every resync (compaction) — which every
+    replica's map equals once it has applied the feed.  ``mode`` picks
     the wire strategy: ``"incremental"`` floods net-delta
     :class:`LsaUpdate`\\ s, ``"full"`` floods a :class:`FullTopology`
     per tick (the naive baseline the benchmark compares against).
@@ -382,6 +472,7 @@ class ActorSystem:
         self.service = RoutingService(
             g, method, k=k, epsilon=epsilon, r=r, rebuild_fraction=rebuild_fraction
         )
+        self.region = grow_regions(self.service.graph, shards)
         self.service.subscribe(self._on_delta)
         self.actors = [ShardActor(i, self) for i in range(shards)]
         for actor in self.actors:
@@ -392,6 +483,7 @@ class ActorSystem:
         self._out_seq = 0
         self._round = 0
         self._next_qid = 0
+        self.route_messages = 0  # RouteQuery frames sent, injections included
         self._replies: "dict[int, RouteReply]" = {}
         self._loop = asyncio.new_event_loop()
         self._started = False
@@ -400,10 +492,10 @@ class ActorSystem:
     # -- topology of the tier ------------------------------------------- #
 
     def owner(self, node: int) -> int:
-        return node % self.shards
+        return int(self.region[node])
 
-    def owned_nodes(self, actor: int, n: int) -> "list[int]":
-        return list(range(actor, n, self.shards))
+    def owned_nodes(self, actor: int) -> "list[int]":
+        return np.flatnonzero(self.region == actor).tolist()
 
     def ring_peers(self, actor: int) -> "tuple[int, ...]":
         if self.shards == 1:
@@ -464,14 +556,21 @@ class ActorSystem:
             num_nodes=g.num_nodes,
             g_edges=tuple(sorted(g.edges())),
             h_edges=tuple(sorted(h.edges())),
+            regions=tuple(self.region.tolist()),
         )
 
     def _on_delta(self, delta: ServeDelta) -> None:
         """Queue *delta*'s message; its seq is assigned when it floods.
 
         A snapshot is taken now, while the service is at this delta's
-        state — a later tick queued behind it must not leak into it.
+        state — a later tick queued behind it must not leak into it.  The
+        region map follows the delta first: a resync (compaction renumbers
+        the ids) regrows it on the graph as it now is, and otherwise each
+        id the tick added is placed.
         """
+        if delta.resync:
+            self.region = grow_regions(self.service.graph, self.shards)
+        placed = self._place_joins()
         if delta.resync or self.mode == "full":
             self._outbox.append(self._snapshot(0))
             return
@@ -485,7 +584,23 @@ class ActorSystem:
             nodes_joined=delta.nodes_joined,
             num_nodes=delta.num_nodes,
             rebuilt=delta.rebuilt,
+            regions=placed,
         ))
+
+    def _place_joins(self) -> "tuple[tuple[int, int], ...]":
+        """Give each id beyond the region map a region; returns the pairs.
+
+        Ids are placed in ascending order, each in the region of its
+        lowest-id G-neighbor already placed, or ``id % shards`` when it
+        has none (an isolated join).
+        """
+        g = self.service.graph
+        old, n = len(self.region), g.num_nodes
+        self.region = _extended(self.region, n)
+        for u in range(old, n):
+            placed = [w for w in g.neighbors(u) if self.region[w] >= 0]
+            self.region[u] = self.region[min(placed)] if placed else u % self.shards
+        return tuple((u, int(self.region[u])) for u in range(old, n))
 
     async def _flood(self, message) -> None:
         """Inject at the ring entry with a ring-covering TTL."""
@@ -609,7 +724,10 @@ class ActorSystem:
         identical (path, delivery, potentials, tie-breaks) to
         ``route_served`` against :attr:`service`, because both realize the
         same argmin off bit-identical rows.  The equivalence is
-        property-tested in ``tests/distributed/test_actors.py``.
+        property-tested in ``tests/distributed/test_actors.py``.  Hops
+        inside a region stay inside its actor, so a journey costs one
+        ``RouteQuery`` frame for its injection plus one per region crossing
+        (:attr:`route_messages` counts them), and one reply.
         """
         if source == target:
             raise ParameterError("source equals target")
@@ -625,7 +743,7 @@ class ActorSystem:
         self._next_qid += 1
         qid = self._next_qid
         query = RouteQuery(qid, target, max_hops, path=(source,))
-        await self.transport.send(self.driver_id, self.owner(source), query)
+        await self._send_query(self.driver_id, self.owner(source), query)
         for _ in range(self.max_rounds):
             if qid in self._replies:
                 break
@@ -639,13 +757,18 @@ class ActorSystem:
             potentials=[float("inf") if p is None else p for p in reply.potentials],
         )
 
+    async def _send_query(self, sender: int, actor: int, query: RouteQuery) -> None:
+        self.route_messages += 1
+        await self.transport.send(sender, actor, query)
+
     def mismatches(self) -> "list[str]":
         """Differences between the actor tier and the serial service.
 
-        Empty iff every actor's replica matches the live (G, H), every
-        held distance row (owned sources and their G-neighbors) and every
-        owned table row is bit-identical to the service's matrices — the
-        convergence property the suite asserts.
+        Empty iff every actor's replica matches the live (G, H) and the
+        driver's region map, and every held distance row (owned sources
+        and their G-neighbors) and every owned table row is bit-identical
+        to the service's matrices — the convergence property the suite
+        asserts.
         """
         out = []
         g = self.service.graph
@@ -664,9 +787,12 @@ class ActorSystem:
                 out.append(f"{tag}: G replica diverged")
             if actor.h.edge_set() != h.edge_set():
                 out.append(f"{tag}: H replica diverged")
+            if not np.array_equal(actor.region, self.region):
+                out.append(f"{tag}: region map diverged")
+                continue
             if not self.tables:
                 continue
-            owned = self.owned_nodes(actor.ident, n)
+            owned = self.owned_nodes(actor.ident)
             held = np.flatnonzero(actor.held)
             if actor.held.shape != (n,) or not actor.held[owned].all():
                 out.append(f"{tag}: held rows do not cover the shard")

@@ -87,7 +87,9 @@ class LsaUpdate:
     per emitted update.  The payload is exactly the maintainer's wire
     delta (net ΔG, ΔH, joined ids, the id-space size after the tick and
     whether the repair was a full rebuild — the deltas stay *net* either
-    way).  ``ttl``/``seen`` are the scoped-flooding headers.
+    way), plus ``regions``: the ``(node, region)`` ownership the feed gave
+    each joined id, so every replica's region map grows exactly as the
+    feed's does.  ``ttl``/``seen`` are the scoped-flooding headers.
     """
 
     origin: int
@@ -100,6 +102,7 @@ class LsaUpdate:
     nodes_joined: "tuple[int, ...]" = ()
     num_nodes: int = 0
     rebuilt: bool = False
+    regions: "tuple[tuple[int, int], ...]" = ()  # (joined id, its region)
     stamp: int = 0
     seen: "tuple[int, ...]" = ()  # loop-window header: relaying actors
 
@@ -118,7 +121,8 @@ class LsaUpdate:
 
 @dataclass(frozen=True)
 class FullTopology:
-    """Naive full-flooding advertisement: the whole live G and H.
+    """Naive full-flooding advertisement: the whole live G and H, and
+    the region map (``regions[u]`` is the actor region that owns *u*).
 
     The cold-start bootstrap (sequence 1 seeds every actor's replica),
     the resync after a state change no delta describes (compaction), the
@@ -134,6 +138,7 @@ class FullTopology:
     num_nodes: int = 0
     g_edges: "tuple[tuple[int, int], ...]" = ()
     h_edges: "tuple[tuple[int, int], ...]" = ()
+    regions: "tuple[int, ...]" = ()
     stamp: int = 0
     seen: "tuple[int, ...]" = ()
 
@@ -292,10 +297,8 @@ codec.register_message(
     link_units=lambda m: 1,
 )
 
-codec.register_message(
-    "lsa",
-    LsaUpdate,
-    to_payload=lambda m: {
+def _lsa_payload(m: LsaUpdate) -> dict:
+    payload = {
         "o": m.origin,
         "q": m.seq,
         "t": m.ttl,
@@ -308,7 +311,16 @@ codec.register_message(
         "rb": int(m.rebuilt),
         "st": m.stamp,
         "w": [int(x) for x in m.seen],
-    },
+    }
+    if m.regions:  # only joins carry regions: a tick without one pays no bytes
+        payload["rg"] = [[int(x), int(r)] for x, r in m.regions]
+    return payload
+
+
+codec.register_message(
+    "lsa",
+    LsaUpdate,
+    to_payload=_lsa_payload,
     from_payload=lambda p: LsaUpdate(
         origin=int(p["o"]),
         seq=int(p["q"]),
@@ -320,6 +332,7 @@ codec.register_message(
         nodes_joined=tuple(int(x) for x in p.get("j", ())),
         num_nodes=int(p.get("n", 0)),
         rebuilt=bool(p.get("rb", 0)),
+        regions=tuple((int(x), int(r)) for x, r in p.get("rg", ())),
         stamp=int(p.get("st", 0)),
         seen=tuple(int(x) for x in p.get("w", ())),
     ),
@@ -343,6 +356,7 @@ codec.register_message(
         "n": m.num_nodes,
         "ge": codec.edges_to_payload(m.g_edges),
         "he": codec.edges_to_payload(m.h_edges),
+        "rg": [int(r) for r in m.regions],
         "st": m.stamp,
         "w": [int(x) for x in m.seen],
     },
@@ -353,6 +367,7 @@ codec.register_message(
         num_nodes=int(p.get("n", 0)),
         g_edges=codec.edges_from_payload(p.get("ge", ())),
         h_edges=codec.edges_from_payload(p.get("he", ())),
+        regions=tuple(int(r) for r in p.get("rg", ())),
         stamp=int(p.get("st", 0)),
         seen=tuple(int(x) for x in p.get("w", ())),
     ),

@@ -58,10 +58,11 @@ tables that read them, is one decision made in one place: :class:`RowOwner`
 — so the same code runs here over every row, in each worker of the
 multiprocess :class:`~repro.parallel.sharded.ShardedRoutingService` over
 the rows ``u % W`` it owns, and in each shard actor of
-:mod:`repro.distributed.actors` over the rows ``u % shards`` its tables
-read.  That is what keeps the three backends bit-identical by
-construction; the sharded service overrides only the fan-out stages
-(:meth:`_resize_matrices`, :meth:`_recompute_rows`, :meth:`_project_tables`).
+:mod:`repro.distributed.actors` over the rows its region's tables read
+(the region's sources and their G-neighbors).  That is what keeps the
+three backends bit-identical by construction; the sharded service
+overrides only the fan-out stages (:meth:`_resize_matrices`,
+:meth:`_recompute_rows`, :meth:`_project_tables`).
 
 Long-horizon memory control: joins grow the id space monotonically (a
 leave keeps its id slot), so the n×n matrices only ever grow.
@@ -225,8 +226,8 @@ class RowOwner:
     (``<prefix>.rows_recomputed`` = ``rows_repaired`` + ``rows_bfs``,
     ``<prefix>.tables_reprojected``).  Which rows and tables an owner
     keeps is the caller's choice: the serial service passes every row, a
-    pool worker the rows ``u % W`` it owns, a shard actor the rows its
-    tables read.
+    pool worker the rows ``u % W`` it owns, a shard actor its region's
+    rows and their G-neighbors' (the rows its region's tables read).
     """
 
     def __init__(self, dist, tables=None, prefix: str = "serve") -> None:

@@ -26,7 +26,7 @@ The flat layout enables three access styles, all used by
 
 Obtain one with :meth:`Graph.freeze` (cached, invalidated on mutation) or
 :meth:`CSRGraph.from_graph` (always rebuilds).  A ``CSRGraph`` is
-immutable: its :attr:`version` is a constant 0.
+immutable.
 """
 
 from __future__ import annotations
@@ -254,11 +254,6 @@ publish>`).  Capacity headroom (defaulting to ~25% slack) lets churn grow
     @property
     def num_edges(self) -> int:
         return self._m
-
-    @property
-    def version(self) -> int:
-        """Immutable snapshots are always at version 0 (see ``Graph.version``)."""
-        return 0
 
     def nodes(self) -> range:
         return range(self._n)

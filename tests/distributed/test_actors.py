@@ -9,6 +9,12 @@ exactly, HELLO timeouts mark silent peers suspect, and count-capped
 ``lsa.drop``/``lsa.delay`` fault plans still converge through the
 anti-entropy resend path.
 
+Ownership is a replicated region map: balanced BFS regions partition the
+ids under the ⌈n/shards⌉ cap, an actor holds about its region's rows
+rather than the whole graph, every replica's map equals the driver's
+(through laggard snapshots, joins and compaction), and a journey sends
+one ``RouteQuery`` per region crossing plus its injection.
+
 The incremental repair is pinned too: the full path runs only for the
 bootstrap, ``rebuilt`` deltas and snapshots (compaction resync, trimmed
 resends); a muzzled actor catches up across an H-edge flap from deltas;
@@ -17,16 +23,17 @@ a no-op tick, only the newly held ones when ΔH is empty.  The driver's
 resend log stays bounded over a long soak.
 """
 
+import numpy as np
 import pytest
 
 from repro import faults, obs
 from repro.distributed import ActorSystem, make_transport
-from repro.distributed.actors import LOG_WINDOW
-from repro.dynamic import SCENARIO_NAMES, EdgeEvent, RoutingService, make_scenario
+from repro.distributed.actors import LOG_WINDOW, grow_regions
+from repro.dynamic import SCENARIO_NAMES, EdgeEvent, NodeEvent, RoutingService, make_scenario
 from repro.errors import NodeNotFound, ParameterError, ProtocolError
 from repro.faults import PLANS
-from repro.graph import sample_pairs
-from repro.graph.generators import random_connected_gnp
+from repro.graph import Graph, sample_pairs
+from repro.graph.generators import grid_graph, path_graph, random_connected_gnp
 from repro.routing import route_served
 from repro.rng import derive_seed
 
@@ -397,3 +404,145 @@ class TestLogBound:
             assert system.mismatches() == []
             assert lagger.full_recomputes == 2  # bootstrap + the snapshot
             assert len(system._log) == LOG_WINDOW
+
+
+def _regions_agree(system):
+    """Every actor's replicated region map is the driver's."""
+    return all(np.array_equal(a.region, system.region) for a in system.actors)
+
+
+class TestRegions:
+    """The region map: balanced at bootstrap, replicated exactly."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
+    def test_regions_partition_the_ids_under_the_cap(self, shards):
+        graphs = [
+            make_scenario("mobility", 120, 5, seed=3).initial,
+            make_scenario("failure", 90, 5, seed=4).initial,
+            grid_graph(7, 9),
+            path_graph(5),
+            Graph(10, [(0, 1), (2, 3), (3, 4)]),  # components without a seed
+            Graph(6),  # edgeless
+        ]
+        for g in graphs:
+            region = grow_regions(g, shards)
+            n = g.num_nodes
+            assert region.shape == (n,)
+            assert ((region >= 0) & (region < shards)).all(), "every id has one region"
+            assert np.bincount(region, minlength=shards).max() <= -(-n // shards)
+            assert np.array_equal(region, grow_regions(g.copy(), shards)), "g alone decides"
+
+    def test_bootstrap_hands_every_actor_the_driver_map(self):
+        sc = make_scenario("mobility", 60, 5, seed=2)
+        with ActorSystem(sc.initial, "kcover", shards=4) as system:
+            assert np.array_equal(system.region, grow_regions(sc.initial, 4))
+            assert _regions_agree(system)
+            owned = sorted(u for a in system.actors for u in system.owned_nodes(a.ident))
+            assert owned == list(range(60))
+            for actor in system.actors:
+                assert np.array_equal(np.flatnonzero(actor.region == actor.ident),
+                                      system.owned_nodes(actor.ident))
+
+    @pytest.mark.parametrize("scenario", ["mobility", "failure", "nodechurn"])
+    def test_held_rows_stay_near_the_region(self, scenario):
+        # Under u % shards an actor held nearly every row; a BFS region
+        # holds itself plus its boundary.
+        sc = make_scenario(scenario, 200, 5, seed=5)
+        with ActorSystem(sc.initial, "kcover", shards=4) as system:
+            held = [int(a.held.sum()) for a in system.actors]
+            owned = [len(system.owned_nodes(a.ident)) for a in system.actors]
+            assert np.median(held) <= 2 * np.median(owned), (held, owned)
+
+    def test_joins_take_the_lowest_placed_neighbor_region(self):
+        g = grid_graph(4, 6)
+        with ActorSystem(g, "kcover", rebuild_fraction=1.0, shards=3) as system:
+            n = g.num_nodes
+            before = system.region.copy()
+            # n wires to 17 and 5 (its lowest neighbor is 5); n + 1 to n
+            # only (a joiner placed first); n + 2 stays isolated.
+            system.apply_tick([
+                NodeEvent.join(n), EdgeEvent.add(17, n), EdgeEvent.add(5, n),
+                NodeEvent.join(n + 1), EdgeEvent.add(n, n + 1),
+                NodeEvent.join(n + 2),
+            ])
+            assert np.array_equal(system.region[:n], before), "joins move no old id"
+            assert system.region[n] == before[5]
+            assert system.region[n + 1] == system.region[n]
+            assert system.region[n + 2] == (n + 2) % 3
+            assert _regions_agree(system)
+            assert system.mismatches() == []
+
+    def test_trimmed_laggard_takes_the_map_from_the_snapshot(self):
+        sc = make_scenario("nodechurn", 60, 4 * (LOG_WINDOW + 2), seed=31)
+        events = list(sc.events)
+        with ActorSystem(sc.initial, "kcover", shards=SHARDS) as system:
+            n0 = system.service.num_nodes
+            system.muzzle(2)
+            for lo in range(0, len(events), 4):  # LOG_WINDOW + 2 ticks
+                system.apply_tick(events[lo : lo + 4])
+            lagger = system.actors[2]
+            assert system.service.num_nodes > n0, "joins must land while muzzled"
+            assert lagger.applied_seq() + 1 not in system._log, "the gap must be trimmed"
+            assert len(lagger.region) == n0
+            system.unmuzzle(2)
+            system.quiesce()
+            assert lagger.full_recomputes == 2  # bootstrap + the snapshot
+            assert _regions_agree(system)
+            assert system.mismatches() == []
+
+    def test_compaction_regrows_the_map(self):
+        sc = make_scenario("nodechurn", 120, 60, seed=2009)
+        with ActorSystem(sc.initial, "kcover", shards=SHARDS) as system:
+            events = list(sc.events)
+            for lo in range(0, len(events), 5):
+                system.apply_tick(events[lo : lo + 5])
+                assert _regions_agree(system)
+            n_before = len(system.region)
+            assert n_before > 120, "the fixture must join"
+            system.service.compact()
+            system.quiesce()
+            n = system.service.num_nodes
+            assert len(system.region) == n < n_before
+            assert np.array_equal(system.region, grow_regions(system.service.graph, SHARDS))
+            assert np.bincount(system.region, minlength=SHARDS).max() <= -(-n // SHARDS)
+            assert _regions_agree(system)
+            assert system.mismatches() == []
+
+    def test_journeys_match_served_through_joins(self):
+        sc = make_scenario("nodechurn", 60, 40, seed=37)
+        events = list(sc.events)
+        with ActorSystem(sc.initial, "kcover", rebuild_fraction=1.0, shards=SHARDS) as system:
+            n0 = system.service.num_nodes
+            for lo in range(0, len(events), 5):
+                system.apply_tick(events[lo : lo + 5])
+                g = system.service.graph
+                joined = [u for u in range(n0, g.num_nodes) if g.degree(u)]
+                pairs = sample_pairs(g, 6, seed=derive_seed(37, "joins", lo),
+                                     require_nonadjacent=False)
+                pairs += [(u, t) for u in joined for t in (0, g.num_nodes - 1) if u != t]
+                for s, t in pairs:
+                    actor_r = system.route(s, t)
+                    served_r = route_served(system.service, s, t)
+                    assert actor_r.path == served_r.path
+                    assert actor_r.delivered == served_r.delivered
+                    assert actor_r.potentials == served_r.potentials
+            assert system.service.num_nodes > n0, "the fixture must join"
+
+    def test_one_route_message_per_region_crossing(self):
+        sc = make_scenario("mobility", 120, 10, seed=41)
+        with ActorSystem(sc.initial, "kcover", shards=4) as system:
+            system.apply_tick(list(sc.events))
+            frames = hops = 0
+            for s, t in sample_pairs(system.service.graph, 20, seed=41,
+                                     require_nonadjacent=False):
+                before = system.route_messages
+                result = system.route(s, t)
+                path = result.path
+                crossings = sum(
+                    system.owner(a) != system.owner(b) for a, b in zip(path, path[1:])
+                )
+                sent = system.route_messages - before
+                assert sent == crossings + 1  # the injection, then one per crossing
+                frames += sent
+                hops += len(path) - 1
+            assert frames < hops, "in-region hops must not cross the wire"

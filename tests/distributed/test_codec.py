@@ -47,10 +47,19 @@ WIRE_MESSAGES = [
         nodes_joined=(6,),
         num_nodes=7,
         rebuilt=True,
+        regions=((6, 1),),
         stamp=5,
         seen=(1, 2),
     ),
-    FullTopology(origin=4, seq=1, ttl=2, num_nodes=4, g_edges=((0, 1),), h_edges=((0, 1), (1, 2))),
+    FullTopology(
+        origin=4,
+        seq=1,
+        ttl=2,
+        num_nodes=4,
+        g_edges=((0, 1),),
+        h_edges=((0, 1), (1, 2)),
+        regions=(0, 0, 1, 1),
+    ),
     ResendRequest(origin=2, want=(3, 4, 7)),
     RouteQuery(qid=11, target=5, hops_left=9, path=(0, 3), potentials=(4.0, None), pending_hop=2),
     RouteReply(qid=11, path=(0, 3, 5), potentials=(4.0, 2.0, 0), delivered=True),
@@ -69,6 +78,11 @@ class TestRoundTrip:
         doc = json.loads(encode(Hello(origin=0)).decode("utf-8"))
         assert doc["s"] == WIRE_SCHEMA
         assert doc["k"] == kind_of(Hello(origin=0)) == "hello"
+
+    def test_update_without_joins_carries_no_region_key(self):
+        m = LsaUpdate(origin=4, seq=3, g_added=((0, 1),))
+        assert "rg" not in json.loads(encode(m).decode("utf-8"))["p"]
+        assert decode(encode(m)) == m
 
     def test_potential_infinity_rides_as_null(self):
         q = RouteQuery(qid=1, target=2, hops_left=3, potentials=(float("inf"), 5.0, None))

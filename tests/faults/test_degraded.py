@@ -2,11 +2,11 @@
 
 The serving contract under faults, in three clauses:
 
-* **Bounded staleness** — every committed row carries a generation stamp;
-  a reader with ``max_staleness=k`` never serves a row more than *k*
-  committed generations behind the newest started repair, and a reader
-  observing a mid-flight (or died-mid-flight) repair sees staleness
-  exactly 1, never unbounded drift.
+* **Bounded staleness** — the directory posts the committed generation
+  and the pending one (the newest started repair), and staleness is
+  ``pending − committed`` for every row alike: 0 at quiescence, 1 while a
+  repair is in flight or died mid-flight, never unbounded drift.  A
+  reader with ``max_staleness=k`` refuses to serve past *k*.
 * **Degraded serving** — while a repair is in flight or its writer has
   crashed, readers keep answering from committed state: old values, per
   -hop fallbacks from committed distance rows, or an explicit refusal —
@@ -60,7 +60,7 @@ class TestMaxStalenessValidation:
 
     def test_quiescent_service_serves_under_zero_budget(self):
         # max_staleness=0 refuses rows only *mid-repair*; at quiescence
-        # every row's stamp equals the pending generation.
+        # the committed generation equals the pending one.
         sc = make_scenario("mobility", 25, 5, seed=3)
         with ShardedRoutingService(sc.initial, "kcover", workers=2) as service:
             with RouteReader(service.reader_handle(), max_staleness=0) as reader:
@@ -184,7 +184,7 @@ class TestCrashDuringDeltaPublish:
                 assert np.array_equal(np.asarray(service._dist), serial._dist)
                 assert np.array_equal(np.asarray(service._tables), serial._tables)
                 # The pre-attached reader advanced exactly one committed
-                # generation and sees every row freshly stamped.
+                # generation, and nothing is pending past it.
                 assert reader.generation == gen0 + 1
                 assert all(reader.staleness(u) == 0 for u in range(reader.num_nodes))
 
@@ -252,7 +252,7 @@ def _observe_degraded_window(directory, ready, stop, out_q):
                 # distance of a committed row resolves without raising.
                 reader.distance(0, 1)
             if gen == g0 + 1 and staleness == 0:
-                break  # healed: committed and fully stamped
+                break  # healed: the repair committed, nothing pending
         out_q.put(("ok", (saw_degraded, bad_generations, bad_staleness)))
         reader.close()
     except BaseException as exc:  # pragma: no cover - surfaced by the assert

@@ -423,7 +423,7 @@ PINNED = [
         "distserve --n 30 --events 8 --tick 4 --shards 3 --queries 4 --seed 3",
         {"scenario": (("scenario", "events", "rounds", "messages", "bytes", "links", "recomputes",
                        "full", "rows updated", "converged", "routes match"),
-                      ["mobility 8 30 82 16366 1454 9 9 254 yes 4/4"])},
+                      ["mobility 8 23 62 15506 1434 9 9 180 yes 4/4"])},
         [],
     ),
 ]
