@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # Repo check gate: collection -> tier-1 -> perf artifacts -> regression
-# guard -> static analysis.
+# guard -> ruff and mypy.
 #
 #   ./scripts/check.sh                 # full gate
-#   SKIP_BENCH=1 ./scripts/check.sh    # tests + static analysis (e.g. on battery)
+#   SKIP_BENCH=1 ./scripts/check.sh    # tests + ruff/mypy (e.g. on battery)
 #   BENCH_GUARD_SKIP=1 ./scripts/check.sh   # record benches, skip the guard
 #
 # Step 2 is tier-1, which checks after every test that it left no
 # /dev/shm/repro-* segment behind (tests/conftest.py) — the parallel
-# suite and the chaos corpus (tests/faults/) included.  It then runs
+# suite and the chaos corpus (tests/faults/) included.  Tier-1 also
+# holds the repo's one static pass, the layering table of
+# tests/test_layering.py: the RNG/seed-flow, shm, task, exception,
+# timing, fault-hook, event-loop, seqlock and write-path invariants as
+# rows of (what, where it may appear, why) over one walk of src,
+# benchmarks and scripts.  It then runs
 # perfbench's own smoke tests (`python -m
 # pytest perfbench`): they install every layer-tracer binding, so
 # renaming or dropping a traced module attribute fails here.  It ends
@@ -39,17 +44,10 @@
 # committed at HEAD with a tolerance band (scripts/bench_guard.py) and
 # fails loudly on a structural perf regression.
 #
-# Step 5 is static analysis: the repo's own AST linter (`python -m repro
-# lint`, the RNG/seed-flow, shm, task, exception, timing, fault-hook
-# and async invariants, see src/repro/analysis/lint/), zero baseline
-# and blocking; a suppression naming a retired or unknown rule code is
-# itself a finding.  The seqlock needs no rule: row_write is the
-# only way to write a row, and every read goes through the one
-# shm._read_stable loop (a tier-1 test guards both).  ruff
-# and mypy run when installed (`pip install -e ".[lint]"`) — `ruff
-# check` blocks, `ruff format --check` is advisory (formatting drift is
-# reported, not fatal), mypy blocks on the typed core subset from
-# pyproject.toml.
+# Step 5 runs ruff and mypy when installed (`pip install -e ".[lint]"`):
+# `ruff check` blocks, `ruff format --check` is advisory (formatting
+# drift is reported, not fatal), mypy blocks on the typed core subset
+# from pyproject.toml.
 # CI (.github/workflows/check.yml) runs exactly this script.
 
 set -euo pipefail
@@ -83,8 +81,7 @@ PYTHONPATH=src python -m repro chaos --plan mayhem --scenario partition --n 100 
     --events 25 --tick 5 --queries 10 --workers 2 --seed 2009 --metrics OBS_chaos.json
 
 run_static_analysis() {
-    echo "== [5/5] static analysis (reprolint; ruff/mypy when installed) =="
-    PYTHONPATH=src python -m repro lint src benchmarks scripts
+    echo "== [5/5] ruff and mypy (when installed) =="
     if command -v ruff > /dev/null 2>&1; then
         ruff check .
         ruff format --check . \

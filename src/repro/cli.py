@@ -175,29 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser(
-        "lint",
-        help="run reprolint, the project-invariant AST checker "
-        "(RNG discipline, shm lifecycle, worker tasks, ...)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to lint (default: src benchmarks scripts)",
-    )
-    p.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the registered rules and exit",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (json carries suppressed findings, flagged)",
-    )
-
-    p = sub.add_parser(
         "obs",
         help="pretty-print a --metrics snapshot, or diff two of them",
     )
@@ -643,66 +620,6 @@ def _cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_lint(args) -> int:
-    import json as _json
-    import os
-
-    from .analysis.lint import default_rules, lint_paths
-    from .errors import ParameterError
-
-    rules = default_rules()
-    if args.list_rules:
-        for rule in rules:
-            print(f"{rule.code} {rule.name}: {rule.description}")
-        return 0
-    paths = args.paths or [p for p in ("src", "benchmarks", "scripts") if os.path.isdir(p)]
-    if not paths:
-        print("repro lint: no paths given and none of src/benchmarks/scripts exist here")
-        return 2
-    as_json = args.format == "json"
-    try:
-        findings = lint_paths(paths, rules, keep_suppressed=as_json)
-    except ParameterError as exc:
-        print(f"repro lint: {exc}")
-        return 2
-    unsuppressed = [f for f in findings if not f.suppressed]
-    if as_json:
-        print(
-            _json.dumps(
-                {
-                    "schema": "reprolint/1",
-                    "paths": [str(p) for p in paths],
-                    "findings": [
-                        {
-                            "rule": f.rule,
-                            "path": f.path,
-                            "line": f.line,
-                            "col": f.col,
-                            "message": f.message,
-                            "suppressed": f.suppressed,
-                        }
-                        for f in findings
-                    ],
-                    "summary": {
-                        "findings": len(unsuppressed),
-                        "suppressed": len(findings) - len(unsuppressed),
-                    },
-                },
-                indent=2,
-            )
-        )
-        return 1 if unsuppressed else 0
-    for finding in unsuppressed:
-        print(finding.format())
-    if unsuppressed:
-        print(
-            f"repro lint: {len(unsuppressed)} finding(s) in {', '.join(map(str, paths))}"
-        )
-        return 1
-    print(f"repro lint: clean ({', '.join(map(str, paths))}; {len(rules)} rules)")
-    return 0
-
-
 _COMMANDS = {
     "table1": _cmd_table1,
     "figure1": _cmd_figure1,
@@ -716,7 +633,6 @@ _COMMANDS = {
     "traffic": _cmd_traffic,
     "chaos": _cmd_chaos,
     "demo": _cmd_demo,
-    "lint": _cmd_lint,
     "obs": _cmd_obs,
 }
 

@@ -63,7 +63,8 @@ this module serves *the maintained tables* from a tier of asyncio actors:
 The public surface is synchronous (``start``/``apply_tick``/``quiesce``/
 ``route``/``close`` drive a private event loop) so the CLI, tests and
 benchmarks stay plain functions; all message-passing code is ``async``
-and inside the RL013 lint boundary — no blocking primitives.
+and free of blocking primitives (the layering table's
+``blocking_coroutine`` row).
 """
 
 from __future__ import annotations

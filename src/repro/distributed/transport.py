@@ -24,9 +24,10 @@ endpoints live in the calling process (the tier is an actor
 architecture, not a deployment), so :meth:`Transport.pending` can count
 in-flight frames exactly — the quiescence detector depends on it.
 
-This module is inside the RL013 lint boundary: no blocking primitives
-(``time.sleep``, sync queue ``get``, raw ``socket.recv``) appear in its
-coroutines — only ``asyncio`` awaitables.
+No blocking primitive (``time.sleep``, sync queue ``get``, raw
+``socket.recv``) appears in this module's coroutines — only ``asyncio``
+awaitables; the layering table's ``blocking_coroutine`` row
+(``tests/test_layering.py``) guards the package.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Wall-clock primitives — the only module that may call ``perf_counter``.
 
-reprolint rule RL007 confines bare ``time.perf_counter()`` timing to
-``repro/obs/``; everything else in the codebase times itself through the
+The layering table's ``timing`` row (``tests/test_layering.py``)
+confines every reference to ``perf_counter`` to ``repro/obs/``;
+everything else in the codebase times itself through the
 :class:`Stopwatch`, :func:`time_best`, and ``obs.span`` helpers so that
 timings land in the metrics tree instead of ad-hoc local variables.
 """

@@ -351,7 +351,7 @@ def _worker_main(
                         if action == "delay":
                             time.sleep(lag)
                     result_q.put((worker_id, task_id, True, result))
-            except BaseException:  # reprolint: disable=RL006 -- crash barrier: the
+            except BaseException:  # crash barrier (a layering-table row): the
                 # traceback crosses the queue and the parent re-raises it as
                 # WorkerError; swallowing nothing, converting everything.
                 task_id = msg[1] if kind == "task" else -1

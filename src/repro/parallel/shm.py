@@ -51,8 +51,8 @@ blocks (:func:`_create_block`, every name starting with
 owner closes (``close()``, the end of a ``with`` block, or garbage
 collection as a safety net) and when a reallocation retires the blocks
 it outgrew.  POSIX semantics keep existing mappings valid after the
-unlink; attachers only ``close``.  ``tests/parallel/test_shm.py`` guards
-both call sites, and ``tests/conftest.py`` fails any test that leaves a
+unlink; attachers only ``close``.  The layering table
+(``tests/test_layering.py``) guards both call sites, and ``tests/conftest.py`` fails any test that leaves a
 ``/dev/shm/repro-*`` segment behind.
 
 CPython ≤ 3.12 registers *attached* segments with the resource tracker,
@@ -137,7 +137,7 @@ def _read_stable(
     *owner* (an :class:`AttachedMatrix`) every discarded capture bumps
     ``owner.torn_retries`` and the ``seqlock.retry_busy`` /
     ``seqlock.retry_torn`` counters.  Nothing here may block: the only
-    back-off is :func:`_spin` (``tests/parallel/test_shm.py`` guards
+    back-off is :func:`_spin` (``tests/test_layering.py`` guards
     that this is the only loop that calls it).  The retry budget is
     looked up only once a read has to retry, so an uncontended read
     costs two version loads and the copy.

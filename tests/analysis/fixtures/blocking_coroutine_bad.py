@@ -1,6 +1,6 @@
-"""Fixture: blocking calls inside coroutines (RL013).
+"""blocking_coroutine fixture: blocking calls inside coroutines.
 
-Linted under a pretend ``src/repro/distributed/`` path, never imported.
+Walked under a pretend ``src/repro/distributed/`` path, never imported.
 Four findings: module-alias time.sleep, from-import sleep alias, sync
 queue get, raw socket recv.
 """

@@ -1,6 +1,6 @@
-"""Fixture: loop-safe coroutine idiom (RL013 finds nothing here).
+"""blocking_coroutine fixture: the loop-safe coroutine idiom (clean).
 
-Linted under a pretend ``src/repro/distributed/`` path, never imported.
+Walked under a pretend ``src/repro/distributed/`` path, never imported.
 Awaited asyncio primitives, ``_nowait`` variants, ``dict.get`` on plain
 names, sync helpers, and nested defs are all allowed.
 """
@@ -14,7 +14,7 @@ backlog_queue = queue.Queue()
 
 
 def sync_helper() -> None:
-    time.sleep(0.01)  # plain function: RL013 only guards coroutines
+    time.sleep(0.01)  # plain function: only coroutines are guarded
 
 
 async def pump(reader, writers: dict):

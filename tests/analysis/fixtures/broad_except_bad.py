@@ -1,4 +1,4 @@
-"""RL006 fixtures — silent broad exception handlers."""
+"""broad_except fixture — silent broad exception handlers."""
 
 
 def swallow_everything(fn):

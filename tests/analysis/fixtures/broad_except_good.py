@@ -1,4 +1,4 @@
-"""RL006 fixtures — the allowed exception-handling shapes."""
+"""broad_except fixture — the allowed exception-handling shapes (clean)."""
 
 
 def narrow(fn):

@@ -1,4 +1,4 @@
-"""RL012 fixture: ad-hoc fault-hook installation outside repro/faults/."""
+"""fault_hooks fixture: ad-hoc fault-hook installation outside repro/faults/."""
 
 import repro.faults
 from repro import faults

@@ -1,4 +1,4 @@
-"""RL012 fixture: arming through the environment protocol (clean)."""
+"""fault_hooks fixture: arming through the environment protocol (clean)."""
 
 from repro import faults
 from repro.faults import PLANS

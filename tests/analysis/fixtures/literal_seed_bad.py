@@ -1,4 +1,4 @@
-"""RL002 bad (library scope): repro.rng entry points fed literals."""
+"""literal_seed fixture (library scope): repro.rng entry points fed literals."""
 
 from ..rng import derive_seed, ensure_rng
 

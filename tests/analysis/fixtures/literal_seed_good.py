@@ -1,4 +1,4 @@
-"""RL002 good (library scope): seeds flow from the caller through repro.rng."""
+"""literal_seed fixture (library scope): seeds flow from the caller (clean)."""
 
 from ..rng import derive_seed, ensure_rng
 

@@ -1,4 +1,4 @@
-"""RL002 fixtures — every raw RNG construction spelling."""
+"""raw_rng fixture — every raw RNG spelling: the imports and the calls."""
 
 import random
 import numpy as np

@@ -1,4 +1,4 @@
-"""RL002 fixtures — seeds threaded through repro.rng."""
+"""raw_rng fixture — seeds threaded through repro.rng (clean)."""
 
 from repro.rng import derive_seed, ensure_rng
 

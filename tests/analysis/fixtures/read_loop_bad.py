@@ -1,4 +1,4 @@
-"""A hand-rolled seqlock retry loop that blocks (the shm read-loop guard flags it)."""
+"""read_loop fixture: a hand-rolled seqlock retry loop (its `_spin` calls are flagged)."""
 
 import time
 

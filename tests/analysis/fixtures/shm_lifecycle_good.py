@@ -1,4 +1,4 @@
-"""RL003 fixtures — shared memory only through the shm module API."""
+"""shm_lifecycle fixture — shared memory only through the shm module API (clean)."""
 
 from repro.parallel.shm import SharedMatrix, attach_csr
 

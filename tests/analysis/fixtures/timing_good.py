@@ -1,4 +1,4 @@
-"""RL007 fixture: timing through the repro.obs helpers (clean)."""
+"""timing fixture: timing through the repro.obs helpers (clean)."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""RL005 fixtures — task registrations that die under spawn."""
+"""worker_task fixture — task registrations that die under spawn."""
 
 import multiprocessing
 

@@ -1,4 +1,4 @@
-"""RL005 fixtures — module-level task functions only."""
+"""worker_task fixture — module-level task functions only (clean)."""
 
 import multiprocessing
 

@@ -1,32 +1,31 @@
 """The shared injected-violation corpus.
 
 The corpus is the contract of the layered design: every deliberately
-injected protocol violation is either still *caught* — by a static check
-over the source (``static``) or by the shared-memory leak check that runs
-after every test (``leak``) — or can no longer be written
-(``structural``): the API raises the moment it is attempted.  A
-parametrized test asserts exactly that per case.  The seqlock write
-violations are all structural: ``row_write`` is the only way to write a
-versioned row, versioned ``array`` views are read-only, a nested write
-raises, and there is no public "end a write" call to misuse.  So is a
-worker's final metrics snapshot arriving twice: the pool refuses the
-second one.  A leaked segment is whatever the ``/dev/shm`` listing of
-``tests/conftest.py`` still shows after the test; the ownership guard in
-``tests/parallel/test_shm.py`` keeps every create and unlink inside the
-owners of ``parallel/shm.py``.  Seed flow is reprolint's RL002; blocking
-in a seqlock retry loop is caught by the read-loop guard, which pins
-every seqlock read to the one ``shm._read_stable`` loop.
+injected protocol violation is either still *caught* — by the layering
+table's walk over the source (``static``, ``tests/test_layering.py``) or
+by the shared-memory leak check that runs after every test (``leak``) —
+or can no longer be written (``structural``): the API raises the moment
+it is attempted.  A parametrized test asserts exactly that per case.
+The seqlock write violations are all structural: ``row_write`` is the
+only way to write a versioned row, versioned ``array`` views are
+read-only, a nested write raises, and there is no public "end a write"
+call to misuse.  So is a worker's final metrics snapshot arriving twice:
+the pool refuses the second one.  A leaked segment is whatever the
+``/dev/shm`` listing of ``tests/conftest.py`` still shows after the
+test; the table's ``block_create`` and ``block_unlink`` rows keep every
+create and unlink inside the owners of ``parallel/shm.py``.  Seed flow
+is the ``literal_seed`` row; blocking in a seqlock retry loop is caught
+by the ``read_loop`` row, which pins ``_spin`` to the one
+``shm._read_stable`` loop, and the ``read_loop_shape`` row, which keeps
+anything that can park the reader out of that loop.
 """
 
-import ast
 import multiprocessing
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.analysis.lint import lint_file
 from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
@@ -34,14 +33,7 @@ from repro.parallel import shm as shm_mod
 from repro.parallel.pool import _OBS_TASK_ID, fold_row_changes
 from repro.parallel.shm import AttachedMatrix, SharedMatrix
 from tests.conftest import shm_segments
-from tests.parallel.test_shm import (
-    read_loop_violations,
-    repro_modules,
-    repro_modules_with,
-    shm_source,
-)
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from tests.test_layering import FIXTURES, SHM, flagged, shm_source
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -111,18 +103,17 @@ def _structural_unmatched_end():
 
 
 def _static_literal_reseed():
-    source = (FIXTURES / "rl009_bad.py").read_text(encoding="utf-8")
-    findings = lint_file("src/repro/under_test.py", source=source)
-    return [[f for f in findings if f.rule == "RL002"]]
+    source = (FIXTURES / "literal_seed_bad.py").read_text(encoding="utf-8")
+    return [flagged("literal_seed", source, "src/repro/under_test.py")]
 
 
 def _static_blocking_in_retry_loop():
-    """The guard over ``src/repro`` plus a blocking hand-rolled loop, and
-    over ``src/repro`` with a sleep inside ``_read_stable`` itself."""
-    fixture = ast.parse((FIXTURES / "rl011_bad.py").read_text(encoding="utf-8"))
+    """A hand-rolled blocking retry loop in library code, and a sleep
+    inside ``_read_stable`` itself."""
+    source = (FIXTURES / "read_loop_bad.py").read_text(encoding="utf-8")
     return [
-        read_loop_violations([*repro_modules(), ("src/repro/under_test.py", fixture)]),
-        read_loop_violations(repro_modules_with(shm_source(sleep_in_read_loop=True))),
+        flagged("read_loop", source, "src/repro/under_test.py"),
+        flagged("read_loop_shape", shm_source(sleep_in_read_loop=True), SHM),
     ]
 
 

@@ -7,12 +7,8 @@ snapshot while shipping fewer bytes than a full rewrite.  Versioned rows
 are written only through ``row_write`` (:class:`TestRowWrite`).
 """
 
-import ast
 import dataclasses
-import functools
 import multiprocessing
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +28,6 @@ from repro.parallel import (
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
 ]
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -445,159 +440,6 @@ def _nested_write_child(handle, out_q) -> None:
         att.close()
 
 
-#: Names only ``parallel/shm.py`` may use: spellings of the raw seqlock
-#: bracket and the writable-view hooks behind ``row_write``.
-_BRACKET_NAMES = frozenset(
-    {
-        "begin_row_write",
-        "end_row_write",
-        "_begin_row_write",
-        "_end_row_write",
-        "_writable",
-        "_versions",
-    }
-)
-_COUNTER_VIEWS = frozenset({"row_versions", "versions"})
-
-
-def _bracket_uses(tree: ast.AST) -> "list[int]":
-    """Lines of *tree* that touch the bracket outside ``row_write``: a
-    bracket-name reference, or a store into a row-version counter view."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in _BRACKET_NAMES:
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id in _BRACKET_NAMES:
-            lines.append(node.lineno)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for tgt in targets:
-                base = tgt.value if isinstance(tgt, ast.Subscript) else None
-                if isinstance(base, ast.Attribute) and base.attr in _COUNTER_VIEWS:
-                    lines.append(node.lineno)
-    return sorted(lines)
-
-
-#: What the one seqlock read loop (``shm._read_stable``) may call besides
-#: the conversion its caller passes, and the conversions callers may pass.
-#: None of them can park the reader, so the loop stays a bounded spin.
-_READ_LOOP_CALLS = frozenset({"int", "range", "_spin", "obs.inc"})
-_READ_CASTS = frozenset({"int", "bytes", "np.array"})
-_CAST_ARG = 4  # _read_stable(ver, i, data, key, cast, owner=None)
-
-
-def read_loop_violations(modules) -> "list[str]":
-    """Breaches of the single-read-loop structure over *modules*, the
-    ``(label, ast)`` pairs standing for ``src/repro``: exactly one
-    ``_read_stable`` holding exactly one loop, that loop calling only
-    :data:`_READ_LOOP_CALLS` and its cast parameter, ``_spin`` referenced
-    nowhere else, and every caller passing a cast from :data:`_READ_CASTS`."""
-    out = []
-    readers = []
-    for label, tree in modules:
-        inside = set()
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "_read_stable":
-                readers.append((label, node))
-                inside |= {id(sub) for sub in ast.walk(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.alias):
-                name = node.name
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                name = ast.unparse(node)
-            else:
-                name = ""
-            if name.split(".")[-1] == "_spin" and id(node) not in inside:
-                out.append(f"{label}:{node.lineno}: _spin outside _read_stable")
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_read_stable"):
-                cast = [kw.value for kw in node.keywords if kw.arg == "cast"]
-                cast += node.args[_CAST_ARG : _CAST_ARG + 1]
-                if not cast or ast.unparse(cast[0]) not in _READ_CASTS:
-                    out.append(f"{label}:{node.lineno}: _read_stable cast not in {sorted(_READ_CASTS)}")
-    if len(readers) != 1:
-        return out + [f"expected one _read_stable, found {len(readers)}"]
-    label, reader = readers[0]
-    loops = [n for n in ast.walk(reader) if isinstance(n, (ast.For, ast.While))]
-    if len(loops) != 1:
-        return out + [f"{label}: expected one loop in _read_stable, found {len(loops)}"]
-    allowed = _READ_LOOP_CALLS | {reader.args.args[_CAST_ARG].arg}
-    for node in ast.walk(loops[0]):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) not in allowed:
-            out.append(f"{label}:{node.lineno}: {ast.unparse(node.func)}() in the read loop")
-    return out
-
-
-SHM_PATH = "src/repro/parallel/shm.py"
-
-
-def shm_source(*, sleep_in_read_loop: bool = False) -> str:
-    """``parallel/shm.py``'s source, optionally with a blocking call
-    inserted into the ``_read_stable`` loop (a mutation the guard must
-    catch)."""
-    source = (REPO_ROOT / SHM_PATH).read_text(encoding="utf-8")
-    copy_line = "            value = cast(data[key])\n"
-    assert source.count(copy_line) == 1
-    if sleep_in_read_loop:
-        source = source.replace(copy_line, "            time.sleep(0.001)\n" + copy_line)
-    return source
-
-
-#: The classes that own shared-memory blocks; only their methods create one.
-_BLOCK_OWNERS = frozenset({"SharedCSR", "SharedMatrix", "SharedDirectory"})
-
-
-def ownership_violations(modules) -> "list[str]":
-    """Breaches of single block ownership over *modules*, the ``(label,
-    ast)`` pairs standing for ``src/repro``: exactly one ``_free_block``,
-    in ``shm.py``, holding the only ``.unlink()`` call (``os.unlink`` of a
-    file path is not a block), and ``_create_block`` called only from
-    methods of :data:`_BLOCK_OWNERS` in ``shm.py``."""
-    out = []
-    helpers = 0
-    for label, tree in modules:
-        in_helper, in_owner = set(), set()
-        for node in tree.body if label == SHM_PATH else ():
-            if isinstance(node, ast.FunctionDef) and node.name == "_free_block":
-                helpers += 1
-                in_helper |= {id(sub) for sub in ast.walk(node)}
-            if isinstance(node, ast.ClassDef) and node.name in _BLOCK_OWNERS:
-                in_owner |= {
-                    id(sub)
-                    for method in node.body
-                    if isinstance(method, ast.FunctionDef)
-                    for sub in ast.walk(method)
-                }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = ast.unparse(node.func)
-            if func.endswith(".unlink") and func != "os.unlink" and id(node) not in in_helper:
-                out.append(f"{label}:{node.lineno}: {func}() outside _free_block")
-            if func.split(".")[-1] == "_create_block" and id(node) not in in_owner:
-                out.append(f"{label}:{node.lineno}: _create_block() outside an owner method")
-    if helpers != 1:
-        out.append(f"expected one _free_block in {SHM_PATH}, found {helpers}")
-    return out
-
-
-def repro_modules_with(source: str, label: str = SHM_PATH) -> "list[tuple[str, ast.Module]]":
-    """:func:`repro_modules` with module *label* (``shm.py`` by default)
-    replaced by, or joined by, *source*."""
-    modules = dict(repro_modules())
-    modules[label] = ast.parse(source)
-    return sorted(modules.items())
-
-
-@functools.lru_cache(maxsize=1)
-def repro_modules() -> "tuple[tuple[str, ast.Module], ...]":
-    """Every module under ``src/repro`` as ``(relative path, ast)``."""
-    root = REPO_ROOT / "src" / "repro"
-    return tuple(
-        (str(path.relative_to(REPO_ROOT)), ast.parse(path.read_text(encoding="utf-8")))
-        for path in sorted(root.rglob("*.py"))
-    )
-
-
 class TestRowWrite:
     """``with m.row_write(u) as row:`` is the only way to write a versioned row."""
 
@@ -693,132 +535,23 @@ class TestRowWrite:
             assert int(owner.row_versions[3]) == 4
 
     def test_bracket_primitives_are_unreachable_outside_shm(self):
+        # The layering table's seqlock_bracket row keeps every spelling of
+        # the raw bracket inside shm.py; here, no public method exposes it.
         for cls in (SharedMatrix, AttachedMatrix):
             assert not hasattr(cls, "begin_row_write")
             assert not hasattr(cls, "end_row_write")
-        shm_module = REPO_ROOT / "src" / "repro" / "parallel" / "shm.py"
-        offenders = []
-        scanned = 0
-        for top in ("src", "benchmarks", "scripts"):
-            for path in sorted((REPO_ROOT / top).rglob("*.py")):
-                if path == shm_module:
-                    continue
-                scanned += 1
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-                offenders += [f"{path.relative_to(REPO_ROOT)}:{n}" for n in _bracket_uses(tree)]
-        assert scanned > 50
-        assert offenders == [], "raw seqlock bracket outside shm.py: " + ", ".join(offenders)
-        assert _bracket_uses(ast.parse(shm_module.read_text(encoding="utf-8")))  # scan sees it
-
-    def test_bracket_scan_flags_every_spelling(self):
-        source = (
-            "m.begin_row_write(u)\n"
-            "m._end_row_write(u)\n"
-            "row = m._writable()[u]\n"
-            "m.row_versions[u] += 1\n"
-            "att.versions[u] = 0\n"
-            "with m.row_write(u) as row:\n"
-            "    row[:] = 1\n"
-            "x = m.row_versions[u]\n"
-        )
-        assert _bracket_uses(ast.parse(source)) == [1, 2, 3, 4, 5]
-
-
-class TestReadLoop:
-    """Every seqlock read goes through the one ``_read_stable`` loop."""
-
-    def test_repo_has_one_read_loop_and_nothing_blocks_in_it(self):
-        modules = repro_modules()
-        assert len(modules) > 50
-        assert read_loop_violations(modules) == []
-
-    def test_guard_flags_each_breach(self):
-        found = read_loop_violations(repro_modules_with(shm_source(sleep_in_read_loop=True)))
-        assert any("time.sleep()" in v for v in found)
-        lambda_cast = shm_source().replace("(u, v), int, self)", "(u, v), lambda x: int(x), self)")
-        found = read_loop_violations(repro_modules_with(lambda_cast))
-        assert any("cast not in" in v for v in found)
-        hand_rolled = ast.parse(
-            "from .shm import _spin\n"
-            "def read(ver, arr, u):\n"
-            "    for attempt in range(9):\n"
-            "        if not ver[u] & 1:\n"
-            "            return arr[u]\n"
-            "        _spin(attempt)\n"
-        )
-        found = read_loop_violations([*repro_modules(), ("src/repro/other.py", hand_rolled)])
-        assert found == [
-            "src/repro/other.py:1: _spin outside _read_stable",
-            "src/repro/other.py:6: _spin outside _read_stable",
-        ]
-
-
-class TestOwnership:
-    """Only the owners create blocks, and only ``_free_block`` unlinks one."""
-
-    def test_blocks_have_one_owner_and_one_release(self):
-        assert ownership_violations(repro_modules()) == []
-        creates = [
-            n
-            for n in ast.walk(dict(repro_modules())[SHM_PATH])
-            if isinstance(n, ast.Call) and ast.unparse(n.func) == "_create_block"
-        ]
-        assert len(creates) >= 5  # the scan sees the owners' allocations
-
-    def test_guard_flags_each_breach(self):
-        stray_unlink = "def close(pool, owner):\n    owner._shm.unlink()\n"
-        found = ownership_violations(
-            repro_modules_with(stray_unlink, "src/repro/parallel/pool.py")
-        )
-        assert found == ["src/repro/parallel/pool.py:2: owner._shm.unlink() outside _free_block"]
-        free_side_door = shm_source() + "\ndef scratch(n):\n    return _create_block(n)\n"
-        found = ownership_violations(repro_modules_with(free_side_door))
-        assert len(found) == 1 and "_create_block() outside an owner method" in found[0]
-        no_helper = shm_source().replace("def _free_block(", "def _release_block(")
-        found = ownership_violations(repro_modules_with(no_helper))
-        assert any(v.startswith("expected one _free_block") for v in found)
-        assert any(".unlink() outside _free_block" in v for v in found)
-
-
-#: The only environment variables library code may read: the obs switch
-#: and the fault plane's gate and plan.  Dispatch thresholds are module
-#: constants, not knobs.
-_ENV_VARS = frozenset({"REPRO_OBS", "REPRO_FAULTS", "REPRO_FAULT_PLAN"})
-
-
-def env_var_names(modules) -> "set[str]":
-    """Every ``REPRO_*`` name in a string constant of *modules*, skipping
-    docstrings and other bare string statements."""
-    names: "set[str]" = set()
-    for _label, tree in modules:
-        bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if id(node) not in bare:
-                    names.update(re.findall(r"\bREPRO_[A-Z0-9_]+", node.value))
-    return names
 
 
 class TestNoKnobCreep:
-    """The runtime switches stay the three above; everything else is a
-    constant where it is used."""
-
-    def test_library_reads_only_the_three_switches(self):
-        assert env_var_names(repro_modules()) == _ENV_VARS
+    """The runtime switches stay the obs switch and the fault plane's two
+    (the layering table's env_* rows); everything else is a constant where
+    it is used."""
 
     def test_tuning_holds_only_the_obs_switch(self):
         from repro import tuning
 
         assert [f.name for f in dataclasses.fields(tuning.Tuning)] == ["obs"]
         assert dataclasses.asdict(tuning.get()) == {"obs": 1}
-
-    def test_guard_flags_a_new_knob_but_not_a_docstring(self):
-        knob = (
-            '"""REPRO_DOC in a docstring is prose."""\n'
-            'import os\nX = os.environ.get("REPRO_CHUNK")\n'
-        )
-        found = env_var_names(repro_modules_with(knob, "src/repro/other.py"))
-        assert found == _ENV_VARS | {"REPRO_CHUNK"}
 
 
 def _post_changing_lengths(directory, stop):

@@ -49,6 +49,8 @@ class TestCli:
         ):
             args = parser.parse_args([cmd])
             assert args.command == cmd
+        with pytest.raises(SystemExit):
+            parser.parse_args(["lint"])  # the static pass is tests/test_layering.py
 
     def test_rounds_command(self, capsys):
         rc = main(["rounds", "--n", "25", "--seed", "3"])

@@ -1,7 +1,7 @@
-"""Tests for package-level plumbing: version, errors, rng discipline, layering."""
+"""Tests for package-level plumbing: version, errors, rng discipline.
 
-import ast
-from pathlib import Path
+The layering checks live in ``tests/test_layering.py``.
+"""
 
 import numpy as np
 
@@ -52,99 +52,6 @@ class TestVersionAndExports:
         ):
             for name in pkg.__all__:
                 assert hasattr(pkg, name), f"{pkg.__name__}.{name}"
-
-
-class TestLayering:
-    """Outside ``core/``, ``experiments/`` and ``baselines/``, trees come
-    from the one construction table (``repro.core.remote_spanner``), never
-    from a tree function imported and wrapped by hand; and every write
-    layer has one repair path, ``apply_batch``."""
-
-    TREE_NAMES = {
-        "dom_tree_kcover", "dom_tree_kmis", "dom_tree_mis", "dom_tree_greedy",
-        "domtree_kcover", "domtree_kmis", "domtree_mis", "domtree_greedy",
-    }
-    FREE_DIRS = {"core", "experiments", "baselines"}
-    #: perfbench's layer tracer times tree construction by patching this
-    #: module binding, so the maintainer keeps it (and calls through it).
-    TRACE_SEAM = ("dynamic/maintainer.py", "dom_tree_kcover")
-
-    def tree_imports(self, root):
-        found = []
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root)
-            if rel.parts[0] in self.FREE_DIRS or rel == Path("__init__.py"):
-                continue  # the package __init__ only re-exports
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                    continue
-                names = [alias.name for alias in node.names]
-                parts = {p for name in [getattr(node, "module", None) or "", *names]
-                         for p in name.split(".")}
-                if parts & self.TREE_NAMES:
-                    found.append((rel.as_posix(), ", ".join(names)))
-        return found
-
-    def test_only_the_table_builds_trees(self):
-        root = Path(repro.__file__).parent
-        assert [hit for hit in self.tree_imports(root) if hit != self.TRACE_SEAM] == []
-        assert self.TRACE_SEAM in self.tree_imports(root)
-
-    # One write path: every event is a one-event tick, so each write layer
-    # repairs through ``apply_batch`` alone and ``apply`` only delegates.
-    WRITE_DIRS = {"dynamic", "parallel", "distributed"}
-
-    def methods(self):
-        """``(path, class, method node)`` for every method in ``src/repro``."""
-        root = Path(repro.__file__).parent
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root)
-            for cls in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(cls, ast.ClassDef):
-                    for fn in cls.body:
-                        if isinstance(fn, ast.FunctionDef):
-                            yield rel, cls.name, fn
-
-    def callers(self, attr, classes):
-        """``(class.method, receiver)`` of every ``<receiver>.<attr>(...)``
-        call in a method of *classes*; any other class may call its own
-        *attr* only (receiver ``self``), never reach into theirs."""
-        found = []
-        for _rel, cls, fn in self.methods():
-            for node in ast.walk(fn):
-                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == attr):
-                    continue
-                receiver = ast.unparse(node.func.value)
-                if cls in classes:
-                    found.append((f"{cls}.{fn.name}", receiver))
-                else:
-                    assert receiver == "self", f"{cls}.{fn.name} calls {receiver}.{attr}"
-        return sorted(found)
-
-    def test_maintainer_repairs_only_in_apply_batch(self):
-        assert self.callers("_repair", {"SpannerMaintainer"}) == [
-            ("SpannerMaintainer.apply_batch", "self"),
-        ]
-
-    def test_service_ingests_only_in_apply_batch(self):
-        assert self.callers("_ingest", {"RoutingService", "ShardedRoutingService"}) == [
-            ("RoutingService.apply_batch", "self"),
-            ("ShardedRoutingService._ingest", "super()"),
-        ]
-
-    def test_apply_only_delegates(self):
-        seen = []
-        for rel, cls, fn in self.methods():
-            if rel.parts[0] not in self.WRITE_DIRS or fn.name != "apply":
-                continue
-            seen.append(cls)
-            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
-            assert len(body) == 1, f"{cls}.apply has {len(body)} statements"
-            (stmt,) = body
-            assert isinstance(stmt, (ast.Return, ast.Expr)), f"{cls}.apply does not delegate"
-            assert isinstance(stmt.value, ast.Call), f"{cls}.apply does not delegate"
-        assert sorted(seen) == ["RoutingService", "SpannerMaintainer"]
 
 
 class TestErrors:
