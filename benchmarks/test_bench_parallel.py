@@ -3,8 +3,8 @@
 The PR-4 acceptance gate: the :class:`~repro.parallel.sharded.\
 ShardedRoutingService` must repair ≥ 2× faster at 4 workers than at 1 on
 the same n≈3000 churn stream — measured as the full W = 1, 2, 4 curve (so
-the artifact shows *scaling*, not a point) together with the shared-memory
-publish costs (full vs delta) that bound the per-event communication.
+the artifact shows *scaling*, not a point) together with the cost of the
+whole-snapshot shared-memory publish that bounds the per-event bus traffic.
 
 Degradation contract: worker counts above the host's CPU count cannot
 speed anything up, so they are not measured and the speedup bar is not
@@ -126,30 +126,15 @@ def test_sharded_repair_throughput(par_scenario, record, results_dir):
         )
 
 
-def test_shared_memory_publish_cost(par_scenario, record, results_dir, bench_rng):
-    """Full vs delta publish of the n≈3000 snapshot — the per-event bus cost."""
-    g = par_scenario.initial.copy()
-    csr = g.freeze()
+def test_shared_memory_publish_cost(par_scenario, record, results_dir):
+    """Whole-snapshot publish of the n≈3000 graph — the per-event bus cost."""
+    csr = par_scenario.initial.copy().freeze()
     shared = csr.share()
     try:
         sw = obs.Stopwatch()
         for _ in range(PUBLISH_ROUNDS):
             full_stats = shared.publish(csr)
         t_full = (sw.elapsed()) / PUBLISH_ROUNDS
-
-        # Delta: flap one random edge per round (the serving layer's hint).
-        edges = sorted(g.edges())
-        t_delta = 0.0
-        delta_bytes = []
-        for i in range(PUBLISH_ROUNDS):
-            u, v = edges[int(bench_rng.integers(len(edges)))]
-            (g.remove_edge if g.has_edge(u, v) else g.add_edge)(u, v)
-            snap = g.freeze()
-            sw = obs.Stopwatch()
-            delta_stats = shared.publish(snap, dirty_rows={u, v})
-            t_delta += sw.elapsed()
-            delta_bytes.append(delta_stats.bytes_written)
-        t_delta /= PUBLISH_ROUNDS
     finally:
         shared.close()
 
@@ -159,19 +144,14 @@ def test_shared_memory_publish_cost(par_scenario, record, results_dir, bench_rng
         "full_publish": {
             "mean_seconds": round(t_full, 8),
             "bytes": full_bytes,
-        },
-        "delta_publish": {
-            "mean_seconds": round(t_delta, 8),
-            "mean_bytes": round(sum(delta_bytes) / len(delta_bytes), 1),
             "rounds": PUBLISH_ROUNDS,
         },
     }
     assert full_stats.bytes_written == full_bytes
-    assert max(delta_bytes) < full_bytes, "delta publish must ship less than a rewrite"
+    assert shared.exported.bytes_written == full_bytes
     _merge_artifact(results_dir, "publish_cost", payload)
     record(
         "bench_parallel_publish",
-        f"shared-memory publish n={csr.num_nodes}: full {t_full * 1e3:.2f} ms "
-        f"({full_bytes / 1e6:.1f} MB), delta {t_delta * 1e3:.2f} ms "
-        f"(~{payload['delta_publish']['mean_bytes']:.0f} B/event)",
+        f"shared-memory publish n={csr.num_nodes}: full {t_full * 1e6:.1f} us "
+        f"({full_bytes / 1e3:.1f} KB)",
     )

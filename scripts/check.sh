@@ -170,6 +170,12 @@ else:
         f"sharded repair 4-vs-1 worker speedup: {sharded['speedup_4_vs_1']}x "
         f"(required {sharded['required_speedup']}x; {curve})"
     )
+pub = p["publish_cost"]
+print(
+    f"shared-memory publish (whole snapshot, n={pub['graph']['n']}): "
+    f"{pub['full_publish']['mean_seconds'] * 1e6:.1f} us for "
+    f"{pub['full_publish']['bytes']} B"
+)
 qt = q["query_throughput"]
 line = (
     f"served route queries vs per-hop BFS: {qt['speedup_served_vs_bfs']}x "

@@ -43,7 +43,7 @@ Fault sites
 =================  ========================================================
 ``task.crash``     ``os._exit`` at task start (worker dies mid-task)
 ``write.crash``    ``os._exit`` right after the seqlock version goes odd
-                   (worker dies mid-versioned-write; readers must spin,
+                   (worker dies mid-row-write; readers must spin,
                    the supervisor must repair the torn row)
 ``worker.wedge``   sleep past ``task_timeout`` at task start
 ``shm.alloc``      simulated ``OSError`` from block creation

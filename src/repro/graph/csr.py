@@ -136,10 +136,10 @@ class CSRGraph:
         return cls(n, indptr, indices)
 
     @classmethod
-    def patched(cls, base: "CSRGraph", g: Any, dirty_rows: "Iterable[int]") -> "CSRGraph":
+    def patched(cls, base: "CSRGraph", g: Any, changed: "Iterable[int]") -> "CSRGraph":
         """Snapshot *g* by patching the prior snapshot *base*.
 
-        *dirty_rows* are the node ids whose adjacency may differ between
+        *changed* are the node ids whose adjacency may differ between
         *base* and *g*; every other row is bulk-copied from the base buffers
         (one vectorized span copy per run of clean rows) and only the dirty
         rows are re-sorted from the live sets.  With *k* dirty rows this
@@ -154,7 +154,7 @@ freeze>` for the dynamic-graph workloads.
         n = g.num_nodes
         if n != base._n:
             return cls.from_graph(g)
-        dirty = sorted(set(dirty_rows))
+        dirty = sorted(set(changed))
         if dirty and not (0 <= dirty[0] and dirty[-1] < n):
             raise NodeNotFound(dirty[0] if dirty[0] < 0 else dirty[-1], n)
         if not dirty:
@@ -191,23 +191,20 @@ freeze>` for the dynamic-graph workloads.
     # shared-memory export (repro.parallel)
     # ------------------------------------------------------------------ #
 
-    def share(
-        self, *, capacity_nodes: "int | None" = None, capacity_indices: "int | None" = None
-    ) -> "SharedCSR":
+    def share(self) -> "SharedCSR":
         """Export this snapshot into :mod:`multiprocessing.shared_memory`.
 
         Returns a :class:`~repro.parallel.shm.SharedCSR` owner whose
         picklable ``handle`` lets worker processes :meth:`attach` with
         zero copies — the workers' numpy views alias the very same shared
-        buffers.  The owner also supports *delta publishing*: a patched
-        re-freeze ships only the dirty row spans to an already-attached
-        pool (see :meth:`SharedCSR.publish <repro.parallel.shm.SharedCSR.\
-publish>`).  Capacity headroom (defaulting to ~25% slack) lets churn grow
-        the graph without reallocating the blocks.
+        buffers.  Later snapshots are shipped whole into the same blocks
+        (:meth:`SharedCSR.publish <repro.parallel.shm.SharedCSR.publish>`);
+        ~25% capacity headroom lets churn grow the graph without
+        reallocating them.
         """
         from ..parallel.shm import SharedCSR
 
-        return SharedCSR(self, capacity_nodes=capacity_nodes, capacity_indices=capacity_indices)
+        return SharedCSR(self)
 
     @classmethod
     def attach(cls, handle: Any) -> "CSRGraph":

@@ -7,9 +7,9 @@ serving" item calls for, in three tiers:
 * :mod:`repro.parallel.shm` — **data plane**: CSR snapshots
   (:meth:`CSRGraph.share <repro.graph.csr.CSRGraph.share>` /
   :meth:`CSRGraph.attach <repro.graph.csr.CSRGraph.attach>`) and dense
-  serving matrices in :mod:`multiprocessing.shared_memory`, with
-  delta publishing (only dirty row spans cross the bus) and capacity
-  headroom for churn;
+  serving matrices in :mod:`multiprocessing.shared_memory`: snapshots
+  ship whole, every matrix row is seqlocked, and capacity headroom
+  absorbs churn;
 * :mod:`repro.parallel.pool` — **control plane**: :class:`WorkerPool`,
   W persistent fork/spawn-safe processes attached to the published
   objects, fed small task messages (:data:`~repro.parallel.pool.TASKS`),
@@ -19,8 +19,8 @@ serving" item calls for, in three tiers:
   :class:`~repro.dynamic.serving.RoutingService` with rows and tables
   partitioned ``u % W`` across shards — property-tested bit-identical to
   the serial service after every event — plus :class:`RouteReader`, a
-  read-only query endpoint any process can attach over the seqlock
-  -versioned shared matrices to serve ``next_hop``/``route`` lookups
+  read-only query endpoint any process can attach over the seqlocked
+  shared matrices to serve ``next_hop``/``route`` lookups
   *while* the shards repair (torn-read-free, property-tested).
 
 ``benchmarks/test_bench_parallel.py`` records the W = 1, 2, 4 repair

@@ -8,9 +8,9 @@ graph size.  The design follows the message-passing model of the related
 distributed-construction literature: partition the sources, exchange only
 summaries.
 
-* **Publishing** — ``publish_csr(name, csr, dirty_rows=...)`` exports or
-  delta-updates a named snapshot; ``matrix(name, rows, cols)`` allocates a
-  named shared matrix.  Every published object is rebroadcast to freshly
+* **Publishing** — ``publish_csr(name, csr)`` exports or rewrites a named
+  snapshot; ``matrix(name, rows, cols)`` allocates a named seqlocked
+  shared matrix.  Every published object is rebroadcast to freshly
   (re)started workers, which makes :meth:`restart` (and crash recovery)
   transparent to callers.
 * **Dispatch** — ``run(fn, payloads)`` scatters payloads round-robin (or
@@ -279,8 +279,11 @@ _OBS_TASK_ID = -2
 #: metric snapshots of gracefully stopped workers.
 _DRAIN_TIMEOUT = 1.0
 
-#: Respawns one supervised :meth:`WorkerPool.run` may spend before giving up.
+#: Respawns one :meth:`WorkerPool.run` may spend before giving up.
 _MAX_RESPAWNS = 8
+
+#: Consecutive workers one payload may kill before it is quarantined.
+_POISON_THRESHOLD = 3
 
 #: Supervised respawn backoff: ``_BACKOFF_BASE · 2^(k−1)`` seconds before
 #: the k-th respawn of a run, capped at ``_BACKOFF_CAP``.
@@ -380,20 +383,19 @@ class WorkerPool:
     task_timeout:
         Seconds to wait for any single gather before declaring workers
         wedged (dead workers are detected sooner).
-    supervise:
-        Self-healing (default on): a dead or wedged worker is respawned
-        with exponential backoff (:data:`_BACKOFF_BASE` doubling up to
-        :data:`_BACKOFF_CAP` seconds), its published objects replayed,
-        torn seqlock rows repaired, and its unanswered tasks re-dispatched
-        — all inside :meth:`run`, invisible to the caller.  A task that
-        kills *poison_threshold* workers in a row is quarantined (fails
-        loudly instead of respawn-looping), and a run spends at most
-        :data:`_MAX_RESPAWNS` respawns before giving up.  With ``supervise=
-        False`` failures raise :class:`WorkerError` immediately (the
-        error names each dead worker's exitcode and whether a task was
-        in flight); either way the pool auto-resets, so the *next*
-        :meth:`run` starts fresh workers — no caller dance required.
-        Cumulative counters live in :attr:`health`.
+
+    The pool heals itself: a dead or wedged worker is respawned with
+    exponential backoff (:data:`_BACKOFF_BASE` doubling up to
+    :data:`_BACKOFF_CAP` seconds), its published objects replayed, torn
+    seqlock rows repaired, and its unanswered tasks re-dispatched — all
+    inside :meth:`run`, invisible to the caller.  A task that kills
+    :data:`_POISON_THRESHOLD` workers in a row is quarantined (fails loudly
+    instead of respawn-looping), and a run spends at most
+    :data:`_MAX_RESPAWNS` respawns before giving up.  Either failure raises
+    :class:`WorkerError` naming each dead worker's exitcode and whether a
+    task was in flight, and the pool auto-resets, so the *next*
+    :meth:`run` starts fresh workers — no caller dance required.
+    Cumulative counters live in :attr:`health`.
 
     Workers start lazily on the first :meth:`run`; published objects are
     replayed to workers on every (re)start, so :meth:`restart` — or a
@@ -409,8 +411,6 @@ class WorkerPool:
         start_method: "str | None" = None,
         seed: int = 0,
         task_timeout: float = 300.0,
-        supervise: bool = True,
-        poison_threshold: int = 3,
     ) -> None:
         self.workers = resolve_workers(workers)
         if start_method is None:
@@ -419,8 +419,6 @@ class WorkerPool:
         self.start_method = start_method
         self.seed = seed
         self.task_timeout = task_timeout
-        self.supervise = supervise
-        self.poison_threshold = poison_threshold
         self.health = PoolHealth()
         self._incarnations = [0] * self.workers  # respawn count per worker id
         self._ctx = multiprocessing.get_context(start_method)
@@ -641,53 +639,42 @@ class WorkerPool:
 
     # -- shared objects -------------------------------------------------- #
 
-    def publish_csr(self, name: str, csr, dirty_rows=None) -> PublishStats:
-        """Export or delta-update snapshot *name*; broadcasts to workers."""
+    def publish_csr(self, name: str, csr) -> PublishStats:
+        """Export snapshot *name* or rewrite it whole; broadcasts to workers."""
         if self._closed:
             raise ParameterError("WorkerPool is closed")
         entry = self._shared.get(name)
         if entry is None:
             owner = SharedCSR(csr)
             self._shared[name] = ("csr", owner)
-            stats = PublishStats(0, -1, True, owner.version)
+            stats = owner.exported
         else:
             kind, owner = entry
             if kind != "csr":
                 raise ParameterError(f"shared object {name!r} is a {kind}, not a csr")
-            stats = owner.publish(csr, dirty_rows=dirty_rows)
-        if stats.reallocated or dirty_rows is None:
-            obs.inc("pool.publish.full", 1)
-            obs.inc("pool.publish.full_bytes", stats.bytes_written)
-        else:
-            obs.inc("pool.publish.delta", 1)
-            obs.inc("pool.publish.delta_bytes", stats.bytes_written)
+            stats = owner.publish(csr)
+        obs.inc("pool.publish.full", 1)
+        obs.inc("pool.publish.full_bytes", stats.bytes_written)
         if self._procs:
             self._broadcast(("csr", name, owner.handle))
         return stats
 
     def matrix(
-        self,
-        name: str,
-        rows: int,
-        cols: int,
-        *,
-        fill: "int | None" = None,
-        versioned: bool = False,
+        self, name: str, rows: int, cols: int, *, fill: "int | None" = None
     ) -> np.ndarray:
         """Create (or resize) shared matrix *name*; returns the live view.
 
         An existing matrix is resized only when the requested shape
-        differs; *fill* initializes fresh cells.  ``versioned`` (creation
-        only) adds the per-row seqlock counters concurrent readers need
-        and makes the view read-only (rows change only through
-        ``row_write``).  The returned numpy view aliases the workers' —
-        drop it before the next resize.
+        differs; *fill* initializes fresh cells.  The view is read-only:
+        rows change only through ``row_write``, under the per-row seqlock
+        counters concurrent readers rely on.  It aliases the workers'
+        mapping — drop it before the next resize.
         """
         if self._closed:
             raise ParameterError("WorkerPool is closed")
         entry = self._shared.get(name)
         if entry is None:
-            owner = SharedMatrix(rows, cols, fill=fill, versioned=versioned)
+            owner = SharedMatrix(rows, cols, fill=fill)
             self._shared[name] = ("matrix", owner)
         else:
             kind, owner = entry
@@ -735,10 +722,9 @@ class WorkerPool:
         ``to`` optionally names the worker id per payload (shard-owned
         dispatch); default is round-robin.  Raises :class:`WorkerError`
         with the remote traceback if any task fails.  Dead and wedged
-        workers are detected instead of hanging; with :attr:`supervise`
-        on (the default) they are respawned and their tasks retried —
-        see the class docstring — and only budget exhaustion or a poison
-        task surfaces as :class:`WorkerError`.
+        workers are detected instead of hanging, respawned and their tasks
+        retried — see the class docstring — and only budget exhaustion or
+        a poison task surfaces as :class:`WorkerError`.
         """
         if fn not in TASKS:
             raise ParameterError(f"unknown task {fn!r} (want one of {sorted(TASKS)})")
@@ -785,13 +771,6 @@ class WorkerPool:
 
         def recover(wids, *, wedged: bool) -> None:
             nonlocal deadline, respawned
-            if not self.supervise:
-                kind = (
-                    f"wedged: no result within {self.task_timeout}s"
-                    if wedged
-                    else "died mid-task"
-                )
-                raise fail(wids, f"worker(s) {kind} (supervision disabled)") from None
             # Take every result already delivered first: a task that
             # answered before its worker died is neither redone nor blamed.
             while True:
@@ -808,7 +787,7 @@ class WorkerPool:
                     continue
                 slot = outstanding[min(mine)][0]
                 kills[slot] = kills.get(slot, 0) + 1
-                if kills[slot] >= self.poison_threshold:
+                if kills[slot] >= _POISON_THRESHOLD:
                     self.health.quarantined += 1
                     obs.inc("pool.supervision.quarantined")
                     raise fail(

@@ -37,12 +37,10 @@ every event — the property suite in ``tests/parallel/test_sharded.py``
 asserts it for W ∈ {1, 2, 4} across all four churn scenarios and every
 construction.
 
-Snapshot publishing is delta-aware: the service accumulates the rows whose
-H/G adjacency changed since the last publish (the maintainer's net spanner
-delta, the event's star damage) and ships only those spans
-(:meth:`SharedCSR.publish <repro.parallel.shm.SharedCSR.publish>`).  A
-full refresh (fallback, compaction, mid-batch error resync) clears the
-hints and republishes wholesale.
+Each stage first ships its snapshot (H before the row repair, G before
+the projection) whole into the shared blocks
+(:meth:`SharedCSR.publish <repro.parallel.shm.SharedCSR.publish>`), which
+costs tens of microseconds per tick.
 
 The pool outlives events and survives restarts: published objects are
 replayed to respawned workers, so :meth:`WorkerPool.restart <repro.\
@@ -50,8 +48,8 @@ parallel.pool.WorkerPool.restart>` (or a worker crash) mid-stream is
 transparent.  Close the service (context manager) to free the workers and
 the shared blocks.
 
-**Concurrent reads.**  The shared D/T matrices are created *versioned*
-(one seqlock counter per row, :mod:`repro.parallel.shm`), and after every
+**Concurrent reads.**  The shared D/T matrices carry one seqlock counter
+per row (:mod:`repro.parallel.shm`), and after every
 apply/refresh the service posts the current matrix handles to a
 :class:`~repro.parallel.shm.SharedDirectory`.  Any process holding
 :meth:`ShardedRoutingService.reader_handle` can construct a
@@ -131,7 +129,6 @@ class ShardedRoutingService(RoutingService):
                 workers, start_method=start_method, seed=seed, task_timeout=task_timeout
             )
             self._owns_pool = True
-        self._hints: "dict[str, set[int]]" = {}
         self._shared_ready = False
         self._closed = False
         self._directory = SharedDirectory()
@@ -211,14 +208,6 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         name = _DIST if matrix is self._dist else _TABLES
         return self._pool.matrix_owner(name).capacity_bytes
 
-    def _note_hint(self, name: str, rows: "set[int]") -> None:
-        """Accumulate a delta-publish certificate until the next publish."""
-        hint = self._hints.get(name)
-        if hint is None:
-            self._hints[name] = set(rows)
-        else:
-            hint.update(rows)
-
     def _shard(self, rows) -> "tuple[list, list[int]]":
         """Group *rows* by owning worker."""
         w = self._pool.workers
@@ -249,8 +238,8 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             else None
         )
         self._dist = self._tables = _EMPTY  # release exports
-        self._dist = self._pool.matrix(_DIST, n, n, fill=-1, versioned=True)
-        self._tables = self._pool.matrix(_TABLES, n, n, fill=-1, versioned=True)
+        self._dist = self._pool.matrix(_DIST, n, n, fill=-1)
+        self._tables = self._pool.matrix(_TABLES, n, n, fill=-1)
         self._shared_ready = True
         new_names = (
             self._pool.matrix_owner(_DIST).handle.name,
@@ -267,7 +256,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
 
     def _recompute_rows(self, order, delta=None) -> "dict[int, np.ndarray | None]":
         h = self.advertised.freeze()
-        self._pool.publish_csr(_H, h, dirty_rows=self._hints.pop(_H, None))
+        self._pool.publish_csr(_H, h)
         buckets, to = self._shard(order)
         respawns = self._pool.health.respawns
         results = self._pool.run("serve_rows", [(_H, _DIST, b, delta) for b in buckets], to=to)
@@ -286,7 +275,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
         if not damage:
             return 0
         g_csr = self.graph.freeze()
-        self._pool.publish_csr(_G, g_csr, dirty_rows=self._hints.pop(_G, None))
+        self._pool.publish_csr(_G, g_csr)
 
         def run(damage: TableDamage) -> int:
             parts = damage.split(self._pool.workers)
@@ -308,22 +297,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             run(TableDamage.of_whole(damage.table_ids()))
         return len(damage)
 
-    # ------------------------------------------------------------------ #
-    # hint bookkeeping around the base machinery
-    # ------------------------------------------------------------------ #
-
-    def _ingest(self, h_added, h_removed, star_changed, rebuilt):
-        old_dim = self._dist.shape[0]
-        n = self.maintainer.graph.num_nodes
-        new_rows = set(range(old_dim, n))
-        self._note_hint(_H, {x for e in (*h_added, *h_removed) for x in e} | new_rows)
-        self._note_hint(_G, set(star_changed) | new_rows)
-        return super()._ingest(h_added, h_removed, star_changed, rebuilt)
-
     def _refresh(self) -> None:
-        # Unknown delta (init, fallback, error resync, compaction): drop the
-        # certificates so both snapshots republish wholesale.
-        self._hints.clear()
         super()._refresh()
         self._publish_directory()
 

@@ -7,26 +7,24 @@ far too large to pickle per task, so they live in
 * :class:`SharedCSR` — a :class:`~repro.graph.csr.CSRGraph` exported as two
   blocks (``int64`` row offsets, ``int32`` neighbor ids).  Workers attach
   with **zero copies** (:func:`attach_csr`, surfaced as
-  :meth:`CSRGraph.attach <repro.graph.csr.CSRGraph.attach>`); re-publishing
-  after a delta re-freeze ships **only the dirty row spans** when row sizes
-  are unchanged, or the suffix from the first resized row otherwise —
-  never more than the snapshot, usually a few cache lines.
+  :meth:`CSRGraph.attach <repro.graph.csr.CSRGraph.attach>`); every
+  publish rewrites the whole snapshot (164 KB for the n=3000 graph of
+  ``BENCH_parallel.json``: tens of microseconds, noise next to a tick).
 * :class:`SharedMatrix` — a dense int32 matrix (the serving layer's
   ``D``/``T``) with capacity headroom so node churn can grow ``n`` without
   reallocating; parent and workers read and write the *same* bytes, so
   "sending a row" to a worker costs nothing.
-* **Concurrent readers** — a matrix created with ``versioned=True`` carries
-  one seqlock-style version counter per row.  The only way to write one of
-  its rows is ``with m.row_write(u) as row:`` — the version goes odd on
-  entry and even again on exit, whether the body returns or raises — and
-  its :attr:`~SharedMatrix.array` is a **read-only** view, so a write that
+* **Concurrent readers** — every matrix carries one seqlock-style version
+  counter per row.  The only way to write a row is ``with m.row_write(u)
+  as row:`` — the version goes odd on entry and even again on exit,
+  whether the body returns or raises — and its
+  :attr:`~SharedMatrix.array` is a **read-only** view, so a write that
   skips the bracket raises ``ValueError`` the first time it runs.
   :meth:`AttachedMatrix.read_row` / :meth:`~AttachedMatrix.read_cell`
   retry until they capture a row whose version was even and unchanged
   across the copy — so a reader process can serve lookups *while* shard
   workers repair, and only ever observes row states the writers actually
-  committed (never a torn half-write).  Unversioned matrices keep a
-  writable ``array`` and treat ``row_write`` as a plain row view.
+  committed (never a torn half-write).
 
   .. note:: Pure Python offers no cross-process memory fence, so the
      protocol relies on the platform's total-store-order guarantee (x86 /
@@ -253,7 +251,6 @@ class PublishStats:
     """What one :meth:`SharedCSR.publish` shipped."""
 
     bytes_written: int
-    rows_rewritten: int  # -1 means "suffix copy" (row sizes changed)
     reallocated: bool
     version: int
 
@@ -266,8 +263,6 @@ class SharedCSRHandle:
     indices_name: str
     n: int
     num_indices: int
-    capacity_nodes: int
-    capacity_indices: int
     version: int
 
 
@@ -276,12 +271,11 @@ class SharedMatrixHandle:
     """Picklable coordinates of a :class:`SharedMatrix`."""
 
     name: str
+    versions_name: str  # the per-row seqlock counters
     rows: int
     cols: int
-    capacity_rows: int
-    capacity_cols: int
+    capacity: "tuple[int, int]"  # the allocated (rows, cols)
     version: int
-    versions_name: "str | None" = None  # per-row seqlock block, when versioned
 
 
 class _BlockOwner:
@@ -327,36 +321,22 @@ _Owner = TypeVar("_Owner", bound=_BlockOwner)
 class SharedCSR(_BlockOwner):
     """Parent-side owner of a CSR snapshot living in shared memory.
 
-    Create via :meth:`CSRGraph.share`.  ``publish(new_csr, dirty_rows=...)``
-    updates the blocks in place (delta when possible) and bumps
-    ``version``; when the new snapshot outgrows the capacity the blocks are
-    reallocated under fresh names (``reallocated=True`` in the returned
-    stats — the pool then rebroadcasts the handle).  Use as a context
-    manager or call :meth:`close` to free the blocks.
+    Create via :meth:`CSRGraph.share`.  ``publish(new_csr)`` rewrites the
+    snapshot in place and bumps ``version``; when the new snapshot
+    outgrows the capacity the blocks are reallocated under fresh names
+    (``reallocated=True`` in the returned stats — the pool then
+    rebroadcasts the handle).  Use as a context manager or call
+    :meth:`close` to free the blocks.
     """
 
-    def __init__(
-        self,
-        csr: CSRGraph,
-        *,
-        capacity_nodes: "int | None" = None,
-        capacity_indices: "int | None" = None,
-    ) -> None:
-        np_indptr, np_indices = csr.numpy_arrays()
-        n, m2 = csr.num_nodes, len(np_indices)
-        cap_n = _headroom(n) if capacity_nodes is None else capacity_nodes
-        cap_i = _headroom(m2) if capacity_indices is None else capacity_indices
-        if cap_n < n or cap_i < m2:
-            raise ParameterError(
-                f"capacity ({cap_n} nodes / {cap_i} indices) below snapshot "
-                f"size ({n} / {m2})"
-            )
-        self._shm_indptr = _create_block((cap_n + 1) * np.dtype(_PTR_DTYPE).itemsize)
-        self._shm_indices = _create_block(cap_i * np.dtype(_IDX_DTYPE).itemsize)
-        self._cap_n, self._cap_i = cap_n, cap_i
-        self.version = 0
-        self._write_full(np_indptr, np_indices)
-        self.n, self.num_indices = n, m2
+    _shm_indptr: shared_memory.SharedMemory
+    _shm_indices: shared_memory.SharedMemory
+
+    def __init__(self, csr: CSRGraph) -> None:
+        self._cap_n = self._cap_i = -1  # no blocks yet: the export allocates them
+        self.version = -1
+        #: What the export wrote (version 0, always a reallocation).
+        self.exported = self.publish(csr)
 
     # -- views over the blocks ----------------------------------------- #
 
@@ -373,8 +353,6 @@ class SharedCSR(_BlockOwner):
             indices_name=self._shm_indices.name,
             n=self.n,
             num_indices=self.num_indices,
-            capacity_nodes=self._cap_n,
-            capacity_indices=self._cap_i,
             version=self.version,
         )
 
@@ -386,67 +364,32 @@ class SharedCSR(_BlockOwner):
 
     # -- publishing ----------------------------------------------------- #
 
-    def _write_full(self, np_indptr: np.ndarray, np_indices: np.ndarray) -> int:
-        self._ptr_view(len(np_indptr))[:] = np_indptr
-        if len(np_indices):
-            self._idx_view(len(np_indices))[:] = np_indices
-        return np_indptr.nbytes + np_indices.nbytes
+    def publish(self, csr: CSRGraph) -> PublishStats:
+        """Rewrite the blocks with snapshot *csr* and bump ``version``.
 
-    def publish(self, csr: CSRGraph, dirty_rows: Iterable[int] | None = None) -> PublishStats:
-        """Ship snapshot *csr* into the blocks; delta when *dirty_rows* given.
-
-        *dirty_rows* is the caller's certificate that every other row is
-        byte-identical to the currently published snapshot (exactly the set
-        a delta re-freeze patched).  With it, unchanged-degree updates
-        write only the dirty rows' index spans; degree-changing updates
-        write the indptr plus the index suffix from the first dirty row
-        (everything behind it shifted).  Without it, the whole snapshot is
-        rewritten.  Growing past capacity reallocates fresh blocks
-        (``reallocated=True`` — attachment handles change).
+        A snapshot that outgrows the capacity moves to fresh blocks with
+        ~25% headroom (``reallocated=True`` — attachment handles change);
+        the outgrown blocks are unlinked, and mappings workers still hold
+        stay valid until they refresh.
         """
         self._ensure_open()
         np_indptr, np_indices = csr.numpy_arrays()
         n, m2 = csr.num_nodes, len(np_indices)
-        if n > self._cap_n or m2 > self._cap_i:
-            old_ptr, old_idx = self._shm_indptr, self._shm_indices
+        reallocated = n > self._cap_n or m2 > self._cap_i
+        if reallocated:
+            retired = (self._shm_indptr, self._shm_indices) if self.version >= 0 else ()
             self._cap_n = max(_headroom(n), self._cap_n)
             self._cap_i = max(_headroom(m2), self._cap_i)
             self._shm_indptr = _create_block((self._cap_n + 1) * np.dtype(_PTR_DTYPE).itemsize)
             self._shm_indices = _create_block(self._cap_i * np.dtype(_IDX_DTYPE).itemsize)
-            written = self._write_full(np_indptr, np_indices)
-            self.n, self.num_indices = n, m2
-            self.version += 1
-            for block in (old_ptr, old_idx):  # attached mappings stay valid
+            for block in retired:  # attached mappings stay valid
                 _free_block(block)
-            return PublishStats(written, -1, True, self.version)
-        old_n = self.n
-        dirty = None if dirty_rows is None else sorted({int(u) for u in dirty_rows})
+        self._ptr_view(n + 1)[:] = np_indptr
+        if m2:
+            self._idx_view(m2)[:] = np_indices
         self.n, self.num_indices = n, m2
         self.version += 1
-        if dirty is not None and (not dirty or dirty[0] < 0 or dirty[-1] >= n):
-            dirty = None if dirty else []
-        if dirty == [] and n == old_n:  # certified no-op: nothing moved
-            return PublishStats(0, 0, False, self.version)
-        if not dirty or n != old_n:
-            return PublishStats(self._write_full(np_indptr, np_indices), -1, False, self.version)
-        ptr = self._ptr_view(n + 1)
-        idx = self._idx_view(self._cap_i)
-        if np.array_equal(ptr, np_indptr):  # degrees unchanged: true row delta
-            written = 0
-            for u in dirty:
-                lo, hi = int(np_indptr[u]), int(np_indptr[u + 1])
-                if hi > lo:
-                    idx[lo:hi] = np_indices[lo:hi]
-                    written += (hi - lo) * np.dtype(_IDX_DTYPE).itemsize
-            return PublishStats(written, len(dirty), False, self.version)
-        first = dirty[0]
-        start = min(int(ptr[first]), int(np_indptr[first]))
-        ptr[first:] = np_indptr[first:]
-        if m2 > start:
-            idx[start:m2] = np_indices[start:m2]
-        written = (n + 1 - first) * np.dtype(_PTR_DTYPE).itemsize
-        written += max(m2 - start, 0) * np.dtype(_IDX_DTYPE).itemsize
-        return PublishStats(written, -1, False, self.version)
+        return PublishStats(np_indptr.nbytes + np_indices.nbytes, reallocated, self.version)
 
     def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
         return (self._shm_indptr, self._shm_indices)
@@ -520,13 +463,13 @@ class _RowWriter:
     """The write side of the row seqlock, shared by both matrix classes.
 
     Subclasses provide :meth:`_writable` (the writable logical view) and
-    :meth:`_versions` (the per-row versions, ``None`` when unversioned).
+    :meth:`_versions` (the per-row seqlock counters).
     """
 
     def _writable(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _versions(self) -> "np.ndarray | None":
+    def _versions(self) -> np.ndarray:
         raise NotImplementedError
 
     @contextmanager
@@ -541,13 +484,10 @@ class _RowWriter:
         the inner commit would flip the version even mid-write.  Only a
         process dying inside the body (the ``write.crash`` fault site)
         leaves the row odd, which :meth:`SharedMatrix.repair_torn_rows`
-        mends.  On an unversioned matrix this is a plain row view.
+        mends.
         """
         row = self._writable()[u]
         ver = self._versions()
-        if ver is None:
-            yield row
-            return
         if int(ver[u]) & 1:
             raise ProtocolError(
                 f"row_write({u}) while row {u} is already mid-write — a nested "
@@ -570,36 +510,19 @@ class SharedMatrix(_BlockOwner, _RowWriter):
     fresh border).  ``resize`` reallocates when outgrown, preserving the
     overlapping content; both cases bump ``version`` for the control plane.
 
-    ``versioned=True`` adds one int64 seqlock counter per row (a second
-    shared block) so writer processes can publish row updates that
-    concurrent readers observe atomically: rows are then written only
-    through :meth:`row_write`, and :attr:`array` is read-only — see the
-    module docstring and :meth:`AttachedMatrix.read_row`.  Use as a
-    context manager or call :meth:`close` to free the blocks.
+    A second shared block holds one int64 seqlock counter per row, so
+    writer processes publish row updates that concurrent readers observe
+    atomically: rows are written only through :meth:`row_write`, and
+    :attr:`array` is read-only — see the module docstring and
+    :meth:`AttachedMatrix.read_row`.  Use as a context manager or call
+    :meth:`close` to free the blocks.
     """
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        *,
-        capacity_rows: "int | None" = None,
-        capacity_cols: "int | None" = None,
-        fill: "int | None" = None,
-        versioned: bool = False,
-    ) -> None:
-        self._cap_r = _headroom(rows) if capacity_rows is None else capacity_rows
-        self._cap_c = _headroom(cols) if capacity_cols is None else capacity_cols
-        if self._cap_r < rows or self._cap_c < cols:
-            raise ParameterError("matrix capacity below initial shape")
-        itemsize = np.dtype(_MAT_DTYPE).itemsize
-        self._shm = _create_block(self._cap_r * self._cap_c * itemsize)
-        self._shm_ver = (
-            _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize) if versioned else None
-        )
-        ver = self.row_versions
-        if ver is not None:
-            ver[:] = 0
+    def __init__(self, rows: int, cols: int, *, fill: "int | None" = None) -> None:
+        self._cap_r, self._cap_c = _headroom(rows), _headroom(cols)
+        self._shm = _create_block(self._cap_r * self._cap_c * np.dtype(_MAT_DTYPE).itemsize)
+        self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
+        self.row_versions[:] = 0
         self.rows, self.cols = rows, cols
         self.version = 0
         self.fill = fill  # remembered: repair_torn_rows resets rows to it
@@ -610,22 +533,19 @@ class SharedMatrix(_BlockOwner, _RowWriter):
     def handle(self) -> SharedMatrixHandle:
         return SharedMatrixHandle(
             name=self._shm.name,
+            versions_name=self._shm_ver.name,
             rows=self.rows,
             cols=self.cols,
-            capacity_rows=self._cap_r,
-            capacity_cols=self._cap_c,
+            capacity=(self._cap_r, self._cap_c),
             version=self.version,
-            versions_name=None if self._shm_ver is None else self._shm_ver.name,
         )
 
     @property
-    def row_versions(self) -> "np.ndarray | None":
-        """The per-row seqlock counters (None when not versioned)."""
-        if self._shm_ver is None:
-            return None
+    def row_versions(self) -> np.ndarray:
+        """The per-row seqlock counters (one per allocated row)."""
         return np.ndarray((self._cap_r,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
 
-    def _versions(self) -> "np.ndarray | None":
+    def _versions(self) -> np.ndarray:
         return self.row_versions
 
     def _writable(self) -> np.ndarray:
@@ -636,11 +556,10 @@ class SharedMatrix(_BlockOwner, _RowWriter):
     def array(self) -> np.ndarray:
         """The live ``(rows, cols)`` view, shared with every attachment.
 
-        Read-only when versioned: rows change only through
-        :meth:`row_write`.
+        Read-only: rows change only through :meth:`row_write`.
         """
         view = self._writable()
-        view.flags.writeable = self._shm_ver is None
+        view.flags.writeable = False
         return view
 
     @property
@@ -668,14 +587,12 @@ class SharedMatrix(_BlockOwner, _RowWriter):
             self._cap_c = max(_headroom(cols), self._cap_c)
             itemsize = np.dtype(_MAT_DTYPE).itemsize
             self._shm = _create_block(self._cap_r * self._cap_c * itemsize)
-            if old_ver_shm is not None:
-                # Carry the counters over so attached readers comparing
-                # versions across the swap never see them move backwards.
-                self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
-                new_ver = self.row_versions
-                assert new_ver is not None and old_ver is not None
-                new_ver[:] = 0
-                new_ver[:old_cap_r] = old_ver
+            # Carry the counters over so attached readers comparing
+            # versions across the swap never see them move backwards.
+            self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
+            new_ver = self.row_versions
+            new_ver[:] = 0
+            new_ver[:old_cap_r] = old_ver
             self.rows, self.cols = rows, cols
             a = self._writable()
             if fill is not None:
@@ -684,8 +601,7 @@ class SharedMatrix(_BlockOwner, _RowWriter):
             a[:keep_r, :keep_c] = old_view[:keep_r, :keep_c]
             del old_view, old_ver  # drop the buffer exports so the mmaps can close
             for block in (old_shm, old_ver_shm):
-                if block is not None:
-                    _free_block(block)
+                _free_block(block)
         else:
             self.rows, self.cols = rows, cols
             if fill is not None:
@@ -710,8 +626,6 @@ class SharedMatrix(_BlockOwner, _RowWriter):
         retried task rewrites the real content afterwards.
         """
         ver = self.row_versions
-        if ver is None:
-            return []
         fill = 0 if self.fill is None else self.fill
         arr = self._writable()
         repaired = []
@@ -730,43 +644,34 @@ class AttachedMatrix(_RowWriter):
     """Worker/reader-side attachment of a :class:`SharedMatrix`.
 
     Writers (shard workers) update rows with ``with att.row_write(u) as
-    row:`` (:attr:`array` is read-only when versioned, exactly as on the
-    owner); readers in other processes use :meth:`read_row` /
-    :meth:`read_cell`, which follow the seqlock protocol — capture the row
-    version (retry while odd), copy the data, re-check the version, retry
-    on any movement.  ``torn_retries``
-    counts how many captures had to be retried (i.e. torn states that were
-    *observed and discarded*, never returned).
+    row:`` (:attr:`array` is read-only, exactly as on the owner); readers
+    in other processes use :meth:`read_row` / :meth:`read_cell`, which
+    follow the seqlock protocol — capture the row version (retry while
+    odd), copy the data, re-check the version, retry on any movement.
+    ``torn_retries`` counts how many captures had to be retried (i.e. torn
+    states that were *observed and discarded*, never returned).
     """
 
     _arr: np.ndarray  # writable: only row_write hands out its rows
-    _view: np.ndarray  # what `array` returns (read-only when versioned)
-    _ver: "np.ndarray | None"
+    _view: np.ndarray  # what `array` returns (read-only)
+    _ver: np.ndarray
 
     def __init__(self, handle: SharedMatrixHandle) -> None:
         self._handle = handle
         self._shm = _attach_block(handle.name)
-        self._shm_ver = (
-            _attach_block(handle.versions_name) if handle.versions_name else None
-        )
+        self._shm_ver = _attach_block(handle.versions_name)
         self.torn_retries = 0
         self._rewrap()
 
     def _rewrap(self) -> None:
         h = self._handle
-        base = np.ndarray(
-            (h.capacity_rows, h.capacity_cols), dtype=_MAT_DTYPE, buffer=self._shm.buf
-        )
+        base = np.ndarray(h.capacity, dtype=_MAT_DTYPE, buffer=self._shm.buf)
         self._arr = base[: h.rows, : h.cols]
         self._view = self._arr.view()
-        self._view.flags.writeable = self._shm_ver is None
-        self._ver = (
-            None
-            if self._shm_ver is None
-            else np.ndarray((h.capacity_rows,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
-        )
+        self._view.flags.writeable = False
+        self._ver = np.ndarray((h.capacity[0],), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
 
-    def _versions(self) -> "np.ndarray | None":
+    def _versions(self) -> np.ndarray:
         return self._ver
 
     def _writable(self) -> np.ndarray:
@@ -774,7 +679,7 @@ class AttachedMatrix(_RowWriter):
 
     @property
     def array(self) -> np.ndarray:
-        """The mapped ``(rows, cols)`` view; read-only when versioned."""
+        """The mapped ``(rows, cols)`` view, read-only."""
         return self._view
 
     @property
@@ -786,8 +691,8 @@ class AttachedMatrix(_RowWriter):
         return self._handle.cols
 
     @property
-    def versions(self) -> "np.ndarray | None":
-        """The per-row seqlock counters (None when the matrix is unversioned)."""
+    def versions(self) -> np.ndarray:
+        """The per-row seqlock counters."""
         return self._ver
 
     def read_row(self, u: int, cols: "np.ndarray | None" = None) -> np.ndarray:
@@ -795,21 +700,14 @@ class AttachedMatrix(_RowWriter):
 
         Seqlock read: the returned array is bit-identical to a state some
         writer committed — a concurrent half-written row is retried, never
-        returned.  Unversioned matrices copy without the protocol (their
-        callers guarantee no concurrent writers).
+        returned.
         """
-        ver = self._ver
         key = u if cols is None else (u, cols)
-        if ver is None:
-            return np.array(self._arr[key])
-        return _read_stable(ver, u, self._arr, key, np.array, self)
+        return _read_stable(self._ver, u, self._arr, key, np.array, self)
 
     def read_cell(self, u: int, v: int) -> int:
         """A stable read of one cell, under the same seqlock protocol."""
-        ver = self._ver
-        if ver is None:
-            return int(self._arr[u, v])
-        return _read_stable(ver, u, self._arr, (u, v), int, self)
+        return _read_stable(self._ver, u, self._arr, (u, v), int, self)
 
     def read_cells(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Stable reads of the cells ``(us[i], vs[i])``, as a private array.
@@ -822,8 +720,6 @@ class AttachedMatrix(_RowWriter):
         that never stabilizes raises :class:`~repro.errors.TornReadError`.
         """
         ver = self._ver
-        if ver is None:
-            return self._arr[us, vs]
         v0 = ver[us]
         out = self._arr[us, vs]
         # Versions only grow, so the re-load equals the capture with its
@@ -846,7 +742,7 @@ class AttachedMatrix(_RowWriter):
             # the attachment stays consistent with its previous handle and
             # the caller can re-read the directory and retry.
             new_shm = _attach_block(handle.name)
-            new_ver = _attach_block(handle.versions_name) if handle.versions_name else None
+            new_ver = _attach_block(handle.versions_name)
             self.close()
             self._shm, self._shm_ver = new_shm, new_ver
         self._handle = handle
@@ -856,8 +752,7 @@ class AttachedMatrix(_RowWriter):
         # Drop buffer exports before unmapping (a closed attachment must
         # never be read again, hence the deliberate type violation).
         self._arr = self._view = self._ver = None  # type: ignore[assignment]
-        blocks = [self._shm] if self._shm_ver is None else [self._shm, self._shm_ver]
-        for shm in blocks:
+        for shm in (self._shm, self._shm_ver):
             try:
                 shm.close()
             except (BufferError, OSError):  # pragma: no cover - exports/teardown

@@ -8,4 +8,4 @@ def attach(handle):
 
 
 def make_matrix(rows, cols):
-    return SharedMatrix(rows, cols, versioned=True)
+    return SharedMatrix(rows, cols)

@@ -7,8 +7,8 @@ by the shared-memory leak check that runs after every test (``leak``) —
 or can no longer be written (``structural``): the API raises the moment
 it is attempted.  A parametrized test asserts exactly that per case.
 The seqlock write violations are all structural: ``row_write`` is the
-only way to write a versioned row, versioned ``array`` views are
-read-only, a nested write raises, and there is no public "end a write"
+only way to write a matrix row, ``array`` views are read-only, a nested
+write raises, and there is no public "end a write"
 call to misuse.  So is a worker's final metrics snapshot arriving twice:
 the pool refuses the second one.  A leaked segment is whatever the
 ``/dev/shm`` listing of ``tests/conftest.py`` still shows after the
@@ -55,7 +55,7 @@ def _leak_segment():
 def _leak_at_pool_close():
     """A pool whose matrix owner skips its own close."""
     with WorkerPool(workers=1, seed=3, start_method=START_METHODS[0]) as pool:
-        pool.matrix("d", 4, 4, versioned=True, fill=0)
+        pool.matrix("d", 4, 4, fill=0)
         owner = pool.matrix_owner("d")
         owner.close = lambda: None  # the injected leak
         return [owner.handle.name, owner.handle.versions_name]
@@ -82,7 +82,7 @@ def _write_row(dest, u, value):
 
 
 def _structural_unbracketed_write_in_callee():
-    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
+    with SharedMatrix(4, 4, fill=0) as m:
         att = AttachedMatrix(m.handle)
         try:
             _write_row(att, 1, 5)  # what a worker holds: an attachment
@@ -91,14 +91,14 @@ def _structural_unbracketed_write_in_callee():
 
 
 def _structural_nested_row_write():
-    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
+    with SharedMatrix(4, 4, fill=0) as m:
         with m.row_write(1):
             with m.row_write(1):
                 pass
 
 
 def _structural_unmatched_end():
-    with SharedMatrix(4, 4, versioned=True, fill=0) as m:
+    with SharedMatrix(4, 4, fill=0) as m:
         m.end_row_write(2)
 
 
@@ -160,7 +160,7 @@ CORPUS = [
         name="unbracketed_write_in_callee",
         layers=frozenset({"structural"}),
         attempt=_structural_unbracketed_write_in_callee,
-        raises=ValueError,  # versioned views are read-only
+        raises=ValueError,  # matrix views are read-only
     ),
     Case(
         name="nested_row_write",
@@ -231,14 +231,14 @@ class TestCorpus:
 
 class TestWorkerSide:
     def test_clean_parallel_traffic_records_no_violations(self):
-        """Negative control: real row writes into versioned and plain
-        shared matrices leave no segment behind, and each worker's final
+        """Negative control: real row writes into two shared matrices
+        leave no segment behind, and each worker's final
         snapshot is absorbed exactly once."""
         before = shm_segments()
         csr = path_graph(6).freeze()
         with WorkerPool(workers=2, seed=5, start_method=START_METHODS[0]) as pool:
             pool.publish_csr("g", csr)
-            pool.matrix("d", 6, 6, versioned=True, fill=-1)
+            pool.matrix("d", 6, 6, fill=-1)
             pool.matrix("s", 6, 6, fill=-1)
             for out in ("d", "s"):
                 payloads = [("g", out, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
@@ -246,7 +246,7 @@ class TestWorkerSide:
             owner = pool.matrix_owner("d")
             assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
             assert all(int(v) == 2 for v in owner.row_versions[:6])
-            assert len(shm_segments() - before) == 5  # CSR: 2 blocks, d: 2, s: 1
+            assert len(shm_segments() - before) == 6  # CSR: 2 blocks, d: 2, s: 2
         assert shm_segments() - before == set()
         assert pool._finals == {0, 1}
 

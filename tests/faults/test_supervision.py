@@ -15,6 +15,7 @@ import pytest
 from repro import faults
 from repro.faults import EXIT_TASK_CRASH, EXIT_WRITE_CRASH, FaultPlan, FaultRule
 from repro.parallel import WorkerError, WorkerPool
+from repro.parallel import pool as pool_mod
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -103,29 +104,30 @@ class TestPoisonAndBudget:
             monkeypatch,
             FaultPlan("second", 1, (FaultRule("task.crash", p=1.0, after=1, count=1),)),
         )
-        with WorkerPool(1, poison_threshold=1) as pool:
+        monkeypatch.setattr(pool_mod, "_POISON_THRESHOLD", 1)
+        with WorkerPool(1) as pool:
             with pytest.raises(WorkerError, match="poison task: 'echo' payload 1 killed"):
                 pool.run("echo", [b"x" * (4 << 20), "second"], to=[0, 0])
 
 
-class TestUnsupervisedErrorDetail:
+class TestQuarantineErrorDetail:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_error_names_exitcode_and_inflight(self, method, monkeypatch):
         _arm(monkeypatch, FaultPlan("boom", 1, (FaultRule("task.crash", p=1.0),)))
-        with WorkerPool(1, start_method=method, supervise=False) as pool:
-            with pytest.raises(WorkerError) as excinfo:
+        with WorkerPool(1, start_method=method) as pool:
+            with pytest.raises(WorkerError, match="poison task") as excinfo:
                 pool.run("echo", ["doomed"])
             message = str(excinfo.value)
             assert f"exitcode {EXIT_TASK_CRASH}" in message
-            assert "task(s) in flight" in message
+            assert "1 task(s) in flight" in message
 
     def test_write_crash_exitcode_distinct(self, monkeypatch):
         # The torn-writer site dies with its own exitcode so the error
         # (and the health ledger) can tell the two crash sites apart.
         _arm(monkeypatch, FaultPlan("torn", 1, (FaultRule("write.crash", p=1.0),)))
-        with WorkerPool(1, supervise=False) as pool:
-            pool.matrix("m", 4, 4, fill=7, versioned=True)
-            with pytest.raises(WorkerError, match=f"exitcode {EXIT_WRITE_CRASH}"):
+        with WorkerPool(1) as pool:
+            pool.matrix("m", 4, 4, fill=7)
+            with pytest.raises(WorkerError, match=f"poison task.*exitcode {EXIT_WRITE_CRASH}"):
                 pool.run("crash_in_write", [("m", 1)])
 
 
@@ -140,7 +142,7 @@ class TestTornRowRepair:
             FaultPlan("torn", 1, (FaultRule("write.crash", p=1.0, count=1, fresh_only=True),)),
         )
         with WorkerPool(1, start_method=method) as pool:
-            pool.matrix("m", 4, 4, fill=7, versioned=True)
+            pool.matrix("m", 4, 4, fill=7)
             with pytest.raises(WorkerError, match="injected crash"):
                 # The injected raise lands after the healed torn write.
                 pool.run("crash_in_write", [("m", 1)])
@@ -148,7 +150,6 @@ class TestTornRowRepair:
             assert pool.health.torn_rows_repaired >= 1
             assert set(pool.health.last_exitcodes.values()) == {EXIT_WRITE_CRASH}
             owner = pool.matrix_owner("m")
-            assert owner.row_versions is not None
             assert all(int(v) % 2 == 0 for v in owner.row_versions)
 
     def test_quarantine_mends_the_row_its_last_victim_tore(self, monkeypatch):
@@ -158,7 +159,7 @@ class TestTornRowRepair:
         # otherwise the next write to that row is refused as nested.
         _arm(monkeypatch, FaultPlan("torn-always", 1, (FaultRule("write.crash", p=1.0),)))
         with WorkerPool(1, start_method="fork") as pool:
-            pool.matrix("m", 4, 4, fill=7, versioned=True)
+            pool.matrix("m", 4, 4, fill=7)
             with pytest.raises(WorkerError, match="poison task"):
                 pool.run("crash_in_write", [("m", 1)])
             assert pool.health.quarantined == 1

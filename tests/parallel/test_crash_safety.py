@@ -80,7 +80,7 @@ def _reader_loop(directory, ready, stop, out_q):
 class TestCrashInsideWriteBracket:
     def test_row_version_restored_and_row_readable(self, method):
         with WorkerPool(1, start_method=method) as pool:
-            pool.matrix("m", 4, 4, fill=7, versioned=True)
+            pool.matrix("m", 4, 4, fill=7)
             _crash(pool, "m", 2)
             owner = pool.matrix_owner("m")
             versions = owner.row_versions
@@ -94,8 +94,8 @@ class TestCrashInsideWriteBracket:
 
     def test_route_reader_survives_crashed_writer(self, method):
         with WorkerPool(1, start_method=method) as pool:
-            pool.matrix("dist", 4, 4, fill=5, versioned=True)
-            pool.matrix("tables", 4, 4, fill=3, versioned=True)
+            pool.matrix("dist", 4, 4, fill=5)
+            pool.matrix("tables", 4, 4, fill=3)
             directory = SharedDirectory()
             try:
                 _post(pool, directory)
@@ -115,8 +115,8 @@ class TestCrashInsideWriteBracket:
     def test_concurrent_reader_process_unaffected(self, method):
         ctx = multiprocessing.get_context(method)
         with WorkerPool(1, start_method=method) as pool:
-            pool.matrix("dist", 4, 4, fill=5, versioned=True)
-            pool.matrix("tables", 4, 4, fill=3, versioned=True)
+            pool.matrix("dist", 4, 4, fill=5)
+            pool.matrix("tables", 4, 4, fill=3)
             directory = SharedDirectory()
             proc = None
             try:
@@ -148,7 +148,7 @@ def test_raise_inside_row_write_commits_the_row():
     """The in-process twin of ``crash_in_write``: the body raises, the
     exception propagates, and the version is even again — for the owner
     and for an attachment alike."""
-    m = SharedMatrix(4, 4, versioned=True, fill=7)
+    m = SharedMatrix(4, 4, fill=7)
     att = AttachedMatrix(m.handle)
     try:
         for writer in (m, att):
@@ -176,7 +176,7 @@ def test_unbalanced_bracket_reaches_torn_read_error(monkeypatch):
 
     monkeypatch.setattr(shm, "_READ_RETRIES", 2048)
     with WorkerPool(1) as pool:
-        pool.matrix("m", 4, 4, fill=7, versioned=True)
+        pool.matrix("m", 4, 4, fill=7)
         owner = pool.matrix_owner("m")
         owner.row_versions[2] += 1  # simulate a writer that died mid-write
         try:

@@ -17,6 +17,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ParameterError
 from repro.graph import bfs_distances
 from repro.graph.generators import random_connected_gnp
@@ -118,17 +119,27 @@ class TestSharedObjectsThroughPool:
                 assert out[s].tolist() == bfs_distances(csr, s)
             del out  # release the export before close
 
-    def test_delta_publish_reaches_workers(self):
+    def test_republish_reaches_workers(self):
         g = random_connected_gnp(50, 0.12, seed=8)
         with WorkerPool(1) as pool:
             pool.publish_csr("g", g.freeze())
             out = pool.matrix("out", g.num_nodes, g.num_nodes)
             u, v = next(iter(g.edges()))
             g.remove_edge(u, v)
-            pool.publish_csr("g", g.freeze(), dirty_rows={u, v})
+            pool.publish_csr("g", g.freeze())
             pool.run("serve_rows", [("g", "out", [u], None)])
             assert out[u].tolist() == bfs_distances(g, u, backend="sets")
             del out
+
+    def test_first_export_counts_its_bytes(self):
+        csr = random_connected_gnp(40, 0.15, seed=2).freeze()
+        indptr, indices = csr.numpy_arrays()
+        before = obs.metrics().counter("pool.publish.full_bytes")
+        with WorkerPool(1) as pool:
+            stats = pool.publish_csr("g", csr)
+        assert stats.bytes_written == indptr.nbytes + indices.nbytes
+        grown = obs.metrics().counter("pool.publish.full_bytes") - before
+        assert grown == indptr.nbytes + indices.nbytes
 
     def test_kind_collision_rejected(self):
         g = random_connected_gnp(20, 0.2, seed=1)

@@ -1,10 +1,10 @@
-"""Shared-memory transport: share/attach exactness, delta publish, matrices.
+"""Shared-memory transport: share/attach exactness, publishing, matrices.
 
 The data plane's contract is byte-level: an attached snapshot must be
 indistinguishable from the original (``share()``/``attach()`` round-trip),
-and a delta publish must leave attached readers seeing exactly the new
-snapshot while shipping fewer bytes than a full rewrite.  Versioned rows
-are written only through ``row_write`` (:class:`TestRowWrite`).
+and every publish — in place or into reallocated blocks — must leave
+readers seeing exactly the new snapshot.  Matrix rows are written only
+through ``row_write`` (:class:`TestRowWrite`).
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ from repro.errors import ParameterError, ProtocolError
 from repro.graph import CSRGraph, Graph, bfs_distances
 from repro.graph.generators import gnp_random_graph, path_graph, random_connected_gnp
 from repro.parallel import (
+    AttachedCSR,
     AttachedMatrix,
     SharedCSR,
     SharedMatrix,
@@ -86,7 +87,7 @@ class TestShareAttachRoundTrip:
             assert attached == g.freeze()
 
 
-class TestDeltaPublish:
+class TestPublish:
     def _published_pair(self, g, shared_cleanup):
         csr = g.freeze()
         shared = csr.share()
@@ -103,45 +104,21 @@ class TestDeltaPublish:
         assert not stats.reallocated
         assert CSRGraph.attach(shared.handle) == g.freeze()
 
-    def test_degree_preserving_delta_writes_only_dirty_rows(self, shared_cleanup):
-        # A 2-swap (remove ab, cd; add ac, bd) preserves every degree, so
-        # the delta path must write just the four dirty rows' spans.
-        g = path_graph(200)
-        shared, _ = self._published_pair(g, shared_cleanup)
-        g.remove_edge(10, 11)
-        g.remove_edge(100, 101)
-        g.add_edge(10, 100)
-        g.add_edge(11, 101)
-        csr = g.freeze()
-        full_bytes = csr.numpy_arrays()[0].nbytes + csr.numpy_arrays()[1].nbytes
-        stats = shared.publish(csr, dirty_rows=[10, 11, 100, 101])
-        assert stats.rows_rewritten == 4
-        assert stats.bytes_written == 8 * np.dtype(np.intc).itemsize  # 4 rows × 2 ids
-        assert stats.bytes_written < full_bytes // 10
-        assert CSRGraph.attach(shared.handle) == csr
-
-    def test_suffix_delta_when_degrees_change(self, shared_cleanup):
-        g = path_graph(400)
-        shared, _ = self._published_pair(g, shared_cleanup)
-        g.add_edge(390, 395)  # late rows: only a short suffix shifts
-        csr = g.freeze()
-        full_bytes = csr.numpy_arrays()[0].nbytes + csr.numpy_arrays()[1].nbytes
-        stats = shared.publish(csr, dirty_rows=[390, 395])
-        assert stats.bytes_written < full_bytes // 4
-        assert CSRGraph.attach(shared.handle) == csr
-
-    def test_publish_without_hint_is_full_and_exact(self, shared_cleanup):
+    def test_export_and_publish_count_the_whole_snapshot(self, shared_cleanup):
         g = random_connected_gnp(50, 0.1, seed=11)
         shared, _ = self._published_pair(g, shared_cleanup)
+        indptr, indices = g.freeze().numpy_arrays()
+        assert shared.exported.bytes_written == indptr.nbytes + indices.nbytes
+        assert shared.exported.reallocated and shared.exported.version == 0
         g.add_edge(0, 2) if not g.has_edge(0, 2) else g.remove_edge(0, 2)
+        indptr, indices = g.freeze().numpy_arrays()
         stats = shared.publish(g.freeze())
-        assert stats.rows_rewritten == -1  # full rewrite
+        assert stats.bytes_written == indptr.nbytes + indices.nbytes
         assert CSRGraph.attach(shared.handle) == g.freeze()
 
     def test_growth_reallocates_and_stays_exact(self, shared_cleanup):
         g = path_graph(30)
-        csr = g.freeze()
-        shared = SharedCSR(csr, capacity_nodes=31, capacity_indices=60)
+        shared = SharedCSR(g.freeze())
         shared_cleanup(shared)
         old_handle = shared.handle
         g.add_nodes(200)
@@ -153,20 +130,65 @@ class TestDeltaPublish:
         assert CSRGraph.attach(shared.handle) == g.freeze()
 
     def test_publish_sequence_random_churn(self, shared_cleanup, rng):
-        # Many rounds of random edits with accurate dirty hints: the
-        # attached view must equal a fresh freeze after every publish.
+        # Many rounds of random edits, node growth among them: the owner's
+        # view must equal a fresh freeze after every publish, whether it
+        # rewrote the blocks in place or moved to bigger ones.
         g = gnp_random_graph(35, 0.1, seed=14)
         shared, _ = self._published_pair(g, shared_cleanup)
-        for _round in range(25):
-            dirty = set()
-            for _ in range(int(rng.integers(1, 4))):
+        reallocations = 0
+        for _round in range(40):
+            if _round % 8 == 7:
+                g.add_nodes(int(rng.integers(10, 40)))
+            for _ in range(int(rng.integers(1, 12))):
                 u, v = (int(x) for x in rng.integers(0, g.num_nodes, 2))
                 if u == v:
                     continue
                 (g.remove_edge if g.has_edge(u, v) else g.add_edge)(u, v)
-                dirty |= {u, v}
-            shared.publish(g.freeze(), dirty_rows=dirty)
+            stats = shared.publish(g.freeze())
+            reallocations += stats.reallocated
+            assert shared.graph() == g.freeze()
             assert CSRGraph.attach(shared.handle) == g.freeze()
+        assert reallocations >= 1  # the growth outran the headroom at least once
+
+    def test_degree_preserving_publish_rewrites_in_place(self, shared_cleanup):
+        # A 2-swap (remove ab, cd; add ac, bd) keeps every degree: the
+        # publish stays in the same blocks, so a worker's refresh re-wraps
+        # its existing maps and sees the new adjacency.
+        g = path_graph(200)
+        shared, _ = self._published_pair(g, shared_cleanup)
+        worker = AttachedCSR(shared.handle)
+        old_handle = shared.handle
+        g.remove_edge(10, 11)
+        g.remove_edge(100, 101)
+        g.add_edge(10, 100)
+        g.add_edge(11, 101)
+        csr = g.freeze()
+        indptr, indices = csr.numpy_arrays()
+        stats = shared.publish(csr)
+        assert not stats.reallocated
+        assert stats.bytes_written == indptr.nbytes + indices.nbytes
+        assert shared.handle.indptr_name == old_handle.indptr_name
+        assert shared.handle.indices_name == old_handle.indices_name
+        worker.refresh(shared.handle)
+        assert worker.version == old_handle.version + 1
+        assert worker.graph == csr
+        assert worker.graph.neighbors(10) == csr.neighbors(10) == {9, 100}
+        worker.close()
+
+    def test_shrinking_publish_stays_in_place_and_exact(self, shared_cleanup):
+        # Fewer edges fit the old blocks: no reallocation, and the stale
+        # tail of the indices block never shows through the new handle.
+        g = random_connected_gnp(60, 0.15, seed=21)
+        shared, _ = self._published_pair(g, shared_cleanup)
+        before = shared.handle
+        for u, v in sorted(g.freeze().edge_set())[::3]:
+            g.remove_edge(u, v)
+        stats = shared.publish(g.freeze())
+        assert not stats.reallocated
+        assert shared.handle.indices_name == before.indices_name
+        assert shared.handle.num_indices < before.num_indices
+        assert shared.graph() == g.freeze()
+        assert CSRGraph.attach(shared.handle) == g.freeze()
 
     def test_closed_owner_rejects_publish(self):
         g = path_graph(5)
@@ -181,24 +203,26 @@ class TestSharedMatrix:
     def test_round_trip_and_aliasing(self):
         m = SharedMatrix(4, 6, fill=-1)
         try:
-            from repro.parallel import AttachedMatrix
-
             att = AttachedMatrix(m.handle)
             view = att.array
             assert view.shape == (4, 6)
             assert (view == -1).all()
-            m.array[2, 3] = 42
+            with m.row_write(2) as row:
+                row[3] = 42
             assert view[2, 3] == 42  # same bytes
-            view[0, 0] = 7
+            with att.row_write(0) as row:
+                row[0] = 7
             assert m.array[0, 0] == 7
             att.close()
         finally:
             m.close()
 
     def test_grow_within_capacity_keeps_content(self):
-        m = SharedMatrix(3, 3, capacity_rows=10, capacity_cols=10, fill=0)
+        m = SharedMatrix(3, 3, fill=0)
         try:
-            m.array[:] = np.arange(9).reshape(3, 3)
+            for u in range(3):
+                with m.row_write(u) as row:
+                    row[:] = np.arange(3 * u, 3 * u + 3)
             assert m.resize(5, 5, fill=-1) is False  # no reallocation
             assert (m.array[:3, :3] == np.arange(9).reshape(3, 3)).all()
             assert (m.array[3:, :] == -1).all()
@@ -207,11 +231,10 @@ class TestSharedMatrix:
             m.close()
 
     def test_grow_past_capacity_reallocates_and_copies(self):
-        m = SharedMatrix(3, 3, capacity_rows=3, capacity_cols=3)
+        m = SharedMatrix(3, 3, fill=5)
         try:
-            m.array[:] = 5
             old_name = m.handle.name
-            assert m.resize(8, 8, fill=-1) is True
+            assert m.resize(80, 80, fill=-1) is True
             assert m.handle.name != old_name
             assert (m.array[:3, :3] == 5).all()
             assert (m.array[3:, :] == -1).all()
@@ -232,22 +255,8 @@ class TestSharedMatrix:
 class TestVersionedMatrix:
     """The seqlock layer concurrent readers ride (repro.parallel.sharded)."""
 
-    def test_unversioned_matrix_has_no_counters(self):
-        m = SharedMatrix(3, 3)
-        try:
-            assert m.handle.versions_name is None
-            assert m.row_versions is None
-            with m.row_write(1) as row:  # no counters to flip, not an error
-                row[:] = 4
-            att = AttachedMatrix(m.handle)
-            assert att.versions is None
-            assert (att.read_row(0) == m.array[0]).all()
-            att.close()
-        finally:
-            m.close()
-
     def test_write_brackets_flip_parity(self):
-        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        m = SharedMatrix(4, 4, fill=0)
         try:
             att = AttachedMatrix(m.handle)
             assert int(att.versions[2]) == 0
@@ -262,11 +271,30 @@ class TestVersionedMatrix:
         finally:
             m.close()
 
+    def test_every_matrix_carries_zeroed_counters(self):
+        # No option turns the seqlock off: a plain matrix has one even
+        # counter per allocated row, shared with every attachment.
+        m = SharedMatrix(3, 5)
+        try:
+            handle = m.handle
+            assert isinstance(handle.versions_name, str)
+            assert m.row_versions.shape == (handle.capacity[0],)
+            assert (m.row_versions == 0).all()
+            att = AttachedMatrix(handle)
+            assert (att.versions == 0).all()
+            with m.row_write(1) as row:
+                row[:] = 4
+            assert int(att.versions[1]) == 2
+            assert att.read_row(1).tolist() == [4] * 5
+            att.close()
+        finally:
+            m.close()
+
     def test_reader_retries_while_writer_holds_the_row(self):
         import threading
         import time
 
-        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        m = SharedMatrix(4, 4, fill=0)
         try:
             att = AttachedMatrix(m.handle)
             holding = threading.Event()
@@ -292,7 +320,7 @@ class TestVersionedMatrix:
         from repro.errors import TornReadError
         from repro.parallel import shm
 
-        m = SharedMatrix(3, 3, versioned=True, fill=0)
+        m = SharedMatrix(3, 3, fill=0)
         try:
             att = AttachedMatrix(m.handle)
             m.row_versions[0] += 1  # a writer that died inside row_write
@@ -306,15 +334,15 @@ class TestVersionedMatrix:
             m.close()
 
     def test_reallocation_carries_the_counters_forward(self):
-        m = SharedMatrix(3, 3, capacity_rows=3, capacity_cols=3, versioned=True)
+        m = SharedMatrix(3, 3)
         try:
             with m.row_write(2):
                 pass
             old_versions_name = m.handle.versions_name
-            assert m.resize(8, 8, fill=-1) is True
+            assert m.resize(80, 80, fill=-1) is True
             assert m.handle.versions_name != old_versions_name
             assert int(m.row_versions[2]) == 2  # monotone across the swap
-            assert int(m.row_versions[7]) == 0
+            assert int(m.row_versions[79]) == 0
         finally:
             m.close()
 
@@ -347,7 +375,7 @@ class TestReadCells:
     only committed cells out."""
 
     def test_gathers_committed_cells(self):
-        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        m = SharedMatrix(4, 4, fill=0)
         try:
             for u in range(4):
                 with m.row_write(u) as row:
@@ -357,11 +385,6 @@ class TestReadCells:
             assert att.read_cells(us, vs).tolist() == [31, 0, 23, 31]
             assert att.read_cells(us[:0], vs[:0]).tolist() == []
             assert att.torn_retries == 0
-            plain = SharedMatrix(2, 2, fill=4)
-            try:
-                assert AttachedMatrix(plain.handle).read_cells(us[:1] - 2, vs[:1]).tolist() == [4]
-            finally:
-                plain.close()
             att.close()
         finally:
             m.close()
@@ -371,7 +394,7 @@ class TestReadCells:
         from repro.parallel import shm
 
         monkeypatch.setattr(shm, "_READ_RETRIES", 50)
-        m = SharedMatrix(3, 3, versioned=True, fill=1)
+        m = SharedMatrix(3, 3, fill=1)
         try:
             att = AttachedMatrix(m.handle)
             with m.row_write(1) as row:  # held open for the whole read
@@ -391,7 +414,7 @@ class TestReadCells:
         from repro.parallel import shm
 
         monkeypatch.setattr(shm, "_READ_RETRIES", 50)
-        m = SharedMatrix(3, 3, versioned=True, fill=1)
+        m = SharedMatrix(3, 3, fill=1)
         try:
             att = AttachedMatrix(m.handle)
             att._arr = _WriterDuringGather(att, 1, commit=commit)
@@ -441,10 +464,10 @@ def _nested_write_child(handle, out_q) -> None:
 
 
 class TestRowWrite:
-    """``with m.row_write(u) as row:`` is the only way to write a versioned row."""
+    """``with m.row_write(u) as row:`` is the only way to write a row."""
 
     def test_versioned_array_is_read_only(self):
-        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        m = SharedMatrix(4, 4, fill=0)
         att = AttachedMatrix(m.handle)
         try:
             for view in (m.array, att.array):
@@ -462,32 +485,36 @@ class TestRowWrite:
 
     def test_pool_hands_out_read_only_versioned_views(self):
         with WorkerPool(1, start_method=START_METHODS[0]) as pool:
-            versioned = pool.matrix("d", 3, 3, fill=0, versioned=True)
-            plain = pool.matrix("s", 3, 1, fill=0)
-            with pytest.raises(ValueError, match="read-only"):
-                versioned[0, 0] = 1
-            plain[0, 0] = 1  # unversioned: writable as before
-            assert pool.matrix_owner("s").array[0, 0] == 1
+            for name, shape in (("d", (3, 3)), ("s", (3, 1))):
+                view = pool.matrix(name, *shape, fill=0)
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0, 0] = 1
+                with pool.matrix_owner(name).row_write(0) as row:
+                    row[0] = 1
+                assert view[0, 0] == 1
 
-    def test_unversioned_row_write_is_a_plain_row_view(self):
+    def test_a_raising_body_still_commits_the_row(self):
+        # The body's partial write stays, but the version goes even again,
+        # so readers take the row at once instead of spinning on it.
         m = SharedMatrix(3, 4, fill=0)
+        att = AttachedMatrix(m.handle)
         try:
-            assert m.array.flags.writeable
-            with m.row_write(2) as row:
-                row[:] = 8
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="abandoned"):
                 with m.row_write(1) as row:
                     row[0] = 6
-                    raise RuntimeError("no counters to restore")
-            with m.row_write(0):
-                with m.row_write(0):  # nesting is harmless without counters
-                    pass
-            assert m.array.tolist() == [[0] * 4, [6, 0, 0, 0], [8] * 4]
+                    raise RuntimeError("abandoned mid-row")
+            assert int(m.row_versions[1]) == 2
+            assert att.read_row(1).tolist() == [6, 0, 0, 0]
+            assert att.torn_retries == 0
+            with m.row_write(1) as row:  # the row is free for the next writer
+                row[:] = 8
+            assert m.array.tolist() == [[0] * 4, [8] * 4, [0] * 4]
         finally:
+            att.close()
             m.close()
 
     def test_nested_row_write_raises(self):
-        m = SharedMatrix(4, 4, versioned=True, fill=0)
+        m = SharedMatrix(4, 4, fill=0)
         att = AttachedMatrix(m.handle)
         try:
             for outer, inner in ((m, m), (m, att), (att, att)):
@@ -508,7 +535,7 @@ class TestRowWrite:
         # The check is part of row_write itself: it fires in fresh fork
         # and spawn processes alike.
         ctx = multiprocessing.get_context(method)
-        m = SharedMatrix(8, 8, versioned=True, fill=0)
+        m = SharedMatrix(8, 8, fill=0)
         try:
             out_q = ctx.SimpleQueue()
             proc = ctx.Process(target=_nested_write_child, args=(m.handle, out_q))
@@ -524,7 +551,7 @@ class TestRowWrite:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_pool_worker_refuses_a_row_already_mid_write(self, method):
         with WorkerPool(1, start_method=method) as pool:
-            pool.matrix("d", 8, 8, versioned=True, fill=0)
+            pool.matrix("d", 8, 8, fill=0)
             owner = pool.matrix_owner("d")
             with owner.row_write(3):
                 with pytest.raises(WorkerError, match="ProtocolError"):

@@ -159,7 +159,6 @@ TABLE = {
         ("_ingest",),
         (
             "src/repro/dynamic/serving.py::RoutingService.apply_batch@self._ingest",
-            "src/repro/parallel/sharded.py::ShardedRoutingService._ingest@super()._ingest",
             "src/repro/distributed/protocols/link_state.py::PeriodicLinkState@self._ingest",
         ),
         "one write path: the services ingest only in apply_batch (the "
@@ -786,7 +785,7 @@ MUTATIONS = [
         "        super()._ingest()\n"
         "        return self._ingest(), self.base._ingest()\n",
         "src/repro/parallel/sharded.py",
-        {"ingest_path": [4, 4]},
+        {"ingest_path": [3, 4, 4]},
     ),
     Mutation(
         "class Service:\n"
