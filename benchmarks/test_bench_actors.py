@@ -61,7 +61,7 @@ def test_actor_tier_repairs_incrementally(record, results_dir):
         sources = []
         scratch = []
         rebuilt = []
-        system.service.subscribe(lambda delta: rebuilt.append(delta.rebuilt))
+        system.service.subscribe(lambda report, _resync: rebuilt.append(report.rebuilt))
         for batch in ticks:
             before = sum(a.rows_recomputed for a in system.actors)
             sw = obs.Stopwatch()

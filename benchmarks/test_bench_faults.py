@@ -8,7 +8,7 @@ throughput (events/second under the crash storm, the guarded headline)
 next to the quiet-plan baseline so the overhead of dying-and-respawning
 is a number, not a vibe.
 
-The second bar is the *zero-cost-off* claim: with ``REPRO_FAULTS`` unset
+The second bar is the *zero-cost-off* claim: with ``REPRO_FAULT_PLAN`` unset
 the hooks compiled into the hot paths (task start, result send, row
 write, shm create/attach) must cost ≤ 2% of a repair event.  Wall-clock
 A/B at 2% is runner noise, so the bound is established structurally: the
@@ -86,14 +86,12 @@ def test_mid_repair_crash_recovery(record, results_dir, monkeypatch):
 
     # Quiet baseline: same stream, fault plane fully disarmed.
     faults.uninstall()
-    monkeypatch.delenv(faults.ENV_GATE, raising=False)
     monkeypatch.delenv(faults.ENV_PLAN, raising=False)
     t_quiet, quiet_health, dist, tables = _soak(sc, events, armed=False)
     assert quiet_health["respawns"] == 0
     assert np.array_equal(dist, serial._dist) and np.array_equal(tables, serial._tables)
 
     # Crash storm: armed through the env so fork *and* spawn workers see it.
-    monkeypatch.setenv(faults.ENV_GATE, "1")
     monkeypatch.setenv(faults.ENV_PLAN, MID_DELTA_CRASH.spec())
     faults.maybe_install_from_env()
     try:
@@ -139,7 +137,6 @@ def test_mid_repair_crash_recovery(record, results_dir, monkeypatch):
 def test_hooks_off_overhead(record, results_dir, monkeypatch):
     # Per-event repair cost, hooks present but disarmed.
     faults.uninstall()
-    monkeypatch.delenv(faults.ENV_GATE, raising=False)
     monkeypatch.delenv(faults.ENV_PLAN, raising=False)
     sc = make_scenario("mobility", N_FAULTS, NUM_EVENTS, seed=FAULT_SEED)
     t_quiet, _health, _d, _t = _soak(sc, list(sc.events), armed=False)

@@ -283,7 +283,7 @@ def test_row_repair_vs_bfs(record, results_dir):
     sc = make_scenario("nodechurn", N_DYN, REPAIR_EVENTS, seed=DYN_SEED)
     service = RoutingService(sc.initial, "kcover")
     deltas = []
-    service.subscribe(deltas.append)
+    service.subscribe(lambda report, _resync: deltas.append(report))
     events = list(sc.events)
     t_repair = t_bfs = 0.0
     rows_total = entries_total = ticks = 0

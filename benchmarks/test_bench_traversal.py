@@ -1,7 +1,9 @@
-"""Traversal micro-benchmark: set backend vs CSR backend, head to head.
+"""Traversal micro-benchmark: set path vs CSR path, head to head.
 
-The acceptance bar of the CSR subsystem (PR 1): ``batched_bfs`` must beat a
-loop of set-backend BFS runs by ≥ 2× on a unit-disk graph with n ≥ 2000.
+The acceptance bar of the CSR subsystem: ``batched_bfs`` must beat a loop
+of set-path BFS runs by ≥ 2× on a unit-disk graph with n ≥ 2000.  Each arm
+reaches its path by input type: the set arm runs on a never-frozen copy of
+the graph, the CSR arms on its ``freeze()`` snapshot.
 Beyond the assertion, the measured timings are persisted as
 ``BENCH_traversal.json`` (in ``benchmarks/results/``; ``scripts/check.sh``
 copies it to the repo root) so future PRs have a perf trajectory to compare
@@ -23,6 +25,7 @@ import pytest
 
 from repro import obs
 from repro.graph import batched_bfs, bfs_distances, bfs_parents, multi_source_distances
+from repro.graph.traversal import _csr_of
 from repro.experiments import largest_component, scaled_udg
 
 #: Acceptance bar for the batched CSR engine vs the per-source set loop.
@@ -51,18 +54,21 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
         int(s) for s in bench_rng.choice(g.num_nodes, size=g.num_nodes // 4, replace=False)
     )
 
+    plain = g.copy()  # never frozen: the set loops
+    assert _csr_of(plain) is None
+
     def set_loop():
         for s in sources:
-            bfs_distances(g, s, backend="sets")
+            bfs_distances(plain, s)
 
     def batched():
-        for _s, _d in batched_bfs(g, sources, backend="csr"):
+        for _s, _d in batched_bfs(g.freeze(), sources):
             pass
 
     def csr_single_loop():
-        g.freeze()
+        csr = g.freeze()
         for s in sources:
-            bfs_distances(g, s, backend="csr")
+            bfs_distances(csr, s)
 
     t_sets = t_batched = float("inf")
     for _ in range(ROUNDS):
@@ -106,24 +112,21 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
 
 def test_backends_agree_on_bench_graph(udg):
     """The workload the speedup is claimed on is also checked for exactness."""
-    g = udg
-    sources = list(range(0, g.num_nodes, 97))
-    for s, dist in batched_bfs(g, sources, backend="csr"):
-        assert dist == bfs_distances(g, s, backend="sets")
+    plain, csr = udg.copy(), udg.freeze()
+    sources = list(range(0, csr.num_nodes, 97))
+    for s, dist in batched_bfs(csr, sources):
+        assert dist == bfs_distances(plain, s)
     s0 = sources[0]
-    assert bfs_parents(g, s0, backend="csr") == bfs_parents(g, s0, backend="sets")
-    assert multi_source_distances(g, sources, backend="csr") == multi_source_distances(
-        g, sources, backend="sets"
-    )
+    assert bfs_parents(csr, s0) == bfs_parents(plain, s0)
+    assert multi_source_distances(csr, sources) == multi_source_distances(plain, sources)
 
 
 # Calibrated single-call baselines (pytest-benchmark), for the -v tables.
 
 
 def test_bfs_single_sets(benchmark, udg):
-    benchmark(bfs_distances, udg, 0, None, "sets")
+    benchmark(bfs_distances, udg.copy(), 0)
 
 
 def test_bfs_single_csr(benchmark, udg):
-    udg.freeze()
-    benchmark(bfs_distances, udg, 0, None, "csr")
+    benchmark(bfs_distances, udg.freeze(), 0)

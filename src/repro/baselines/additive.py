@@ -25,7 +25,7 @@ import math
 
 from ..errors import ParameterError
 from ..graph import Graph
-from ..graph.traversal import batched_bfs_parents
+from ..graph.traversal import bfs_parents
 from ..setcover import SetCoverInstance, greedy_set_cover
 
 __all__ = ["additive_two_spanner", "dominating_set_for"]
@@ -57,9 +57,11 @@ def additive_two_spanner(g: Graph, degree_threshold: "int | None" = None) -> Gra
     for u, v in g.edges():
         if u not in high or v not in high:
             h.add_edge(u, v)
-    # BFS trees from a dominating set of the high-degree vertices — one
-    # batched canonical-forest sweep instead of a per-dominator BFS loop.
-    for _d, _dist, parent in batched_bfs_parents(g, dominating_set_for(g, high)):
+    # Canonical BFS trees from a dominating set of the high-degree vertices,
+    # each on the frozen snapshot's flat arrays.
+    csr = g.freeze()
+    for d in dominating_set_for(g, high):
+        _dist, parent = bfs_parents(csr, d)
         for v in g.nodes():
             p = parent[v]
             if p >= 0 and p != v:

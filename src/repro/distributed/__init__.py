@@ -46,14 +46,10 @@ from .wire import (
 from .protocols import (
     DistributedResult,
     FloodState,
-    HelloNode,
     PeriodicLinkState,
     RemSpanNode,
-    ScopedFloodNode,
     StabilizationReport,
-    run_hello,
     run_remspan,
-    run_scoped_flood,
 )
 
 __all__ = [
@@ -67,14 +63,10 @@ __all__ = [
     "SyncNetwork",
     "DistributedResult",
     "FloodState",
-    "HelloNode",
     "PeriodicLinkState",
     "RemSpanNode",
-    "ScopedFloodNode",
     "StabilizationReport",
-    "run_hello",
     "run_remspan",
-    "run_scoped_flood",
     # actor tier
     "ActorSystem",
     "ShardActor",

@@ -6,12 +6,12 @@ this module serves *the maintained tables* from a tier of asyncio actors:
 
 * the **feed driver** owns the serial :class:`~repro.dynamic.serving.\
   RoutingService` (the ground truth) and republishes its per-tick
-  :class:`~repro.dynamic.serving.ServeDelta` as sequence-numbered
+  :class:`~repro.dynamic.maintainer.BatchReport` as sequence-numbered
   :class:`~repro.distributed.wire.LsaUpdate` floods — net maintainer
   deltas on the wire.  Events enter only through
   :meth:`ActorSystem.apply_tick` (the service's ``apply_batch``; one
   event is a one-event tick).  A :class:`~repro.distributed.wire.FullTopology`
-  goes out only for the cold-start bootstrap, a ``resync`` delta
+  goes out only for the cold-start bootstrap, a ``resync`` tick
   (compaction), a resend of seqs already trimmed from the driver's
   bounded log, and the benchmark's naive baseline;
 * **shard actors** each own one **region** of the ids and keep one
@@ -81,16 +81,18 @@ from ..dynamic.serving import (
     RoutingService,
     RowDelta,
     RowOwner,
-    ServeDelta,
     dirty_rows,
     resized,
 )
+from ..dynamic.maintainer import BatchReport
 from ..errors import NodeNotFound, ParameterError, ProtocolError
 from ..graph import Graph, multi_source_distances
 from ..routing.greedy_routing import RouteResult
 from .transport import LoopbackTransport, Transport
 from .wire import (
+    HELLO_EVERY,
     HELLO_TIMEOUT,
+    LSA_MAX_AGE,
     FullTopology,
     HelloBeacon,
     LsaDb,
@@ -354,8 +356,8 @@ class ShardActor:
                     await self._request_resend(m.seq)
             elif isinstance(m, RouteQuery):
                 await self._handle_query(m)
-        self.db.purge(round_index, system.lsa_max_age)
-        if round_index % system.hello_every == 0:
+        self.db.purge(round_index, LSA_MAX_AGE)
+        if round_index % HELLO_EVERY == 0:
             beacon = HelloBeacon(self.ident, seq=self.applied_seq(), stamp=round_index)
             for peer in system.ring_peers(self.ident):
                 self.last_heard.setdefault(peer, round_index)
@@ -454,8 +456,6 @@ class ActorSystem:
         transport: "Transport | None" = None,
         mode: str = "incremental",
         tables: bool = True,
-        hello_every: int = 4,
-        lsa_max_age: int = 12,
         max_rounds: int = 400,
     ) -> None:
         if shards < 1:
@@ -466,8 +466,6 @@ class ActorSystem:
         self.driver_id = shards
         self.mode = mode
         self.tables = tables
-        self.hello_every = hello_every
-        self.lsa_max_age = lsa_max_age
         self.max_rounds = max_rounds
         self.transport = LoopbackTransport() if transport is None else transport
         self.service = RoutingService(
@@ -560,31 +558,31 @@ class ActorSystem:
             regions=tuple(self.region.tolist()),
         )
 
-    def _on_delta(self, delta: ServeDelta) -> None:
-        """Queue *delta*'s message; its seq is assigned when it floods.
+    def _on_delta(self, report: BatchReport, resync: bool) -> None:
+        """Queue the tick's message; its seq is assigned when it floods.
 
-        A snapshot is taken now, while the service is at this delta's
+        A snapshot is taken now, while the service is at this tick's
         state — a later tick queued behind it must not leak into it.  The
-        region map follows the delta first: a resync (compaction renumbers
+        region map follows the tick first: a resync (compaction renumbers
         the ids) regrows it on the graph as it now is, and otherwise each
         id the tick added is placed.
         """
-        if delta.resync:
+        if resync:
             self.region = grow_regions(self.service.graph, self.shards)
         placed = self._place_joins()
-        if delta.resync or self.mode == "full":
+        if resync or self.mode == "full":
             self._outbox.append(self._snapshot(0))
             return
         self._outbox.append(LsaUpdate(
             origin=self.driver_id,
             seq=0,
-            g_added=delta.g_added,
-            g_removed=delta.g_removed,
-            h_added=delta.h_added,
-            h_removed=delta.h_removed,
-            nodes_joined=delta.nodes_joined,
-            num_nodes=delta.num_nodes,
-            rebuilt=delta.rebuilt,
+            g_added=report.g_added,
+            g_removed=report.g_removed,
+            h_added=report.h_added,
+            h_removed=report.h_removed,
+            nodes_joined=report.nodes_joined,
+            num_nodes=self.service.num_nodes,
+            rebuilt=report.rebuilt,
             regions=placed,
         ))
 
@@ -652,7 +650,7 @@ class ActorSystem:
                 for a in self.actors
                 if a.ident not in self._muzzled
             )
-            if lagging and rounds % self.hello_every == 0:
+            if lagging and rounds % HELLO_EVERY == 0:
                 # Anti-entropy nudge: advertise the feed seq so lagging
                 # actors discover the gap and request retransmission.
                 beacon = HelloBeacon(self.driver_id, seq=self._out_seq, stamp=rounds)

@@ -5,21 +5,16 @@ A TTL-limited flood achieves exactly that: a message originated with
 ``ttl = D`` and relayed with ``ttl − 1`` reaches precisely the ball of
 radius D around its origin, in D communication rounds.
 
-This module provides the standalone primitive (with duplicate suppression
-per origin, as real link-state flooding does via sequence numbers) plus a
-reusable :class:`FloodState` mixin the RemSpan protocol embeds.
+:class:`FloodState` is the relay bookkeeping (duplicate suppression per
+origin, as real link-state flooding does via sequence numbers) that the
+RemSpan protocol embeds once per flood family.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ...graph import Graph
-from ..messages import NeighborAdvert
-from ..node import ProtocolNode
-from ..simulator import SyncNetwork
-
-__all__ = ["FloodState", "ScopedFloodNode", "run_scoped_flood"]
+__all__ = ["FloodState"]
 
 
 class FloodState:
@@ -44,40 +39,3 @@ class FloodState:
             if relayed is not None:
                 relays.append(relayed)
         return relays
-
-
-class ScopedFloodNode(ProtocolNode):
-    """Originates one advert with the given TTL and relays others."""
-
-    def __init__(self, ident: int, payload_neighbors: frozenset, ttl: int) -> None:
-        super().__init__(ident)
-        self.flood = FloodState()
-        self._payload = payload_neighbors
-        self._ttl = ttl
-
-    def on_round(self, round_index: int, inbox: Sequence) -> None:
-        if round_index == 1:
-            if self._ttl >= 1:
-                advert = NeighborAdvert(
-                    origin=self.ident, neighbors=self._payload, ttl=self._ttl
-                )
-                self.flood.seen[self.ident] = advert  # never relay own advert
-                self.broadcast(advert)
-            self.halted = True  # halting ≠ deaf: relays still happen below
-            return
-        self.broadcast_all(self.flood.accept(inbox))
-
-
-def run_scoped_flood(g: Graph, ttl: int) -> "tuple[dict[int, set[int]], int]":
-    """Every node floods its id with *ttl*; returns (who heard whom, rounds).
-
-    The returned mapping gives, for each node u, the set of origins u
-    received — which must equal ``B_G(u, ttl)`` minus u itself (the
-    property the tests pin down).
-    """
-    net = SyncNetwork(
-        g, lambda u: ScopedFloodNode(u, frozenset(g.neighbors(u)), ttl)
-    )
-    stats = net.run()
-    heard = {u: set(node.flood.seen) - {u} for u, node in net.nodes.items()}
-    return heard, stats.rounds - 1

@@ -44,8 +44,10 @@ from ..errors import ProtocolError
 from . import codec
 
 __all__ = [
+    "HELLO_EVERY",
     "HELLO_TIMEOUT",
     "LOOP_WINDOW",
+    "LSA_MAX_AGE",
     "FullTopology",
     "HelloBeacon",
     "LsaDb",
@@ -63,6 +65,14 @@ LOOP_WINDOW = 16
 #: Overlay-neighbor liveness: rounds of silence before a peer that has
 #: beaconed before is marked suspect.
 HELLO_TIMEOUT = 8
+
+#: Rounds between HELLO beacons (and between the feed driver's
+#: anti-entropy nudges while an actor lags).
+HELLO_EVERY = 4
+
+#: Rounds a gap-stalled pending update is kept before :meth:`LsaDb.purge`
+#: ages it out (it is re-requested rather than applied late).
+LSA_MAX_AGE = 12
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ __all__ = [
     "RoutingService",
     "RowDelta",
     "RowOwner",
-    "ServeDelta",
     "ServeReport",
     "MemoryStats",
     "TableDamage",
@@ -368,43 +367,6 @@ project_table_row` one by one.  The cells are projected in one batched
 
 
 @dataclass(frozen=True)
-class ServeDelta:
-    """One tick's net effect, as the delta feed publishes it.
-
-    The subscription payload for downstream replicas (the distributed
-    actor tier subscribes here): everything needed to advance a remote
-    copy of (G, H) from tick ``seq − 1`` to tick ``seq`` without seeing
-    the event stream itself.  Deltas are *net* — in-tick flaps cancel,
-    and they stay net even when the repair was a full rebuild
-    (``rebuilt`` is advisory: the receiver may resync bigger structures,
-    but applying the deltas alone is already exact).  Every field but
-    ``seq``, ``num_nodes`` and ``resync`` is copied from the tick's
-    :class:`~repro.dynamic.maintainer.BatchReport` (one built per
-    :meth:`RoutingService.apply_batch`, one-event ticks included).  Matches
-    the :class:`~repro.distributed.wire.LsaUpdate` payload field-for-field,
-    which is what keeps the wire schema a projection of this one.
-
-    A ``resync`` delta carries no edges: the service changed state in a
-    way no net delta describes (:meth:`RoutingService.compact` renumbered
-    the ids, or a direct :meth:`RoutingService.refresh` resynced after an
-    unknown change), so a replica must reload the whole (G, H) — the actor
-    tier answers it with a :class:`~repro.distributed.wire.FullTopology`.
-    """
-
-    seq: int  # 1-based, contiguous per service instance
-    events: int  # events submitted in the tick
-    changed: bool
-    rebuilt: bool
-    g_added: "tuple[tuple[int, int], ...]" = ()
-    g_removed: "tuple[tuple[int, int], ...]" = ()
-    h_added: "tuple[tuple[int, int], ...]" = ()
-    h_removed: "tuple[tuple[int, int], ...]" = ()
-    nodes_joined: "tuple[int, ...]" = ()
-    num_nodes: int = 0  # id-space size after the tick
-    resync: bool = False  # replicas must reload the full (G, H)
-
-
-@dataclass(frozen=True)
 class ServeReport:
     """What one :meth:`RoutingService.apply`/``apply_batch`` call did."""
 
@@ -469,7 +431,6 @@ class RoutingService:
         self.full_refreshes = 0
         self.compactions = 0
         self._subscribers: "list" = []
-        self.feed_seq = 0  # seq of the latest published ServeDelta
         self._mem_cache: "tuple | None" = None  # (graph, version, MemoryStats)
         self._dist = np.empty((0, 0), dtype=np.int32)
         self._tables = np.empty((0, 0), dtype=np.int32)
@@ -584,40 +545,31 @@ class RoutingService:
     # ------------------------------------------------------------------ #
 
     def subscribe(self, callback):
-        """Register *callback* to receive a :class:`ServeDelta` per tick.
+        """Register ``callback(report, resync)`` to run once per tick.
 
-        Called synchronously after each :meth:`apply_batch` (so after each
-        :meth:`apply`, a one-event tick) and each direct :meth:`refresh`
-        — the service's own tables are already updated when the callback
+        *report* is the tick's maintainer
+        :class:`~repro.dynamic.maintainer.BatchReport`: its net G and H
+        deltas (in-tick flaps cancel; they stay net even when ``rebuilt``)
+        advance a remote copy of (G, H) without the event stream.  Called
+        synchronously after each :meth:`apply_batch` (so after each
+        :meth:`apply`, a one-event tick) and each direct :meth:`refresh` —
+        the service's own tables are already updated when the callback
         runs, so a subscriber that mirrors the deltas can immediately
-        compare its replica against the serial truth.  Returns *callback*
-        so ``service.subscribe(fn)`` works as a registration expression.
+        compare its replica against the serial truth.
+
+        ``resync`` is true when the service changed state in a way no net
+        delta describes (:meth:`compact` renumbered the ids, or a direct
+        :meth:`refresh` resynced after an unknown change): the report then
+        carries no edges and a replica must reload the whole (G, H).
+        Returns *callback* so ``service.subscribe(fn)`` works as a
+        registration expression.
         """
         self._subscribers.append(callback)
         return callback
 
-    def unsubscribe(self, callback) -> None:
-        self._subscribers.remove(callback)
-
     def _publish(self, report: BatchReport, resync: bool = False) -> None:
-        if not self._subscribers:
-            return
-        self.feed_seq += 1
-        delta = ServeDelta(
-            seq=self.feed_seq,
-            events=report.events,
-            changed=report.changed,
-            rebuilt=report.rebuilt,
-            g_added=report.g_added,
-            g_removed=report.g_removed,
-            h_added=report.h_added,
-            h_removed=report.h_removed,
-            nodes_joined=report.nodes_joined,
-            num_nodes=self.num_nodes,
-            resync=resync,
-        )
         for callback in list(self._subscribers):
-            callback(delta)
+            callback(report, resync)
 
     # ------------------------------------------------------------------ #
     # write side
@@ -694,15 +646,15 @@ class RoutingService:
         Re-projects in place so ``entries_updated`` keeps counting only
         cells whose next hop actually changed, refresh or not.  A direct
         call means the caller suspects a change the feed never saw, so it
-        publishes a ``resync`` :class:`ServeDelta`: subscribed replicas
-        reload the whole (G, H) rather than trust their delta stream.
+        publishes a ``resync`` tick: subscribed replicas reload the whole
+        (G, H) rather than trust their delta stream.
         """
         self._refresh()
         self._publish(BatchReport(0, 0, changed=True, rebuilt=True), resync=True)
 
     def _refresh(self) -> None:
         """:meth:`refresh` without the feed (the rebuilt-tick path, whose
-        net delta the tick's own :class:`ServeDelta` already carries)."""
+        net delta the tick's own report already carries)."""
         n = self.maintainer.graph.num_nodes
         self._resize_matrices(n)
         with obs.span("serving.recompute_rows"):
@@ -731,8 +683,8 @@ class RoutingService:
         participate in tie-breaks, so the old trees need not survive the
         renumbering); served tables again match :func:`routing_table`
         bit-for-bit — the property tests assert it.  The closing
-        :meth:`refresh` publishes a ``resync`` :class:`ServeDelta`, so
-        subscribed replicas reload the renumbered (G, H).
+        :meth:`refresh` publishes a ``resync`` tick, so subscribed
+        replicas reload the renumbered (G, H).
         """
         g = self.maintainer.graph
         keep = [u for u in g.nodes() if g.neighbors(u)]

@@ -21,9 +21,8 @@ message lost on the queue.  This module makes every one of those events
   ≤ 2%).
 
 Installation is arranged so a plan survives both ``fork`` and
-``spawn``: arm via environment
-(``REPRO_FAULTS=1`` — any non-falsey spelling — plus
-``REPRO_FAULT_PLAN=<spec>``) and :func:`maybe_install_from_env` installs
+``spawn``: arm via environment (``REPRO_FAULT_PLAN=<spec>``; unset or
+empty means off) and :func:`maybe_install_from_env` installs
 at :mod:`repro.parallel` import time, which ``spawn`` workers re-run;
 ``fork`` workers inherit the installed state directly and re-seed their
 private stream in :func:`worker_reset`.
@@ -282,20 +281,14 @@ _before_exit: "Callable[[], None] | None" = None
 _seen: "dict[str, int]" = {}
 _fires: "dict[str, int]" = {}
 
-_FALSEY = frozenset({"", "0", "off", "false", "no"})
-
-#: Environment protocol: a gate (any spelling outside :data:`_FALSEY`
-#: arms), and the plan itself as a second variable — this module is the
-#: only reader of either.
-ENV_GATE = "REPRO_FAULTS"
+#: Environment protocol: the plan (a :data:`PLANS` name or a spec) arms
+#: the plane; unset or empty means off.  This module is its only reader.
 ENV_PLAN = "REPRO_FAULT_PLAN"
 
 
 def enabled_in_env(environ: "dict[str, str] | None" = None) -> "FaultPlan | None":
     """The plan the environment asks for, or ``None`` (off)."""
     env = os.environ if environ is None else environ
-    if env.get(ENV_GATE, "").strip().lower() in _FALSEY:
-        return None
     spec = env.get(ENV_PLAN, "").strip()
     if not spec:
         return None
@@ -343,7 +336,7 @@ def maybe_install_from_env() -> None:
 
 
 def arm_env(plan: FaultPlan, environ: "dict[str, str] | None" = None) -> None:
-    """Write the gate + spec into *environ* (default ``os.environ``).
+    """Write the plan's spec into *environ* (default ``os.environ``).
 
     The sanctioned way for drivers (the chaos CLI, the benchmark) to arm
     a plan: the variables are inherited by ``fork`` *and* re-read by
@@ -351,7 +344,6 @@ def arm_env(plan: FaultPlan, environ: "dict[str, str] | None" = None) -> None:
     arms the calling process itself.
     """
     env = os.environ if environ is None else environ
-    env[ENV_GATE] = "1"
     env[ENV_PLAN] = plan.spec()
 
 

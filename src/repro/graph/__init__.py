@@ -12,7 +12,6 @@ from .traversal import (
     UNREACHED,
     ball,
     batched_bfs,
-    batched_bfs_parents,
     bfs_distances,
     bfs_layers,
     bfs_parents,
@@ -43,7 +42,6 @@ __all__ = [
     "UNREACHED",
     "ball",
     "batched_bfs",
-    "batched_bfs_parents",
     "bounded_distance",
     "bfs_distances",
     "bfs_layers",

@@ -10,24 +10,25 @@ Everything in the paper is phrased in terms of BFS by-products:
   added paths is a tree (design decision 2 in DESIGN.md).
 
 The functions here are the hot path of every construction, so they run on
-two backends:
+two paths, and the input alone picks one:
 
-* **sets** — the original pure-Python loops over ``g.neighbors(u)``; works
-  with any graph-like object (including :class:`~repro.graph.views.\
-AugmentedView`) and is the right choice while a graph is being mutated;
 * **csr** — flat-array loops over a :class:`~repro.graph.csr.CSRGraph`
   snapshot: a vectorized level-synchronous frontier expansion (numpy
   gathers over ``indptr``/``indices``) with a pure-Python small-frontier
   path, plus preallocated ``array('i')`` queues for the canonical parent
-  forest.
+  forest.  A ``CSRGraph`` argument runs here, and so does a ``Graph`` of
+  at least 64 nodes whose :meth:`~repro.graph.graph.Graph.freeze`
+  snapshot is still fresh;
+* **sets** — pure-Python loops over ``g.neighbors(u)`` for everything
+  else: small graphs, graphs being mutated between calls (the greedy
+  spanner BFS-probes the graph it grows) and any graph-like object such
+  as :class:`~repro.graph.views.AugmentedView`.  These loops are the
+  reference the CSR path is tested against: pass ``g.freeze()`` to reach
+  CSR, and a never-frozen ``Graph`` (e.g. ``g.copy()``) to reach sets.
 
-Backend selection is automatic: a ``CSRGraph`` argument, or a ``Graph``
-whose :meth:`~repro.graph.graph.Graph.freeze` snapshot is still fresh, takes
-the CSR path; everything else falls back to sets.  Pass ``backend="sets"``
-or ``backend="csr"`` to force one (the property tests assert exact
-agreement between the two).  For per-node loops — every Algorithm 1–5
-construction, stretch certification, APSP — use :func:`batched_bfs`, which
-freezes once and amortizes buffer allocation across sources.
+For per-node loops — every Algorithm 1–5 construction, stretch
+certification, APSP — use :func:`batched_bfs`, which freezes once and
+amortizes buffer allocation across sources.
 
 When a graph changes by a small net delta, :func:`repair_rows` brings
 existing BFS rows up to date instead of re-running them: only the entries
@@ -55,7 +56,6 @@ __all__ = [
     "multi_source_distances",
     "bounded_distance",
     "batched_bfs",
-    "batched_bfs_parents",
     "orphaned_far_ends",
     "repair_rows",
     "repairable_rows",
@@ -79,38 +79,28 @@ _SMALL_FRONTIER = 16
 #: ``benchmarks/test_bench_traversal.py``).
 _BATCH_CHUNK = 64
 
-#: Below this node count the ``auto`` backend stays on sets: numpy call
-#: overhead exceeds the whole BFS on toy graphs (the property-test regime).
-#: ``backend="csr"`` overrides, and a ``CSRGraph`` argument is always CSR.
+#: Below this node count a ``Graph`` stays on the set loops even with a
+#: fresh snapshot: numpy call overhead exceeds the whole BFS on toy graphs
+#: (the property-test regime).  A ``CSRGraph`` argument is always CSR.
 _AUTO_MIN_NODES = 64
 
 
 # --------------------------------------------------------------------- #
-# backend selection
+# path selection
 # --------------------------------------------------------------------- #
 
 
-def _csr_of(g, backend: str) -> "CSRGraph | None":
-    """The CSR snapshot to use for *g*, or ``None`` for the set backend.
+def _csr_of(g) -> "CSRGraph | None":
+    """The CSR snapshot to run *g* on, or ``None`` for the set loops.
 
-    ``backend="auto"`` never *builds* a snapshot: it uses one only when it
-    is free (g already is a ``CSRGraph``, or carries a fresh cached
-    ``freeze()``), so mutation-heavy callers (e.g. the greedy spanner,
-    which BFS-probes a graph it is growing) keep the set backend without
-    pathological re-conversions.  ``backend="csr"`` forces a freeze.
+    It never *builds* a snapshot: it uses one only when it is free (g
+    already is a ``CSRGraph``, or a ``Graph`` of at least
+    :data:`_AUTO_MIN_NODES` nodes carrying a fresh cached ``freeze()``),
+    so mutation-heavy callers keep the set loops without pathological
+    re-conversions.
     """
-    if backend not in ("auto", "sets", "csr"):
-        raise ParameterError(f"unknown backend {backend!r} (want 'auto', 'sets' or 'csr')")
-    if backend == "sets":
-        return None
     if isinstance(g, CSRGraph):
         return g
-    if backend == "csr":
-        if hasattr(g, "freeze"):
-            return g.freeze()
-        raise ParameterError(
-            f"backend='csr' needs a Graph or CSRGraph, got {type(g).__name__}"
-        )
     if isinstance(g, Graph) and g.num_nodes >= _AUTO_MIN_NODES:
         return g._csr  # fresh cached snapshot or None
     return None
@@ -183,22 +173,13 @@ def _expand_levels(
                 layers.append(np_frontier.tolist())
 
 
-def _csr_distances(
-    csr: CSRGraph, source: int, cutoff: "int | None", layers: "list[list[int]] | None" = None
-) -> np.ndarray:
-    dist = np.full(csr.num_nodes, UNREACHED, dtype=np.int32)
-    dist[source] = 0
-    _expand_levels(csr, dist, [source], 0, cutoff, layers)
-    return dist
-
-
 def _csr_parents(
     csr: CSRGraph, source: int, cutoff: "int | None"
 ) -> "tuple[list[int], list[int]]":
     """Canonical parent forest on flat arrays with a preallocated queue.
 
     CSR rows are sorted ascending, so plain row order reproduces the
-    ``sorted(g.neighbors(u))`` expansion of the set backend exactly —
+    ``sorted(g.neighbors(u))`` expansion of the set path exactly —
     identical ``(dist, parent)`` output, no per-node sort.
     """
     n = csr.num_nodes
@@ -230,44 +211,72 @@ def _csr_parents(
 
 
 # --------------------------------------------------------------------- #
+# set loops, and the one driver both paths share
+# --------------------------------------------------------------------- #
+
+
+def _set_levels(
+    g, dist: list, frontier: list, d: int, cutoff: "int | None", layers: "list[list[int]] | None"
+) -> None:
+    """The set-path twin of :func:`_expand_levels`, with the same contract.
+
+    *dist* is a list and rows are read through ``g.neighbors(u)``, so any
+    graph-like object works.
+    """
+    while frontier and (cutoff is None or d < cutoff):
+        d += 1
+        nxt: list[int] = []
+        for u in frontier:
+            for v in g.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        if layers is not None and nxt:
+            layers.append(nxt)
+        frontier = nxt
+
+
+def _distances(
+    g, sources: Iterable[int], cutoff: "int | None", layers: "list[list[int]] | None" = None
+) -> "list[int] | np.ndarray":
+    """Distance from each node to the nearest of *sources*, on the path
+    :func:`_csr_of` picks: a list on the set path, an int32 array on CSR.
+    *layers* is as in :func:`_expand_levels`."""
+    csr = _csr_of(g)
+    if csr is None:
+        dist: "list[int] | np.ndarray" = [UNREACHED] * g.num_nodes
+    else:
+        dist = np.full(csr.num_nodes, UNREACHED, dtype=np.int32)
+    frontier: list[int] = []
+    for s in sources:
+        g._check(s)
+        if dist[s] < 0:
+            dist[s] = 0
+            frontier.append(s)
+    if csr is None:
+        _set_levels(g, dist, frontier, 0, cutoff, layers)
+    else:
+        _expand_levels(csr, dist, frontier, 0, cutoff, layers)
+    return dist
+
+
+# --------------------------------------------------------------------- #
 # public primitives
 # --------------------------------------------------------------------- #
 
 
-def bfs_distances(
-    g, source: int, cutoff: "int | None" = None, backend: str = "auto"
-) -> list[int]:
+def bfs_distances(g, source: int, cutoff: "int | None" = None) -> list[int]:
     """Distances from *source* to every node (``-1`` if unreachable).
 
     ``cutoff`` bounds the exploration radius: nodes further than *cutoff*
     keep distance ``-1``.  This is what makes the local algorithms local —
     a node running ``DomTreeGdy_{r,β}`` only ever explores ``B_G(u, r+β)``.
     """
-    g._check(source)
-    csr = _csr_of(g, backend)
-    if csr is not None:
-        return _csr_distances(csr, source, cutoff).tolist()
-    dist = [UNREACHED] * g.num_nodes
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        if cutoff is not None and d >= cutoff:
-            break
-        nxt: list[int] = []
-        d += 1
-        for u in frontier:
-            for v in g.neighbors(u):
-                if dist[v] == UNREACHED:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    dist = _distances(g, (source,), cutoff)
+    return dist if isinstance(dist, list) else dist.tolist()
 
 
-def bfs_parents(
-    g, source: int, cutoff: "int | None" = None, backend: str = "auto"
-) -> "tuple[list[int], list[int]]":
+def bfs_parents(g, source: int, cutoff: "int | None" = None) -> "tuple[list[int], list[int]]":
     """``(dist, parent)`` arrays of a BFS from *source*.
 
     ``parent[source] == source``; unreached nodes have ``parent == -1``.
@@ -278,12 +287,12 @@ def bfs_parents(
     Neighbors are expanded in sorted order so the forest is a *canonical*
     function of the graph: two nodes with identical local views compute
     identical forests — the property that makes the distributed protocol's
-    trees match the centralized construction edge-for-edge.  (Both backends
+    trees match the centralized construction edge-for-edge.  (Both paths
     realize the same order: the CSR path exploits that its rows are already
     sorted.)
     """
     g._check(source)
-    csr = _csr_of(g, backend)
+    csr = _csr_of(g)
     if csr is not None:
         return _csr_parents(csr, source, cutoff)
     n = g.num_nodes
@@ -308,56 +317,32 @@ def bfs_parents(
     return dist, parent
 
 
-def bfs_layers(
-    g, source: int, cutoff: "int | None" = None, backend: str = "auto"
-) -> list[list[int]]:
+def bfs_layers(g, source: int, cutoff: "int | None" = None) -> list[list[int]]:
     """BFS layers ``[ [source], ring(1), ring(2), ... ]`` up to *cutoff*.
 
-    Layer membership is backend-independent; the order of nodes *within* a
-    layer is not specified (callers treat layers as sets).
+    Layer membership is the same on both paths; the order of nodes *within*
+    a layer is not specified (callers treat layers as sets).
     """
-    g._check(source)
-    csr = _csr_of(g, backend)
-    if csr is not None:
-        layers: list[list[int]] = [[source]]
-        _csr_distances(csr, source, cutoff, layers=layers)
-        return layers
-    seen = [False] * g.num_nodes
-    seen[source] = True
     layers = [[source]]
-    frontier = [source]
-    d = 0
-    while frontier:
-        if cutoff is not None and d >= cutoff:
-            break
-        nxt: list[int] = []
-        d += 1
-        for u in frontier:
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        if nxt:
-            layers.append(nxt)
-        frontier = nxt
+    _distances(g, (source,), cutoff, layers)
     return layers
 
 
-def ball(g, center: int, radius: int, backend: str = "auto") -> set[int]:
+def ball(g, center: int, radius: int) -> set[int]:
     """``B_G(center, radius)`` — all nodes at distance ≤ radius (incl. center)."""
     if radius < 0:
         raise ParameterError(f"radius must be ≥ 0, got {radius}")
     out: set[int] = set()
-    for layer in bfs_layers(g, center, cutoff=radius, backend=backend):
+    for layer in bfs_layers(g, center, cutoff=radius):
         out.update(layer)
     return out
 
 
-def ring(g, center: int, radius: int, backend: str = "auto") -> set[int]:
+def ring(g, center: int, radius: int) -> set[int]:
     """Nodes at distance exactly *radius* from *center*."""
     if radius < 0:
         raise ParameterError(f"radius must be ≥ 0, got {radius}")
-    layers = bfs_layers(g, center, cutoff=radius, backend=backend)
+    layers = bfs_layers(g, center, cutoff=radius)
     if len(layers) <= radius:
         return set()
     return set(layers[radius])
@@ -378,40 +363,11 @@ def path_to_root(parent: list[int], node: int) -> list[int]:
 
 
 def multi_source_distances(
-    g, sources: Iterable[int], cutoff: "int | None" = None, backend: str = "auto"
+    g, sources: Iterable[int], cutoff: "int | None" = None
 ) -> list[int]:
     """Distance from each node to the nearest of *sources* (``-1`` beyond cutoff)."""
-    csr = _csr_of(g, backend)
-    if csr is not None:
-        dist = np.full(csr.num_nodes, UNREACHED, dtype=np.int32)
-        frontier: list[int] = []
-        for s in sources:
-            g._check(s)
-            if dist[s] < 0:
-                dist[s] = 0
-                frontier.append(s)
-        _expand_levels(csr, dist, frontier, 0, cutoff, None)
-        return dist.tolist()
-    dist = [UNREACHED] * g.num_nodes
-    frontier = []
-    for s in sources:
-        g._check(s)
-        if dist[s] == UNREACHED:
-            dist[s] = 0
-            frontier.append(s)
-    d = 0
-    while frontier:
-        if cutoff is not None and d >= cutoff:
-            break
-        nxt: list[int] = []
-        d += 1
-        for u in frontier:
-            for v in g.neighbors(u):
-                if dist[v] == UNREACHED:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    dist = _distances(g, sources, cutoff)
+    return dist if isinstance(dist, list) else dist.tolist()
 
 
 def bounded_distance(g, s: int, t: int, cap: int) -> int:
@@ -456,7 +412,6 @@ def batched_bfs(
     sources: "Iterable[int] | None" = None,
     cutoff: "int | None" = None,
     chunk: "int | None" = None,
-    backend: str = "auto",
     arrays: bool = False,
 ) -> Iterator["tuple[int, list[int]]"]:
     """Yield ``(source, dist)`` for each source — the amortized per-node loop.
@@ -477,24 +432,18 @@ def batched_bfs(
     mutating).  Results agree exactly with ``bfs_distances(g, s, cutoff)``
     — the property tests assert it.
 
-    On graphs below the auto threshold (``backend="auto"``) the engine is
-    skipped entirely and each source runs a plain set-backend BFS — the
-    vectorized machinery only pays off past toy sizes.
+    A ``Graph`` below :data:`_AUTO_MIN_NODES` nodes skips the engine
+    entirely and each source runs a plain set-path BFS — the vectorized
+    machinery only pays off past toy sizes.
     """
     if chunk is None:
         chunk = _BATCH_CHUNK
     if chunk < 1:
         raise ParameterError(f"chunk must be ≥ 1, got {chunk}")
-    if backend not in ("auto", "sets", "csr"):
-        raise ParameterError(f"unknown backend {backend!r} (want 'auto', 'sets' or 'csr')")
-    if backend == "sets" or (
-        backend == "auto"
-        and not isinstance(g, CSRGraph)
-        and g.num_nodes < _AUTO_MIN_NODES
-    ):
+    if not isinstance(g, CSRGraph) and g.num_nodes < _AUTO_MIN_NODES:
         src_iter = range(g.num_nodes) if sources is None else sources
         for s in src_iter:
-            dist = bfs_distances(g, s, cutoff, backend="sets")
+            dist = bfs_distances(g, s, cutoff)
             yield int(s), (np.asarray(dist, dtype=np.int32) if arrays else dist)
         return
     csr = g if isinstance(g, CSRGraph) else g.freeze()
@@ -536,91 +485,6 @@ def batched_bfs(
         rows = dist.reshape(b, n)
         for i, s in enumerate(src_list[lo : lo + b]):
             yield int(s), (rows[i] if arrays else rows[i].tolist())
-
-
-def batched_bfs_parents(
-    g,
-    sources: "Iterable[int] | None" = None,
-    cutoff: "int | None" = None,
-    chunk: "int | None" = None,
-    backend: str = "auto",
-) -> Iterator["tuple[int, list[int], list[int]]"]:
-    """Yield ``(source, dist, parent)`` per source — canonical forests, batched.
-
-    The parents twin of :func:`batched_bfs`: *chunk* sources expand
-    simultaneously on the flat CSR arrays, one vectorized gather per level.
-    The forests are *canonical* — identical to :func:`bfs_parents` for every
-    source (property-tested): within a level the flattened candidate
-    sequence ``repeat(frontier, counts) + sorted row contents`` is exactly
-    the order the sequential sorted-neighbor expansion visits, so taking the
-    **first occurrence** of each newly discovered node (``np.unique``'s
-    ``return_index``) reproduces both its parent choice and its queue
-    position (the next frontier is the unique nodes ordered by first
-    occurrence).
-
-    Use for "a BFS forest from every root" loops (e.g. the dominator trees
-    of the additive baseline).  Small graphs under ``backend="auto"`` fall
-    back to per-source :func:`bfs_parents`, exactly like :func:`batched_bfs`.
-    """
-    if chunk is None:
-        chunk = _BATCH_CHUNK
-    if chunk < 1:
-        raise ParameterError(f"chunk must be ≥ 1, got {chunk}")
-    if backend not in ("auto", "sets", "csr"):
-        raise ParameterError(f"unknown backend {backend!r} (want 'auto', 'sets' or 'csr')")
-    if backend == "sets" or (
-        backend == "auto"
-        and not isinstance(g, CSRGraph)
-        and g.num_nodes < _AUTO_MIN_NODES
-    ):
-        src_iter = range(g.num_nodes) if sources is None else sources
-        for s in src_iter:
-            dist, parent = bfs_parents(g, s, cutoff, backend="sets")
-            yield int(s), dist, parent
-        return
-    csr = g if isinstance(g, CSRGraph) else g.freeze()
-    n = csr.num_nodes
-    src_list = list(range(n)) if sources is None else list(sources)
-    for s in src_list:
-        csr._check(s)
-    np_indptr, np_indices = csr.numpy_arrays()
-    for lo in range(0, len(src_list), chunk):
-        srcs = np.asarray(src_list[lo : lo + chunk], dtype=np.int64)
-        b = len(srcs)
-        dist = np.full(b * n, UNREACHED, dtype=np.int32)
-        parent = np.full(b * n, UNREACHED, dtype=np.int32)
-        slots = np.arange(b, dtype=np.int64) * n
-        dist[slots + srcs] = 0
-        parent[slots + srcs] = srcs.astype(np.int32)
-        frontier = slots + srcs  # kept in per-source discovery order
-        d = 0
-        while frontier.size and (cutoff is None or d < cutoff):
-            d += 1
-            node = frontier % n
-            base = frontier - node
-            starts = np_indptr[node]
-            counts = np_indptr[node + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = np.cumsum(counts)
-            offs = np.repeat(starts - cum + counts, counts) + np.arange(total)
-            cand_nodes = np_indices[offs]
-            cand = np.repeat(base, counts) + cand_nodes
-            par_nodes = np.repeat(node, counts)
-            unseen = dist[cand] < 0
-            cand = cand[unseen]
-            if cand.size == 0:
-                break
-            par_nodes = par_nodes[unseen]
-            uniq, first = np.unique(cand, return_index=True)
-            dist[uniq] = d
-            parent[uniq] = par_nodes[first].astype(np.int32)
-            frontier = uniq[np.argsort(first, kind="stable")]
-        dist_rows = dist.reshape(b, n)
-        parent_rows = parent.reshape(b, n)
-        for i, s in enumerate(src_list[lo : lo + b]):
-            yield int(s), dist_rows[i].tolist(), parent_rows[i].tolist()
 
 
 # --------------------------------------------------------------------- #

@@ -92,8 +92,8 @@ class AugmentedView:
         """BFS distances in :math:`H_u` from *source* (``-1`` = unreachable).
 
         When *source* is the augmentation node *u* itself (the case every
-        stretch predicate hits, once per node of G) and ``H`` carries a
-        fresh CSR snapshot, the BFS runs on the flat arrays: level 1 is
+        stretch predicate hits, once per node of G) and ``H`` takes the CSR
+        path of :mod:`~repro.graph.traversal`, the BFS runs on the flat arrays: level 1 is
         seeded with ``N_{H_u}(u)`` directly and the remaining expansion
         never needs the grafted edges (they all lead back to *u*, already
         settled at distance 0).  Freeze ``H`` once before a per-node
@@ -101,29 +101,12 @@ class AugmentedView:
         """
         from . import traversal
 
-        if (
-            source == self._u
-            and isinstance(self._h, Graph)
-            and self._h._csr is not None
-            and self._h.num_nodes >= traversal._AUTO_MIN_NODES
-        ):
-            return self._csr_distances_from_u(cutoff)
-        n = self.num_nodes
-        dist = [-1] * n
+        csr = traversal._csr_of(self._h) if source == self._u else None
+        if csr is not None:
+            return self._csr_distances_from_u(csr, cutoff)
+        dist = [traversal.UNREACHED] * self.num_nodes
         dist[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier:
-            if cutoff is not None and d >= cutoff:
-                break
-            nxt: list[int] = []
-            d += 1
-            for x in frontier:
-                for y in self.neighbors(x):
-                    if dist[y] == -1:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
+        traversal._set_levels(self, dist, [source], 0, cutoff, None)
         return dist
 
     def freeze(self):
@@ -146,13 +129,12 @@ class AugmentedView:
             return base
         return CSRGraph.patched(base, self, {self._u, *self._extra})
 
-    def _csr_distances_from_u(self, cutoff: "int | None") -> list[int]:
-        """Flat-array BFS from *u* on H's fresh CSR snapshot."""
+    def _csr_distances_from_u(self, csr, cutoff: "int | None") -> list[int]:
+        """Flat-array BFS from *u* on *csr*, H's CSR snapshot."""
         import numpy as np
 
         from .traversal import UNREACHED, _expand_levels
 
-        csr = self._h._csr
         dist = np.full(csr.num_nodes, UNREACHED, dtype=np.int32)
         dist[self._u] = 0
         if cutoff is not None and cutoff < 1:

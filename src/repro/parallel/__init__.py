@@ -27,8 +27,8 @@ serving" item calls for, in three tiers:
 -throughput curve and the publish costs as ``BENCH_parallel.json``
 (degrading to a W = 1 measurement on single-core runners).
 
-The fault-injection plane (:mod:`repro.faults`, ``REPRO_FAULTS=1`` +
-``REPRO_FAULT_PLAN=...``) arms itself through the import hook below
+The fault-injection plane (:mod:`repro.faults`, ``REPRO_FAULT_PLAN=...``)
+arms itself through the import hook below
 before any shared state is touched.  The hook runs in ``spawn`` workers
 too, since the task registry forces this package onto their import
 path, so a seeded chaos plan survives both start methods.

@@ -50,8 +50,8 @@ owner closes (``close()``, the end of a ``with`` block, or garbage
 collection as a safety net) and when a reallocation retires the blocks
 it outgrew.  POSIX semantics keep existing mappings valid after the
 unlink; attachers only ``close``.  The layering table
-(``tests/test_layering.py``) guards both call sites, and ``tests/conftest.py`` fails any test that leaves a
-``/dev/shm/repro-*`` segment behind.
+(``tests/test_layering.py``) guards both call sites, and ``tests/conftest.py``
+fails any test that leaves a ``/dev/shm/repro-<its pid>-*`` segment behind.
 
 CPython ≤ 3.12 registers *attached* segments with the resource tracker,
 which would unlink them when the attaching worker exits (bpo-39959);
@@ -61,6 +61,7 @@ the creator.
 
 from __future__ import annotations
 
+import os
 import pickle
 import secrets
 import time
@@ -173,19 +174,21 @@ def _headroom(size: int) -> int:
 _TRANSIENT_TRIES = 3
 
 #: Name prefix of every block this package creates (on Linux each one is
-#: ``/dev/shm/<name>``).
+#: ``/dev/shm/<name>``).  The full name is ``<prefix><creator pid>-<hex>``,
+#: so a process can list the blocks it made apart from everyone else's.
 BLOCK_PREFIX = "repro-"
 
 
 def _create_block(nbytes: int) -> shared_memory.SharedMemory:
-    """A fresh named block; the short random suffix keeps names collision-free.
+    """A fresh named block; the creator's pid and a short random suffix keep
+    names collision-free.
 
     Transient allocation failures are retried with a fresh name up to
     :data:`_TRANSIENT_TRIES` times before giving up.
     """
     block = failure = None
     for _ in range(_TRANSIENT_TRIES):
-        name = f"{BLOCK_PREFIX}{secrets.token_hex(6)}"
+        name = f"{BLOCK_PREFIX}{os.getpid()}-{secrets.token_hex(6)}"
         try:
             if _faults.active:
                 _faults.on_shm_create(name)  # simulated allocation failure (OSError)

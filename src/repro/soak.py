@@ -96,17 +96,16 @@ def _arm(plan: "faults.FaultPlan") -> None:
 
 @contextmanager
 def _armed(plan: "faults.FaultPlan") -> Iterator[None]:
-    saved = {var: os.environ.get(var) for var in (faults.ENV_GATE, faults.ENV_PLAN)}
+    saved = os.environ.get(faults.ENV_PLAN)
     try:
         _arm(plan)
         yield
     finally:
         faults.uninstall()
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop(faults.ENV_PLAN, None)
+        else:
+            os.environ[faults.ENV_PLAN] = saved
 
 
 def _build_pool(build, plan, errors: "list[str]") -> ShardedRoutingService:

@@ -21,10 +21,15 @@ anything that can park the reader out of that loop.
 """
 
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
@@ -222,6 +227,47 @@ class TestCorpus:
         """The API itself refuses the violation."""
         with pytest.raises(case.raises):
             case.attempt()
+
+
+# A separate process that makes one block, prints its name, and frees it
+# once told to on stdin.
+_OTHER_OWNER = """
+from repro.parallel import shm
+block = shm._create_block(64)
+print(block.name, flush=True)
+input()
+shm._free_block(block)
+"""
+
+
+class TestLeakCheckScope:
+    def test_other_process_blocks_are_not_reported(self):
+        """The after-test listing holds this process's blocks only: a block
+        another process keeps alive meanwhile (a concurrent benchmark or
+        test session) is not a leak, and a block this test leaks still is."""
+        before = shm_segments()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        other = subprocess.Popen(
+            [sys.executable, "-c", _OTHER_OWNER],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            text=True,
+        )
+        try:
+            name = other.stdout.readline().strip()
+            assert name.startswith(shm_mod.BLOCK_PREFIX)
+            assert shm_segments() - before == set()
+            own = shm_mod._create_block(64)  # the injected leak
+            try:
+                assert shm_segments() - before == {own.name}
+            finally:
+                shm_mod._free_block(own)
+        finally:
+            other.communicate("\n", timeout=30)
+        assert other.returncode == 0
+        assert shm_segments() - before == set()
 
 
 # --------------------------------------------------------------------- #

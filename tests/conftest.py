@@ -6,11 +6,13 @@ networkx cross-checks) stay instant, which is what lets the property tests
 assert *exact* agreement rather than loose sanity.
 
 Every test also runs under a shared-memory leak check: a block the test
-created (in any process) and left unlinked fails it.
+process created and left unlinked fails the test.  Blocks of other
+processes (a concurrent benchmark or test session) are not its business.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -206,11 +208,12 @@ _SHM_DIR = Path("/dev/shm")
 
 
 def shm_segments() -> "set[str]":
-    """Names of the package's shared-memory blocks that exist right now,
-    from any process (empty where ``/dev/shm`` does not exist)."""
+    """Names of the package's shared-memory blocks this process created
+    that exist right now (empty where ``/dev/shm`` does not exist).  Every
+    block owner of the suite is constructed in the test process."""
     if not _SHM_DIR.is_dir():
         return set()
-    return {path.name for path in _SHM_DIR.glob(f"{BLOCK_PREFIX}*")}
+    return {path.name for path in _SHM_DIR.glob(f"{BLOCK_PREFIX}{os.getpid()}-*")}
 
 
 @pytest.fixture(autouse=True)

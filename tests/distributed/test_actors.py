@@ -80,7 +80,7 @@ def converge(
         **extra,
     )
     rebuilt = []
-    system.service.subscribe(lambda delta: rebuilt.append(delta.rebuilt))
+    system.service.subscribe(lambda report, _resync: rebuilt.append(report.rebuilt))
     with system:
         assert system.mismatches() == [], "bootstrap must seed every replica"
         events = list(sc.events)
@@ -163,12 +163,12 @@ class TestRouteEquivalence:
 
 class TestLiveness:
     def test_silent_peer_goes_suspect_after_hello_timeout(self):
-        from repro.distributed.wire import HELLO_TIMEOUT
+        from repro.distributed.wire import HELLO_EVERY, HELLO_TIMEOUT
 
         g = random_connected_gnp(N, 0.15, seed=5)
         with ActorSystem(g, "kcover", shards=SHARDS) as system:
             system.muzzle(1)
-            for _ in range(HELLO_TIMEOUT + system.hello_every + 3):
+            for _ in range(HELLO_TIMEOUT + HELLO_EVERY + 3):
                 system._run(system._pump_round())
             assert 1 in system.actors[0].suspects
             assert 1 in system.actors[2].suspects

@@ -21,9 +21,7 @@ from repro.distributed import (
     ProtocolNode,
     SyncNetwork,
     TreeAdvert,
-    run_hello,
     run_remspan,
-    run_scoped_flood,
 )
 from repro.errors import ParameterError, ProtocolError
 from repro.graph import ball
@@ -59,37 +57,48 @@ class TestSimulator:
             SyncNetwork(path_graph(2), lambda u: ProtocolNode(0))
 
     def test_message_counting(self):
-        discovered, rounds = run_hello(path_graph(3))
-        assert rounds == 1
-        # middle node receives 2, ends receive 1 each.
+        res = run_remspan(path_graph(3), "kcover", k=1)
+        # Round 1 only originates; round 2 delivers the HELLOs: the middle
+        # node receives 2, the ends 1 each.
+        assert res.stats.per_round_messages[:2] == [0, 4]
+        assert res.communication_rounds == 3
+
+
+#: A construction per flood radius D (its ``info_radius``).
+FLOOD_RADIUS = {
+    1: ("kcover", dict(k=1)),
+    2: ("kmis", dict(k=2)),
+    3: ("greedy", dict(r=3, beta=1)),
+}
 
 
 class TestHello:
     @given(small_graphs(min_nodes=1, max_nodes=12))
     @settings(max_examples=40, deadline=None)
     def test_discovers_exact_neighbors(self, g):
-        discovered, rounds = run_hello(g)
-        assert rounds <= 1
+        # RemSpan's step 1: one HELLO exchange yields exactly N_G(u).
+        res = run_remspan(g, "kcover", k=1)
         for u in g.nodes():
-            assert discovered[u] == g.neighbors(u)
+            assert res.nodes[u].neighbors == g.neighbors(u)
 
 
 class TestScopedFlood:
     @given(connected_graphs(min_nodes=2, max_nodes=12), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_flood_covers_exactly_the_ball(self, g, ttl):
-        heard, rounds = run_scoped_flood(g, ttl)
-        assert rounds == min(
-            ttl, max(1, g.num_nodes)
-        ) or rounds <= ttl  # never more rounds than ttl
+        # RemSpan's step 2: the TTL-D neighbor flood reaches exactly B_G(u, D).
+        kind, kwargs = FLOOD_RADIUS[ttl]
+        assert resolve_construction(kind, **kwargs).info_radius == ttl
+        res = run_remspan(g, kind, **kwargs)
+        assert res.communication_rounds == 1 + 2 * ttl
         for u in g.nodes():
-            assert heard[u] == ball(g, u, ttl) - {u}
+            assert set(res.nodes[u].neighbor_lists) == ball(g, u, ttl)
 
     def test_ttl_one_is_neighbors_only(self):
         g = cycle_graph(6)
-        heard, _ = run_scoped_flood(g, 1)
+        res = run_remspan(g, "kcover", k=1)
         for u in g.nodes():
-            assert heard[u] == g.neighbors(u)
+            assert set(res.nodes[u].neighbor_lists) - {u} == g.neighbors(u)
 
 
 class TestTreeAlgorithmRegistry:

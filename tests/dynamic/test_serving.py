@@ -109,12 +109,12 @@ class TestBatchedTicks:
         # refresh or a resync delta — through apply_batch or apply.
         service = RoutingService(random_connected_gnp(60, 0.08, seed=2), "kcover")
         published = []
-        service.subscribe(published.append)
+        service.subscribe(lambda report, resync: published.append((report, resync)))
 
         def counters():
             return (service.maintainer.full_rebuilds, service.full_refreshes,
                     service.rows_recomputed, service.tables_recomputed,
-                    service.events_applied, service.feed_seq)
+                    service.events_applied)
 
         before = counters()
         for apply in (lambda: service.apply_batch([bad]), lambda: service.apply(bad)):

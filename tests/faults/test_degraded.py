@@ -47,7 +47,6 @@ def _disarm():
 
 
 def _arm(monkeypatch, plan):
-    monkeypatch.setenv(faults.ENV_GATE, "1")
     monkeypatch.setenv(faults.ENV_PLAN, plan.spec())
     faults.install(plan)
 

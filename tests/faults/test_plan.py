@@ -1,7 +1,7 @@
 """FaultPlan/FaultRule spec protocol, env gating, and seeded determinism.
 
 The fault plane's contract: everything crosses process boundaries
-through strings (``REPRO_FAULTS`` gate + ``REPRO_FAULT_PLAN`` spec),
+through strings (the ``REPRO_FAULT_PLAN`` spec; unset or empty is off),
 every plan round-trips through its spec, and a ``(plan seed, worker id,
 incarnation)`` triple names a bit-for-bit reproducible fault stream —
 chaos runs replay.
@@ -72,30 +72,34 @@ class TestSpecRoundtrip:
 
 
 class TestEnvProtocol:
-    @pytest.mark.parametrize("gate", ["", "0", "off", "false", "no", "OFF", "No"])
-    def test_falsey_gate_disables(self, gate):
-        env = {faults.ENV_GATE: gate, faults.ENV_PLAN: "crashy"}
+    @pytest.mark.parametrize("env", [{}, {"REPRO_FAULT_PLAN": ""}, {"REPRO_FAULT_PLAN": "  "}],
+                             ids=["unset", "empty", "blank"])
+    def test_unset_or_empty_plan_is_off(self, env):
         assert faults.enabled_in_env(env) is None
 
-    def test_gate_without_plan_is_off(self):
-        assert faults.enabled_in_env({faults.ENV_GATE: "1"}) is None
+    @pytest.mark.parametrize("word", ["0", "off", "false", "no", "OFF", "No"])
+    def test_off_word_as_plan_is_rejected(self, word):
+        # The plan alone arms the plane, so a word meant as "off" is an
+        # unknown plan: it fails loudly instead of arming or passing quietly.
+        with pytest.raises(ParameterError, match="fault plan spec"):
+            faults.enabled_in_env({faults.ENV_PLAN: word})
 
     def test_named_plan_resolves_from_registry(self):
-        env = {faults.ENV_GATE: "1", faults.ENV_PLAN: "torn-writer"}
+        env = {faults.ENV_PLAN: "torn-writer"}
         assert faults.enabled_in_env(env) == PLANS["torn-writer"]
 
     def test_spec_plan_parses(self):
-        env = {faults.ENV_GATE: "1", faults.ENV_PLAN: "mine:9:result.drop@0.5x2"}
+        env = {faults.ENV_PLAN: "mine:9:result.drop@0.5x2"}
         plan = faults.enabled_in_env(env)
         assert plan == FaultPlan("mine", 9, (FaultRule("result.drop", p=0.5, count=2),))
 
     def test_arm_env_roundtrips(self):
         env: "dict[str, str]" = {}
         faults.arm_env(PLANS["mayhem"], env)
+        assert env == {faults.ENV_PLAN: PLANS["mayhem"].spec()}
         assert faults.enabled_in_env(env) == PLANS["mayhem"]
 
     def test_maybe_install_from_env(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_GATE, "1")
         monkeypatch.setenv(faults.ENV_PLAN, "quiet")
         assert not faults.active
         faults.maybe_install_from_env()
@@ -104,12 +108,11 @@ class TestEnvProtocol:
         faults.uninstall()
         assert not faults.active and faults.current_plan() is None
 
-    def test_word_gate_arms_without_breaking_obs(self, monkeypatch):
-        # Any non-falsey spelling arms the plane, and the gate is read by
-        # repro.faults alone: the obs switch must not choke on it.
+    def test_plan_arms_without_breaking_obs(self, monkeypatch):
+        # The plan is read by repro.faults alone: the obs switch must not
+        # choke on it.
         from repro import obs, tuning
 
-        monkeypatch.setenv(faults.ENV_GATE, "armed")
         monkeypatch.setenv(faults.ENV_PLAN, "crashy")
         tuning.reset()
         try:
@@ -120,7 +123,6 @@ class TestEnvProtocol:
 
     def test_maybe_install_respects_existing_plan(self, monkeypatch):
         faults.install(PLANS["quiet"])
-        monkeypatch.setenv(faults.ENV_GATE, "1")
         monkeypatch.setenv(faults.ENV_PLAN, "crashy")
         faults.maybe_install_from_env()  # already armed: no clobber
         assert faults.current_plan() == PLANS["quiet"]

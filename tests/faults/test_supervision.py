@@ -30,7 +30,6 @@ def _disarm():
 
 def _arm(monkeypatch, plan):
     """Arm *plan* the way drivers do: env (spawn) + parent install (fork)."""
-    monkeypatch.setenv(faults.ENV_GATE, "1")
     monkeypatch.setenv(faults.ENV_PLAN, plan.spec())
     faults.install(plan)
 
@@ -91,7 +90,6 @@ class TestPoisonAndBudget:
             # Disarm; the auto-reset pool respawns unarmed workers and the
             # same payload now succeeds — no caller dance required.
             faults.uninstall()
-            monkeypatch.delenv(faults.ENV_GATE)
             monkeypatch.delenv(faults.ENV_PLAN)
             _echo_ok(pool)
 

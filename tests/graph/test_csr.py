@@ -1,18 +1,23 @@
-"""CSR backend: exact agreement with the set backend, round-trips, caching.
+"""CSR path: exact agreement with the set loops, round-trips, caching.
 
 The CSR engines (vectorized frontier expansion, batched multi-source BFS,
-preallocated-queue parent forests) share no code with the set-backend
-loops, so "both backends agree exactly on every primitive" is a meaningful
-differential test, run over the ``small_graphs`` / ``connected_graphs``
-strategies and over deterministic mid-size graphs large enough to exercise
-the vectorized path (the auto threshold keeps toy graphs on sets).
+preallocated-queue parent forests) share no code with the set loops, so
+"both paths agree exactly on every primitive" is a meaningful differential
+test, run over the ``small_graphs`` strategy and over deterministic
+mid-size graphs large enough to exercise the vectorized path.  Each path is
+reached by input type: ``g.freeze()`` runs CSR, a never-frozen ``Graph``
+(``g.copy()``) runs the set loops.
 """
+
+import inspect
+
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.errors import NodeNotFound, ParameterError
+from repro.graph import traversal
 from repro.graph import (
     CSRGraph,
     Graph,
@@ -36,7 +41,7 @@ from ..conftest import small_graphs
 
 
 def mid_size_graphs() -> list[Graph]:
-    """Graphs past the auto threshold: the vectorized path, both shallow
+    """Graphs past the size threshold: the vectorized path, both shallow
     (gnp) and deep (path/grid) BFS regimes, plus a disconnected one."""
     disconnected = gnp_random_graph(90, 0.02, seed=5)
     return [
@@ -99,70 +104,110 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------- #
-# backend agreement on every traversal primitive
+# path agreement on every traversal primitive
 # --------------------------------------------------------------------- #
 
 
-def assert_backends_agree(g: Graph, cutoffs=(None, 0, 1, 2, 3)) -> None:
-    csr = g.freeze()
+def assert_paths_agree(g: Graph, cutoffs=(None, 0, 1, 2, 3)) -> None:
+    plain, csr = g.copy(), g.freeze()
+    assert traversal._csr_of(plain) is None and traversal._csr_of(csr) is csr
     for u in g.nodes():
         for cut in cutoffs:
-            want = bfs_distances(g, u, cutoff=cut, backend="sets")
-            assert bfs_distances(g, u, cutoff=cut, backend="csr") == want
+            want = bfs_distances(plain, u, cutoff=cut)
             assert bfs_distances(csr, u, cutoff=cut) == want
-            got_layers = bfs_layers(g, u, cutoff=cut, backend="csr")
-            want_layers = bfs_layers(g, u, cutoff=cut, backend="sets")
+            assert bfs_distances(g, u, cutoff=cut) == want
+            got_layers = bfs_layers(csr, u, cutoff=cut)
+            want_layers = bfs_layers(plain, u, cutoff=cut)
             assert [sorted(la) for la in got_layers] == [sorted(la) for la in want_layers]
-        assert bfs_parents(g, u, backend="csr") == bfs_parents(g, u, backend="sets")
-        assert bfs_parents(g, u, cutoff=2, backend="csr") == bfs_parents(
-            g, u, cutoff=2, backend="sets"
-        )
+        assert bfs_parents(csr, u) == bfs_parents(plain, u)
+        assert bfs_parents(csr, u, cutoff=2) == bfs_parents(plain, u, cutoff=2)
         for r in range(4):
-            assert ball(g, u, r, backend="csr") == ball(g, u, r, backend="sets")
-            assert ring(g, u, r, backend="csr") == ring(g, u, r, backend="sets")
+            assert ball(csr, u, r) == ball(plain, u, r)
+            assert ring(csr, u, r) == ring(plain, u, r)
 
 
 class TestBackendAgreement:
     @settings(max_examples=40)
     @given(small_graphs())
     def test_small_graphs(self, g):
-        assert_backends_agree(g, cutoffs=(None, 0, 2))
+        assert_paths_agree(g, cutoffs=(None, 0, 2))
 
     @pytest.mark.parametrize("idx", range(4))
     def test_mid_size_graphs(self, idx):
-        assert_backends_agree(mid_size_graphs()[idx])
+        assert_paths_agree(mid_size_graphs()[idx])
 
     @pytest.mark.parametrize("g", mid_size_graphs()[:2], ids=["gnp80", "grid8x12"])
     def test_multi_source(self, g):
+        plain, csr = g.copy(), g.freeze()
         n = g.num_nodes
         for srcs in ([], [0], [0, n - 1, n // 2], list(range(0, n, 7))):
             for cut in (None, 1, 3):
-                assert multi_source_distances(
-                    g, srcs, cutoff=cut, backend="csr"
-                ) == multi_source_distances(g, srcs, cutoff=cut, backend="sets")
+                assert multi_source_distances(csr, srcs, cutoff=cut) == multi_source_distances(
+                    plain, srcs, cutoff=cut
+                )
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_set_loops_keep_discovery_order(self, idx):
+        # The one set-path level loop serves bfs_layers and
+        # multi_source_distances alike; within a layer, nodes come in the
+        # order a frontier scan of g.neighbors(u) first reaches them.
+        g = mid_size_graphs()[idx].copy()
+        for u in range(0, g.num_nodes, 5):
+            dist = [-1] * g.num_nodes
+            dist[u] = 0
+            want, frontier = [[u]], [u]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for v in g.neighbors(x):
+                        if dist[v] < 0:
+                            dist[v] = dist[x] + 1
+                            nxt.append(v)
+                if nxt:
+                    want.append(nxt)
+                frontier = nxt
+            assert bfs_layers(g, u) == want
+            assert bfs_layers(g, u, cutoff=2) == want[:3]
+            assert multi_source_distances(g, [u]) == dist
 
     def test_auto_uses_fresh_snapshot_only(self):
         g = random_connected_gnp(80, 0.05, seed=2)
         before = bfs_distances(g, 0)  # sets (nothing frozen yet)
-        g.freeze()
+        assert traversal._csr_of(g) is None
+        csr = g.freeze()
+        assert traversal._csr_of(g) is csr
         assert bfs_distances(g, 0) == before  # csr (fresh snapshot)
         g.add_edge(0, next(v for v in range(1, 80) if not g.has_edge(0, v)))
-        after = bfs_distances(g, 0)  # sets again (stale snapshot dropped)
-        assert after == bfs_distances(g, 0, backend="sets")
+        assert traversal._csr_of(g) is None  # stale snapshot dropped
+        assert bfs_distances(g, 0) == bfs_distances(g.copy(), 0)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError):
-            bfs_distances(path_graph(3), 0, backend="numpy")
+    def test_no_primitive_takes_a_backend_keyword(self):
+        for fn in (
+            bfs_distances,
+            bfs_parents,
+            bfs_layers,
+            ball,
+            ring,
+            multi_source_distances,
+            batched_bfs,
+        ):
+            assert "backend" not in inspect.signature(fn).parameters, fn.__name__
+        with pytest.raises(TypeError):
+            bfs_distances(path_graph(3), 0, backend="csr")
 
-    def test_csr_backend_needs_freezable_graph(self):
+    def test_graph_like_objects_run_the_set_loops(self):
         class Fake:
-            num_nodes = 2
+            num_nodes = 3
 
             def _check(self, u):
                 pass
 
-        with pytest.raises(ParameterError):
-            bfs_distances(Fake(), 0, backend="csr")
+            def neighbors(self, u):
+                return {0: {1}, 1: {0, 2}, 2: {1}}[u]
+
+        assert traversal._csr_of(Fake()) is None
+        assert bfs_distances(Fake(), 0) == [0, 1, 2]
+        assert bfs_layers(Fake(), 2) == [[2], [1], [0]]
 
 
 # --------------------------------------------------------------------- #
@@ -176,40 +221,41 @@ class TestBatchedBfs:
         g = mid_size_graphs()[idx]
         for cut in (None, 2):
             for chunk in (1, 7, 32):
-                got = dict(batched_bfs(g, cutoff=cut, chunk=chunk, backend="csr"))
+                got = dict(batched_bfs(g.freeze(), cutoff=cut, chunk=chunk))
                 for u in g.nodes():
-                    assert got[u] == bfs_distances(g, u, cutoff=cut, backend="sets")
+                    assert got[u] == bfs_distances(g.copy(), u, cutoff=cut)
 
     @given(small_graphs())
     def test_small_graph_fallback_agrees(self, g):
         for s, dist in batched_bfs(g):
-            assert dist == bfs_distances(g, s, backend="sets")
+            assert dist == bfs_distances(g, s)
 
     def test_source_subset_order_and_repeats(self):
         g = random_connected_gnp(80, 0.06, seed=4)
         srcs = [5, 3, 3, 79, 0]
-        out = list(batched_bfs(g, srcs, backend="csr"))
+        plain = g.copy()
+        out = list(batched_bfs(g.freeze(), srcs))
         assert [s for s, _d in out] == srcs
         for s, dist in out:
-            assert dist == bfs_distances(g, s, backend="sets")
+            assert dist == bfs_distances(plain, s)
 
-    def test_backend_sets_is_honored_without_freezing(self):
-        g = random_connected_gnp(80, 0.06, seed=8)
-        out = dict(batched_bfs(g, [0, 40], backend="sets"))
-        assert g._csr is None  # no CSR snapshot was built
-        for s, dist in out.items():
-            assert dist == bfs_distances(g, s, backend="sets")
+    def test_freezes_only_from_the_size_threshold(self):
+        small = random_connected_gnp(40, 0.1, seed=8)
+        big = random_connected_gnp(80, 0.06, seed=8)
+        for g in (small, big):
+            plain = g.copy()
+            out = dict(batched_bfs(g, [0, 20]))
+            for s, dist in out.items():
+                assert dist == bfs_distances(plain, s)
+        assert small._csr is None  # per-source set BFS, no snapshot built
+        assert big._csr is not None
 
-    def test_invalid_source_chunk_and_backend_rejected(self):
+    def test_invalid_source_and_chunk_rejected(self):
         g = path_graph(5)
         with pytest.raises(NodeNotFound):
             list(batched_bfs(g, [0, 9]))
         with pytest.raises(ParameterError):
             list(batched_bfs(g, [0], chunk=0))
-        with pytest.raises(ParameterError):
-            list(batched_bfs(g, [0], backend="bogus"))
-        with pytest.raises(ParameterError):
-            bfs_distances(g.freeze(), 0, backend="bogus")
 
     def test_empty_graph_and_empty_sources(self):
         assert list(batched_bfs(Graph(0))) == []
@@ -239,7 +285,7 @@ class TestBoundedDistance:
     def test_matches_bfs_up_to_cap(self, g):
         for cap in (0, 1, 3):
             for s in g.nodes():
-                dist = bfs_distances(g, s, backend="sets")
+                dist = bfs_distances(g, s)
                 for t in g.nodes():
                     want = dist[t] if 0 <= dist[t] <= cap else cap + 1
                     assert bounded_distance(g, s, t, cap) == want
@@ -272,7 +318,7 @@ class TestAugmentedViewCsr:
 
     def test_batched_numpy_rows_are_plain_ints(self):
         g = random_connected_gnp(80, 0.06, seed=12)
-        for _s, dist in batched_bfs(g, [0], backend="csr"):
+        for _s, dist in batched_bfs(g.freeze(), [0]):
             assert all(type(d) is int for d in dist)
         assert all(type(d) is int for d in bfs_distances(g.freeze(), 0))
         assert not isinstance(bfs_distances(g.freeze(), 0)[0], np.integer)

@@ -23,7 +23,7 @@ from repro.graph.traversal import orphaned_far_ends, repairable_rows, row_change
 
 def bfs_matrix(g: Graph, rows, n: int) -> np.ndarray:
     out = np.full((len(rows), n), -1, dtype=np.int32)
-    for i, (_s, dist) in enumerate(batched_bfs(g, rows, backend="csr", arrays=True)):
+    for i, (_s, dist) in enumerate(batched_bfs(g.freeze(), rows, arrays=True)):
         out[i, : g.num_nodes] = dist
     return out
 

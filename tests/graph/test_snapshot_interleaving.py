@@ -14,15 +14,17 @@ import pytest
 from repro.graph import Graph, bfs_distances, sample_pairs
 from repro.graph.generators import gnp_random_graph, path_graph
 
-# Below and above the size at which ``backend="auto"`` uses a cached snapshot.
+# Below and above the size at which a ``Graph`` rides its cached snapshot.
 SIZES = pytest.mark.parametrize("n", [12, 80], ids=["sets", "csr"])
-BACKENDS = pytest.mark.parametrize("backend", ["sets", "csr"])
+# Each path by input type: a never-frozen copy runs the set loops, a
+# ``CSRGraph`` snapshot the CSR engine.
+PATHS = pytest.mark.parametrize("on", [Graph.copy, Graph.freeze], ids=["sets", "csr"])
 
 
 def _connected_pairs(g: Graph, nonadjacent: bool) -> list[tuple[int, int]]:
     """Every pair the connectivity filter must keep, from a pristine copy."""
     fresh = g.copy()
-    dist = [bfs_distances(fresh, u, backend="sets") for u in range(fresh.num_nodes)]
+    dist = [bfs_distances(fresh, u) for u in range(fresh.num_nodes)]
     return [
         (u, v)
         for u in range(fresh.num_nodes)
@@ -72,24 +74,24 @@ class TestInterleavedSequences:
                 g.remove_node(int(rng.integers(0, g.num_nodes)))
             source = int(rng.integers(0, g.num_nodes))
             cutoff = None if rng.random() < 0.6 else int(rng.integers(0, 5))
-            expected = bfs_distances(g.copy(), source, cutoff, backend="sets")
+            expected = bfs_distances(g.copy(), source, cutoff)
             assert bfs_distances(g, source, cutoff) == expected
-            # Forcing the snapshot patches it; it must agree too.
-            assert bfs_distances(g, source, cutoff, backend="csr") == expected
+            # Freezing patches the snapshot; it must agree too.
+            assert bfs_distances(g.freeze(), source, cutoff) == expected
 
-    @BACKENDS
-    def test_cutoff_caps_distances(self, backend):
-        g = path_graph(8)
-        assert bfs_distances(g, 0, cutoff=2, backend=backend) == [0, 1, 2, -1, -1, -1, -1, -1]
-        assert bfs_distances(g, 0, backend=backend)[5] == 5
-        assert bfs_distances(g, 0, cutoff=2, backend=backend)[5] == -1  # still capped
+    @PATHS
+    def test_cutoff_caps_distances(self, on):
+        g = on(path_graph(8))
+        assert bfs_distances(g, 0, cutoff=2) == [0, 1, 2, -1, -1, -1, -1, -1]
+        assert bfs_distances(g, 0)[5] == 5
+        assert bfs_distances(g, 0, cutoff=2)[5] == -1  # still capped
 
-    @BACKENDS
-    def test_results_are_caller_owned(self, backend):
-        g = path_graph(6)
-        first = bfs_distances(g, 0, backend=backend)
+    @PATHS
+    def test_results_are_caller_owned(self, on):
+        g = on(path_graph(6))
+        first = bfs_distances(g, 0)
         first[3] = 999  # corrupting a result must not poison the snapshot
-        assert bfs_distances(g, 0, backend=backend) == [0, 1, 2, 3, 4, 5]
+        assert bfs_distances(g, 0) == [0, 1, 2, 3, 4, 5]
 
     @SIZES
     def test_frozen_snapshot_is_isolated_from_later_mutation(self, n):

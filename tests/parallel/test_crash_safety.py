@@ -204,7 +204,6 @@ def test_write_crash_mid_incremental_row_repair(method, monkeypatch):
         3,
         (FaultRule("write.crash", p=1.0, count=1, after=2 * n + 1, fresh_only=True),),
     )
-    monkeypatch.setenv(faults.ENV_GATE, "1")
     monkeypatch.setenv(faults.ENV_PLAN, plan.spec())
     faults.install(plan)
     try:

@@ -210,14 +210,14 @@ TABLE = {
         "the obs switch is read in one place",
     ),
     "env_faults": Row(
-        ("REPRO_FAULTS", "REPRO_FAULT_PLAN"),
+        ("REPRO_FAULT_PLAN",),
         ("src/repro/faults/",),
-        "the fault plane's gate and plan are read in one place",
+        "the fault plane's plan is read in one place",
     ),
     "env_knob": Row(
         ("REPRO_*",),
         (),
-        "the runtime switches stay the three above; anything else is a module "
+        "the runtime switches stay the two above; anything else is a module "
         "constant where it is used",
     ),
 }
@@ -835,9 +835,9 @@ MUTATIONS = [
     ),
     Mutation('import os\nX = os.environ.get("REPRO_OBS")\n', LIBRARY, {"env_obs": [2]}),
     Mutation(
-        'import os\nX = os.environ.get("REPRO_FAULTS", "REPRO_FAULT_PLAN")\n',
+        'import os\nX = os.environ.get("REPRO_FAULT_PLAN")\n',
         LIBRARY,
-        {"env_faults": [2, 2]},
+        {"env_faults": [2]},
     ),
     Mutation(
         '"""REPRO_DOC in a docstring is prose."""\n'

@@ -76,16 +76,17 @@ class TestOverrides:
 
 class TestKnobsSteerTheEngines:
     def test_auto_min_nodes_flips_backend(self, monkeypatch):
-        # With the threshold above n, `auto` picks sets even on a frozen
-        # graph; below n it rides the cached snapshot.  Results agree
-        # (that's the backends' property); here we check the dispatch
+        # With the threshold above n, a frozen Graph stays on the set
+        # loops; below n it rides the cached snapshot.  Results agree
+        # (that's the paths' property); here we check the dispatch
         # constant actually moves by probing the internal selector.
         g = path_graph(30)
-        g.freeze()
+        csr = g.freeze()
         monkeypatch.setattr(traversal, "_AUTO_MIN_NODES", 100)
-        assert traversal._csr_of(g, "auto") is None
+        assert traversal._csr_of(g) is None
+        assert traversal._csr_of(csr) is csr  # a snapshot is always CSR
         monkeypatch.setattr(traversal, "_AUTO_MIN_NODES", 10)
-        assert traversal._csr_of(g, "auto") is g.freeze()
+        assert traversal._csr_of(g) is csr
 
     def test_chunk_never_changes_results(self, monkeypatch):
         g = path_graph(40)
