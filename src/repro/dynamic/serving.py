@@ -28,9 +28,10 @@ table damage decomposes exactly:
   rows (:func:`dirty_rows`, which the distributed shard actors run too,
   restricted to the rows they hold).  Those rows are then *repaired*, not
   re-run: :func:`~repro.graph.traversal.repair_rows` applies the same
-  alternative-parent argument per destination, relabelling only the
-  entries whose distance moved (removals on H − ΔH⁺, then insertions on
-  the new H, both in level order).  A full batched BFS stays for rows
+  alternative-parent argument per destination and relabels only the
+  entries whose distance moved (the entries a removal orphans on
+  H − ΔH⁺, then one level-ordered settle on the new H, each row stepped
+  from its own lowest level).  A full batched BFS stays for rows
   with no old distances to repair from: the refresh path, rows of newly
   joined ids, and rows a crashed writer left reset.
 * **tables** change only for sources with a dirty-row neighbor (their
@@ -52,8 +53,11 @@ entry for entry, across edge *and* node churn.
 
 Keeping a set of D rows exact under a net ΔH, and re-projecting the
 tables that read them, is one decision made in one place: :class:`RowOwner`
-(``update_rows`` → ``damage`` → ``project``).  Its storage is anything with
-``.array`` and ``.row_write(u)`` — the shared matrices of
+(``update_rows`` → ``damage`` → ``project``).  Row changes travel between
+those stages as one flat :class:`RowChanges` triple of arrays, and every
+write is computed first and then scattered under one ``write_rows``
+bracket per stage.  Its storage is anything with ``.array`` and
+``.write_rows(rows)`` — the seqlocked shared matrices of
 :mod:`repro.parallel.shm`, or a plain array wrapped in :class:`DenseRows`
 — so the same code runs here over every row, in each worker of the
 multiprocess :class:`~repro.parallel.sharded.ShardedRoutingService` over
@@ -80,6 +84,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -87,7 +92,7 @@ import numpy as np
 from .. import obs
 from ..errors import NodeNotFound, ParameterError
 from ..graph import Graph, batched_bfs, repair_rows
-from ..graph.traversal import orphaned_far_ends, repairable_rows, row_changes
+from ..graph.traversal import orphaned_far_ends, repairable_rows
 from ..routing.greedy_routing import check_lookups
 from ..routing.tables import _FAR, project_table_cells, project_table_row
 from .events import EdgeEvent, NodeEvent
@@ -96,6 +101,7 @@ from .maintainer import BatchReport, SpannerMaintainer
 __all__ = [
     "DenseRows",
     "RoutingService",
+    "RowChanges",
     "RowDelta",
     "RowOwner",
     "ServeReport",
@@ -109,6 +115,11 @@ __all__ = [
 #: bounds its scratch however many changed rows reach the same cells.
 _KEY_CHUNK = 1 << 13
 
+#: Whole rows one write bracket carries: a chunk of BFSed D rows (the
+#: chunk ``batched_bfs`` runs at once) or of re-projected whole tables.
+#: Bounds the scratch a refresh computes before its write to chunk × n.
+_ROW_CHUNK = 64
+
 
 def _ranges(start: "np.ndarray", length: "np.ndarray") -> "np.ndarray":
     """The concatenated integer ranges ``[start[i], start[i] + length[i])``."""
@@ -116,9 +127,10 @@ def _ranges(start: "np.ndarray", length: "np.ndarray") -> "np.ndarray":
     return np.repeat(start - offsets, length) + np.arange(int(length.sum()))
 
 
-def _cell_keys(indptr, indices, keep, n, rows, cols, ncols) -> "np.ndarray":
+def _cell_keys(indptr, indices, keep, n, rows, ncols, cols) -> "np.ndarray":
     """``table * n + column`` for each kept reader (G-neighbor) of each of
-    *rows* and each column that row changed at: unsorted, with repeats."""
+    *rows* and each column that row changed at (``ncols`` per row, ``cols``
+    end to end): unsorted, with repeats."""
     start = indptr[rows]
     deg = indptr[rows + 1] - start
     readers = indices[_ranges(start, deg)]
@@ -126,9 +138,8 @@ def _cell_keys(indptr, indices, keep, n, rows, cols, ncols) -> "np.ndarray":
     kept = keep[readers]
     readers, row_of = readers[kept], row_of[kept]
     per = ncols[row_of]
-    flat = np.concatenate(cols)
     at = _ranges((np.cumsum(ncols) - ncols)[row_of], per)
-    return np.repeat(readers.astype(np.int64) * n, per) + flat[at]
+    return np.repeat(readers.astype(np.int64) * n, per) + cols[at]
 
 
 def _unique_sorted(keys: "np.ndarray") -> "np.ndarray":
@@ -153,14 +164,58 @@ class RowDelta(NamedTuple):
     old_n: int
 
 
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
+
+
+class RowChanges(NamedTuple):
+    """Which columns of which D rows moved, as three flat int64 arrays:
+    the ``rows``, each row's column ``counts`` (−1 = every column) and the
+    changed ``cols`` end to end, row by row.
+
+    The one shape row changes take from :meth:`RowOwner.update_rows` to
+    :meth:`RowOwner.damage`, across the pool's result queue too: three
+    arrays pickle in one small message where an object per row would not.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def none(cls) -> "RowChanges":
+        return cls(_NONE, _NONE, _NONE)
+
+    @classmethod
+    def everywhere(cls, rows: "Iterable[int]") -> "RowChanges":
+        """Each of *rows* changed at every column."""
+        rows = np.fromiter(rows, dtype=np.int64)
+        return cls(rows, np.full(rows.size, -1, dtype=np.int64), _NONE)
+
+    @classmethod
+    def of_entries(cls, rows: "np.ndarray", cols: "np.ndarray") -> "RowChanges":
+        """The changed entries ``(rows[i], cols[i])``, sorted by row."""
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]) if rows.size else _NONE
+        counts = np.diff(np.r_[starts, rows.size])
+        return cls(rows[starts].astype(np.int64), counts.astype(np.int64), cols.astype(np.int64))
+
+    @classmethod
+    def concat(cls, parts: "Iterable[RowChanges]") -> "RowChanges":
+        """*parts* end to end."""
+        parts = list(parts)
+        if not parts:
+            return cls.none()
+        return cls(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
 class DenseRows:
     """A plain numpy matrix behind the shared matrices' write API."""
 
     def __init__(self, array: "np.ndarray") -> None:
         self.array = array
 
-    def row_write(self, u: int) -> "nullcontext[np.ndarray]":
-        return nullcontext(self.array[u])
+    def write_rows(self, rows) -> "nullcontext[np.ndarray]":
+        return nullcontext(self.array)
 
 
 def resized(matrix: "np.ndarray", n: int) -> "np.ndarray":
@@ -218,15 +273,21 @@ class RowOwner:
     """Keeps a set of D rows exact under a net ΔH; projects their tables.
 
     *dist* and *tables* are the storage — anything with ``.array`` (the
-    readable matrix) and ``.row_write(u)`` (a context yielding row *u*
-    writable): a :class:`~repro.parallel.shm.SharedMatrix` or
+    readable matrix) and ``.write_rows(rows)`` (a context yielding the
+    matrix writable for those rows): a
+    :class:`~repro.parallel.shm.SharedMatrix` or
     :class:`~repro.parallel.shm.AttachedMatrix` (seqlock-bracketed), or a
-    :class:`DenseRows`.  *prefix* names the work counters
+    :class:`DenseRows`.  Every write is computed first and then scattered
+    in one bracket: a repair's moved entries together, a BFS chunk's
+    moved rows together, a projection's changed tables and cells
+    together.  *prefix* names the work counters
     (``<prefix>.rows_recomputed`` = ``rows_repaired`` + ``rows_bfs``,
-    ``<prefix>.tables_reprojected``).  Which rows and tables an owner
-    keeps is the caller's choice: the serial service passes every row, a
-    pool worker the rows ``u % W`` it owns, a shard actor its region's
-    rows and their G-neighbors' (the rows its region's tables read).
+    ``<prefix>.tables_reprojected``); the ``rows.repair``, ``rows.bfs``
+    and ``rows.write`` spans time the kernel, the fresh-row BFS and the
+    write-back on every backend.  Which rows and tables an owner keeps is
+    the caller's choice: the serial service passes every row, a pool
+    worker the rows ``u % W`` it owns, a shard actor its region's rows and
+    their G-neighbors' (the rows its region's tables read).
     """
 
     def __init__(self, dist, tables=None, prefix: str = "serve") -> None:
@@ -238,7 +299,7 @@ class RowOwner:
         rows: "Iterable[int]",
         delta: "RowDelta | None",
         fresh: "Iterable[int]" = (),
-    ) -> "dict[int, np.ndarray | None]":
+    ) -> RowChanges:
         """Bring *rows* and *fresh* up to date on the frozen new *h*.
 
         With the net *delta*, each of *rows* that holds the old distances
@@ -248,9 +309,9 @@ class RowOwner:
         *delta* is ``None`` (a refresh).  *fresh* rows hold nothing to
         trust and are always BFSed.
 
-        Returns ``{row: changed columns}`` for rows that moved (``None`` =
+        Returns the rows that moved and their changed columns (count −1,
         every column, for *fresh* rows: what they held was never read as
-        theirs), or ``{}`` for a refresh, which needs no damage.
+        theirs), or no rows for a refresh, which needs no damage.
         """
         rows, fresh = list(rows), list(fresh)
         if delta is None:
@@ -258,32 +319,53 @@ class RowOwner:
         else:
             repair, bfs = repairable_rows(self.dist.array, rows, delta.old_n)
             bfs += fresh
+        report = 0 if delta is None else len(bfs) - len(fresh)
         prefix = self.prefix
         obs.inc(f"{prefix}.rows_recomputed", len(repair) + len(bfs))
         obs.inc(f"{prefix}.rows_repaired", len(repair))
         obs.inc(f"{prefix}.rows_bfs", len(bfs))
-        changed: "dict[int, np.ndarray | None]" = {}
+        parts = []
         if repair:
-            moved = repair_rows(h, self.dist.array, repair, delta.h_added, delta.h_removed)
-            for s, cols, vals in row_changes(*moved):
-                with self.dist.row_write(s) as row:
-                    row[cols] = vals
-                changed[s] = cols
-        for s, new in batched_bfs(h, bfs, arrays=True):
-            moved = new != self.dist.array[s]
-            if moved.any():
-                with self.dist.row_write(s) as row:
-                    row[:] = new
-                if delta is not None:  # a refresh reports nothing
-                    changed[s] = np.flatnonzero(moved)
-        if delta is not None:
-            changed.update(dict.fromkeys(fresh))
-        return changed
+            with obs.span("rows.repair"):
+                r, c, v = repair_rows(h, self.dist.array, repair, delta.h_added, delta.h_removed)
+            if r.size:
+                with obs.span("rows.write"), self.dist.write_rows(r) as arr:
+                    arr[r, c] = v
+                parts.append(RowChanges.of_entries(r, c))
+        if bfs:
+            with obs.span("rows.bfs"):
+                parts.append(self._bfs_rows(h, bfs, report))
+        if delta is None:
+            return RowChanges.none()
+        parts.append(RowChanges.everywhere(fresh))
+        return RowChanges.concat(parts)
+
+    def _bfs_rows(self, h, order: "list[int]", report: int) -> RowChanges:
+        """BFS every row of *order* and write the rows that moved, one
+        bracket per chunk; returns the changes of the first *report* rows
+        (the rest are fresh: changed everywhere)."""
+        ids = np.asarray(order, dtype=np.intp)
+        results = batched_bfs(h, order, arrays=True)
+        parts = []
+        for lo in range(0, ids.size, _ROW_CHUNK):
+            srcs = ids[lo : lo + _ROW_CHUNK]
+            new = np.stack([dist for _s, dist in islice(results, srcs.size)])
+            moved = new != self.dist.array[srcs]
+            hit = np.flatnonzero(moved.any(axis=1))
+            if not hit.size:
+                continue
+            with obs.span("rows.write"), self.dist.write_rows(srcs[hit]) as arr:
+                arr[srcs[hit]] = new[hit]
+            hit = hit[hit < report - lo]
+            if hit.size:
+                r, c = np.nonzero(moved[hit])
+                parts.append(RowChanges.of_entries(srcs[hit][r], c))
+        return RowChanges.concat(parts)
 
     @staticmethod
     def damage(
         g,
-        changed: "dict[int, np.ndarray | None]",
+        changed: RowChanges,
         whole: "Iterable[int]",
         owns: "np.ndarray | None" = None,
     ) -> TableDamage:
@@ -303,21 +385,18 @@ class RowOwner:
         n = g.num_nodes
         indptr, indices = g.numpy_arrays()
         keep = np.ones(n, dtype=bool) if owns is None else owns.copy()
-        whole = list(whole)
-        rows, cols = [], []
-        for w, moved in changed.items():
-            if moved is None:
-                whole.extend(indices[indptr[w] : indptr[w + 1]].tolist())
-            else:
-                rows.append(w)
-                cols.append(moved)
-        whole = np.unique(np.asarray(whole, dtype=np.int32))
-        whole = whole[keep[whole]]
+        rows, ncols, cols = changed
+        every = rows[ncols < 0]
+        start = indptr[every]
+        readers = indices[_ranges(start, indptr[every + 1] - start)]
+        whole = np.unique(np.concatenate([np.fromiter(whole, dtype=np.int64), readers]))
+        whole = whole[keep[whole]].astype(np.int32)
         keep[whole] = False
+        part = ncols >= 0
+        rows, ncols = rows[part], ncols[part]
         cells = np.empty(0, dtype=np.int64)
-        if rows:
-            rows = np.asarray(rows, dtype=np.intp)
-            ncols = np.fromiter((c.size for c in cols), dtype=np.intp, count=len(cols))
+        if rows.size:
+            offsets = np.r_[0, np.cumsum(ncols)]
             # Cut the rows into groups of about _KEY_CHUNK keys (at most
             # degree × changed columns per row).
             group = np.cumsum((indptr[rows + 1] - indptr[rows]) * ncols) // _KEY_CHUNK
@@ -325,7 +404,10 @@ class RowOwner:
             pending: "list[np.ndarray]" = []
             size = 0
             for lo, hi in zip(bounds, bounds[1:]):
-                keys = _cell_keys(indptr, indices, keep, n, rows[lo:hi], cols[lo:hi], ncols[lo:hi])
+                keys = _cell_keys(
+                    indptr, indices, keep, n, rows[lo:hi], ncols[lo:hi],
+                    cols[offsets[lo] : offsets[hi]],
+                )
                 pending.append(_unique_sorted(keys))
                 size += pending[-1].size
                 # Fold the groups into the running set once they are as
@@ -342,26 +424,36 @@ class RowOwner:
         how many entries changed.
 
         Whole tables go through :func:`~repro.routing.tables.\
-project_table_row` one by one.  The cells are projected in one batched
-        gather (:func:`~repro.routing.tables.project_table_cells`); only
-        those whose hop moved are written, one ``row_write`` per table.
+project_table_row` one by one, into a scratch copy.  The cells are
+        projected in one batched gather
+        (:func:`~repro.routing.tables.project_table_cells`).  Then one
+        bracket writes every table that moved and every cell whose hop
+        moved; a damage of more than :data:`_ROW_CHUNK` whole tables (a
+        refresh) takes one bracket per chunk of them.
         """
-        dist = self.dist.array
+        dist, tables = self.dist.array, self.tables.array
         indptr, indices = g.numpy_arrays()
-        entries = 0
-        for u in damage.whole.tolist():
-            nbrs = indices[indptr[u] : indptr[u + 1]].tolist()  # sorted N_G(u)
-            with self.tables.row_write(u) as row:
-                entries += project_table_row(dist, row, nbrs, u, None)
         hops = project_table_cells(dist, indptr, indices, damage.us, damage.cs)
-        moved = np.flatnonzero(hops != self.tables.array[damage.us, damage.cs])
-        hops = hops[moved]
-        us, cs = damage.us[moved].astype(np.intp), damage.cs[moved].astype(np.intp)
-        starts = np.flatnonzero(np.diff(us, prepend=-1)).tolist()  # one per table
-        for u, lo, hi in zip(us[starts].tolist(), starts, [*starts[1:], us.size]):
-            with self.tables.row_write(u) as row:
-                row[cs[lo:hi]] = hops[lo:hi]
-        entries += int(moved.size)
+        moved = np.flatnonzero(hops != tables[damage.us, damage.cs])
+        us, cs, hops = damage.us[moved], damage.cs[moved], hops[moved]
+        entries = int(moved.size)
+        whole = damage.whole.astype(np.intp)
+        for lo in range(0, max(whole.size, 1), _ROW_CHUNK):
+            block = whole[lo : lo + _ROW_CHUNK]
+            new = tables[block]
+            changed = np.zeros(block.size, dtype=bool)
+            for i, u in enumerate(block.tolist()):
+                nbrs = indices[indptr[u] : indptr[u + 1]].tolist()  # sorted N_G(u)
+                k = project_table_row(dist, new[i], nbrs, u, None)
+                entries += k
+                changed[i] = k > 0
+            block, new = block[changed], new[changed]
+            if block.size or us.size:
+                with self.tables.write_rows(np.concatenate([block, us])) as arr:
+                    arr[block] = new
+                    arr[us, cs] = hops
+            us = cs = us[:0]  # the cells went with the first bracket
+            hops = hops[:0]
         obs.inc(f"{self.prefix}.tables_reprojected", len(damage))
         return entries
 
@@ -719,12 +811,10 @@ class RoutingService:
     def _owner(self) -> RowOwner:
         return RowOwner(DenseRows(self._dist), DenseRows(self._tables))
 
-    def _recompute_rows(
-        self, order: Iterable[int], delta: "RowDelta | None" = None
-    ) -> "dict[int, np.ndarray | None]":
+    def _recompute_rows(self, order: Iterable[int], delta: "RowDelta | None" = None) -> RowChanges:
         """Bring the given D rows up to date on the freshly frozen H
-        (:meth:`RowOwner.update_rows`); returns the changed columns per
-        moved row (``{}`` for a refresh, *delta* ``None``)."""
+        (:meth:`RowOwner.update_rows`); returns the moved rows and their
+        changed columns (none for a refresh, *delta* ``None``)."""
         return self._owner().update_rows(self.advertised.freeze(), order, delta)
 
     def _project_tables(self, damage: TableDamage) -> int:
@@ -762,7 +852,7 @@ class RoutingService:
         with obs.span("serving.dirty_rows"):
             dirty = dirty_rows(self._dist, self.advertised, h_added, h_removed)
         dirty.update(new_nodes)
-        changed: "dict[int, np.ndarray | None]" = {}
+        changed = RowChanges.none()
         if dirty:
             with obs.span("serving.recompute_rows"):
                 changed = self._recompute_rows(

@@ -41,9 +41,9 @@ Fault sites
 
 =================  ========================================================
 ``task.crash``     ``os._exit`` at task start (worker dies mid-task)
-``write.crash``    ``os._exit`` right after the seqlock version goes odd
-                   (worker dies mid-row-write; readers must spin,
-                   the supervisor must repair the torn row)
+``write.crash``    ``os._exit`` right after a write bracket's seqlock
+                   versions go odd (worker dies mid-write; readers must
+                   spin, the supervisor must repair the torn rows)
 ``worker.wedge``   sleep past ``task_timeout`` at task start
 ``shm.alloc``      simulated ``OSError`` from block creation
 ``shm.attach``     simulated ``OSError`` from block attachment
@@ -484,11 +484,13 @@ def on_shm_attach(name: str) -> None:
         raise OSError(f"injected shm attach failure for {name}")
 
 
-def on_begin_row_write(row: int) -> None:
-    """Worker-side, *after* the row version went odd: the torn-write crash.
+def on_begin_row_write(rows) -> None:
+    """Worker-side, once per write bracket, *after* the versions of its
+    *rows* went odd: the torn-write crash.
 
-    Firing here leaves row *row* mid-write forever as far as readers can
-    tell — exactly the state :meth:`SharedMatrix.repair_torn_rows
+    Firing here leaves every row of the bracket mid-write forever as far
+    as readers can tell — exactly the state
+    :meth:`SharedMatrix.repair_torn_rows
     <repro.parallel.shm.SharedMatrix.repair_torn_rows>` exists to mend.
     """
     if not _in_worker:

@@ -59,7 +59,6 @@ __all__ = [
     "orphaned_far_ends",
     "repair_rows",
     "repairable_rows",
-    "row_changes",
     "connected_components",
     "is_connected",
 ]
@@ -551,22 +550,30 @@ def repairable_rows(d: "np.ndarray", rows: "Iterable[int]", old_n: int) -> "tupl
     return rows[ok].tolist(), rows[~ok].tolist()
 
 
-_NEVER = np.iinfo(np.int64).max  # tentative distance of a not-yet-reached entry
+#: Label of an entry no path reaches (yet).  Half the int64 range, so a
+#: label plus one never wraps.
+_NEVER = np.iinfo(np.int64).max >> 1
+
+#: Affected entries expanded at once when their boundary is read: bounds
+#: the neighbor scratch of one huge repair.
+_BOUNDARY_CHUNK = 1 << 11
 
 
 class _RowPatch:
-    """Sparse changes to BFS rows of a matrix, keyed ``row * n + node``.
+    """Sparse changes to BFS rows of a matrix, keyed ``row * n + node``
+    with ``n`` the row stride of the matrix (its column count, or the
+    capacity of the buffer a row-strided view looks into).
 
     The matrix itself is only read, through a flat view of its rows (no
-    copy, also for a row-strided view into a larger buffer).  The patch
-    holds sorted keys with their new values (−1 = unreachable) and answers
-    lookups over "matrix with the patch applied".
+    copy), so a key is also its entry's offset in that view.  The patch
+    holds sorted keys with their new labels and answers lookups over
+    "matrix with the patch applied", unreachable read as :data:`_NEVER`.
     """
 
-    def __init__(self, d: "np.ndarray", n: int) -> None:
-        self.d, self.n = d, n
-        self.stride = d.strides[0] // d.itemsize
-        span = (d.shape[0] - 1) * self.stride + n
+    def __init__(self, d: "np.ndarray") -> None:
+        self.d = d
+        self.n = d.strides[0] // d.itemsize
+        span = (d.shape[0] - 1) * self.n + d.shape[1]
         self.flat = np.lib.stride_tricks.as_strided(
             d, shape=(span,), strides=(d.itemsize,), writeable=False
         )
@@ -574,25 +581,36 @@ class _RowPatch:
         self.vals = np.empty(0, dtype=np.int64)
 
     def old(self, keys: "np.ndarray") -> "np.ndarray":
-        if self.stride != self.n:
-            keys = keys + keys // self.n * (self.stride - self.n)
+        """The matrix entries at *keys* (−1 = unreachable), as int64."""
         return self.flat[keys].astype(np.int64)
 
-    def cur(self, keys: "np.ndarray") -> "np.ndarray":
+    def _lookup(self, keys: "np.ndarray"):
+        """The current labels of *keys*, with :func:`_find` among the patched."""
         vals = self.old(keys)
-        pos, hit = _locate(self.keys, keys)
-        vals[hit] = self.vals[pos[hit]]
-        return vals
+        vals[vals < 0] = _NEVER
+        at, found = _find(self.keys, keys)
+        vals[found] = self.vals[at[found]]
+        return vals, at, found
 
-    def assign(self, keys: "np.ndarray", vals) -> None:
-        """Set sorted unique *keys* to *vals*, replacing earlier values."""
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.int64), keys.shape)
-        pos, hit = _locate(self.keys, keys)
-        self.vals[pos[hit]] = vals[hit]
-        fresh = ~hit
-        at = np.searchsorted(self.keys, keys[fresh])
-        self.keys = np.insert(self.keys, at, keys[fresh])
-        self.vals = np.insert(self.vals, at, vals[fresh])
+    def label(self, keys: "np.ndarray") -> "np.ndarray":
+        """The current label of each of *keys*: patched, else the matrix's."""
+        return self._lookup(keys)[0]
+
+    def unreach(self, keys: "np.ndarray") -> None:
+        """Patch the sorted unique *keys* (none patched yet) to unreached."""
+        self.keys, self.vals = keys, np.full(keys.size, _NEVER, dtype=np.int64)
+
+    def lower(self, keys: "np.ndarray", vals: "np.ndarray") -> "np.ndarray":
+        """Lower each of the sorted unique *keys* whose label exceeds its
+        entry of *vals* to it; returns which were lowered."""
+        cur, at, found = self._lookup(keys)
+        down = vals < cur
+        here = down & found
+        self.vals[at[here]] = vals[here]
+        new = down & ~found
+        self.keys = np.insert(self.keys, at[new], keys[new])
+        self.vals = np.insert(self.vals, at[new], vals[new])
+        return down
 
     def expand(self, graph: "tuple[np.ndarray, np.ndarray]", keys: "np.ndarray"):
         """``(neighbor keys, index into keys)`` of every edge out of *keys*."""
@@ -607,12 +625,21 @@ class _RowPatch:
         return nbrs, np.repeat(np.arange(keys.size, dtype=np.int32), counts)
 
 
-def _locate(sorted_keys: "np.ndarray", keys: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
-    """``(position, found)`` of each of *keys* in the sorted *sorted_keys*."""
-    if sorted_keys.size == 0:
-        return np.zeros(keys.size, dtype=np.intp), np.zeros(keys.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return pos, sorted_keys[pos] == keys
+def _find(sorted_keys: "np.ndarray", keys: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
+    """``(insertion point, found)`` of each of *keys* in the sorted *sorted_keys*."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
+def _rounds(keys: "np.ndarray", levels: "np.ndarray", n: int) -> "np.ndarray":
+    """Each entry's round: its level counted from the lowest level among
+    the entries of its own row (*keys* sorted, so rows run contiguous)."""
+    row = keys // n
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    base = np.minimum.reduceat(levels, starts)
+    return levels - np.repeat(base, np.diff(np.r_[starts, keys.size]))
 
 
 def _without_edges(
@@ -650,25 +677,31 @@ def repair_rows(
     the graph *after* it, ``h_added``/``h_removed`` the net delta
     (ΔH⁺/ΔH⁻).  Columns of ids that did not exist before read −1, and
     each row of *d* must be contiguous (it may be a view into a larger
-    buffer, as the shared serving matrices are).  Returns the changed entries as ``(rows, cols, values)`` arrays,
-    sorted by row, then column; applying them makes ``d[w]`` equal to
-    ``batched_bfs(g, [w])``.  *d* is only read.
+    buffer, as the shared serving matrices are).  Returns the changed
+    entries as ``(rows, cols, values)`` arrays, sorted by row, then
+    column; applying them makes ``d[w]`` equal to ``batched_bfs(g, [w])``.
+    *d* is only read.
 
-    Two phases, each in the style of dynamic BFS (Even–Shiloach,
+    Two passes in the style of dynamic BFS (Even–Shiloach,
     Ramalingam–Reps), vectorized across rows on flat ``row * n + node``
     keys like :func:`batched_bfs`:
 
-    * **deletions**, on ``g − ΔH⁺``: the seeds are the far endpoints that
-      :func:`orphaned_far_ends` reports (ΔH⁺ excluded as parents).  Level
-      by level, a child becomes *affected* when it has no unaffected tight
-      parent left.  The affected entries are then relabelled in level
-      order from their unaffected boundary (−1 where nothing reaches);
-    * **insertions**, on *g*: each ΔH⁺ edge that shortcuts an endpoint
-      seeds a decrease, and decreases propagate in level order.
+    * **affected set**, on ``g − ΔH⁺``: the seeds are the far endpoints
+      that :func:`orphaned_far_ends` reports (ΔH⁺ excluded as parents).
+      Level by level, a child is *affected* — its distance grew — when it
+      has no unaffected tight parent left;
+    * **settle**, on *g*: one level-ordered wave from two kinds of seed —
+      each affected entry's nearest unaffected neighbor, and each ΔH⁺
+      edge that shortcuts an endpoint.  An entry is lowered whenever the
+      wave reaches it shorter than its label; affected entries it never
+      reaches end at −1.
 
-    Only entries whose distance moved are touched: working memory is
-    proportional to them (plus *rows*, and rows × |ΔH⁺| per chunk of
-    inserted edges), never rows × n.
+    Both passes count each row's levels from that row's own lowest seed,
+    so a pass runs as many rounds as the widest single row spans, not the
+    union of every row's levels.  Only entries whose distance moved, or
+    that the affected pass visits, are touched: working memory is
+    proportional to them (plus rows × |ΔH⁺| per chunk of inserted edges),
+    never rows × n.
     """
     csr = g if isinstance(g, CSRGraph) else g.freeze()
     n = csr.num_nodes
@@ -682,133 +715,132 @@ def repair_rows(
     if d.strides[1] != d.itemsize:
         raise ParameterError("repair_rows needs contiguous rows")
     indptr, indices = csr.numpy_arrays()
-    patch = _RowPatch(d, n)
+    patch = _RowPatch(d)
+    affected = rows[:0]
     if h_removed:
         mid = _without_edges(indptr, indices, plus) if plus else (indptr, indices)
-        _repair_deletions(patch, csr, mid, rows, h_removed, plus)
-    if plus:
-        _repair_insertions(patch, (indptr, indices), rows, sorted(plus))
-    keys, vals = patch.keys, patch.vals
+        affected = _affected(patch, csr, mid, rows, h_removed, plus)
+        patch.unreach(affected)  # until the settle reaches them
+    _settle(patch, (indptr, indices), rows, affected, sorted(plus))
+    keys = patch.keys
+    vals = np.where(patch.vals < _NEVER, patch.vals, UNREACHED)
     moved = vals != patch.old(keys)
     keys, vals = keys[moved], vals[moved]
-    return keys // n, keys % n, vals.astype(np.int32)
+    return keys // patch.n, keys % patch.n, vals.astype(np.int32)
 
 
-def _repair_deletions(patch: _RowPatch, csr: CSRGraph, mid, rows, h_removed, plus) -> None:
-    """Phase 1: relabel the entries whose distance grew on ``g − ΔH⁺``."""
+def _affected(patch: _RowPatch, csr: CSRGraph, mid, rows, h_removed, plus) -> "np.ndarray":
+    """The sorted keys whose distance grows on ``g − ΔH⁺`` (*mid*)."""
     n = patch.n
     seeds = [
         rows[orphaned] * n + far
         for far, orphaned in orphaned_far_ends(patch.d, csr, h_removed, rows, plus)
     ]
     if not seeds:
-        return
+        return rows[:0]
     seeds = np.unique(np.concatenate(seeds))
     levels = patch.old(seeds)
-    order = np.argsort(levels, kind="stable")
-    seeds, levels = seeds[order], levels[order]
-    # Cascade in level order: an entry at level L is affected iff it has no
-    # tight parent (level L − 1) outside the affected set — and the only
-    # affected entries at level L − 1 are the previous frontier.
+    due = _rounds(seeds, levels, n)
+    order = np.argsort(due, kind="stable")
+    seeds, levels, due = seeds[order], levels[order], due[order]
+    # Cascade in level order, each row from its own lowest seed: an entry
+    # at level L is affected iff it has no tight parent (level L − 1)
+    # outside the affected set — and the only affected entries of its row
+    # at level L − 1 are in the previous round's frontier.
     found = []
-    frontier = seeds[:0]
-    level, i = int(levels[0]), 0
+    frontier, flevels = seeds[:0], levels[:0]
+    r, i = int(due[0]), 0
     while True:
-        j = int(np.searchsorted(levels, level, side="right"))
-        cand = seeds[i:j]
+        j = int(np.searchsorted(due, r, side="right"))
+        cand, clevels = seeds[i:j], levels[i:j]
         i = j
         if frontier.size:
-            kids, _ = patch.expand(mid, frontier)
-            cand = np.concatenate([cand, kids[patch.old(kids) == level]])
-        cand = np.unique(cand)
+            kids, owner = patch.expand(mid, frontier)
+            klevels = patch.old(kids)
+            tight = klevels == flevels[owner] + 1
+            cand = np.concatenate([cand, kids[tight]])
+            clevels = np.concatenate([clevels, klevels[tight]])
+        cand, first = np.unique(cand, return_index=True)
+        clevels = clevels[first]
         nbrs, owner = patch.expand(mid, cand)
-        parent = (patch.old(nbrs) == level - 1) & ~_locate(frontier, nbrs)[1]
-        frontier = cand[np.bincount(owner[parent], minlength=cand.size) == 0]
+        tight = patch.old(nbrs) == clevels[owner] - 1
+        nbrs, owner = nbrs[tight], owner[tight]
+        parent = owner[~_find(frontier, nbrs)[1]]
+        orphan = np.bincount(parent, minlength=cand.size) == 0
+        frontier, flevels = cand[orphan], clevels[orphan]
         if frontier.size:
             found.append(frontier)
-            level += 1
+            r += 1
         elif i < seeds.size:
-            level = int(levels[i])
+            r = int(due[i])
         else:
             break
-    # Relabel from the boundary: tentative distance through the nearest
-    # unaffected neighbor, then settle level by level inside the set.
-    affected = np.sort(np.concatenate(found))
-    tent = np.full(affected.size, _NEVER, dtype=np.int64)
-    cuts = np.searchsorted(affected, rows[:: _BATCH_CHUNK] * n).tolist()
-    for lo, hi in zip(cuts, cuts[1:] + [affected.size]):  # a chunk of rows at a time
-        nbrs, owner = patch.expand(mid, affected[lo:hi])
-        vals = patch.old(nbrs)
-        outside = (vals >= 0) & ~_locate(affected, nbrs)[1]
-        np.minimum.at(tent, lo + owner[outside], vals[outside] + 1)
-    done = np.zeros(affected.size, dtype=bool)
-    while True:
-        pending = ~done & (tent < _NEVER)
-        if not pending.any():
-            break
-        level = int(tent[pending].min())
-        now = np.flatnonzero(pending & (tent == level))
-        done[now] = True
-        nbrs, _ = patch.expand(mid, affected[now])
-        pos, inside = _locate(affected, nbrs)
-        pos = pos[inside]
-        pos = pos[~done[pos]]
-        tent[pos] = np.minimum(tent[pos], level + 1)
-    patch.assign(affected, np.where(tent < _NEVER, tent, UNREACHED))
+    return np.sort(np.concatenate(found))
 
 
-def _repair_insertions(patch: _RowPatch, full, rows, plus: "list[tuple[int, int]]") -> None:
-    """Phase 2: propagate the decreases the ΔH⁺ edges cause, on *g*."""
-    base = rows[:, None] * patch.n
-    keys, vals = [], []
+def _settle(patch: _RowPatch, full, rows, affected, plus: "list[tuple[int, int]]") -> None:
+    """Lower every entry the new graph *full* reaches shorter, in level order."""
+    n = patch.n
+    keys, labels = [], []
+    # Each affected entry from its nearest unaffected neighbor on g.
+    for lo in range(0, affected.size, _BOUNDARY_CHUNK):
+        part = affected[lo : lo + _BOUNDARY_CHUNK]
+        nbrs, owner = patch.expand(full, part)
+        if not nbrs.size:
+            continue
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        near = np.minimum.reduceat(patch.label(nbrs), starts)
+        hit = near < _NEVER  # some neighbor is reached
+        keys.append(part[owner[starts][hit]])
+        labels.append(near[hit] + 1)
+    # Each ΔH⁺ edge that shortcuts one of its endpoints.
+    base = rows[:, None] * n
     for lo in range(0, len(plus), _BATCH_CHUNK):
         ends = np.asarray(plus[lo : lo + _BATCH_CHUNK], dtype=np.int64)
         kx = (base + ends[:, 0]).ravel()
         ky = (base + ends[:, 1]).ravel()
-        vx, vy = patch.cur(kx), patch.cur(ky)
-        for k, here, there in ((ky, vy, vx), (kx, vx, vy)):
-            better = (there >= 0) & ((here < 0) | (here > there + 1))
+        lx, ly = patch.label(kx), patch.label(ky)
+        for k, here, there in ((ky, ly, lx), (kx, lx, ly)):
+            better = here > there + 1
             keys.append(k[better])
-            vals.append(there[better] + 1)
-    seeds, levels = np.concatenate(keys), np.concatenate(vals)
+            labels.append(there[better] + 1)
+    if not keys:
+        return
+    seeds, levels = np.concatenate(keys), np.concatenate(labels)
     if seeds.size == 0:
         return
     order = np.lexsort((levels, seeds))  # by key, then level
     seeds, levels = seeds[order], levels[order]
-    first = np.append(True, seeds[1:] != seeds[:-1])  # each key's smallest level
+    first = np.r_[True, seeds[1:] != seeds[:-1]]  # each key's lowest level
     seeds, levels = seeds[first], levels[first]
-    patch.assign(seeds, levels)
-    order = np.argsort(levels, kind="stable")
-    seeds, levels = seeds[order], levels[order]
-    frontier = seeds[:0]
-    level, i = int(levels[0]), 0
+    patch.lower(seeds, levels)
+    due = _rounds(seeds, levels, n)
+    order = np.argsort(due, kind="stable")
+    seeds, levels, due = seeds[order], levels[order], due[order]
+    # One wave, each row from its own lowest seed: every entry a row's
+    # frontier holds carries the same label, so a neighbor reached this
+    # round gets that label plus one.
+    frontier, flevels = seeds[:0], levels[:0]
+    r, i = int(due[0]), 0
     while True:
-        j = int(np.searchsorted(levels, level, side="right"))
-        due = seeds[i:j]
-        i = j
-        # A seed a shorter path has lowered since is settled already.
-        frontier = np.union1d(frontier, due[patch.cur(due) == level])
+        j = int(np.searchsorted(due, r, side="right"))
+        if j > i:
+            now, nlevels = seeds[i:j], levels[i:j]
+            i = j
+            live = patch.label(now) == nlevels  # not lowered since it was seeded
+            frontier = np.concatenate([frontier, now[live]])
+            flevels = np.concatenate([flevels, nlevels[live]])
         if frontier.size:
-            nbrs, _ = patch.expand(full, frontier)
-            now = patch.cur(nbrs)
-            frontier = np.unique(nbrs[(now < 0) | (now > level + 1)])
-            patch.assign(frontier, level + 1)
-            level += 1
+            nbrs, owner = patch.expand(full, frontier)
+            nbrs, first = np.unique(nbrs, return_index=True)
+            reach = flevels[owner[first]] + 1
+            lower = patch.lower(nbrs, reach)
+            frontier, flevels = nbrs[lower], reach[lower]
+            r += 1
         elif i < seeds.size:
-            level = int(levels[i])
+            r = int(due[i])
         else:
             break
-
-
-def row_changes(
-    rows: "np.ndarray", cols: "np.ndarray", vals: "np.ndarray"
-) -> Iterator["tuple[int, np.ndarray, np.ndarray]"]:
-    """Split :func:`repair_rows` output into ``(row, cols, values)`` per row."""
-    if rows.size == 0:
-        return
-    cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
-    heads = rows[np.concatenate([[0], cuts])].tolist()
-    yield from zip(heads, np.split(cols, cuts), np.split(vals, cuts))
 
 
 # --------------------------------------------------------------------- #

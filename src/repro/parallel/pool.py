@@ -37,7 +37,6 @@ import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -146,11 +145,11 @@ def _task_serve_rows(state: _WorkerState, payload):
     :class:`~repro.dynamic.serving.RowDelta` or ``None`` for a refresh.
     Runs :meth:`RowOwner.update_rows <repro.dynamic.serving.RowOwner.\
 update_rows>` on the attached H snapshot and matrix, so every row is
-    written inside ``row_write`` and concurrent readers
+    written inside a ``write_rows`` bracket and concurrent readers
     (:class:`~repro.parallel.sharded.RouteReader`) never observe a torn
-    one.  Returns the rows that moved and their changed columns as
-    :func:`flat_row_changes` — the only bytes that cross the queue; a
-    refresh returns nothing.
+    one.  Returns the rows that moved and their changed columns as the
+    :class:`~repro.dynamic.serving.RowChanges` arrays — the only bytes
+    that cross the queue; a refresh returns no rows.
 
     Safe to re-run after a crash: a row the failed attempt already
     committed holds the new distances, and repairing exact rows again
@@ -161,45 +160,7 @@ update_rows>` on the attached H snapshot and matrix, so every row is
     h_name, dist_name, sources, delta = payload
     with obs.span("pool.shard_repair"):
         owner = RowOwner(state.matrices[dist_name])
-        return flat_row_changes(owner.update_rows(state.csr(h_name), sources, delta))
-
-
-def flat_row_changes(
-    changed: "dict[int, np.ndarray | None]",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """``{row: changed columns}`` as three flat int64 arrays: the rows,
-    their column counts (−1 = every column) and the columns end to end.
-
-    Three arrays pickle in one small message where a tuple per row
-    costs a pickled object each; :func:`fold_row_changes` is the inverse.
-    """
-    cols = [c for c in changed.values() if c is not None]
-    return (
-        np.fromiter(changed, dtype=np.int64, count=len(changed)),
-        np.fromiter(
-            (-1 if c is None else c.size for c in changed.values()),
-            dtype=np.int64,
-            count=len(changed),
-        ),
-        np.concatenate(cols).astype(np.int64, copy=False) if cols else np.empty(0, np.int64),
-    )
-
-
-def fold_row_changes(
-    flat: "Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]",
-) -> "dict[int, np.ndarray | None]":
-    """Merge :func:`flat_row_changes` results back into ``{row: changed
-    columns}``, each row's columns a slice of the flat array."""
-    changed: "dict[int, np.ndarray | None]" = {}
-    for rows, counts, cols in flat:
-        start = 0
-        for s, k in zip(rows.tolist(), counts.tolist()):
-            if k < 0:
-                changed[s] = None
-            else:
-                changed[s] = cols[start : start + k]
-                start += k
-    return changed
+        return owner.update_rows(state.csr(h_name), sources, delta)
 
 
 def _task_serve_tables(state: _WorkerState, payload):
@@ -220,10 +181,10 @@ dynamic.serving.RowOwner.project>` over the shared matrices, the serial
 
 
 def _task_crash_in_write(state: _WorkerState, payload):
-    """Fault injection: raise *inside* ``row_write``.
+    """Fault injection: raise *inside* a write bracket.
 
     ``payload = (matrix, row)`` — opens the write on *row* and raises.
-    Exercises the crash path ``row_write`` commits on the way out: the row
+    Exercises the crash path the bracket commits on the way out: the row
     version must be even again so concurrent readers terminate instead of
     spinning.  Lives in the production registry (not the test module) so
     ``spawn`` workers can resolve it after re-import.
@@ -666,7 +627,7 @@ class WorkerPool:
 
         An existing matrix is resized only when the requested shape
         differs; *fill* initializes fresh cells.  The view is read-only:
-        rows change only through ``row_write``, under the per-row seqlock
+        rows change only through ``write_rows``, under the per-row seqlock
         counters concurrent readers rely on.  It aliases the workers'
         mapping — drop it before the next resize.
         """

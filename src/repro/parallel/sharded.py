@@ -15,9 +15,11 @@ summaries:
    :meth:`RowOwner.update_rows <repro.dynamic.serving.RowOwner.\
 update_rows>` — the serial service's code — over the rows it owns on the
    attached shared ``D`` (repair from the tick's net ΔH, BFS for joined
-   ids and refreshes), and sends back just ``(row id, changed columns)``
-   for rows that moved.  The parent folds those and the G-star changes
-   into one :class:`~repro.dynamic.serving.TableDamage`
+   ids and refreshes), writes them under one seqlock bracket per write
+   (the repair's moved entries, each BFS chunk's moved rows), and sends
+   back the :class:`~repro.dynamic.serving.RowChanges` arrays of the rows
+   that moved.  The parent concatenates those and folds them, with the
+   G-star changes, into one :class:`~repro.dynamic.serving.TableDamage`
    (:meth:`RowOwner.damage <repro.dynamic.serving.RowOwner.damage>`):
    the tables to re-project whole plus flat sorted ``(table, column)``
    cell arrays;
@@ -25,8 +27,8 @@ update_rows>` — the serial service's code — over the rows it owns on the
    sent its share — a few int32 arrays, no per-table objects.  Each
    worker runs :meth:`RowOwner.project <repro.dynamic.serving.RowOwner.\
 project>` on its own table rows in shared ``T`` (whole tables one by one,
-   every cell in one batched gather) and returns only the changed-entry
-   count.
+   every cell in one batched gather, then every changed table and cell
+   written under one bracket) and returns only the changed-entry count.
 
 Only the fan-out policy lives here: sharding by owner, the over-repair
 after a worker crash (``sharded.crash_full_damage``) and the retries
@@ -55,8 +57,9 @@ apply/refresh the service posts the current matrix handles to a
 :meth:`ShardedRoutingService.reader_handle` can construct a
 :class:`RouteReader` over the same bytes and serve ``next_hop`` /
 ``table`` / ``route`` lookups *while the shard workers repair*: writers
-update each row inside ``row_write`` (odd version while in progress),
-readers retry a moved row, so every observed row is bit-identical to a
+scatter each stage's rows inside one ``write_rows`` bracket (their
+versions odd only while the bytes move), readers retry a moved row, so
+every observed row is bit-identical to a
 state the service actually committed — the torn-read property suite in
 ``tests/parallel/test_torn_reads.py`` pins exactly that.
 """
@@ -68,11 +71,11 @@ import time
 import numpy as np
 
 from .. import obs
-from ..dynamic.serving import RoutingService, TableDamage
+from ..dynamic.serving import RoutingService, RowChanges, TableDamage
 from ..errors import NodeNotFound, ParameterError, TornReadError
 from ..graph import Graph
 from ..routing.greedy_routing import check_lookups
-from .pool import WorkerPool, fold_row_changes
+from .pool import WorkerPool
 from .shm import AttachedDirectory, AttachedMatrix, SharedDirectory
 
 __all__ = ["ShardedRoutingService", "RouteReader"]
@@ -254,7 +257,7 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             # committed state (the serial service passes through it too).
             self._publish_directory()
 
-    def _recompute_rows(self, order, delta=None) -> "dict[int, np.ndarray | None]":
+    def _recompute_rows(self, order, delta=None) -> RowChanges:
         h = self.advertised.freeze()
         self._pool.publish_csr(_H, h)
         buckets, to = self._shard(order)
@@ -268,8 +271,8 @@ PoolHealth`): respawns, retries, wedge restarts, torn rows repaired, ..."""
             # everywhere so the table projection over-repairs; the result
             # stays bit-identical, only this event costs more.
             obs.inc("sharded.crash_full_damage")
-            return dict.fromkeys(order)
-        return fold_row_changes(results)
+            return RowChanges.everywhere(order)
+        return RowChanges.concat(results)
 
     def _project_tables(self, damage: TableDamage) -> int:
         if not damage:

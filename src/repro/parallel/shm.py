@@ -15,16 +15,18 @@ far too large to pickle per task, so they live in
   reallocating; parent and workers read and write the *same* bytes, so
   "sending a row" to a worker costs nothing.
 * **Concurrent readers** — every matrix carries one seqlock-style version
-  counter per row.  The only way to write a row is ``with m.row_write(u)
-  as row:`` — the version goes odd on entry and even again on exit,
-  whether the body returns or raises — and its
-  :attr:`~SharedMatrix.array` is a **read-only** view, so a write that
-  skips the bracket raises ``ValueError`` the first time it runs.
-  :meth:`AttachedMatrix.read_row` / :meth:`~AttachedMatrix.read_cell`
-  retry until they capture a row whose version was even and unchanged
-  across the copy — so a reader process can serve lookups *while* shard
-  workers repair, and only ever observes row states the writers actually
-  committed (never a torn half-write).
+  counter per row.  The only way to write is one bracket, ``with
+  m.write_rows(rows) as arr:`` — every bracketed row's version goes odd
+  on entry and even again on exit, whether the body returns or raises —
+  and its :attr:`~SharedMatrix.array` is a **read-only** view, so a write
+  that skips the bracket raises ``ValueError`` the first time it runs.
+  Writers compute first and bracket only the scatter (``arr[rows, cols]
+  = vals``), one bracket per write stage; ``row_write(u)`` is the same
+  bracket over one row.  :meth:`AttachedMatrix.read_row` /
+  :meth:`~AttachedMatrix.read_cell` retry until they capture a row whose
+  version was even and unchanged across the copy — so a reader process
+  can serve lookups *while* shard workers repair, and only ever observes
+  row states the writers actually committed (never a torn half-write).
 
   .. note:: Pure Python offers no cross-process memory fence, so the
      protocol relies on the platform's total-store-order guarantee (x86 /
@@ -465,44 +467,52 @@ def attach_csr(handle: "SharedCSRHandle | AttachedCSR") -> CSRGraph:
 class _RowWriter:
     """The write side of the row seqlock, shared by both matrix classes.
 
-    Subclasses provide :meth:`_writable` (the writable logical view) and
-    :meth:`_versions` (the per-row seqlock counters).
+    Subclasses keep ``_arr`` (the writable logical view) and ``_ver`` (the
+    per-row seqlock counters) wrapped over their blocks.
     """
 
-    def _writable(self) -> np.ndarray:
-        raise NotImplementedError
+    _arr: np.ndarray
+    _ver: np.ndarray
 
-    def _versions(self) -> np.ndarray:
-        raise NotImplementedError
+    @contextmanager
+    def write_rows(self, rows: "Iterable[int] | np.ndarray") -> Iterator[np.ndarray]:
+        """Write *rows* under the seqlock; yields the writable matrix.
+
+        The one write bracket.  Every version of *rows* goes odd before
+        the body runs and even again after it on every exit path, so
+        readers never accept a half-written row and never spin on one a
+        raising body abandoned.  The body should be only the scatter into
+        *rows* — compute first, then bracket — so the rows stay odd while
+        bytes move and no longer.  Entering with any of *rows* already odd
+        (a nested or overlapping write) raises
+        :class:`~repro.errors.ProtocolError` before touching anything — the
+        inner commit would flip the version even mid-write.  The
+        ``write.crash`` fault site fires once per bracket; only a process
+        dying inside the body leaves the rows odd, which
+        :meth:`SharedMatrix.repair_torn_rows` mends.
+        """
+        rows = np.unique(np.asarray(rows, dtype=np.intp))
+        ver = self._ver
+        busy = rows[(ver[rows] & 1) == 1]
+        if busy.size:
+            u = int(busy[0])
+            raise ProtocolError(
+                f"write to row {u} while row {u} is already mid-write — a nested "
+                "write would commit a torn row"
+            )
+        ver[rows] += 1
+        try:
+            if _faults.active:
+                _faults.on_begin_row_write(rows)  # crash site: rows now odd
+            yield self._arr
+        finally:
+            ver[rows] += 1
 
     @contextmanager
     def row_write(self, u: int) -> Iterator[np.ndarray]:
-        """Write row *u* under the seqlock; yields the writable row.
-
-        The version goes odd before the body runs and even again after
-        it on every exit path, so readers never accept a half-written row
-        and never spin on one a raising body abandoned.  Entering a row
-        that is already odd (a nested write) raises
-        :class:`~repro.errors.ProtocolError` before touching anything —
-        the inner commit would flip the version even mid-write.  Only a
-        process dying inside the body (the ``write.crash`` fault site)
-        leaves the row odd, which :meth:`SharedMatrix.repair_torn_rows`
-        mends.
-        """
-        row = self._writable()[u]
-        ver = self._versions()
-        if int(ver[u]) & 1:
-            raise ProtocolError(
-                f"row_write({u}) while row {u} is already mid-write — a nested "
-                "write would commit a torn row"
-            )
-        ver[u] += 1
-        try:
-            if _faults.active:
-                _faults.on_begin_row_write(u)  # crash site: row now odd
-            yield row
-        finally:
-            ver[u] += 1
+        """:meth:`write_rows` over row *u* alone; yields the writable row."""
+        with self.write_rows((u,)) as arr:
+            yield arr[u]
 
 
 class SharedMatrix(_BlockOwner, _RowWriter):
@@ -515,22 +525,32 @@ class SharedMatrix(_BlockOwner, _RowWriter):
 
     A second shared block holds one int64 seqlock counter per row, so
     writer processes publish row updates that concurrent readers observe
-    atomically: rows are written only through :meth:`row_write`, and
+    atomically: rows are written only through :meth:`write_rows`, and
     :attr:`array` is read-only — see the module docstring and
-    :meth:`AttachedMatrix.read_row`.  Use as a context manager or call
-    :meth:`close` to free the blocks.
+    :meth:`AttachedMatrix.read_row`.  The views over both blocks are built
+    once and rewrapped only when :meth:`resize` changes the shape or the
+    blocks.  Use as a context manager or call :meth:`close` to free the
+    blocks.
     """
 
     def __init__(self, rows: int, cols: int, *, fill: "int | None" = None) -> None:
         self._cap_r, self._cap_c = _headroom(rows), _headroom(cols)
         self._shm = _create_block(self._cap_r * self._cap_c * np.dtype(_MAT_DTYPE).itemsize)
         self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
-        self.row_versions[:] = 0
         self.rows, self.cols = rows, cols
+        self._rewrap()
+        self._ver[:] = 0
         self.version = 0
         self.fill = fill  # remembered: repair_torn_rows resets rows to it
         if fill is not None:
-            self._writable()[:] = fill
+            self._arr[:] = fill
+
+    def _rewrap(self) -> None:
+        base = np.ndarray((self._cap_r, self._cap_c), dtype=_MAT_DTYPE, buffer=self._shm.buf)
+        self._arr = base[: self.rows, : self.cols]
+        self._view = self._arr.view()
+        self._view.flags.writeable = False
+        self._ver = np.ndarray((self._cap_r,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
 
     @property
     def handle(self) -> SharedMatrixHandle:
@@ -546,24 +566,15 @@ class SharedMatrix(_BlockOwner, _RowWriter):
     @property
     def row_versions(self) -> np.ndarray:
         """The per-row seqlock counters (one per allocated row)."""
-        return np.ndarray((self._cap_r,), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
-
-    def _versions(self) -> np.ndarray:
-        return self.row_versions
-
-    def _writable(self) -> np.ndarray:
-        base = np.ndarray((self._cap_r, self._cap_c), dtype=_MAT_DTYPE, buffer=self._shm.buf)
-        return base[: self.rows, : self.cols]
+        return self._ver
 
     @property
     def array(self) -> np.ndarray:
         """The live ``(rows, cols)`` view, shared with every attachment.
 
-        Read-only: rows change only through :meth:`row_write`.
+        Read-only: rows change only through :meth:`write_rows`.
         """
-        view = self._writable()
-        view.flags.writeable = False
-        return view
+        return self._view
 
     @property
     def capacity_bytes(self) -> int:
@@ -583,21 +594,21 @@ class SharedMatrix(_BlockOwner, _RowWriter):
         old_rows, old_cols = self.rows, self.cols
         reallocated = rows > self._cap_r or cols > self._cap_c
         if reallocated:
-            old_shm, old_view = self._shm, self._writable()
-            old_ver_shm, old_ver = self._shm_ver, self.row_versions
+            old_shm, old_view = self._shm, self._arr
+            old_ver_shm, old_ver = self._shm_ver, self._ver
             old_cap_r = self._cap_r
             self._cap_r = max(_headroom(rows), self._cap_r)
             self._cap_c = max(_headroom(cols), self._cap_c)
             itemsize = np.dtype(_MAT_DTYPE).itemsize
             self._shm = _create_block(self._cap_r * self._cap_c * itemsize)
+            self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
+            self.rows, self.cols = rows, cols
+            self._rewrap()
             # Carry the counters over so attached readers comparing
             # versions across the swap never see them move backwards.
-            self._shm_ver = _create_block(self._cap_r * np.dtype(_VER_DTYPE).itemsize)
-            new_ver = self.row_versions
-            new_ver[:] = 0
-            new_ver[:old_cap_r] = old_ver
-            self.rows, self.cols = rows, cols
-            a = self._writable()
+            self._ver[:] = 0
+            self._ver[:old_cap_r] = old_ver
+            a = self._arr
             if fill is not None:
                 a[:] = fill
             keep_r, keep_c = min(old_rows, rows), min(old_cols, cols)
@@ -607,8 +618,9 @@ class SharedMatrix(_BlockOwner, _RowWriter):
                 _free_block(block)
         else:
             self.rows, self.cols = rows, cols
+            self._rewrap()
             if fill is not None:
-                a = self._writable()
+                a = self._arr
                 if rows > old_rows:
                     a[old_rows:, :] = fill
                 if cols > old_cols:
@@ -619,25 +631,27 @@ class SharedMatrix(_BlockOwner, _RowWriter):
     def repair_torn_rows(self) -> "list[int]":
         """Commit every row a dead writer left mid-write; returns their ids.
 
-        A worker that died inside :meth:`row_write` leaves the row version
-        odd forever: readers spin to :class:`~repro.errors.TornReadError`,
-        and the half-written content must never be served.  The supervisor
-        calls this after respawning: each odd row is overwritten with the
-        matrix *fill* (a committed-looking dormant state) **while the
-        version is still odd** — concurrent seqlock readers discard
-        anything captured mid-write — and only then committed.  The
-        retried task rewrites the real content afterwards.
+        A worker that died inside :meth:`write_rows` leaves every row of
+        its bracket odd forever: readers spin to
+        :class:`~repro.errors.TornReadError`, and the half-written content
+        must never be served.  The supervisor calls this after respawning:
+        each odd row is overwritten with the matrix *fill* (a
+        committed-looking dormant state) **while the version is still
+        odd** — concurrent seqlock readers discard anything captured
+        mid-write — and only then committed.  The retried task rewrites
+        the real content afterwards.
         """
-        ver = self.row_versions
-        fill = 0 if self.fill is None else self.fill
-        arr = self._writable()
-        repaired = []
-        for u in range(self.rows):
-            if int(ver[u]) & 1:
-                arr[u, :] = fill
-                ver[u] += 1  # commit: even again, content is the fill state
-                repaired.append(u)
-        return repaired
+        ver = self._ver
+        torn = np.flatnonzero(ver[: self.rows] & 1)
+        self._arr[torn, :] = 0 if self.fill is None else self.fill
+        ver[torn] += 1  # commit: even again, content is the fill state
+        return torn.tolist()
+
+    def close(self) -> None:
+        # Drop the cached views' buffer exports before the blocks unmap.
+        if not self._closed:
+            self._arr = self._view = self._ver = None  # type: ignore[assignment]
+        super().close()
 
     def _blocks(self) -> "Iterable[shared_memory.SharedMemory | None]":
         return (self._shm, self._shm_ver)
@@ -646,8 +660,8 @@ class SharedMatrix(_BlockOwner, _RowWriter):
 class AttachedMatrix(_RowWriter):
     """Worker/reader-side attachment of a :class:`SharedMatrix`.
 
-    Writers (shard workers) update rows with ``with att.row_write(u) as
-    row:`` (:attr:`array` is read-only, exactly as on the owner); readers
+    Writers (shard workers) update rows with ``with att.write_rows(rows) as
+    arr:`` (:attr:`array` is read-only, exactly as on the owner); readers
     in other processes use :meth:`read_row` / :meth:`read_cell`, which
     follow the seqlock protocol — capture the row version (retry while
     odd), copy the data, re-check the version, retry on any movement.
@@ -655,7 +669,7 @@ class AttachedMatrix(_RowWriter):
     states that were *observed and discarded*, never returned).
     """
 
-    _arr: np.ndarray  # writable: only row_write hands out its rows
+    _arr: np.ndarray  # writable: only write_rows hands it out
     _view: np.ndarray  # what `array` returns (read-only)
     _ver: np.ndarray
 
@@ -673,12 +687,6 @@ class AttachedMatrix(_RowWriter):
         self._view = self._arr.view()
         self._view.flags.writeable = False
         self._ver = np.ndarray((h.capacity[0],), dtype=_VER_DTYPE, buffer=self._shm_ver.buf)
-
-    def _versions(self) -> np.ndarray:
-        return self._ver
-
-    def _writable(self) -> np.ndarray:
-        return self._arr
 
     @property
     def array(self) -> np.ndarray:

@@ -86,8 +86,9 @@ def project_table_row(
     G-star changed, new ids and readers of a row that changed everywhere
     (scattered cells go through :func:`project_table_cells` instead, which
     must agree with this kernel cell for cell).  ``dist`` is the ``d_H``
-    matrix, ``row`` the writable table row of *u* (``tables[u]``, or the
-    row a shared matrix's ``row_write`` yields), ``nbrs`` the sorted
+    matrix, ``row`` the writable table row of *u* (``tables[u]``, or a
+    scratch copy the owner scatters into a shared matrix under its write
+    bracket afterwards), ``nbrs`` the sorted
     G-neighbors of *u*, ``cols`` the destinations to refresh (``None`` =
     all).
     """

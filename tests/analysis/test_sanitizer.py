@@ -6,11 +6,12 @@ table's walk over the source (``static``, ``tests/test_layering.py``) or
 by the shared-memory leak check that runs after every test (``leak``) —
 or can no longer be written (``structural``): the API raises the moment
 it is attempted.  A parametrized test asserts exactly that per case.
-The seqlock write violations are all structural: ``row_write`` is the
-only way to write a matrix row, ``array`` views are read-only, a nested
-write raises, and there is no public "end a write"
-call to misuse.  So is a worker's final metrics snapshot arriving twice:
-the pool refuses the second one.  A leaked segment is whatever the
+The seqlock write violations are all structural: the ``write_rows``
+bracket (``row_write`` over one row) is the only way to write matrix
+rows, ``array`` views are read-only, a nested or overlapping write
+raises, and there is no public "end a write" call to misuse.  So is a
+worker's final metrics snapshot arriving twice: the pool refuses the
+second one.  A leaked segment is whatever the
 ``/dev/shm`` listing of ``tests/conftest.py`` still shows after the
 test; the table's ``block_create`` and ``block_unlink`` rows keep every
 create and unlink inside the owners of ``parallel/shm.py``.  Seed flow
@@ -31,11 +32,12 @@ import pytest
 
 import repro
 from repro import obs
+from repro.dynamic.serving import RowChanges
 from repro.errors import ProtocolError
 from repro.graph.generators import path_graph
 from repro.parallel import WorkerPool
 from repro.parallel import shm as shm_mod
-from repro.parallel.pool import _OBS_TASK_ID, fold_row_changes
+from repro.parallel.pool import _OBS_TASK_ID
 from repro.parallel.shm import AttachedMatrix, SharedMatrix
 from tests.conftest import shm_segments
 from tests.test_layering import FIXTURES, SHM, flagged, shm_source
@@ -288,7 +290,8 @@ class TestWorkerSide:
             pool.matrix("s", 6, 6, fill=-1)
             for out in ("d", "s"):
                 payloads = [("g", out, rows, None) for rows in ([0, 2, 4], [1, 3, 5])]
-                assert fold_row_changes(pool.run("serve_rows", payloads, to=[0, 1])) == {}
+                moved = RowChanges.concat(pool.run("serve_rows", payloads, to=[0, 1]))
+                assert moved.rows.size == 0  # a refresh reports no damage
             owner = pool.matrix_owner("d")
             assert owner.array[0].tolist() == [0, 1, 2, 3, 4, 5]
             assert all(int(v) == 2 for v in owner.row_versions[:6])

@@ -21,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.dynamic.serving import DenseRows, RowDelta, RowOwner, dirty_rows, resized
+from repro.dynamic.serving import (
+    DenseRows,
+    RowChanges,
+    RowDelta,
+    RowOwner,
+    dirty_rows,
+    resized,
+)
 from repro.graph import Graph, batched_bfs
 from repro.graph.generators import grid_graph
 from repro.routing.tables import routing_table
@@ -97,11 +104,12 @@ def serve(g0, h0, g1, h1, fresh, torn, workers, seed):
     h, g = h1.freeze(), g1.freeze()
     owners = [RowOwner(DenseRows(dist), DenseRows(tables)) for _ in range(workers)]
     delta = RowDelta(tuple(h_added), tuple(h_removed), n0)
-    changed: "dict[int, np.ndarray | None]" = {}
+    parts = []
     for k, owner in enumerate(owners):
         mine = [s for s in rows if s % workers == k]
-        changed.update(owner.update_rows(h, mine, delta, [s for s in fresh if s % workers == k]))
-    changed.update(dict.fromkeys(torn))  # a crash damages every column
+        parts.append(owner.update_rows(h, mine, delta, [s for s in fresh if s % workers == k]))
+    parts.append(RowChanges.everywhere(torn))  # a crash damages every column
+    changed = RowChanges.concat(parts)
     damages = []
     for k, owner in enumerate(owners):
         damage = owner.damage(g, changed, whole, owns=np.arange(n) % workers == k)
@@ -133,15 +141,16 @@ def test_fresh_rows_count_as_changed_everywhere():
     dist = bfs_matrix(h0, 4)
     dist[3] = [2, 1, 1, 0]  # stale, but repairable-looking
     owner = RowOwner(DenseRows(dist))
-    changed = owner.update_rows(h0.freeze(), [], RowDelta((), (), 4), fresh=[3])
-    assert changed == {3: None}
+    rows, counts, cols = owner.update_rows(h0.freeze(), [], RowDelta((), (), 4), fresh=[3])
+    assert (rows.tolist(), counts.tolist(), cols.tolist()) == ([3], [-1], [])
     assert dist[3].tolist() == [3, 2, 1, 0]
 
 
 def test_refresh_reports_nothing_but_writes_every_row():
     h = Graph(3, [(0, 1), (1, 2)])
     dist = np.full((3, 3), -1, dtype=np.int32)
-    assert RowOwner(DenseRows(dist)).update_rows(h.freeze(), range(3), None) == {}
+    moved = RowOwner(DenseRows(dist)).update_rows(h.freeze(), range(3), None)
+    assert all(a.size == 0 for a in moved)
     assert np.array_equal(dist, bfs_matrix(h, 3))
 
 
@@ -157,8 +166,9 @@ def test_counters_split_rows_into_repaired_and_bfsed():
     assert counters["actors.rows_repaired"] == 2  # rows 0 and 4
     assert counters["actors.rows_bfs"] == 2  # joined id 5, fresh row 2
     assert counters["actors.rows_recomputed"] == 4
-    assert changed[0].tolist() == [3, 4] and changed[4].tolist() == [0, 1]
-    assert changed[5].tolist() == [5] and changed[2] is None
+    assert changed.rows.tolist() == [0, 4, 5, 2]
+    assert changed.counts.tolist() == [2, 2, 1, -1]  # fresh row 2: every column
+    assert changed.cols.tolist() == [3, 4, 0, 1, 5]
 
 
 def test_damage_memory_scales_with_cells_not_n_squared():
@@ -171,11 +181,13 @@ def test_damage_memory_scales_with_cells_not_n_squared():
     h = Graph(g.num_nodes, g.edges())
     h.remove_edge(cut, cut + 1)
     line = range(30 * cols, 31 * cols)
-    changed = {}
+    parts = []
     for (s, old), (_s, new) in zip(
         batched_bfs(g.freeze(), line, arrays=True), batched_bfs(h.freeze(), line, arrays=True)
     ):
-        changed[s] = np.flatnonzero(old != new)
+        cols = np.flatnonzero(old != new)
+        parts.append(RowChanges.of_entries(np.full(cols.size, s), cols))
+    changed = RowChanges.concat(parts)
     frozen = g.freeze()
     frozen.numpy_arrays()
     n = g.num_nodes

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamic.serving import RowChanges
 from repro.errors import ParameterError
 from repro.graph import Graph, batched_bfs, repair_rows
 from repro.graph.generators import path_graph, random_connected_gnp
-from repro.graph.traversal import orphaned_far_ends, repairable_rows, row_changes
+from repro.graph.traversal import orphaned_far_ends, repairable_rows
 
 
 def bfs_matrix(g: Graph, rows, n: int) -> np.ndarray:
@@ -91,6 +92,36 @@ def churned(draw, max_nodes: int = 11):
     return before, after
 
 
+@st.composite
+def bridged(draw):
+    """``(before, after, cut, a, b)``: a path with chords on either side
+    of the edge ``cut–cut+1``, which is the only bridge between the
+    sides.  The delta removes it and inserts ``a–b`` across it (a non-path
+    edge), plus chords toggled within each side.  From every row, the far
+    side's entries sit at levels many apart and are all affected, and
+    each one's new distance runs through the inserted edge."""
+    length = draw(st.integers(8, 40))
+    cut = draw(st.integers(1, length - 3))
+    left = st.tuples(st.integers(0, cut), st.integers(0, cut))
+    right = st.tuples(st.integers(cut + 1, length - 1), st.integers(cut + 1, length - 1))
+    before = path_graph(length)
+    for u, v in draw(st.lists(st.one_of(left, right), max_size=6)):
+        if u != v:
+            before.add_edge(u, v)
+    after = before.copy()
+    after.remove_edge(cut, cut + 1)
+    a = draw(st.integers(0, cut))
+    b = draw(st.integers(max(cut + 1, a + 2), length - 1))
+    after.add_edge(a, b)
+    for u, v in draw(st.lists(st.one_of(left, right), max_size=6)):
+        if u != v and abs(u - v) > 1:  # keep each side connected
+            if after.has_edge(u, v):
+                after.remove_edge(u, v)
+            else:
+                after.add_edge(u, v)
+    return before, after, cut, a, b
+
+
 class TestMatchesBfs:
     @settings(max_examples=300, deadline=None)
     @given(churned())
@@ -109,6 +140,20 @@ class TestMatchesBfs:
     def test_row_strided_view(self, case):
         # Shared matrices are views into a buffer with capacity headroom.
         check(*case, capacity=case[1].num_nodes + 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bridged())
+    def test_seeds_many_levels_apart_and_inserted_detour(self, case):
+        before, after, cut, a, b = case
+        old = padded(before, before.num_nodes)
+        d = check(before, after)
+        # The near rows hold the orphaned end cut + 1 at different levels
+        # (row cut at 1, every other near row further) ...
+        assert len(set(old[: cut + 1, cut + 1].tolist())) > 1
+        # ... and reach the far side only across the inserted edge now.
+        for w in range(cut + 1):
+            assert d[w, b] == d[w, a] + 1
+            assert (d[w, cut + 1 :] >= d[w, b]).all()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 30))
@@ -203,12 +248,11 @@ class TestHelpers:
         assert bfs == [2, 4, 5]
 
     def test_row_changes_groups_by_row(self):
-        rows = np.array([1, 1, 4])
-        cols = np.array([0, 2, 3])
-        vals = np.array([5, 6, 7])
-        out = [(r, c.tolist(), v.tolist()) for r, c, v in row_changes(rows, cols, vals)]
-        assert out == [(1, [0, 2], [5, 6]), (4, [3], [7])]
-        assert list(row_changes(rows[:0], cols[:0], vals[:0])) == []
+        # repair_rows output, sorted by row, folds into the flat triple.
+        rows, counts, cols = RowChanges.of_entries(np.array([1, 1, 4]), np.array([0, 2, 3]))
+        assert (rows.tolist(), counts.tolist(), cols.tolist()) == ([1, 4], [2, 1], [0, 2, 3])
+        empty = RowChanges.of_entries(np.array([], np.int64), np.array([], np.int64))
+        assert all(a.size == 0 for a in empty)
 
     def test_orphaned_far_ends_honours_exclude(self):
         # 0-1-2 and 0-3-2: removing 1-2 leaves 3 as 2's surviving parent,

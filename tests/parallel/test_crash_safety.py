@@ -1,10 +1,11 @@
 """Seqlock crash safety: a task raising mid-write must not wedge readers.
 
-``row_write`` flips a row's version counter odd on entry and commits it
-(even again) in a ``finally`` on exit.  Before writes were bracketed that
-way, a task raising between the two flips left the counter odd *forever*
-— and every subsequent seqlock read of that row spun its whole retry
-budget and died with :class:`TornReadError`.
+The write bracket (``write_rows``, and ``row_write`` over one row) flips
+each bracketed row's version counter odd on entry and commits it (even
+again) in a ``finally`` on exit.  Before writes were bracketed that way, a
+task raising between the two flips left the counter odd *forever* — and
+every subsequent seqlock read of that row spun its whole retry budget and
+died with :class:`TornReadError`.
 
 ``crash_in_write`` (in the production ``TASKS`` registry, so ``spawn``
 workers resolve it after re-import) raises inside ``row_write``.  These
@@ -17,15 +18,16 @@ tests pin, under both start methods:
   :class:`RouteReader`, and a concurrent reader *process* — keep
   returning clean committed values promptly;
 * and why the commit matters: a row left odd (the state only a writer
-  *dying* inside ``row_write`` leaves) really does drive readers to
+  *dying* inside the bracket leaves) really does drive readers to
   :class:`TornReadError` (terminates, never spins forever).
 
-The incremental row repair is retry-safe too: a worker killed mid-way
-through the ``serve_rows`` stage leaves rows it already committed (exact
-new distances), one torn row the supervisor resets to −1, and untouched
-old rows.  The retried task repairs the first kind to a no-op, sends the
-torn row (its diagonal is no longer 0) to a full BFS, and repairs the
-rest — D and T end bit-identical to the serial twin.
+The incremental row repair is retry-safe too: a worker killed inside the
+``serve_rows`` stage's write bracket leaves every row of that bracket
+torn, which the supervisor resets to −1, and the other rows committed
+(exact new distances) or untouched.  The retried task repairs committed
+rows to a no-op, sends the torn rows (their diagonal is no longer 0) to a
+full BFS, and repairs the rest — D and T end bit-identical to the serial
+twin.
 """
 
 import multiprocessing
@@ -195,21 +197,26 @@ def test_unbalanced_bracket_reaches_torn_read_error(monkeypatch):
 def test_write_crash_mid_incremental_row_repair(method, monkeypatch):
     """A torn write inside an incremental ``serve_rows`` stage heals exactly."""
     sc = make_scenario("failure", 40, 20, seed=5)
-    n = sc.initial.num_nodes
-    # One worker: the build writes every D row and every T row (2n writes);
-    # the next write opportunity is the first tick's serve_rows stage, and
-    # the crash fires on its second row write, after one committed row.
+    events = list(sc.events)
+    # One worker and one write bracket per stage: the build is two
+    # brackets (every D row in one BFS chunk, every T row in one
+    # projection), so the third is the first tick's serve_rows repair
+    # write, and the crash tears exactly the D rows that tick moves.
+    twin = RoutingService(sc.initial, "kcover", rebuild_fraction=1.0)
+    before_tick = twin._dist.copy()
+    twin.apply_batch(events[:5])
+    torn = int(np.count_nonzero((twin._dist != before_tick).any(axis=1)))
+    assert torn > 1, "the first tick must move several rows for the bracket to matter"
     plan = FaultPlan(
         "torn-repair",
         3,
-        (FaultRule("write.crash", p=1.0, count=1, after=2 * n + 1, fresh_only=True),),
+        (FaultRule("write.crash", p=1.0, count=1, after=2, fresh_only=True),),
     )
     monkeypatch.setenv(faults.ENV_PLAN, plan.spec())
     faults.install(plan)
     try:
         serial = RoutingService(sc.initial, "kcover", rebuild_fraction=1.0)
         before = obs.snapshot()
-        events = list(sc.events)
         with ShardedRoutingService(
             sc.initial, "kcover", workers=1, start_method=method, rebuild_fraction=1.0
         ) as service:
@@ -219,13 +226,13 @@ def test_write_crash_mid_incremental_row_repair(method, monkeypatch):
                 assert np.array_equal(np.asarray(service._dist), serial._dist)
                 assert np.array_equal(np.asarray(service._tables), serial._tables)
             assert service.pool_health.respawns == 1
-            assert service.pool_health.torn_rows_repaired == 1
+            assert service.pool_health.torn_rows_repaired == torn
             shards = service.metrics()["merged"]["counters"]
         counters = obs.diff_snapshots(before, obs.snapshot())["counters"]
         # The crash hit the row stage, not the table projection ...
         assert counters.get("sharded.crash_full_damage", 0) == 1
-        # ... and the respawned worker repaired rows and BFSed the torn one.
+        # ... and the respawned worker repaired rows and BFSed the torn ones.
         assert shards.get("serve.rows_repaired", 0) > 0
-        assert shards.get("serve.rows_bfs", 0) >= 1
+        assert shards.get("serve.rows_bfs", 0) >= torn
     finally:
         faults.uninstall()

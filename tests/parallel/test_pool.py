@@ -13,16 +13,17 @@ attached snapshot into rows ``sources`` of the shared matrix.
 """
 
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.dynamic.serving import RowChanges
 from repro.errors import ParameterError
 from repro.graph import bfs_distances
 from repro.graph.generators import random_connected_gnp
 from repro.parallel import WorkerError, WorkerPool, resolve_workers
-from repro.parallel.pool import flat_row_changes, fold_row_changes
 
 START_METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
@@ -89,22 +90,29 @@ class TestDispatch:
             assert pool.run("echo", []) == []
 
 
-class TestFlatRowChanges:
-    def test_round_trip_keeps_rows_order_and_whole_rows(self):
-        changed = {
-            7: np.array([0, 3, 5]),
-            2: None,
-            4: np.array([], dtype=np.int64),
-            9: np.array([1]),
-        }
-        flat = flat_row_changes(changed)
-        assert [a.dtype for a in flat] == [np.int64] * 3
-        assert flat[1].tolist() == [3, -1, 0, 1]
-        back = fold_row_changes([flat, flat_row_changes({1: None}), flat_row_changes({})])
-        assert list(back) == [7, 2, 4, 9, 1]
-        assert back[2] is None and back[1] is None
-        for s in (7, 4, 9):
-            assert back[s].tolist() == changed[s].tolist()
+class TestRowChanges:
+    def test_concat_keeps_rows_order_and_whole_rows_across_pickling(self):
+        # Workers ship their triples through the result queue and the
+        # parent concatenates them as they come.
+        parts = [
+            RowChanges.of_entries(np.array([7, 7, 7, 4, 9]), np.array([0, 3, 5, 2, 1])),
+            RowChanges.everywhere([2, 1]),
+            RowChanges.none(),
+        ]
+        rows, counts, cols = RowChanges.concat(pickle.loads(pickle.dumps(p)) for p in parts)
+        assert [a.dtype for a in (rows, counts, cols)] == [np.int64] * 3
+        assert rows.tolist() == [7, 4, 9, 2, 1]
+        assert counts.tolist() == [3, 1, 1, -1, -1]
+        assert cols.tolist() == [0, 3, 5, 2, 1]
+        assert all(a.size == 0 for a in RowChanges.concat([]))
+
+    def test_refresh_ships_no_rows(self):
+        csr = random_connected_gnp(20, 0.2, seed=1).freeze()
+        with WorkerPool(2) as pool:
+            pool.publish_csr("g", csr)
+            pool.matrix("out", 20, 20, fill=-1)
+            results = pool.run("serve_rows", [("g", "out", [0, 2], None), ("g", "out", [1], None)])
+        assert all(isinstance(r, RowChanges) and r.rows.size == 0 for r in results)
 
 
 class TestSharedObjectsThroughPool:

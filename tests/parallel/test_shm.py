@@ -4,7 +4,8 @@ The data plane's contract is byte-level: an attached snapshot must be
 indistinguishable from the original (``share()``/``attach()`` round-trip),
 and every publish — in place or into reallocated blocks — must leave
 readers seeing exactly the new snapshot.  Matrix rows are written only
-through ``row_write`` (:class:`TestRowWrite`).
+through the one ``write_rows`` bracket (:class:`TestWriteRows`), or its
+one-row spelling ``row_write`` (:class:`TestRowWrite`).
 """
 
 import dataclasses
@@ -464,7 +465,7 @@ def _nested_write_child(handle, out_q) -> None:
 
 
 class TestRowWrite:
-    """``with m.row_write(u) as row:`` is the only way to write a row."""
+    """``with m.row_write(u) as row:`` is the one write bracket over one row."""
 
     def test_versioned_array_is_read_only(self):
         m = SharedMatrix(4, 4, fill=0)
@@ -567,6 +568,64 @@ class TestRowWrite:
         for cls in (SharedMatrix, AttachedMatrix):
             assert not hasattr(cls, "begin_row_write")
             assert not hasattr(cls, "end_row_write")
+
+
+class TestWriteRows:
+    """``with m.write_rows(rows) as arr:`` is the one write bracket."""
+
+    def test_bracketed_rows_are_odd_inside_and_even_after_a_raising_body(self):
+        m = SharedMatrix(6, 6, fill=0)
+        att = AttachedMatrix(m.handle)
+        try:
+            for writer in (m, att):
+                before = m.row_versions[:6].copy()
+                with pytest.raises(RuntimeError, match="body failed"):
+                    with writer.write_rows([4, 1, 4]) as arr:
+                        assert (m.row_versions[[1, 4]] % 2 == 1).all()
+                        assert (m.row_versions[[0, 2, 3, 5]] % 2 == 0).all()
+                        arr[[1, 4], 2] = 9
+                        raise RuntimeError("body failed")
+                after = m.row_versions[:6]
+                assert (after % 2 == 0).all()
+                assert (after - before).tolist() == [0, 2, 0, 0, 2, 0]
+            assert att.read_row(4).tolist() == [0, 0, 9, 0, 0, 0]
+        finally:
+            att.close()
+            m.close()
+
+    def test_a_bracket_overlapping_a_row_mid_write_raises(self):
+        m = SharedMatrix(6, 6, fill=0)
+        att = AttachedMatrix(m.handle)
+        try:
+            with m.write_rows([2, 3]):
+                with pytest.raises(ProtocolError, match="already mid-write"):
+                    with att.write_rows([0, 3]):  # row 3 is held open
+                        pass  # pragma: no cover - entry raises
+                assert int(m.row_versions[0]) == 0  # refused before touching anything
+                assert (m.row_versions[[2, 3]] % 2 == 1).all()
+                with att.write_rows([0, 5]) as arr:  # disjoint rows proceed
+                    arr[0, 0] = 1
+            assert (m.row_versions[:6] % 2 == 0).all()
+            assert m.array[0, 0] == 1
+        finally:
+            att.close()
+            m.close()
+
+    def test_views_are_built_once_and_rewrapped_on_resize(self):
+        m = SharedMatrix(4, 4, fill=0)
+        try:
+            assert m.array is m.array and m.row_versions is m.row_versions
+            assert not m.array.flags.writeable
+            m.resize(5, 5, fill=-1)  # within capacity: a new shape, same blocks
+            assert m.array.shape == (5, 5) and m.array[4, 4] == -1
+            m.resize(200, 200, fill=-1)  # past capacity: new blocks
+            assert m.array.shape == (200, 200) and (m.array[:4, :4] == 0).all()
+            assert not m.array.flags.writeable and m.row_versions.size >= 200
+            with m.row_write(150) as row:
+                row[:] = 3
+            assert m.array[150, 199] == 3 and m.row_versions[150] == 2
+        finally:
+            m.close()
 
 
 class TestNoKnobCreep:

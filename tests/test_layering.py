@@ -172,10 +172,10 @@ TABLE = {
     ),
     "seqlock_bracket": Row(
         ("begin_row_write", "end_row_write", "_begin_row_write", "_end_row_write",
-         "_writable", "_versions", "row_versions[]=", "versions[]="),
+         "_arr", "_ver", "row_versions[]=", "versions[]="),
         (SHM,),
-        "row_write is the only way to write a versioned row; the raw bracket and "
-        "the counters stay inside it",
+        "write_rows is the one write bracket (row_write is it over one row); the "
+        "writable matrix and the version counters stay inside it",
     ),
     "read_loop": Row(
         ("_spin",),
@@ -798,14 +798,17 @@ MUTATIONS = [
     Mutation(
         "m.begin_row_write(u)\n"
         "m._end_row_write(u)\n"
-        "row = m._writable()[u]\n"
+        "arr = m._arr\n"
         "m.row_versions[u] += 1\n"
         "att.versions[u] = 0\n"
+        "m._ver[rows] += 1\n"
+        "with m.write_rows(rows) as arr:\n"
+        "    arr[rows, cols] = vals\n"
         "with m.row_write(u) as row:\n"
         "    row[:] = 1\n"
         "x = m.row_versions[u]\n",
         "src/repro/parallel/pool.py",
-        {"seqlock_bracket": [1, 2, 3, 4, 5]},
+        {"seqlock_bracket": [1, 2, 3, 4, 5, 6]},
     ),
     Mutation("read_loop_bad.py", LIBRARY, {"read_loop": [12, 18]}),
     Mutation(
