@@ -12,9 +12,9 @@ The second bar is the *zero-cost-off* claim: with ``REPRO_FAULT_PLAN`` unset
 the hooks compiled into the hot paths (task start, result send, row
 write, shm create/attach) must cost ≤ 2% of a repair event.  Wall-clock
 A/B at 2% is runner noise, so the bound is established structurally: the
-disarmed hook is timed directly (ns/call) and multiplied by a generous
-upper bound on calls per repair event, then compared against the
-measured per-event repair time.
+disarmed hook is timed directly (ns/call) and multiplied by the hook
+calls a repair event makes — counted on the same soak, in the workers and
+the parent — then compared against the measured per-event repair time.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ def _merge_artifact(results_dir, key, payload):
     data = json.loads(artifact.read_text()) if artifact.exists() else {}
     data[key] = payload
     artifact.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+#: Arms the fault plane (every hook runs) without ever firing: the soak
+#: that counts hook calls.
+NEVER_FIRES = FaultPlan("count-hooks", 5, (FaultRule("write.crash", p=0.0),))
+
+#: The hooks compiled into ``repro.parallel``, each behind ``if _faults.active``.
+HOOKS = ("on_task_start", "on_result", "on_begin_row_write", "on_shm_create", "on_shm_attach")
 
 
 def _soak(sc, events, *, armed):
@@ -159,9 +167,10 @@ def test_hooks_off_overhead(record, results_dir, monkeypatch):
     result_ns = per_call(faults.on_result, "serve_rows") * 1e9
     write_ns = per_call(faults.on_begin_row_write, 0) * 1e9
 
-    # Generous per-event hook budget: every row rewritten (full-damage
-    # repair) plus a task start + result send per worker, both matrices.
-    calls_per_event = 2 * N_FAULTS + 4 * WORKERS
+    # Per-event hook budget: the calls the same soak makes per event (one
+    # per write bracket, task start, result send and shm create/attach).
+    hook_calls = _count_hook_calls(sc, list(sc.events), monkeypatch)
+    calls_per_event = sum(hook_calls.values()) / NUM_EVENTS
     hook_seconds = (max(task_ns, result_ns, write_ns) / 1e9) * calls_per_event
     overhead_percent = 100.0 * hook_seconds / event_seconds
     assert overhead_percent <= HOOK_OVERHEAD_BAR, (
@@ -173,7 +182,8 @@ def test_hooks_off_overhead(record, results_dir, monkeypatch):
         "task_start_ns_per_call": round(task_ns, 1),
         "result_ns_per_call": round(result_ns, 1),
         "row_write_ns_per_call": round(write_ns, 1),
-        "calls_per_event_budget": calls_per_event,
+        "hook_calls": hook_calls,
+        "calls_per_event_budget": round(calls_per_event, 2),
         "event_seconds": round(event_seconds, 6),
         "overhead_percent": round(overhead_percent, 4),
         "bar_percent": HOOK_OVERHEAD_BAR,
@@ -182,6 +192,54 @@ def test_hooks_off_overhead(record, results_dir, monkeypatch):
     record(
         "bench_faults_overhead",
         f"hooks-off overhead: ≤{max(task_ns, result_ns, write_ns):.0f}ns/call × "
-        f"{calls_per_event} calls/event = {overhead_percent:.3f}% of a "
+        f"{calls_per_event:.1f} calls/event = {overhead_percent:.3f}% of a "
         f"{event_seconds * 1e3:.1f}ms repair event (bar {HOOK_OVERHEAD_BAR}%)",
     )
+
+
+def _count_hook_calls(sc, events, monkeypatch) -> dict:
+    """Calls of each fault hook while the soak applies *events*, summed over
+    the workers and the parent; the build before the first event is not
+    counted.
+
+    The plane is armed with :data:`NEVER_FIRES`, so every hook runs and
+    none fires, and each hook is wrapped to count itself into the
+    process's metrics registry; forked workers inherit the wrappers and
+    ship their counts back with their metrics.
+    """
+
+    def counting(name, hook):
+        def wrapper(*args):
+            obs.metrics().inc(f"bench.hooks.{name}")
+            return hook(*args)
+
+        return wrapper
+
+    def counts(merged) -> dict:
+        parent = obs.metrics()
+        return {
+            name: merged["counters"].get(f"bench.hooks.{name}", 0)
+            + parent.counter(f"bench.hooks.{name}")
+            for name in HOOKS
+        }
+
+    for name in HOOKS:
+        monkeypatch.setattr(faults, name, counting(name, getattr(faults, name)))
+    monkeypatch.setenv(faults.ENV_PLAN, NEVER_FIRES.spec())
+    faults.maybe_install_from_env()
+    try:
+        with ShardedRoutingService(
+            sc.initial, "kcover", workers=WORKERS, rebuild_fraction=1.0
+        ) as service:
+            before = counts(service.metrics()["merged"])
+            for start in range(0, len(events), CHUNK):
+                service.apply_batch(events[start : start + CHUNK])
+            after = counts(service.metrics()["merged"])
+    finally:
+        faults.uninstall()
+        monkeypatch.delenv(faults.ENV_PLAN, raising=False)
+    calls = {name: int(after[name] - before[name]) for name in HOOKS}
+    assert calls["on_task_start"] > 0 and calls["on_begin_row_write"] > 0, (
+        f"the counting soak saw no hook calls: {calls}"
+    )
+    return calls

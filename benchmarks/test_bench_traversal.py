@@ -15,6 +15,11 @@ rather than pytest-benchmark calibration: the quantity of interest is the
 minimum of paired rounds is the most noise-robust way to get it.  The two
 arms of that ratio run in alternating rounds (sets, batched, sets, ...), so
 a drift in host speed during the test lands on both arms alike.
+
+The artifact also times ``batched_bfs``'s two kernels head to head: the
+550 sources through the lane kernel alone and through the frontier kernel
+alone, and chunks of 1–16 sources through each, from which it records the
+measured crossover next to the module's ``_LANE_MIN_SOURCES``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import pytest
 
 from repro import obs
 from repro.graph import batched_bfs, bfs_distances, bfs_parents, multi_source_distances
+from repro.graph import traversal
 from repro.graph.traversal import _csr_of
 from repro.experiments import largest_component, scaled_udg
 
@@ -79,6 +85,7 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
     g._csr = None
     t_freeze = _best_of(lambda: g.freeze(), rounds=1)
 
+    kernels = _kernel_timings(g.freeze(), sources, bench_rng)
     speedup = t_sets / t_batched
     payload = {
         "graph": {"n": g.num_nodes, "m": g.num_edges, "kind": "udg", "seed": 99},
@@ -89,6 +96,7 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
             "batched_bfs": round(t_batched, 6),
             "freeze_conversion": round(t_freeze, 6),
         },
+        "kernels": kernels,
         "speedup_batched_vs_sets": round(speedup, 2),
         "speedup_single_vs_sets": round(t_sets / t_csr_single, 2),
         "required_speedup": REQUIRED_SPEEDUP,
@@ -102,12 +110,61 @@ def test_batched_bfs_speedup(udg, record, results_dir, bench_rng):
         f"traversal n={g.num_nodes} m={g.num_edges} sources={len(sources)}: "
         f"sets {t_sets * 1e3:.0f} ms, csr-single {t_csr_single * 1e3:.0f} ms, "
         f"batched {t_batched * 1e3:.0f} ms -> {speedup:.1f}x "
-        f"(freeze {t_freeze * 1e3:.1f} ms)",
+        f"(freeze {t_freeze * 1e3:.1f} ms); lanes {kernels['lanes_seconds'] * 1e3:.0f} ms "
+        f"vs frontier {kernels['frontier_seconds'] * 1e3:.0f} ms, crossover "
+        f"{kernels['measured_crossover']} (constant {kernels['lane_min_sources']})",
     )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"batched_bfs only {speedup:.2f}x faster than the set backend "
         f"(need ≥ {REQUIRED_SPEEDUP}x): {payload}"
     )
+
+
+#: Chunk sizes at which the crossover between the two kernels is measured.
+CROSSOVER_SIZES = (1, 2, 4, 6, 8, 12, 16)
+
+
+def _kernel_timings(csr, sources, rng) -> dict:
+    """Each ``batched_bfs`` kernel alone on *sources* (64 to a chunk), and
+    per chunk size, both kernels on one chunk of random sources; the
+    measured crossover is the smallest size from which the lanes are
+    never slower."""
+    lanes, word = traversal._Lanes(csr), traversal._LANES
+
+    def lane_run(srcs):
+        return lambda: [lanes.rows(srcs[w : w + word], None) for w in range(0, len(srcs), word)]
+
+    def frontier_run(srcs):
+        return lambda: [
+            traversal._frontier_rows(csr, srcs[w : w + word], None)
+            for w in range(0, len(srcs), word)
+        ]
+
+    t_lanes = t_frontier = float("inf")
+    for _ in range(ROUNDS):
+        t_lanes = min(t_lanes, _best_of(lane_run(sources), rounds=1))
+        t_frontier = min(t_frontier, _best_of(frontier_run(sources), rounds=1))
+    per_size = {}
+    for b in CROSSOVER_SIZES:
+        srcs = [int(s) for s in rng.choice(csr.num_nodes, size=b, replace=False)]
+        tl = tf = float("inf")
+        for _ in range(5):
+            tl = min(tl, _best_of(lane_run(srcs), rounds=1))
+            tf = min(tf, _best_of(frontier_run(srcs), rounds=1))
+        per_size[str(b)] = {"lanes_ms": round(tl * 1e3, 3), "frontier_ms": round(tf * 1e3, 3)}
+    crossover = None
+    for b in reversed(CROSSOVER_SIZES):
+        if per_size[str(b)]["lanes_ms"] > per_size[str(b)]["frontier_ms"]:
+            break
+        crossover = b
+    return {
+        "lanes_seconds": round(t_lanes, 6),
+        "frontier_seconds": round(t_frontier, 6),
+        "speedup_lanes_vs_frontier": round(t_frontier / t_lanes, 2),
+        "chunk_ms": per_size,
+        "measured_crossover": crossover,
+        "lane_min_sources": traversal._LANE_MIN_SOURCES,
+    }
 
 
 def test_backends_agree_on_bench_graph(udg):

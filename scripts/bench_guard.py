@@ -32,6 +32,11 @@ import sys
 #: (artifact file, path into the JSON, human label)
 METRICS = [
     ("BENCH_traversal.json", ("speedup_batched_vs_sets",), "batched BFS vs sets"),
+    (
+        "BENCH_construction.json",
+        ("kcover", "speedup_bitmask_vs_reference"),
+        "kcover trees vs set reference",
+    ),
     ("BENCH_dynamic.json", ("speedup_incremental_vs_rebuild",), "incremental maintenance"),
     ("BENCH_routing.json", ("kernel", "speedup_neighbor_vs_scan"), "routing-table kernel"),
     (

@@ -27,10 +27,11 @@
 # the partition scenario (./OBS_chaos.json).  CI uploads the OBS_*.json
 # artifacts.
 #
-# Step 3 runs the traversal, dynamic-maintenance, routing-serving,
-# parallel-serving, query-serving, observability, fault-recovery,
-# wire-bytes and actor-tier micro-benchmarks and leaves their JSON
-# artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
+# Step 3 runs the traversal, kcover-construction, dynamic-maintenance,
+# routing-serving, parallel-serving, query-serving, observability,
+# fault-recovery, wire-bytes and actor-tier micro-benchmarks and leaves
+# their JSON artifacts at ./BENCH_traversal.json,
+# ./BENCH_construction.json, ./BENCH_dynamic.json,
 # ./BENCH_routing.json, ./BENCH_parallel.json, ./BENCH_queries.json,
 # ./BENCH_obs.json, ./BENCH_faults.json, ./BENCH_wire.json and
 # ./BENCH_actors.json (copied from
@@ -103,14 +104,17 @@ if [ "${SKIP_BENCH:-0}" = "1" ]; then
     exit 0
 fi
 
-echo "== [3/5] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,faults,wire,actors}.json) =="
-python -m pytest -q benchmarks/test_bench_traversal.py benchmarks/test_bench_dynamic.py \
+echo "== [3/5] perf benchmarks (write BENCH_{traversal,construction,dynamic,routing,parallel,queries,obs,faults,wire,actors}.json) =="
+python -m pytest -q benchmarks/test_bench_traversal.py \
+    benchmarks/test_bench_construction.py::test_kcover_trees_speedup \
+    benchmarks/test_bench_dynamic.py \
     benchmarks/test_bench_routing.py benchmarks/test_bench_parallel.py \
     benchmarks/test_bench_queries.py benchmarks/test_bench_obs.py \
     benchmarks/test_bench_faults.py benchmarks/test_bench_wire.py \
     benchmarks/test_bench_actors.py \
     -p no:cacheprovider --benchmark-disable
 cp benchmarks/results/BENCH_traversal.json BENCH_traversal.json
+cp benchmarks/results/BENCH_construction.json BENCH_construction.json
 cp benchmarks/results/BENCH_dynamic.json BENCH_dynamic.json
 cp benchmarks/results/BENCH_routing.json BENCH_routing.json
 cp benchmarks/results/BENCH_parallel.json BENCH_parallel.json
@@ -119,10 +123,11 @@ cp benchmarks/results/BENCH_obs.json BENCH_obs.json
 cp benchmarks/results/BENCH_faults.json BENCH_faults.json
 cp benchmarks/results/BENCH_wire.json BENCH_wire.json
 cp benchmarks/results/BENCH_actors.json BENCH_actors.json
-echo "perf artifacts: ./BENCH_traversal.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
+echo "perf artifacts: ./BENCH_traversal.json ./BENCH_construction.json ./BENCH_dynamic.json ./BENCH_routing.json ./BENCH_parallel.json ./BENCH_queries.json ./BENCH_obs.json ./BENCH_faults.json ./BENCH_wire.json ./BENCH_actors.json"
 python - <<'PYEOF'
 import json
 t = json.load(open("BENCH_traversal.json"))
+kc = json.load(open("BENCH_construction.json"))["kcover"]
 d = json.load(open("BENCH_dynamic.json"))
 r = json.load(open("BENCH_routing.json"))
 p = json.load(open("BENCH_parallel.json"))
@@ -134,6 +139,15 @@ actors = json.load(open("BENCH_actors.json"))
 print(
     f"batched_bfs speedup vs set backend: "
     f"{t['speedup_batched_vs_sets']}x (required {t['required_speedup']}x)"
+)
+print(
+    f"batched_bfs lanes vs frontier kernel: {t['kernels']['speedup_lanes_vs_frontier']}x "
+    f"(measured crossover {t['kernels']['measured_crossover']} sources, "
+    f"constant {t['kernels']['lane_min_sources']})"
+)
+print(
+    f"kcover trees, bitmask vs set reference: {kc['speedup_bitmask_vs_reference']}x "
+    f"(required {kc['required_speedup']}x)"
 )
 print(
     f"incremental maintenance speedup vs rebuild-per-event: "

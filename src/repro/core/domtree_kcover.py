@@ -19,13 +19,17 @@ the *not yet fully covered* distance-2 nodes (subtly different from the
 residual-demand gain of :func:`repro.setcover.greedy_multicover`; both have
 the same guarantee, we reproduce the paper's rule).  Ties break on smallest
 node id.
+
+Each tree is a local computation over a bounded probe set — u's 2-hop
+ball — so the greedy runs on bitmasks of that set: the 2-ring is numbered
+locally and each candidate carries one Python-int mask of its 2-ring
+neighbours, so a gain is one ``&`` and one ``bit_count``.
 """
 
 from __future__ import annotations
 
 from ..errors import ParameterError
 from ..graph import Graph
-from ..graph.traversal import bfs_layers
 from .domtree import DomTree
 
 __all__ = ["dom_tree_kcover", "mpr_set"]
@@ -34,63 +38,63 @@ __all__ = ["dom_tree_kcover", "mpr_set"]
 def dom_tree_kcover(g: Graph, u: int, k: int) -> DomTree:
     """Compute a k-connecting (2, 0)-dominating tree for *u* (Algorithm 4).
 
-    Implements the paper's greedy with incremental bookkeeping (identical
-    output, near-linear work in the local edge count): per candidate we
-    maintain ``gain[x] = |N(x) ∩ S|``; per 2-ring node, its current
-    coverage ``cov[v] = |N(v) ∩ M|`` and the count of still-available
-    common neighbors ``avail[v] = |N(v) ∩ N(u) \\ M|``.  The S-removal rule
-    "``N(v) ∩ N(u) ⊆ M`` or ``|N(v) ∩ M| ≥ k``" becomes
-    ``avail[v] == 0 or cov[v] ≥ k``; a node's removal decrements the gains
-    of its candidate neighbors.
+    The paper's greedy on bitmasks of u's 2-ring:
+
+    * each candidate ``x ∈ N(u)``, in sorted order, holds ``mask[x]`` =
+      ``N(x) ∩ ring``; its gain ``|N(x) ∩ S|`` is
+      ``(mask[x] & S).bit_count()``, and a strict ``>`` over the sorted
+      candidates keeps the smallest-id tie-break;
+    * coverage is k bit-sliced counters, ``cover[j]`` = the nodes covered
+      at least j times; picking m sets ``cover[j] |= cover[j-1] & m`` from
+      j = k down, and S loses ``cover[k]``;
+    * the paper's other removal rule, ``N(v) ∩ N(u) ⊆ M``, says v is in
+      no unpicked mask.  Such a v adds to no remaining gain, so it needs
+      no bit of its own: the greedy stops when the best gain is 0, which
+      is exactly when S under both rules is empty.
+
+    A candidate whose gain reaches 0 never gains again (S only shrinks),
+    so each scan drops it.  Output is the same parent map, in the same
+    pick order, as the set-based greedy kept as the test reference.
     """
     if k < 1:
         raise ParameterError(f"k must be ≥ 1, got {k}")
-    layers = bfs_layers(g, u, cutoff=2)
-    two_ring = set(layers[2]) if len(layers) > 2 else set()
-    nu = g.neighbors(u)
+    g._check(u)
+    nbrs = g.neighbors
+    nu = nbrs(u)
+    outside = nu | {u}  # everything not in the 2-ring
+    bit: dict[int, int] = {}  # 2-ring node -> its local bit
+    live: list[tuple[int, int]] = []
+    for x in sorted(nu):
+        m = 0
+        for v in nbrs(x) - outside:
+            b = bit.get(v)
+            if b is None:
+                b = bit[v] = 1 << len(bit)
+            m |= b
+        if m:
+            live.append((x, m))
 
     tree = DomTree(root=u)
-    if not two_ring:
-        return tree
-    in_s: dict[int, bool] = {v: True for v in two_ring}
-    cov = {v: 0 for v in two_ring}
-    avail = {v: len(g.neighbors(v) & nu) for v in two_ring}
-    candidates = sorted(nu)
-    gain = {x: len(g.neighbors(x) & two_ring) for x in candidates}
-    picked: set[int] = set()
-    s_size = len(two_ring)
-    while s_size > 0:
-        best_x = -1
-        best_gain = 0
-        for x in candidates:
-            if x in picked:
-                continue
-            gx = gain[x]
-            if gx > best_gain:
-                best_gain = gx
-                best_x = x
-        if best_x < 0:  # pragma: no cover — S ≠ ∅ implies a usable candidate
-            raise ParameterError("uncoverable 2-ring: inconsistent input graph")
-        picked.add(best_x)
-        tree.add_root_path([u, best_x])
-        # Update coverage for the nodes best_x touches, then sweep removals.
-        removed: list[int] = []
-        for v in g.neighbors(best_x):
-            if v not in in_s:
-                continue
-            if in_s[v]:
-                cov[v] += 1
-                avail[v] -= 1
-                if cov[v] >= k or avail[v] == 0:
-                    in_s[v] = False
-                    removed.append(v)
-            else:
-                avail[v] -= 1  # bookkeeping stays exact for later picks
-        for v in removed:
-            s_size -= 1
-            for x in g.neighbors(v) & nu:
-                if x in gain:
-                    gain[x] -= 1
+    parent = tree.parent
+    s = (1 << len(bit)) - 1
+    cover = [s] + [0] * k
+    while live:
+        best_x = best_m = best_gain = 0
+        keep = []
+        for x, m in live:
+            gx = (m & s).bit_count()
+            if gx:
+                keep.append((x, m))
+                if gx > best_gain:
+                    best_gain, best_x, best_m = gx, x, m
+        if not best_gain:
+            break
+        parent[best_x] = u
+        keep.remove((best_x, best_m))
+        live = keep
+        for j in range(k, 0, -1):
+            cover[j] |= cover[j - 1] & best_m
+        s &= ~cover[k]
     return tree
 
 

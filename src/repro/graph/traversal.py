@@ -28,7 +28,8 @@ two paths, and the input alone picks one:
 
 For per-node loops — every Algorithm 1–5 construction, stretch
 certification, APSP — use :func:`batched_bfs`, which freezes once and
-amortizes buffer allocation across sources.
+runs up to 64 sources per level as the bits of one ``uint64`` word per
+node.
 
 When a graph changes by a small net delta, :func:`repair_rows` brings
 existing BFS rows up to date instead of re-running them: only the entries
@@ -71,12 +72,22 @@ UNREACHED = -1
 #: graphs like paths degenerate to one node per level).
 _SMALL_FRONTIER = 16
 
-#: Sources per chunk in :func:`batched_bfs` (``None`` chunk argument).
-#: Small enough that the flat ``chunk * n`` distance buffer stays
-#: cache-friendly, large enough to amortize per-level numpy call overhead
-#: across sources (64 measured best on the 2200-node UDG of
-#: ``benchmarks/test_bench_traversal.py``).
-_BATCH_CHUNK = 64
+#: Sources per lane word of :func:`batched_bfs` (bits of a ``uint64``),
+#: and each lane's bit.
+_LANES = 64
+_LANE_BITS = np.left_shift(np.uint64(1), np.arange(_LANES, dtype=np.uint64))
+
+#: Sources per chunk in :func:`batched_bfs` (``None`` chunk argument):
+#: one lane word.
+_BATCH_CHUNK = _LANES
+
+#: Fewest sources a :func:`batched_bfs` chunk needs to run the lane
+#: kernel; smaller chunks run the frontier kernel.  A lane level costs the
+#: same for 1 source as for 64, a frontier level grows with the sources.
+#: Measured crossover (best-of-7, 2-CPU host): 4–6 sources on the
+#: ``pool-nodechurn`` spanner (n = 1500, m = 4912), 6–8 on the
+#: 2200-node UDG of ``benchmarks/test_bench_traversal.py``.
+_LANE_MIN_SOURCES = 6
 
 #: Below this node count a ``Graph`` stays on the set loops even with a
 #: fresh snapshot: numpy call overhead exceeds the whole BFS on toy graphs
@@ -416,13 +427,22 @@ def batched_bfs(
     """Yield ``(source, dist)`` for each source — the amortized per-node loop.
 
     This is the engine behind every "for every node u: BFS from u" loop in
-    the paper (Algorithm 3's assembly, stretch certification, APSP).  It
-    freezes *g* once and runs *chunk* sources simultaneously on the flat
-    CSR arrays: one distance buffer of ``chunk × n`` int32 entries encodes
-    all BFS states, frontiers are flat ``source_slot * n + node`` keys, and
-    each level is a single vectorized gather — so numpy call overhead and
-    buffer allocation amortize across sources instead of recurring per
-    node.
+    the paper (Algorithm 3's assembly, stretch certification, APSP, the
+    serving tier's D rows).  It freezes *g* once and runs *chunk* sources
+    at a time on the flat CSR arrays, with one of two kernels picked by
+    the chunk's source count:
+
+    * **lanes** (at least :data:`_LANE_MIN_SOURCES` sources) — each source
+      owns one bit of a ``uint64`` word per node, 64 sources to a word.  A
+      level is one ``np.bitwise_or.reduceat`` of the frontier words over
+      the CSR rows (every node ORs its neighbours' bits) and one
+      ``new = gathered & ~seen``; the level number goes into bit-sliced
+      planes, unpacked into ``dist`` rows once at the end.  A level costs
+      the same for 1 source as for 64;
+    * **frontier** (fewer sources) — frontiers are flat
+      ``source_slot * n + node`` keys and each level is one vectorized
+      gather over the frontier's rows, so a level costs what its frontier
+      touches.  It wins only on tiny batches.
 
     Yields in the order of *sources* (default: all nodes).  Each ``dist``
     is a fresh list the caller owns — or, with ``arrays=True``, a
@@ -446,44 +466,105 @@ def batched_bfs(
             yield int(s), (np.asarray(dist, dtype=np.int32) if arrays else dist)
         return
     csr = g if isinstance(g, CSRGraph) else g.freeze()
-    n = csr.num_nodes
-    src_list = list(range(n)) if sources is None else list(sources)
+    src_list = list(range(csr.num_nodes)) if sources is None else list(sources)
     for s in src_list:
         csr._check(s)
-    np_indptr, np_indices = csr.numpy_arrays()
+    lanes = _Lanes(csr)
     for lo in range(0, len(src_list), chunk):
-        srcs = np.asarray(src_list[lo : lo + chunk], dtype=np.int64)
+        part = src_list[lo : lo + chunk]
+        few = len(part) < _LANE_MIN_SOURCES
+        for w in range(0, len(part), _LANES):
+            srcs = part[w : w + _LANES]
+            rows = _frontier_rows(csr, srcs, cutoff) if few else lanes.rows(srcs, cutoff)
+            for s, row in zip(srcs, rows):
+                yield int(s), (row if arrays else row.tolist())
+
+
+def _frontier_rows(csr: CSRGraph, srcs: "list[int]", cutoff: "int | None") -> np.ndarray:
+    """The frontier kernel of :func:`batched_bfs`: a ``(len(srcs), n)``
+    int32 distance block."""
+    np_indptr, np_indices = csr.numpy_arrays()
+    n = csr.num_nodes
+    b = len(srcs)
+    dist = np.full(b * n, UNREACHED, dtype=np.int32)
+    frontier = np.arange(b, dtype=np.int64) * n + np.asarray(srcs, dtype=np.int64)
+    dist[frontier] = 0
+    d = 0
+    while frontier.size and (cutoff is None or d < cutoff):
+        d += 1
+        node = frontier % n
+        base = frontier - node
+        starts = np_indptr[node]
+        counts = np_indptr[node + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        cum = np.cumsum(counts)
+        offs = np.repeat(starts - cum + counts, counts) + np.arange(total)
+        cand = np.repeat(base, counts) + np_indices[offs]
+        cand = cand[dist[cand] < 0]
+        if cand.size == 0:
+            break
+        dist[cand] = d
+        # Deduplicate the new frontier: sort the (few) candidates when
+        # they are sparse, scan the flat buffer when they are dense.
+        if cand.size < (b * n) >> 4:
+            frontier = np.unique(cand)
+        else:
+            frontier = np.flatnonzero(dist == d)
+    return dist.reshape(b, n)
+
+
+class _Lanes:
+    """The lane kernel of :func:`batched_bfs` over one CSR snapshot.
+
+    ``np.bitwise_or.reduceat`` returns the element itself, not 0, for an
+    empty segment, so the reduction runs over the rows that have
+    neighbours only; zero-degree (dormant) rows gather nothing.
+    """
+
+    def __init__(self, csr: CSRGraph) -> None:
+        indptr, self.indices = csr.numpy_arrays()
+        self.n = csr.num_nodes
+        self.busy = np.flatnonzero(indptr[1:] > indptr[:-1])
+        self.starts = indptr[self.busy]
+
+    def rows(self, srcs: "list[int]", cutoff: "int | None") -> np.ndarray:
+        """A ``(len(srcs), n)`` int32 distance block, ``len(srcs) ≤ 64``."""
+        n, busy = self.n, self.busy
         b = len(srcs)
-        dist = np.full(b * n, UNREACHED, dtype=np.int32)
-        slots = np.arange(b, dtype=np.int64) * n
-        dist[slots + srcs] = 0
-        frontier = slots + srcs
+        front = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(front, np.asarray(srcs, dtype=np.intp), _LANE_BITS[:b])
+        unseen = ~front
+        gathered = np.zeros(n, dtype=np.uint64)
+        taken = np.empty(self.indices.size, dtype=np.uint64)
+        planes: "list[np.ndarray]" = []  # planes[j] bit i: bit j of lane i's level
         d = 0
-        while frontier.size and (cutoff is None or d < cutoff):
+        while busy.size and (cutoff is None or d < cutoff):
             d += 1
-            node = frontier % n
-            base = frontier - node
-            starts = np_indptr[node]
-            counts = np_indptr[node + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
+            np.take(front, self.indices, out=taken)
+            gathered[busy] = np.bitwise_or.reduceat(taken, self.starts)
+            np.bitwise_and(gathered, unseen, out=front)
+            if not front.any():
                 break
-            cum = np.cumsum(counts)
-            offs = np.repeat(starts - cum + counts, counts) + np.arange(total)
-            cand = np.repeat(base, counts) + np_indices[offs]
-            cand = cand[dist[cand] < 0]
-            if cand.size == 0:
-                break
-            dist[cand] = d
-            # Deduplicate the new frontier: sort the (few) candidates when
-            # they are sparse, scan the flat buffer when they are dense.
-            if cand.size < (b * n) >> 4:
-                frontier = np.unique(cand)
-            else:
-                frontier = np.flatnonzero(dist == d)
-        rows = dist.reshape(b, n)
-        for i, s in enumerate(src_list[lo : lo + b]):
-            yield int(s), (rows[i] if arrays else rows[i].tolist())
+            unseen ^= front
+            for j in range(d.bit_length()):
+                if j == len(planes):
+                    planes.append(np.zeros(n, dtype=np.uint64))
+                if d >> j & 1:
+                    planes[j] |= front
+        dist = np.zeros((b, n), dtype=np.int32)
+        for plane in reversed(planes):
+            dist <<= 1
+            dist |= _unpack(plane, b)
+        dist[_unpack(unseen, b) == 1] = UNREACHED
+        return dist
+
+
+def _unpack(words: np.ndarray, b: int) -> np.ndarray:
+    """Lanes ``0..b-1`` of per-node words as a ``(b, n)`` uint8 0/1 block."""
+    as_bytes = np.asarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(as_bytes, axis=1, count=b, bitorder="little").T
 
 
 # --------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import inspect
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NodeNotFound, ParameterError
 from repro.graph import traversal
@@ -260,6 +261,67 @@ class TestBatchedBfs:
     def test_empty_graph_and_empty_sources(self):
         assert list(batched_bfs(Graph(0))) == []
         assert list(batched_bfs(path_graph(3), [])) == []
+
+    @pytest.mark.parametrize("cutoff", [None, 0, 1, 3])
+    @pytest.mark.parametrize(
+        "chunk",
+        [1, traversal._LANE_MIN_SOURCES - 1, traversal._LANE_MIN_SOURCES, 64, 100],
+    )
+    def test_both_kernels_agree_with_single_source(self, chunk, cutoff):
+        # Chunks on both sides of the lane crossover and past one 64-lane
+        # word, with repeated sources, on graphs whose n is not a multiple
+        # of 64.  The dormant graph has zero-degree ids first, last and in
+        # between: np.bitwise_or.reduceat returns the element itself, not
+        # 0, for an empty segment.
+        dormant = random_connected_gnp(90, 0.06, seed=3)
+        for u in (0, 41, 42, 89):
+            for v in list(dormant.neighbors(u)):
+                dormant.remove_edge(u, v)
+        for g in [*mid_size_graphs(), dormant, Graph(70)]:
+            srcs = [*range(g.num_nodes), 0, 41, 41, g.num_nodes - 1]
+            plain = g.copy()
+            got = list(batched_bfs(g.freeze(), srcs, cutoff=cutoff, chunk=chunk))
+            assert [s for s, _d in got] == srcs
+            for s, dist in got:
+                assert dist == bfs_distances(plain, s, cutoff=cutoff), (s, chunk, cutoff)
+
+    def test_chunk_size_picks_the_kernel(self, monkeypatch):
+        calls = {"frontier": 0, "lanes": 0}
+        frontier, lanes = traversal._frontier_rows, traversal._Lanes.rows
+
+        def count(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(traversal, "_frontier_rows", count("frontier", frontier))
+        monkeypatch.setattr(traversal._Lanes, "rows", count("lanes", lanes))
+        g = random_connected_gnp(80, 0.06, seed=4).freeze()
+        few = traversal._LANE_MIN_SOURCES - 1
+        list(batched_bfs(g, range(few)))
+        assert calls == {"frontier": 1, "lanes": 0}
+        list(batched_bfs(g, range(few + 1)))
+        assert calls == {"frontier": 1, "lanes": 1}
+        list(batched_bfs(g, range(80), chunk=80))  # one chunk, two lane words
+        assert calls == {"frontier": 1, "lanes": 3}
+
+    @given(
+        st.integers(64, 160),
+        st.floats(0.0, 0.08),
+        st.integers(0, 2**16),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=80),
+        st.integers(1, 70),
+        st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_batches_agree_with_single_source(self, n, p, seed, picks, chunk, cutoff):
+        g = gnp_random_graph(n, p, seed=seed)
+        srcs = [x % n for x in picks]
+        plain = g.copy()
+        for s, dist in batched_bfs(g.freeze(), srcs, cutoff=cutoff, chunk=chunk):
+            assert dist == bfs_distances(plain, s, cutoff=cutoff)
 
     def test_arrays_option_matches_lists_on_both_paths(self):
         import numpy as np
